@@ -2,8 +2,8 @@
 
 Drive-cycle handling, road-load dynamics, efficiency-map powertrain
 models, a thermostat charge-depleting/charge-sustaining controller, a
-dynamic-programming charge-sustaining optimizer with a compiled kernel
-and a pure-Python fallback, and utility-factor energy accounting.
+dynamic-programming charge-sustaining optimizer, and utility-factor
+energy accounting.
 """
 
 __version__ = "0.1.0"

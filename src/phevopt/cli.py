@@ -41,7 +41,7 @@ from .dpopt import (
     rollout,
     solve,
 )
-from .dpopt.solver import active_kernel, write_policy
+from .dpopt.solver import write_policy
 from .dynamics import wheel_power_series
 from .ems import EnergyResult, SimTrace, simulate_rule_based, write_trace
 from .errors import (
@@ -71,7 +71,6 @@ def _write_log(out: Path, args, extra: dict) -> None:
         f"command={args.command}",
         f"scenario={args.scenario}",
         f"version={__version__}",
-        f"seed={args.seed}",
     ]
     lines += [f"{k}={v}" for k, v in extra.items()]
     (out / "run.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -83,8 +82,6 @@ def _prepare(args) -> tuple[Scenario, Path]:
         sc.dp = replace(sc.dp, grid_step=args.grid_step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     return sc, out
 
 
@@ -153,7 +150,7 @@ class HybridRun:
         return self.roll.final_soc
 
 
-def run_dp_hybrid(sc: Scenario, kernel: str | None = None) -> HybridRun:
+def run_dp_hybrid(sc: Scenario) -> HybridRun:
     """Simulate the rule until CS entry, then solve the remainder as the
     charge-sustaining optimization and roll the policy out."""
     trace, energy = simulate_rule_based(
@@ -179,7 +176,7 @@ def run_dp_hybrid(sc: Scenario, kernel: str | None = None) -> HybridRun:
                           dt_s=cfg.dt_s,
                           regen_current_limit_a=sc.rule.regen_current_limit_a,
                           reference_soc=entry_soc)
-    policy = solve(demand, cfg, kernel=kernel)
+    policy = solve(demand, cfg)
     roll = rollout(policy, demand, cfg, entry_soc)
     return HybridRun(trace, energy, idx, demand, cfg, roll, policy)
 
@@ -246,7 +243,6 @@ def cmd_simulate(args) -> int:
                      str(len(trace.genset_transition_times()))))
         write_trace(trace, out / "trace.csv")
         _write_plot_rule(out / "plot.csv", trace)
-        extra = {}
     else:
         run = run_dp_hybrid(sc)
         energy = run.rule_energy
@@ -269,10 +265,8 @@ def cmd_simulate(args) -> int:
         else:
             write_trace(run.trace, out / "trace.csv")
         _write_plot_hybrid(out / "plot.csv", run, sc)
-        extra = {"kernel": active_kernel()}
     _write_rows(out / "summary.csv", "key,value", rows)
-    extra["elapsed_s"] = f"{time.perf_counter() - start:.3f}"
-    _write_log(out, args, extra)
+    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
     return 0
@@ -304,8 +298,7 @@ def cmd_compare(args) -> int:
     _write_rows(out / "comparison.csv", header, table)
     _write_plot_rule(out / "plot_rule.csv", trace)
     _write_plot_hybrid(out / "plot_dp.csv", run, sc)
-    _write_log(out, args, {"kernel": active_kernel(),
-                           "elapsed_s": f"{time.perf_counter() - start:.3f}"})
+    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     print(header)
     for row in table:
         print(",".join(row))
@@ -331,8 +324,7 @@ def cmd_obd(args) -> int:
                 ((str(k), _fmt(a), _fmt(b))
                  for k, (a, b) in enumerate(zip(study.trajectory_without,
                                                 study.trajectory_with))))
-    _write_log(out, args, {"kernel": active_kernel(),
-                           "elapsed_s": f"{time.perf_counter() - start:.3f}"})
+    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
     return 0
@@ -351,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--grid-step", type=float, default=None,
                        help="override the SOC grid step (percent)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized utilities")
 
     p = sub.add_parser("analyze", help="wheel-side cycle metrics")
     common(p)

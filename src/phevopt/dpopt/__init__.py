@@ -16,9 +16,7 @@ from .problem import (
     null_decision,
 )
 from .solver import (
-    HAVE_COMPILED_KERNEL,
     RolloutResult,
-    active_kernel,
     rollout,
     solve,
     write_policy,
@@ -31,12 +29,10 @@ __all__ = [
     "DemandProfile",
     "DpConfig",
     "DpPolicy",
-    "HAVE_COMPILED_KERNEL",
     "ObdStudy",
     "RolloutResult",
     "RuleOnDemandResult",
     "TerminalRule",
-    "active_kernel",
     "brute_force",
     "build_demand",
     "default_decisions",

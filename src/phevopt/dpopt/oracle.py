@@ -3,7 +3,7 @@
 Enumerates every decision sequence with exact continuous-SOC transitions
 and the same admissibility rules as the DP (window, gate, regeneration
 curtailment, OBD drain), so small instances certify the solver's
-optimality. Deliberately independent of the DP kernels: no value function,
+optimality. Deliberately independent of the DP solver: no value function,
 no grid, no interpolation.
 """
 

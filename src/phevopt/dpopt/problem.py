@@ -173,6 +173,33 @@ class DpConfig:
         return np.asarray(out, dtype=float)
 
 
+def cs_step(cfg: DpConfig, soc, d_k: float, delta):
+    """One interval of the charge-sustaining dynamics: the transition rule
+    that the backward sweep, the rollout and the thermostat replay share.
+
+    ``soc`` (% SOC) and ``delta`` (decision charge increments, % per
+    interval) broadcast against each other, e.g. a column of decisions
+    against a row of grid states; ``d_k`` is the interval's drain. The null
+    decision (``delta == 0``) also pays the OBD drain when it is enabled.
+    On a net-regeneration interval the successor is curtailed at
+    ``soc_max``. Charging is gated off wherever the largest increment could
+    overshoot ``soc_max``. A move is admissible when it passes the gate and
+    its successor lies in the window, both up to ``SOC_EPS``.
+
+    Returns ``(succ, gate_ok, ok)``: the successor SOC, whether the gate
+    lets the decision run, and whether the move is admissible.
+    """
+    delta = np.asarray(delta, dtype=float)
+    null = delta == 0.0
+    drain = np.where(null, cfg.obd_drain_pct if cfg.obd_enabled else 0.0, 0.0)
+    succ = soc + delta - d_k - drain
+    if d_k < 0.0:
+        succ = np.minimum(succ, cfg.soc_max)
+    gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
+    ok = gate_ok & (succ >= cfg.soc_min - SOC_EPS) & (succ <= cfg.soc_max + SOC_EPS)
+    return succ, gate_ok, ok
+
+
 def default_decisions(assembly: PowertrainAssembly, cfg_or_capacity,
                       dt_s: float = 10.0,
                       genset_speed_rpm: float = 2600.0,
@@ -257,6 +284,26 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                          dt_s=dt_s, distance_km=cycle.distance_km)
 
 
+def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
+    """Linear interpolation of node ``values`` on the uniform grid
+    ``lo + i*step`` at points ``x`` (any shape), treating infinity as
+    infeasible: a point inside a cell that touches an infinite node is
+    infinite. Weights within ``SOC_EPS`` of a node snap onto it, and points
+    outside the grid take the end node's value."""
+    m = values.size
+    p = np.clip((x - lo) / step, 0.0, float(m - 1))
+    j = np.minimum(p.astype(np.int64), m - 2)
+    w = p - j
+    left = values[j]
+    right = values[j + 1]
+    with np.errstate(invalid="ignore"):
+        out = left + w * (right - left)
+    # inf - inf is NaN, and argmin over decisions would pick a NaN
+    out = np.where(np.isnan(out), np.inf, out)
+    out = np.where(w < SOC_EPS, left, out)
+    return np.where(w > 1.0 - SOC_EPS, right, out)
+
+
 @dataclass
 class DpPolicy:
     """Backward-induction output: optimal cost-to-go and the minimizing
@@ -276,21 +323,8 @@ class DpPolicy:
         """Cost-to-go at stage k and an off-grid SOC (inf-aware linear
         interpolation)."""
         grid = self.grid
-        if soc <= grid[0]:
-            return float(self.cost_to_go[k, 0])
-        if soc >= grid[-1]:
-            return float(self.cost_to_go[k, -1])
-        j = int(np.searchsorted(grid, soc, side="right")) - 1
-        w = (soc - grid[j]) / (grid[j + 1] - grid[j])
-        left = self.cost_to_go[k, j]
-        right = self.cost_to_go[k, j + 1]
-        if w < 1e-9:
-            return float(left)
-        if w > 1.0 - 1e-9:
-            return float(right)
-        if not (np.isfinite(left) and np.isfinite(right)):
-            return math.inf
-        return float(left + w * (right - left))
+        step = (grid[-1] - grid[0]) / (grid.size - 1)
+        return float(interp_inf(self.cost_to_go[k], soc, grid[0], step))
 
     def optimal_cost(self, initial_soc: float) -> float:
         return self.interp_cost(0, initial_soc)

@@ -1,69 +1,78 @@
 """Backward-DP solver and forward rollout for the CS problem.
 
-The backward sweep runs on one of two interchangeable kernels: a compiled
-extension (built from ``_dpcore.pyx``) and a pure-numpy fallback. The
-extension is preferred when importable; override with the
-``PHEVOPT_KERNEL`` environment variable or the ``kernel=`` argument.
+Each stage of the backward sweep evaluates every decision from every grid
+state at once, as one (decisions x states) array, and keeps the cheapest
+decision per state.
 """
 
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import InfeasibleProblemError, ToleranceBreachError
-from . import _kernel_py
-from .problem import DemandProfile, DpConfig, DpPolicy
-
-try:
-    from . import _dpcore
-except ImportError:
-    _dpcore = None
-
-HAVE_COMPILED_KERNEL = _dpcore is not None
-
-_KERNELS = {"python": _kernel_py.backward_sweep}
-if HAVE_COMPILED_KERNEL:
-    _KERNELS["cython"] = _dpcore.backward_sweep
+from .problem import DemandProfile, DpConfig, DpPolicy, cs_step, interp_inf
 
 
-def active_kernel(kernel: str | None = None) -> str:
-    """Resolve the kernel name: explicit argument, then PHEVOPT_KERNEL,
-    then the compiled extension when present."""
-    name = kernel or os.environ.get("PHEVOPT_KERNEL")
-    if name is None:
-        name = "cython" if HAVE_COMPILED_KERNEL else "python"
-    if name not in ("python", "cython"):
-        raise ValueError(f"unknown kernel {name!r}; use 'python' or 'cython'")
-    if name == "cython" and not HAVE_COMPILED_KERNEL:
-        raise RuntimeError("compiled kernel requested but the extension is not built")
-    return name
+def _check_interval(d: DemandProfile, cfg: DpConfig) -> None:
+    if d.dt_s != cfg.dt_s:
+        raise ValueError(
+            f"demand intervals of {d.dt_s:g} s do not match the decision "
+            f"interval dt_s={cfg.dt_s:g} s")
 
 
-def solve(d: DemandProfile, cfg: DpConfig, kernel: str | None = None) -> DpPolicy:
+def backward_sweep(d: DemandProfile, cfg: DpConfig,
+                   terminal_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Backward induction over the SOC grid under the ``cs_step`` rule.
+
+    The terminal cost is 0 at or above the threshold and infinite below;
+    inadmissible moves cost infinity. Ties keep the lowest decision index.
+
+    Returns (cost_to_go (N+1, M), decision_idx (N, M)).
+    """
+    grid = cfg.grid()
+    n, m = d.n_intervals, grid.size
+    step = (cfg.soc_max - cfg.soc_min) / (m - 1)
+    deltas = cfg.delta_array()[:, None]
+    fuel = cfg.fuel_array()[:, None]
+    states = np.arange(m)
+    cost_to_go = np.full((n + 1, m), np.inf)
+    decision_idx = np.empty((n, m), dtype=np.int32)
+    cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
+
+    for k in range(n - 1, -1, -1):
+        succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
+        cost = np.where(
+            ok, fuel + interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, step),
+            np.inf)
+        best = np.argmin(cost, axis=0)
+        decision_idx[k] = best
+        cost_to_go[k] = cost[best, states]
+    return cost_to_go, decision_idx
+
+
+def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
     """Backward induction over the quantized SOC grid.
 
     Raises
     ------
+    ValueError
+        When the demand's interval differs from ``cfg.dt_s``.
     InfeasibleProblemError
         When no admissible decision sequence reaches the terminal set: from
         every grid state when ``cfg.initial_soc`` is unset, or from that
         initial state when it is set. The error names the first interval at
         which the whole grid is unreachable, when one exists.
     """
+    _check_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
-    grid = cfg.grid()
-    sweep = _KERNELS[active_kernel(kernel)]
-    cost_to_go, decision_idx = sweep(
-        np.ascontiguousarray(d.d_pct), grid, cfg.delta_array(), cfg.fuel_array(),
-        cfg.obd_drain_pct if cfg.obd_enabled else 0.0,
-        cfg.soc_min, cfg.soc_max, cfg.max_positive_delta, threshold)
+    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
     policy = DpPolicy(cost_to_go=cost_to_go, decision_idx=decision_idx,
-                      grid=grid, decisions=cfg.decisions, terminal_soc=threshold)
+                      grid=cfg.grid(), decisions=cfg.decisions,
+                      terminal_soc=threshold)
 
     if cfg.initial_soc is not None:
         unreachable = not np.isfinite(policy.optimal_cost(cfg.initial_soc))
@@ -105,11 +114,14 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
 
     Raises
     ------
+    ValueError
+        When the demand's interval differs from ``cfg.dt_s``.
     InfeasibleProblemError
         If the initial state has no finite cost-to-go.
     ToleranceBreachError
         If any boundary SOC leaves the window by more than one grid step.
     """
+    _check_interval(d, cfg)
     if not np.isfinite(policy.optimal_cost(initial_soc)):
         raise InfeasibleProblemError(
             f"initial SOC {initial_soc:.4f}% has no feasible path")
@@ -121,7 +133,6 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
     soc = float(initial_soc)
     traj[0] = soc
     fuel_arr = cfg.fuel_array()
-    obd_drain = cfg.obd_drain_pct if cfg.obd_enabled else 0.0
     fuel = 0.0
     nulls = 0
     for k in range(n):
@@ -129,15 +140,12 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
         i = min(max(i, 0), grid.size - 1)
         a = int(policy.decision_idx[k, i])
         chosen[k] = a
-        dec = policy.decisions[a]
-        if dec.delta_soc == 0.0:
+        delta = policy.decisions[a].delta_soc
+        if delta == 0.0:
             nulls += 1
-            soc = soc - d.d_pct[k] - obd_drain
         else:
             fuel += fuel_arr[a]
-            soc = soc + dec.delta_soc - d.d_pct[k]
-        if d.d_pct[k] < 0.0 and soc > cfg.soc_max:
-            soc = cfg.soc_max
+        soc = float(cs_step(cfg, soc, d.d_pct[k], delta)[0])
         breach = max(cfg.soc_min - soc, soc - cfg.soc_max)
         if breach > cfg.grid_step + 1e-12:
             raise ToleranceBreachError(

@@ -17,7 +17,7 @@ from ..cycle import DriveCycle
 from ..dynamics import VehicleParams
 from ..errors import InfeasibleProblemError
 from ..powertrain import BatteryParams, PowertrainAssembly
-from .problem import SOC_EPS, DemandProfile, DpConfig, build_demand
+from .problem import DemandProfile, DpConfig, build_demand, cs_step
 from .solver import rollout, solve
 
 
@@ -40,8 +40,7 @@ class ObdStudy:
 
 def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly,
               bp: BatteryParams, cfg: DpConfig, calibration: float = 1.0,
-              regen_current_limit_a: float | None = None,
-              kernel: str | None = None) -> ObdStudy:
+              regen_current_limit_a: float | None = None) -> ObdStudy:
     """Solve and roll out the CS problem twice over one cycle, with OBD
     penalties disabled and enabled, from ``cfg.initial_soc``."""
     if cfg.initial_soc is None:
@@ -51,7 +50,7 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     results = {}
     for enabled in (False, True):
         branch_cfg = replace(cfg, obd_enabled=enabled)
-        policy = solve(demand, branch_cfg, kernel=kernel)
+        policy = solve(demand, branch_cfg)
         results[enabled] = rollout(policy, demand, branch_cfg, cfg.initial_soc)
     off, on = results[False], results[True]
     increase = on.cs_ec_wh_per_km - off.cs_ec_wh_per_km
@@ -79,7 +78,7 @@ class RuleOnDemandResult:
     cs_ec_wh_per_km: float
     soc_trajectory: np.ndarray
     on_intervals: int
-    feasible: bool  # False when the trajectory breached the window floor
+    feasible: bool  # False when a move left the SOC window
     final_soc: float
 
 
@@ -102,8 +101,7 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
         raise ValueError("the rule decision must charge")
     delta = float(deltas[decision_idx])
     fuel_per_interval = float(fuels[decision_idx])
-    obd_drain = cfg.obd_drain_pct if cfg.obd_enabled else 0.0
-    gate_max = cfg.max_positive_delta
+    null_or_charge = np.asarray([0.0, delta])
 
     soc = float(initial_soc)
     traj = np.empty(d.n_intervals + 1)
@@ -124,19 +122,13 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
             since_change = 0
         since_change += 1
 
-        u = delta if on else 0.0
-        if u > 0.0 and soc + gate_max > cfg.soc_max + SOC_EPS:
-            u = 0.0  # window top: the DP gate forbids charging here
-        if u > 0.0:
+        succ, gate_ok, ok = cs_step(cfg, soc, d.d_pct[k], null_or_charge)
+        a = 1 if on and gate_ok[1] else 0  # the DP gate forbids charging near the top
+        if a:
             fuel += fuel_per_interval
             n_on += 1
-            soc = soc + u - d.d_pct[k]
-        else:
-            soc = soc - d.d_pct[k] - obd_drain
-        if d.d_pct[k] < 0.0 and soc > cfg.soc_max:
-            soc = cfg.soc_max
-        if soc < cfg.soc_min - SOC_EPS:
-            feasible = False
+        soc = float(succ[a])
+        feasible = feasible and bool(ok[a])
         traj[k + 1] = soc
     ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
     return RuleOnDemandResult(fuel_kwh=fuel, cs_ec_wh_per_km=ec,

@@ -6,13 +6,17 @@ multiples of the grid step), so interpolation introduces no error and the
 solver can be compared against exhaustive enumeration at tight tolerance.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from phevopt.dpopt import Decision, DemandProfile, DpConfig, null_decision
 
 
-def grid_aligned_instance(rng) -> tuple[DemandProfile, DpConfig]:
-    """Random small instance whose states all fall on 0.005% grid nodes."""
+def grid_aligned_instance(rng, obd: bool = False) -> tuple[DemandProfile, DpConfig]:
+    """Random small instance whose states all fall on 0.005% grid nodes.
+    With ``obd`` the null decision also drains a random multiple of the
+    grid step per interval."""
     n = int(rng.integers(3, 11))
     d = rng.integers(-50, 81, n) * 0.005
     deltas = sorted(set(int(x) * 0.005 for x in rng.integers(1, 118, 3)))
@@ -22,4 +26,8 @@ def grid_aligned_instance(rng) -> tuple[DemandProfile, DpConfig]:
     decs = tuple([null_decision()] + [
         Decision(dl, e, f"b{dl:g}") for dl, e in zip(deltas, effs)])
     cfg = DpConfig(decisions=decs, initial_soc=14.0, grid_step=0.005)
+    if obd:
+        drain_pct = int(rng.integers(1, 5)) * 0.005
+        cfg = replace(cfg, obd_enabled=True,
+                      obd_energy_per_event_kwh=drain_pct / 100.0 * cfg.c_batt_kwh)
     return DemandProfile(np.asarray(d, dtype=float), 10.0, n * 0.15), cfg

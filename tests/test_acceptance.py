@@ -302,7 +302,7 @@ def test_criterion_10_determinism(tmp_path, scenario_dir):
         outs = []
         for rep in ("a", "b"):
             out = tmp_path / f"{name}-{rep}"
-            assert main(argv + ["--out", str(out), "--seed", "1"]) == 0
+            assert main(argv + ["--out", str(out)]) == 0
             outs.append(out)
         names = sorted(q.name for q in outs[0].iterdir())
         assert names == sorted(q.name for q in outs[1].iterdir())

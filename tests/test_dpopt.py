@@ -8,7 +8,6 @@ from phevopt.dpopt import (
     Decision,
     DemandProfile,
     DpConfig,
-    HAVE_COMPILED_KERNEL,
     TerminalRule,
     brute_force,
     default_decisions,
@@ -21,8 +20,6 @@ from phevopt.dpopt import (
     solve,
     write_policy,
 )
-from phevopt.dpopt import solver as solver_mod
-from phevopt.dpopt.solver import active_kernel
 from phevopt.errors import (
     InfeasibleProblemError,
     InstanceTooLargeError,
@@ -373,6 +370,15 @@ class TestInfeasibility:
         with pytest.raises(InfeasibleProblemError):
             rollout(policy, d, cfg, 14.0)
 
+    def test_demand_interval_must_match_config(self, decisions):
+        cfg = DpConfig(decisions=decisions, initial_soc=14.0)
+        coarse = DemandProfile(np.zeros(2), 5.0, 1.0)
+        with pytest.raises(ValueError, match="dt_s"):
+            solve(coarse, cfg)
+        policy = solve(DemandProfile(np.zeros(2), 10.0, 1.0), cfg)
+        with pytest.raises(ValueError, match="dt_s"):
+            rollout(policy, coarse, cfg, 14.0)
+
     def test_rollout_breach_guard(self, decisions):
         # replaying a policy on a much heavier demand trips the window guard
         cfg = DpConfig(decisions=decisions,
@@ -398,45 +404,6 @@ class TestTieBreaking:
         d = one_interval(0.294)
         out = rollout(solve(d, cfg), d, cfg, 14.0)
         assert out.decision_indices[0] == 1
-
-
-class TestKernels:
-    def test_active_kernel_names(self):
-        assert active_kernel("python") == "python"
-        with pytest.raises(ValueError, match="unknown kernel"):
-            active_kernel("fortran")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PHEVOPT_KERNEL", "python")
-        assert active_kernel() == "python"
-
-    def test_missing_extension_reported(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "HAVE_COMPILED_KERNEL", False)
-        with pytest.raises(RuntimeError, match="not built"):
-            active_kernel("cython")
-
-    @pytest.mark.skipif(not HAVE_COMPILED_KERNEL,
-                        reason="compiled kernel not built")
-    def test_kernels_agree_on_cycle_demand(self, demand, dp_config):
-        a = solve(demand, dp_config, kernel="python")
-        b = solve(demand, dp_config, kernel="cython")
-        assert np.array_equal(a.cost_to_go, b.cost_to_go)
-        assert np.array_equal(a.decision_idx, b.decision_idx)
-
-    @pytest.mark.skipif(not HAVE_COMPILED_KERNEL,
-                        reason="compiled kernel not built")
-    def test_kernels_agree_on_random_instances(self, decisions):
-        rng = np.random.default_rng(99)
-        for trial in range(5):
-            n = int(rng.integers(5, 31))
-            d = DemandProfile(rng.uniform(-0.3, 0.45, n), 10.0, 1.0)
-            cfg = DpConfig(decisions=decisions,
-                           terminal_rule=TerminalRule.at(14.0),
-                           obd_enabled=bool(trial % 2))
-            a = solve(d, cfg, kernel="python")
-            b = solve(d, cfg, kernel="cython")
-            assert np.array_equal(a.cost_to_go, b.cost_to_go)
-            assert np.array_equal(a.decision_idx, b.decision_idx)
 
 
 class TestPolicyCostSurface:
@@ -524,6 +491,7 @@ class TestCycleDemandSolution:
             if finite.any():
                 first = int(np.argmax(finite))
                 assert finite[first:].all()
+        assert not np.isnan(j).any()
 
     def test_obd_disabled_recovers_baseline_exactly(self, demand, dp_config):
         base = solve(demand, replace(dp_config, obd_enabled=False))
@@ -578,22 +546,28 @@ class TestBruteForce:
             brute_force(one_interval(0.0), cfg, 14.0)
 
 
+def check_against_oracle(rng, count: int, obd: bool) -> None:
+    compared = 0
+    while compared < count:
+        d, cfg = grid_aligned_instance(rng, obd=obd)
+        try:
+            expect = brute_force(d, cfg, 14.0)
+        except InfeasibleProblemError:
+            continue
+        out = rollout(solve(d, cfg), d, cfg, 14.0)
+        if expect > 0:
+            assert abs(out.fuel_kwh - expect) / expect < 0.005
+        else:
+            assert out.fuel_kwh == pytest.approx(0.0, abs=1e-12)
+        compared += 1
+
+
 class TestOptimalityAgainstOracle:
     def test_dp_matches_oracle_on_grid_aligned_instances(self):
-        rng = np.random.default_rng(20240815)
-        compared = 0
-        while compared < 25:
-            d, cfg = grid_aligned_instance(rng)
-            try:
-                expect = brute_force(d, cfg, 14.0)
-            except InfeasibleProblemError:
-                continue
-            out = rollout(solve(d, cfg), d, cfg, 14.0)
-            if expect > 0:
-                assert abs(out.fuel_kwh - expect) / expect < 0.005
-            else:
-                assert out.fuel_kwh == pytest.approx(0.0, abs=1e-12)
-            compared += 1
+        check_against_oracle(np.random.default_rng(20240815), 25, obd=False)
+
+    def test_dp_matches_oracle_with_obd_drain(self):
+        check_against_oracle(np.random.default_rng(20240816), 25, obd=True)
 
     def test_rollout_never_beats_oracle_without_terminal_slip(self, decisions):
         # the rollout applies real decisions, so it can undercut the oracle

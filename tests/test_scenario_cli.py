@@ -264,7 +264,7 @@ class TestDeterminism:
             out = tmp_path / name
             rc = main(["simulate", "--strategy", "dp",
                        "--scenario", str(scenario_dir / "single_lap.ini"),
-                       "--out", str(out), "--seed", "7"])
+                       "--out", str(out)])
             assert rc == 0
             outs.append(out)
         capsys.readouterr()
