@@ -275,10 +275,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     start = time.perf_counter()
     sc, out = _prepare(args)
-    trace, rule_energy = simulate_rule_based(
-        sc.cycle, sc.vp, sc.assembly.motor_map, sc.assembly.drivetrain,
-        sc.bp, sc.rule, calibration=sc.calibration.energy_scale)
     run = run_dp_hybrid(sc)
+    rule_energy = run.rule_energy
 
     header = ("strategy,ec_cd_dc_wh_per_km,ec_cd_ac_wh_per_km,"
               "ec_cs_fuel_wh_per_km,uf_weighted_electric_wh_per_km,"
@@ -296,7 +294,7 @@ def cmd_compare(args) -> int:
                       _fmt(rep.ec_uf_weighted_fuel),
                       _fmt(rep.ec_uf_weighted_total), _fmt(final)))
     _write_rows(out / "comparison.csv", header, table)
-    _write_plot_rule(out / "plot_rule.csv", trace)
+    _write_plot_rule(out / "plot_rule.csv", run.trace)
     _write_plot_hybrid(out / "plot_dp.csv", run, sc)
     _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     print(header)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams, wheel_power_series
+from ..errors import EnvelopeError, MapDomainError
 from ..powertrain import (
     BatteryParams,
     DrivetrainParams,
@@ -120,8 +121,9 @@ class DpConfig:
             raise ValueError("dt must be positive")
         if self.soc_min >= self.soc_max:
             raise ValueError("soc_min must be below soc_max")
-        if self.grid_step <= 0 or self.grid_step > (self.soc_max - self.soc_min):
-            raise ValueError("grid_step must lie in (0, soc_max - soc_min]")
+        n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0
+        if not (1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
+            raise ValueError(f"grid_step {self.grid_step:g} does not divide the window")
         if self.obd_energy_per_event_kwh < 0:
             raise ValueError("OBD energy per event must be nonnegative")
         if self.c_batt_kwh <= 0:
@@ -256,23 +258,28 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
     Regeneration current is clipped at ``regen_current_limit_a`` when given.
     ``reference_soc`` selects the open-circuit voltage used for the
     power-to-current conversion (the drain profile is SOC-independent by
-    construction).
+    construction). An ``EnvelopeError`` names the first sample outside the
+    motor or battery envelope.
     """
     if calibration <= 0:
         raise ValueError("calibration must be positive")
     if cycle.duration_s < dt_s:
         raise ValueError("cycle must span at least one decision interval")
-    p_wheel = wheel_power_series(vp, cycle) * calibration
-    v_oc = bp.v_oc(reference_soc)
-    p_chem = np.empty_like(p_wheel)
-    for idx in range(p_wheel.size):
-        p_elec = motor_electrical_power(motor_map, drv, cycle.v_mps[idx], p_wheel[idx])
-        i_amps = current_from_power(bp, reference_soc, p_elec)
-        if regen_current_limit_a is not None and i_amps < -regen_current_limit_a:
-            i_amps = -regen_current_limit_a
-        p_chem[idx] = v_oc * i_amps / 1000.0
-
     t = cycle.t_s
+    p_wheel = wheel_power_series(vp, cycle) * calibration
+    i_amps = current_from_power(
+        bp, reference_soc, motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel))
+    if np.isnan(i_amps).any():  # the scalar calls name the first bad sample
+        k = np.flatnonzero(np.isnan(i_amps))[0]
+        try:
+            current_from_power(bp, reference_soc, motor_electrical_power(
+                motor_map, drv, cycle.v_mps[k], p_wheel[k]))
+        except (EnvelopeError, MapDomainError) as exc:
+            raise EnvelopeError(f"step {k} (t = {t[k]:g} s): {exc}") from None
+    if regen_current_limit_a is not None:
+        i_amps = np.maximum(i_amps, -regen_current_limit_a)
+    p_chem = bp.v_oc(reference_soc) * i_amps / 1000.0
+
     cum_kws = np.concatenate(
         [[0.0], np.cumsum(0.5 * (p_chem[1:] + p_chem[:-1]) * np.diff(t))])
     n = int(math.floor(cycle.duration_s / dt_s + 1e-9))

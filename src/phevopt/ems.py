@@ -16,6 +16,7 @@ per-step energy identity closes exactly.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,11 +120,11 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
                         ) -> tuple[SimTrace, EnergyResult]:
     """Run the rule-based strategy over a cycle.
 
-    Per step: wheel power (scaled by ``calibration``) converts through the
-    motor map to electrical demand, the gen-set contributes per the
-    thermostat state, the battery current follows from the terminal-power
-    inversion (with the regeneration clip), and SOC integrates the
-    chemistry power.
+    Wheel power (scaled by ``calibration``) converts through the motor map
+    to electrical demand once for the whole cycle. Per step the gen-set
+    contributes per the thermostat state, the battery current follows from
+    the terminal-power inversion (with the regeneration clip), and SOC
+    integrates the chemistry power.
 
     Raises
     ------
@@ -138,6 +139,7 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
     n = cycle.n_samples
     t = cycle.t_s
     p_wheel = wheel_power_series(vp, cycle) * calibration
+    p_motor_series = motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel)
 
     trace = SimTrace(
         t_s=t.copy(), v_mps=cycle.v_mps.copy(),
@@ -158,7 +160,6 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
     genset_on = False
     last_change_t = -np.inf
     genset_start_t = -np.inf
-    eff = cfg.genset_point.combined_efficiency_pct / 100.0
 
     for k in range(n):
         now = t[k]
@@ -178,10 +179,12 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         p_gen = cfg.genset_point.electrical_power_kw if warm else 0.0
         crank = cfg.crank_power_kw if (genset_on and not warm) else 0.0
 
+        p_motor = p_motor_series[k]
+        if cs_entered and soc >= cfg.soc_high and p_motor < 0.0:
+            p_motor = 0.0  # regen lockout at the window top: friction only
         try:
-            p_motor = motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
-            if cs_entered and soc >= cfg.soc_high and p_motor < 0.0:
-                p_motor = 0.0  # regen lockout at the window top: friction only
+            if math.isnan(p_motor):  # outside the motor envelope: raise the reason
+                motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
             i_batt = current_from_power(bp, soc, p_motor + crank - p_gen)
         except (EnvelopeError, MapDomainError) as exc:
             raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
@@ -193,15 +196,11 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         trace.genset_on[k] = genset_on
         trace.genset_warm[k] = warm
         trace.p_motor_elec_kw[k] = p_motor
-        trace.p_genset_elec_kw[k] = p_gen
-        trace.crank_kw[k] = crank
         trace.i_batt_a[k] = i_batt
         trace.soc_pct[k] = soc
 
         if k < n - 1:
             dt = t[k + 1] - now
-            if p_gen > 0.0:
-                trace.fuel_step_kwh[k] = p_gen / eff * dt / 3600.0
             soc -= bp.v_oc(soc) * i_batt * dt / (3.6e6 * bp.c_batt_kwh) * 100.0
             if soc <= 0.0:
                 raise InfeasibleVehicleError(
@@ -210,6 +209,10 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
                     f"complete this cycle")
             soc = min(soc, 100.0)
 
+    trace.p_genset_elec_kw[trace.genset_warm] = cfg.genset_point.electrical_power_kw
+    trace.crank_kw[trace.genset_on & ~trace.genset_warm] = cfg.crank_power_kw
+    eff = cfg.genset_point.combined_efficiency_pct / 100.0
+    trace.fuel_step_kwh[:-1] = trace.p_genset_elec_kw[:-1] / eff * np.diff(t) / 3600.0
     return trace, _energy_result(trace, bp, cycle)
 
 
@@ -230,8 +233,7 @@ def _energy_result(trace: SimTrace, bp: BatteryParams, cycle: DriveCycle) -> Ene
         cd_seg = slice(0, k_cs)
         cs_seg = slice(k_cs, trace.n_samples - 1)
 
-    v_oc = np.asarray([bp.v_oc(s) for s in trace.soc_pct])
-    p_chem_kw = v_oc * trace.i_batt_a / 1000.0
+    p_chem_kw = bp.v_oc(trace.soc_pct) * trace.i_batt_a / 1000.0
     e_cd_kwh = float(np.sum(p_chem_kw[cd_seg] * dt[cd_seg])) / 3600.0
     fuel_cs_kwh = float(np.sum(trace.fuel_step_kwh[cs_seg]))
     return EnergyResult(

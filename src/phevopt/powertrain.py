@@ -113,20 +113,34 @@ def generator_efficiency(volts: float, amps: float,
     return eta
 
 
-def _cell(axis: np.ndarray, x: float) -> tuple[int, float]:
-    """Enclosing cell index and fractional position, snapped onto nodes."""
-    i = int(np.searchsorted(axis, x, side="right")) - 1
-    i = min(max(i, 0), axis.size - 2)
+def _cells(axis: np.ndarray, x):
+    """Enclosing cell indices and fractional positions, snapped onto nodes,
+    and whether each point lies on the axis."""
+    x = np.asarray(x, dtype=float)
+    i = axis[1:-1].searchsorted(x, side="right")  # clamped to [0, n - 2]
     u = (x - axis[i]) / (axis[i + 1] - axis[i])
-    if u < _W_SNAP:
-        u = 0.0
-    elif u > 1.0 - _W_SNAP:
-        u = 1.0
-    return i, u
+    u = np.where(u < _W_SNAP, 0.0, np.where(u > 1.0 - _W_SNAP, 1.0, u))
+    return i, u, (axis[0] <= x) & (x <= axis[-1])
+
+
+def _bilinear(m: EfficiencyMap, speed_rpm, torque_nm) -> np.ndarray:
+    """Bilinear interpolation at broadcast arrays of points; exact at nodes.
+    NaN where a point lies outside the axis bounding box or an enclosing
+    node that carries interpolation weight is infeasible."""
+    i, u, ok_speed = _cells(m.speed_axis, speed_rpm)
+    j, w, ok_torque = _cells(m.torque_axis, torque_nm)
+    v = m.values
+    out = 0.0
+    with np.errstate(invalid="ignore"):  # an infinite node times a zero weight
+        for val, weight in ((v[i, j], (1 - u) * (1 - w)), (v[i + 1, j], u * (1 - w)),
+                            (v[i, j + 1], (1 - u) * w), (v[i + 1, j + 1], u * w)):
+            # a corner without weight adds nothing, even when it is infeasible
+            out = out + np.where(weight != 0.0, val * weight, 0.0)
+    return np.where(ok_speed & ok_torque & np.isfinite(out), out, np.nan)
 
 
 def map_lookup(m: EfficiencyMap, speed_rpm: float, torque_nm: float) -> float:
-    """Bilinear interpolation of a map; exact at nodes.
+    """Bilinear interpolation of a map at one point; exact at nodes.
 
     Raises
     ------
@@ -142,41 +156,31 @@ def map_lookup(m: EfficiencyMap, speed_rpm: float, torque_nm: float) -> float:
     if not (m.torque_axis[0] <= torque_nm <= m.torque_axis[-1]):
         raise MapDomainError(
             f"torque {torque_nm:g} Nm outside [{m.torque_axis[0]:g}, {m.torque_axis[-1]:g}]")
-    i, u = _cell(m.speed_axis, speed_rpm)
-    j, w = _cell(m.torque_axis, torque_nm)
-    v = m.values
-    corners = ((v[i, j], (1 - u) * (1 - w)), (v[i + 1, j], u * (1 - w)),
-               (v[i, j + 1], (1 - u) * w), (v[i + 1, j + 1], u * w))
-    out = 0.0
-    for val, weight in corners:
-        if weight == 0.0:
-            continue
-        if not np.isfinite(val):
-            raise EnvelopeError(
-                f"({speed_rpm:g} rpm, {torque_nm:g} Nm) touches the infeasible "
-                f"region of map {m.label!r}")
-        out += val * weight
+    out = float(_bilinear(m, speed_rpm, torque_nm))
+    if math.isnan(out):
+        raise EnvelopeError(
+            f"({speed_rpm:g} rpm, {torque_nm:g} Nm) touches the infeasible "
+            f"region of map {m.label!r}")
     return out
 
 
-def max_feasible_torque(m: EfficiencyMap, speed_rpm: float) -> float:
+def max_feasible_torque(m: EfficiencyMap, speed_rpm):
     """Largest torque on the axis for which map_lookup succeeds at this
-    speed; 0 if none (never negative)."""
-    if not (m.speed_axis[0] <= speed_rpm <= m.speed_axis[-1]):
+    speed; 0 if none (never negative). For an array of speeds the result is
+    NaN where a speed lies outside the map; a scalar speed there raises
+    MapDomainError."""
+    i, u, inside = _cells(m.speed_axis, speed_rpm)
+    if inside.ndim == 0 and not inside:
         raise MapDomainError(f"speed {speed_rpm:g} rpm outside map {m.label!r}")
-    i, u = _cell(m.speed_axis, speed_rpm)
-    rows = []
-    if u < 1.0:
-        rows.append(m.values[i])
-    if u > 0.0:
-        rows.append(m.values[i + 1])
-    limit = 0.0
-    for j in range(m.torque_axis.size):
-        if all(np.isfinite(r[j]) for r in rows):
-            limit = float(m.torque_axis[j])
-        else:
-            break
-    return limit
+    # the limit depends only on which speed rows carry weight, so look it up
+    # at every node and cell midpoint: probe 2i + 1 stands for cell i
+    s = m.speed_axis
+    probes = np.insert(s, np.arange(1, s.size), 0.5 * (s[:-1] + s[1:]))
+    ok = ~np.isnan(_bilinear(m, probes[:, None], m.torque_axis))
+    n_ok = np.cumprod(ok, axis=1).sum(axis=1)  # leading feasible torques
+    limits = np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0)
+    limit = np.where(inside, limits[2 * i + (u > 0.0) + (u == 1.0)], np.nan)
+    return float(limit) if limit.ndim == 0 else limit
 
 
 def merge_gen_set(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
@@ -194,17 +198,9 @@ def merge_gen_set(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
         raise ValueError("belt ratio must be positive")
     if not (0 < belt_efficiency <= 1):
         raise ValueError("belt efficiency must lie in (0, 1]")
-    values = np.full_like(engine_map.values, np.nan)
-    for a, speed in enumerate(engine_map.speed_axis):
-        for b, torque in enumerate(engine_map.torque_axis):
-            eta_eng = engine_map.values[a, b]
-            if not np.isfinite(eta_eng):
-                continue
-            try:
-                eta_gen = map_lookup(gen_map, speed * belt_ratio, torque / belt_ratio)
-            except (MapDomainError, EnvelopeError):
-                continue
-            values[a, b] = eta_eng * eta_gen / 100.0 * belt_efficiency
+    eta_gen = _bilinear(gen_map, engine_map.speed_axis[:, None] * belt_ratio,
+                        engine_map.torque_axis[None, :] / belt_ratio)
+    values = engine_map.values * eta_gen / 100.0 * belt_efficiency
     if not np.isfinite(values).any():
         raise EmptyMapError(
             f"maps {engine_map.label!r} and {gen_map.label!r} have disjoint "
@@ -403,34 +399,41 @@ class DrivetrainParams:
 
 
 def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
-                           v_mps: float, p_wheel_kw: float,
-                           v_min: float = 0.05) -> float:
-    """Electrical power at the motor terminals for one wheel operating point.
+                           v_mps, p_wheel_kw, v_min: float = 0.05):
+    """Electrical power at the motor terminals for wheel operating points.
 
     Positive wheel power divides by map efficiency; negative wheel power
     (regeneration) multiplies by it, with braking torque clamped to the map
     envelope (the remainder is friction braking). Below ``v_min`` the motor
-    is treated as off.
+    is treated as off. ``v_mps`` and ``p_wheel_kw`` may be arrays
+    (broadcast); the result is then NaN wherever the scalar call would raise.
 
     Raises
     ------
     EnvelopeError
         When a positive demand exceeds the feasible torque at this speed.
+    MapDomainError
+        When the operating point lies outside the map's axes.
     """
-    if v_mps < v_min or p_wheel_kw == 0.0:
-        return 0.0
-    omega_rpm = v_mps * drv.rpm_per_mps
-    torque = p_wheel_kw * 1000.0 / (omega_rpm * RAD_S_PER_RPM)
-    if p_wheel_kw > 0:
-        eta = map_lookup(motor_map, omega_rpm, torque)
-        return p_wheel_kw / (eta / 100.0)
-    t_max = max_feasible_torque(motor_map, omega_rpm)
-    t_regen = min(-torque, t_max)
-    if t_regen <= 0:
-        return 0.0
-    eta = map_lookup(motor_map, omega_rpm, t_regen)
-    p_regen_kw = t_regen * omega_rpm * RAD_S_PER_RPM / 1000.0
-    return -p_regen_kw * (eta / 100.0)
+    v = np.atleast_1d(np.asarray(v_mps, dtype=float))
+    p = np.atleast_1d(np.asarray(p_wheel_kw, dtype=float))
+    drive = p > 0
+    with np.errstate(all="ignore"):  # points off the map come out NaN
+        omega_rpm = v * drv.rpm_per_mps
+        torque = p * 1000.0 / (omega_rpm * RAD_S_PER_RPM)
+        t_map = np.where(drive, torque,
+                         np.minimum(-torque, max_feasible_torque(motor_map, omega_rpm)))
+        eta = _bilinear(motor_map, omega_rpm, t_map) / 100.0
+        p_regen_kw = t_map * omega_rpm * RAD_S_PER_RPM / 1000.0
+        p_elec = np.where(drive, p / eta, np.where(t_map <= 0, 0.0, -p_regen_kw * eta))
+    p_elec = np.where((v < v_min) | (p == 0.0), 0.0, p_elec)
+    if np.ndim(v_mps) or np.ndim(p_wheel_kw):
+        return p_elec
+    if np.isnan(p_elec[0]):  # let the scalar faces raise the reason
+        if not drive[0]:
+            max_feasible_torque(motor_map, float(omega_rpm[0]))
+        map_lookup(motor_map, float(omega_rpm[0]), float(t_map[0]))
+    return float(p_elec[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +466,10 @@ class BatteryParams:
         if np.any(np.diff(curve[:, 1]) < 0) or np.any(curve[:, 1] <= 0):
             raise ValueError("open-circuit voltage must be positive and nondecreasing")
 
-    def v_oc(self, soc: float) -> float:
-        return float(np.interp(soc, self.v_oc_curve[:, 0], self.v_oc_curve[:, 1]))
+    def v_oc(self, soc):
+        """Open-circuit voltage at a SOC (%) or an array of them."""
+        v = np.interp(soc, self.v_oc_curve[:, 0], self.v_oc_curve[:, 1])
+        return float(v) if v.ndim == 0 else v
 
 
 class SocResult(NamedTuple):
@@ -494,10 +499,12 @@ def chemistry_power_kw(b: BatteryParams, soc: float, i_amps: float) -> float:
     return b.v_oc(soc) * i_amps / 1000.0
 
 
-def current_from_power(b: BatteryParams, soc: float, p_terminal_kw: float) -> float:
+def current_from_power(b: BatteryParams, soc, p_terminal_kw):
     """Invert the terminal-power relation for current.
 
     Solves V_oc*I - R_in*I^2 = P for the root with smaller magnitude.
+    ``soc`` and ``p_terminal_kw`` may be arrays (broadcast); the result is
+    then NaN wherever the scalar call would raise.
 
     Raises
     ------
@@ -510,6 +517,8 @@ def current_from_power(b: BatteryParams, soc: float, p_terminal_kw: float) -> fl
     if b.r_in_ohm == 0.0:
         return p_w / v
     disc = v * v - 4.0 * b.r_in_ohm * p_w
+    if np.ndim(disc):
+        return (v - np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * b.r_in_ohm)
     if disc < 0:
         raise EnvelopeError(
             f"terminal demand {p_terminal_kw:.2f} kW exceeds battery capability "

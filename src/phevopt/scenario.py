@@ -113,9 +113,11 @@ def load_scenario(path) -> Scenario:
     cycle_path = sec.get("path", "").strip()
     if not cycle_path:
         raise ScenarioError("[cycle] is missing required key 'path'")
-    laps = int(_get_float(sec, "laps", 1.0))
+    laps = _get_float(sec, "laps", 1.0)
+    if not laps.is_integer():
+        raise ScenarioError(f"[cycle] laps = {laps:g} is not a whole number")
     cycle_single = load_cycle(base / cycle_path)
-    cycle = repeat_cycle(cycle_single, laps)
+    cycle = repeat_cycle(cycle_single, int(laps))
 
     sec = _section(cp, "vehicle")
     vp = VehicleParams(
@@ -250,7 +252,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[calibration] unknown mode {mode!r}")
 
     return Scenario(
-        name=path.stem, base_dir=base, cycle_single=cycle_single, laps=laps,
+        name=path.stem, base_dir=base, cycle_single=cycle_single, laps=int(laps),
         cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule, dp=dp,
         uf=uf, charging_efficiency=charging_eff, calibration=calibration,
         test_metrics=test_metrics, sim_metrics=sim_metrics,

@@ -21,6 +21,7 @@ from phevopt.dpopt import (
     write_policy,
 )
 from phevopt.errors import (
+    EnvelopeError,
     InfeasibleProblemError,
     InstanceTooLargeError,
     ToleranceBreachError,
@@ -117,6 +118,13 @@ class TestDpConfigValidation:
     def test_invalid_rejected(self, decisions, kwargs):
         with pytest.raises(ValueError):
             DpConfig(decisions=decisions, **kwargs)
+
+    def test_grid_step_must_divide_window(self, decisions):
+        for step in (0.03, 1e-320):
+            with pytest.raises(ValueError, match="does not divide"):
+                DpConfig(decisions=decisions, grid_step=step)
+        for step in (0.5, 0.05, 0.02, 0.01, 0.005, 0.002):
+            assert DpConfig(decisions=decisions, grid_step=step).grid_step == step
 
 
 class TestTerminalRule:
@@ -268,6 +276,11 @@ class TestBuildDemand:
                            v_mps=np.asarray([10.0, 10.0]))
         with pytest.raises(ValueError, match="interval"):
             build_demand(short, vp, m, drv, bp)
+
+    def test_envelope_error_names_step(self, cycle, vp, assembly, battery):
+        with pytest.raises(EnvelopeError, match=r"step \d+ \(t = "):
+            build_demand(cycle, vp, assembly.motor_map, assembly.drivetrain,
+                         battery, calibration=10.0)
 
 
 class TestSolveExamples:

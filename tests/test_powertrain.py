@@ -19,6 +19,7 @@ from phevopt.powertrain import (
     DrivetrainParams,
     EfficiencyMap,
     GenSetPoint,
+    _bilinear,
     battery_power,
     chemistry_power_kw,
     current_from_power,
@@ -761,3 +762,211 @@ class TestSyntheticMaps:
     def test_peak_efficiency_is_global_max(self):
         m = synthetic_motor_map()
         assert np.nanmax(m.values) == pytest.approx(94.0)
+
+
+# ---------------------------------------------------------------------------
+# Array models against the scalar loop versions they replaced
+#
+# The reference functions below are the per-point implementations the array
+# code superseded, kept verbatim as the oracle: same node snapping, same
+# envelope rule, same arithmetic order, so agreement is required bit for bit.
+
+_REF_W_SNAP = 1e-12
+
+
+def _ref_cell(axis, x):
+    i = int(np.searchsorted(axis, x, side="right")) - 1
+    i = min(max(i, 0), axis.size - 2)
+    u = (x - axis[i]) / (axis[i + 1] - axis[i])
+    if u < _REF_W_SNAP:
+        u = 0.0
+    elif u > 1.0 - _REF_W_SNAP:
+        u = 1.0
+    return i, u
+
+
+def _ref_map_lookup(m, speed_rpm, torque_nm):
+    if not (m.speed_axis[0] <= speed_rpm <= m.speed_axis[-1]):
+        raise MapDomainError("speed")
+    if not (m.torque_axis[0] <= torque_nm <= m.torque_axis[-1]):
+        raise MapDomainError("torque")
+    i, u = _ref_cell(m.speed_axis, speed_rpm)
+    j, w = _ref_cell(m.torque_axis, torque_nm)
+    v = m.values
+    corners = ((v[i, j], (1 - u) * (1 - w)), (v[i + 1, j], u * (1 - w)),
+               (v[i, j + 1], (1 - u) * w), (v[i + 1, j + 1], u * w))
+    out = 0.0
+    for val, weight in corners:
+        if weight == 0.0:
+            continue
+        if not np.isfinite(val):
+            raise EnvelopeError("corner")
+        out += val * weight
+    return out
+
+
+def _ref_max_feasible_torque(m, speed_rpm):
+    if not (m.speed_axis[0] <= speed_rpm <= m.speed_axis[-1]):
+        raise MapDomainError("speed")
+    i, u = _ref_cell(m.speed_axis, speed_rpm)
+    rows = []
+    if u < 1.0:
+        rows.append(m.values[i])
+    if u > 0.0:
+        rows.append(m.values[i + 1])
+    limit = 0.0
+    for j in range(m.torque_axis.size):
+        if all(np.isfinite(r[j]) for r in rows):
+            limit = float(m.torque_axis[j])
+        else:
+            break
+    return limit
+
+
+def _ref_motor_electrical_power(motor_map, drv, v_mps, p_wheel_kw, v_min=0.05):
+    if v_mps < v_min or p_wheel_kw == 0.0:
+        return 0.0
+    omega_rpm = v_mps * drv.rpm_per_mps
+    torque = p_wheel_kw * 1000.0 / (omega_rpm * RAD_S_PER_RPM)
+    if p_wheel_kw > 0:
+        eta = _ref_map_lookup(motor_map, omega_rpm, torque)
+        return p_wheel_kw / (eta / 100.0)
+    t_max = _ref_max_feasible_torque(motor_map, omega_rpm)
+    t_regen = min(-torque, t_max)
+    if t_regen <= 0:
+        return 0.0
+    eta = _ref_map_lookup(motor_map, omega_rpm, t_regen)
+    p_regen_kw = t_regen * omega_rpm * RAD_S_PER_RPM / 1000.0
+    return -p_regen_kw * (eta / 100.0)
+
+
+def _ref_or_nan(fn, *args):
+    """Reference value, NaN where the reference raises, and the error type."""
+    try:
+        return fn(*args), None
+    except (MapDomainError, EnvelopeError) as exc:
+        return math.nan, type(exc)
+
+
+_MAPS = {
+    "motor": synthetic_motor_map(),
+    "engine": synthetic_engine_map(),
+    "generator": synthetic_generator_map(),
+    "half": square_map([[90.0, np.nan], [80.0, np.nan]], label="half"),
+    "stairs": EfficiencyMap(np.asarray([0.0, 1.0, 2.0]), np.asarray([0.0, 1.0, 2.0]),
+                            np.asarray([[90.0, 85.0, np.nan], [88.0, np.nan, np.nan],
+                                        [np.nan, np.nan, np.nan]]), "stairs"),
+    # the torque limit grows with speed; an infinite node is infeasible too
+    "ramp": EfficiencyMap(np.asarray([0.0, 1.0, 2.0]), np.asarray([0.5, 1.0, 2.0, 3.0]),
+                          np.asarray([[90.0, 90.0, np.inf, np.nan],
+                                      [88.0, 88.0, 86.0, np.nan],
+                                      [85.0, 85.0, 84.0, 83.0]]), "ramp"),
+}
+
+# offsets in cell widths: inside and just outside the 1e-12 node snap
+_NEAR_NODE = st.sampled_from([-1e-11, -1e-13, 0.0, 1e-13, 1e-11])
+
+
+@st.composite
+def axis_points(draw, axis):
+    """A point on, next to, between or beyond the nodes of an axis."""
+    width = float(axis[-1] - axis[0])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, axis.size - 1))
+        cell = float(axis[min(k + 1, axis.size - 1)] - axis[max(k - 1, 0)]) / 2.0
+        return float(axis[k]) + draw(_NEAR_NODE) * cell
+    return draw(st.floats(float(axis[0]) - 0.1 * width, float(axis[-1]) + 0.1 * width))
+
+
+@st.composite
+def map_queries(draw):
+    name = draw(st.sampled_from(sorted(_MAPS)))
+    m = _MAPS[name]
+    n = draw(st.integers(1, 12))
+    speeds = [draw(axis_points(m.speed_axis)) for _ in range(n)]
+    torques = [draw(axis_points(m.torque_axis)) for _ in range(n)]
+    return m, np.asarray(speeds), np.asarray(torques)
+
+
+def _assert_face_matches(face, ref, args):
+    expect, err = _ref_or_nan(ref, *args)
+    if err is None:
+        assert face(*args) == expect
+    else:
+        with pytest.raises(err):
+            face(*args)
+
+
+class TestArrayModelsMatchScalarReference:
+    @given(q=map_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_bilinear_lookup(self, q):
+        m, speeds, torques = q
+        ref = [_ref_or_nan(_ref_map_lookup, m, s, t)[0] for s, t in zip(speeds, torques)]
+        assert np.array_equal(_bilinear(m, speeds, torques), np.asarray(ref),
+                              equal_nan=True)
+        for s, t in zip(speeds, torques):
+            _assert_face_matches(map_lookup, _ref_map_lookup, (m, s, t))
+
+    @given(q=map_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_max_feasible_torque(self, q):
+        m, speeds, _ = q
+        ref = [_ref_or_nan(_ref_max_feasible_torque, m, s)[0] for s in speeds]
+        assert np.array_equal(max_feasible_torque(m, speeds), np.asarray(ref),
+                              equal_nan=True)
+        for s in speeds:
+            _assert_face_matches(max_feasible_torque, _ref_max_feasible_torque, (m, s))
+
+    @given(data=st.data(),
+           name=st.sampled_from(["motor", "half", "stairs", "ramp"]),
+           v_min=st.sampled_from([0.05, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_motor_model(self, data, name, v_min):
+        m = _MAPS[name]
+        drv = DrivetrainParams(gear_ratio=1.0) if name != "motor" else DrivetrainParams()
+        top = float(m.speed_axis[-1]) / drv.rpm_per_mps
+        n = data.draw(st.integers(1, 12))
+        # below v_min, across the map, and past its top speed
+        v = np.asarray(data.draw(st.lists(
+            st.one_of(st.floats(0.0, v_min), st.floats(0.0, 1.2 * top),
+                      axis_points(m.speed_axis).map(lambda s: s / drv.rpm_per_mps)
+                      .filter(lambda x: x >= 0)),
+            min_size=n, max_size=n)))
+        # zero, ordinary, and far beyond the envelope in both directions
+        p = np.asarray(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-60.0, 60.0), st.floats(-600.0, 600.0)),
+            min_size=n, max_size=n)))
+        ref = [_ref_or_nan(_ref_motor_electrical_power, m, drv, a, b, v_min)[0]
+               for a, b in zip(v, p)]
+        out = motor_electrical_power(m, drv, v, p, v_min)
+        assert np.array_equal(out, np.asarray(ref), equal_nan=True)
+        for a, b in zip(v, p):
+            _assert_face_matches(motor_electrical_power, _ref_motor_electrical_power,
+                                 (m, drv, a, b, v_min))
+
+    @given(p=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=12),
+           soc=st.floats(0.0, 100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_battery_current(self, p, soc):
+        b = BatteryParams(v_oc_curve=np.asarray([[0.0, 300.0], [100.0, 400.0]]))
+        expect = []
+        for x in p:
+            try:
+                expect.append(current_from_power(b, soc, x))
+            except EnvelopeError:
+                expect.append(math.nan)
+        assert np.array_equal(current_from_power(b, soc, np.asarray(p)),
+                              np.asarray(expect), equal_nan=True)
+        socs = np.full(len(p), soc)
+        assert np.array_equal(b.v_oc(socs), np.full(len(p), b.v_oc(soc)))
+
+    def test_merge_matches_node_by_node_lookup(self):
+        eng, gen = synthetic_engine_map(), synthetic_generator_map()
+        merged = merge_gen_set(eng, gen, 2.7, 0.97)
+        for a, speed in enumerate(eng.speed_axis):
+            for b, torque in enumerate(eng.torque_axis):
+                eta_gen, _ = _ref_or_nan(_ref_map_lookup, gen, speed * 2.7, torque / 2.7)
+                expect = eng.values[a, b] * eta_gen / 100.0 * 0.97
+                assert (merged.values[a, b] == expect
+                        or (np.isnan(merged.values[a, b]) and np.isnan(expect)))

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import phevopt.cli as cli
 from phevopt.cli import main, run_dp_hybrid
+from phevopt.ems import simulate_rule_based
 from phevopt.errors import ScenarioError
 from phevopt.scenario import load_scenario
 
@@ -132,6 +134,11 @@ class TestLoadScenario:
             sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
             assert sc.dp.terminal_rule.kind == kind
 
+    def test_non_integer_laps_rejected(self, tmp_path, scenario_dir):
+        p = write_scenario(tmp_path, scenario_dir, "laps = 2.5\n[accounting]\nuf = 0.8\n")
+        with pytest.raises(ScenarioError, match="laps"):
+            load_scenario(p)
+
     def test_bad_terminal(self, tmp_path, scenario_dir):
         body = "[accounting]\nuf = 0.8\n[dp]\nterminal = sometimes\n"
         with pytest.raises(ScenarioError, match="terminal"):
@@ -198,6 +205,15 @@ class TestCliExitCodes:
         assert "infeasible:" in capsys.readouterr().err
 
 
+    def test_grid_step_not_dividing_window_exits_2(self, tmp_path, scenario_dir,
+                                                    capsys):
+        rc = main(["simulate", "--strategy", "dp",
+                   "--scenario", str(scenario_dir / "single_lap.ini"),
+                   "--out", str(tmp_path / "o"), "--grid-step", "0.03"])
+        assert rc == 2
+        assert "does not divide" in capsys.readouterr().err
+
+
 class TestCliSimulate:
     def test_rule_strategy_outputs(self, tmp_path, scenario_dir, capsys):
         out = tmp_path / "rule"
@@ -244,6 +260,20 @@ class TestCliSimulate:
         assert len(lines) == 3
         assert lines[1].startswith("rule,")
         assert lines[2].startswith("dp,")
+
+    def test_compare_simulates_once(self, tmp_path, scenario_dir, monkeypatch,
+                                    capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate_rule_based(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_rule_based", counted)
+        rc = main(["compare", "--scenario", str(scenario_dir / "single_lap.ini"),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_obd_outputs(self, tmp_path, scenario_dir, capsys):
         out = tmp_path / "obd"
