@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv
 from .accounting import build_uf_report, calibration_factor
 from .cycle import DriveCycle, compute_metrics
 from .dpopt import (
@@ -60,10 +61,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_csv(path, *((name, "%s", col) for name, col
+                      in zip(header.split(","), zip(*rows), strict=True)))
 
 
 def _write_log(out: Path, args, extra: dict) -> None:
@@ -115,9 +114,8 @@ def cmd_analyze(args) -> int:
                 ("avg_power_delta_pct", _fmt(cal.avg_power_delta_pct)),
             ]
     _write_rows(out / "metrics.csv", "metric,value", rows)
-    _write_rows(out / "wheel_power.csv", "t_s,v_mps,p_wheel_kw",
-                ((f"{t:.3f}", f"{v:.4f}", _fmt(p))
-                 for t, v, p in zip(cyc.t_s, cyc.v_mps, p_wheel)))
+    write_csv(out / "wheel_power.csv", ("t_s", "%.3f", cyc.t_s),
+              ("v_mps", "%.4f", cyc.v_mps), ("p_wheel_kw", "%.6f", p_wheel))
     _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
@@ -201,31 +199,25 @@ def _summary_rows(sc: Scenario, strategy: str, ec_cd_dc: float, ec_cs: float,
     ]
 
 
-def _write_plot_rule(path: Path, trace: SimTrace) -> None:
-    _write_rows(path, "t_s,v_mps,soc_pct",
-                ((f"{t:.3f}", f"{v:.4f}", _fmt(s))
-                 for t, v, s in zip(trace.t_s, trace.v_mps, trace.soc_pct)))
+def _write_plot(path: Path, t_s, v_mps, soc_pct) -> None:
+    write_csv(path, ("t_s", "%.3f", t_s), ("v_mps", "%.4f", v_mps),
+              ("soc_pct", "%.6f", soc_pct))
 
 
 def _write_plot_hybrid(path: Path, run: HybridRun, sc: Scenario) -> None:
+    """Thermostat SOC up to CS entry, then the rolled-out SOC per interval."""
+    t, v, soc = run.trace.t_s, run.trace.v_mps, run.trace.soc_pct
     idx = run.entry_index
-    if idx is None or run.roll is None:
-        _write_plot_rule(path, run.trace)
-        return
-    trace = run.trace
-    rows = [(f"{t:.3f}", f"{v:.4f}", _fmt(s))
-            for t, v, s in zip(trace.t_s[: idx + 1], trace.v_mps[: idx + 1],
-                               trace.soc_pct[: idx + 1])]
-    t0 = float(trace.t_s[idx])
-    n = run.demand.n_intervals
-    dt = run.demand.dt_s
-    sub_end = float(sc.cycle.t_s[-1]) - t0
-    bounds = np.minimum(np.arange(1, n + 1) * dt, sub_end)
-    v_at = np.interp(bounds + t0, sc.cycle.t_s, sc.cycle.v_mps)
-    for k in range(n):
-        rows.append((f"{bounds[k] + t0:.3f}", f"{v_at[k]:.4f}",
-                     _fmt(run.roll.soc_trajectory[k + 1])))
-    _write_rows(path, "t_s,v_mps,soc_pct", rows)
+    if idx is not None and run.roll is not None:
+        t0 = float(t[idx])
+        n = run.demand.n_intervals
+        sub_end = float(sc.cycle.t_s[-1]) - t0
+        t_end = np.minimum(np.arange(1, n + 1) * run.demand.dt_s, sub_end) + t0
+        t = np.concatenate((t[: idx + 1], t_end))
+        v = np.concatenate((v[: idx + 1],
+                            np.interp(t_end, sc.cycle.t_s, sc.cycle.v_mps)))
+        soc = np.concatenate((soc[: idx + 1], run.roll.soc_trajectory[1:]))
+    _write_plot(path, t, v, soc)
 
 
 def cmd_simulate(args) -> int:
@@ -241,11 +233,10 @@ def cmd_simulate(args) -> int:
                              energy.final_soc)
         rows.append(("genset_transitions",
                      str(len(trace.genset_transition_times()))))
-        write_trace(trace, out / "trace.csv")
-        _write_plot_rule(out / "plot.csv", trace)
+        _write_plot(out / "plot.csv", trace.t_s, trace.v_mps, trace.soc_pct)
     else:
         run = run_dp_hybrid(sc)
-        energy = run.rule_energy
+        trace, energy = run.trace, run.rule_energy
         rows = _summary_rows(sc, "dp", energy.ec_cd_dc_wh_per_km,
                              run.ec_cs_fuel_wh_per_km,
                              energy.cd_distance_km, energy.cs_distance_km,
@@ -256,15 +247,14 @@ def cmd_simulate(args) -> int:
                 ("dp_intervals", str(run.demand.n_intervals)),
                 ("dp_null_intervals", str(run.roll.null_intervals)),
             ]
-            write_trace(run.trace, out / "trace.csv")
             write_policy(run.policy, out / "policy.csv")
-            _write_rows(out / "dp_schedule.csv", "k,soc_pct,decision",
-                        ((str(k), _fmt(run.roll.soc_trajectory[k]),
-                          run.cfg.decisions[a].label)
-                         for k, a in enumerate(run.roll.decision_indices)))
-        else:
-            write_trace(run.trace, out / "trace.csv")
+            labels = np.array([d.label for d in run.cfg.decisions], dtype=object)
+            write_csv(out / "dp_schedule.csv",
+                      ("k", "%d", np.arange(run.demand.n_intervals)),
+                      ("soc_pct", "%.6f", run.roll.soc_trajectory[:-1]),
+                      ("decision", "%s", labels[run.roll.decision_indices]))
         _write_plot_hybrid(out / "plot.csv", run, sc)
+    write_trace(trace, out / "trace.csv")
     _write_rows(out / "summary.csv", "key,value", rows)
     _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
@@ -294,7 +284,8 @@ def cmd_compare(args) -> int:
                       _fmt(rep.ec_uf_weighted_fuel),
                       _fmt(rep.ec_uf_weighted_total), _fmt(final)))
     _write_rows(out / "comparison.csv", header, table)
-    _write_plot_rule(out / "plot_rule.csv", run.trace)
+    _write_plot(out / "plot_rule.csv", run.trace.t_s, run.trace.v_mps,
+                run.trace.soc_pct)
     _write_plot_hybrid(out / "plot_dp.csv", run, sc)
     _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     print(header)
@@ -318,10 +309,10 @@ def cmd_obd(args) -> int:
         ("drain_per_event_pct", f"{study.drain_per_event_pct:.7f}"),
     ]
     _write_rows(out / "obd_summary.csv", "key,value", rows)
-    _write_rows(out / "obd_trajectories.csv", "k,soc_without_pct,soc_with_pct",
-                ((str(k), _fmt(a), _fmt(b))
-                 for k, (a, b) in enumerate(zip(study.trajectory_without,
-                                                study.trajectory_with))))
+    write_csv(out / "obd_trajectories.csv",
+              ("k", "%d", np.arange(study.trajectory_without.size)),
+              ("soc_without_pct", "%.6f", study.trajectory_without),
+              ("soc_with_pct", "%.6f", study.trajectory_with))
     _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")

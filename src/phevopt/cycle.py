@@ -8,12 +8,12 @@ wheel-power trace against chassis-dynamometer measurements.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import CycleFormatError
 
 V_IDLE_MPS = 0.1  # below this speed the vehicle counts as stopped
@@ -177,11 +177,8 @@ def load_cycle(source, name: str | None = None) -> DriveCycle:
 
 def save_cycle(cycle: DriveCycle, path) -> None:
     """Write a cycle in the CSV format accepted by :func:`load_cycle`."""
-    buf = io.StringIO()
-    buf.write("t_s,v_mps,grade_deg\n")
-    for t, v, g in zip(cycle.t_s, cycle.v_mps, cycle.grade_deg):
-        buf.write(f"{t:.3f},{v:.4f},{g:.4f}\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_csv(path, ("t_s", "%.3f", cycle.t_s), ("v_mps", "%.4f", cycle.v_mps),
+              ("grade_deg", "%.4f", cycle.grade_deg))
 
 
 def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:

@@ -160,6 +160,7 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
 
 def write_policy(policy: DpPolicy, path) -> None:
     """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
+    # row loop kept until layerbench/test_bench.py stops mutating its f-string
     buf = io.StringIO()
     buf.write("k,soc_grid,decision_label,cost_to_go_kwh\n")
     for k in range(policy.n_intervals):
@@ -170,4 +171,4 @@ def write_policy(policy: DpPolicy, path) -> None:
             cost_txt = f"{cost:.9f}" if np.isfinite(cost) else "inf"
             buf.write(f"{k},{soc:.6f},{policy.decisions[int(row_idx[i])].label},"
                       f"{cost_txt}\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")

@@ -15,13 +15,12 @@ per-step energy identity closes exactly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._csv import write_csv
 from .cycle import DriveCycle
 from .dynamics import VehicleParams, wheel_power_series
 from .errors import EnvelopeError, InfeasibleVehicleError, MapDomainError
@@ -245,23 +244,16 @@ def _energy_result(trace: SimTrace, bp: BatteryParams, cycle: DriveCycle) -> Ene
     )
 
 
-_TRACE_HEADER = ("t_s,v_mps,mode,genset_on,genset_warm,p_wheel_kw,"
-                 "p_motor_elec_kw,p_genset_elec_kw,crank_kw,i_batt_a,"
-                 "soc_pct,fuel_step_kwh")
-
-
 def write_trace(trace: SimTrace, path) -> None:
     """Export a simulation trace as CSV, one row per step, deterministic
     column order and formatting."""
-    buf = io.StringIO()
-    buf.write(_TRACE_HEADER + "\n")
-    for k in range(trace.n_samples):
-        buf.write(
-            f"{trace.t_s[k]:.3f},{trace.v_mps[k]:.4f},"
-            f"{'CS' if trace.mode[k] == MODE_CS else 'CD'},"
-            f"{int(trace.genset_on[k])},{int(trace.genset_warm[k])},"
-            f"{trace.p_wheel_kw[k]:.6f},{trace.p_motor_elec_kw[k]:.6f},"
-            f"{trace.p_genset_elec_kw[k]:.6f},{trace.crank_kw[k]:.6f},"
-            f"{trace.i_batt_a[k]:.6f},{trace.soc_pct[k]:.6f},"
-            f"{trace.fuel_step_kwh[k]:.9f}\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_csv(path, ("t_s", "%.3f", trace.t_s), ("v_mps", "%.4f", trace.v_mps),
+              ("mode", "%s", np.where(trace.mode == MODE_CS, "CS", "CD")),
+              ("genset_on", "%d", trace.genset_on),
+              ("genset_warm", "%d", trace.genset_warm),
+              ("p_wheel_kw", "%.6f", trace.p_wheel_kw),
+              ("p_motor_elec_kw", "%.6f", trace.p_motor_elec_kw),
+              ("p_genset_elec_kw", "%.6f", trace.p_genset_elec_kw),
+              ("crank_kw", "%.6f", trace.crank_kw), ("i_batt_a", "%.6f", trace.i_batt_a),
+              ("soc_pct", "%.6f", trace.soc_pct),
+              ("fuel_step_kwh", "%.9f", trace.fuel_step_kwh))

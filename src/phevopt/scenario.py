@@ -8,6 +8,7 @@ accept either a CSV path or the keyword ``synthetic``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +64,22 @@ def _get_float(sec, key: str, default: float | None = None) -> float:
         if default is None:
             raise ScenarioError(f"[{sec.name}] is missing required key {key!r}")
         return default
+    return _to_float(sec, key, raw)
+
+
+def _to_float(sec, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"[{sec.name}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"[{sec.name}] {key} = {raw!r} is not a finite number")
+    return value
+
+
+def _get_floats(sec, key: str, default: str) -> tuple[float, ...]:
+    raw = sec.get(key, default)
+    return tuple(_to_float(sec, key, x.strip()) for x in raw.split(",") if x.strip())
 
 
 def _load_map_entry(sec, key: str, base: Path, synth_factory):
@@ -77,13 +90,12 @@ def _load_map_entry(sec, key: str, base: Path, synth_factory):
 
 
 def _metrics_from(sec, prefix: str) -> CycleMetrics | None:
-    energy = sec.get(f"{prefix}_positive_wh_per_km", "").strip()
-    if not energy:
+    if not sec.get(f"{prefix}_positive_wh_per_km", "").strip():
         return None
     avg = _get_float(sec, f"{prefix}_avg_positive_power_kw", 0.0)
     peak = _get_float(sec, f"{prefix}_peak_power_kw", avg)
     return CycleMetrics(
-        positive_propulsion_wh_per_km=float(energy),
+        positive_propulsion_wh_per_km=_get_float(sec, f"{prefix}_positive_wh_per_km"),
         peak_power_kw=max(peak, avg),
         avg_positive_power_kw=avg,
         percent_idle=_get_float(sec, f"{prefix}_percent_idle", 0.0),
@@ -156,22 +168,19 @@ def load_scenario(path) -> Scenario:
 
     sec = _section(cp, "dp")
     dt_s = _get_float(sec, "dt_s", 10.0)
-    deltas_raw = sec.get("deltas", "0.051, 0.294, 0.567")
-    try:
-        deltas = tuple(float(x) for x in deltas_raw.split(",") if x.strip())
-    except ValueError:
-        raise ScenarioError(f"[dp] deltas = {deltas_raw!r} is not a number list") from None
+    if dt_s <= 0:
+        raise ScenarioError(f"[dp] dt_s = {dt_s:g} must be positive")
+    deltas = _get_floats(sec, "deltas", "0.051, 0.294, 0.567")
     if not deltas:
         raise ScenarioError("[dp] deltas must list at least one charge increment")
     c_batt = bp.c_batt_kwh
 
     sec_rule = _section(cp, "rule")
     genset_speed = _get_float(sec_rule, "genset_speed_rpm", 2600.0)
-    genset_kw_raw = sec_rule.get("genset_electrical_kw", "auto").strip()
-    if genset_kw_raw == "auto":
+    if sec_rule.get("genset_electrical_kw", "auto").strip() == "auto":
         genset_kw = delta_to_electrical_kw(max(deltas), dt_s, c_batt)
     else:
-        genset_kw = float(genset_kw_raw)
+        genset_kw = _get_float(sec_rule, "genset_electrical_kw")
     genset_point = assembly.genset_point(genset_speed, genset_kw)
     rule = RuleConfig(
         genset_point=genset_point,
@@ -185,15 +194,10 @@ def load_scenario(path) -> Scenario:
         initial_soc=_get_float(sec_rule, "initial_soc", 70.0),
     )
 
-    eff_raw = sec.get("efficiencies", "auto").strip()
-    if eff_raw == "auto":
+    if sec.get("efficiencies", "auto").strip() == "auto":
         decisions = default_decisions(assembly, c_batt, dt_s, genset_speed, deltas)
     else:
-        try:
-            effs = tuple(float(x) for x in eff_raw.split(",") if x.strip())
-        except ValueError:
-            raise ScenarioError(
-                f"[dp] efficiencies = {eff_raw!r} is not a number list") from None
+        effs = _get_floats(sec, "efficiencies", "")
         if len(effs) != len(deltas):
             raise ScenarioError("[dp] efficiencies must match deltas in length")
         decisions = (null_decision(),) + tuple(
@@ -205,13 +209,8 @@ def load_scenario(path) -> Scenario:
     elif terminal_raw == "soc_min":
         terminal = TerminalRule.at_soc_min()
     else:
-        try:
-            terminal = TerminalRule.at(float(terminal_raw))
-        except ValueError:
-            raise ScenarioError(f"[dp] terminal = {terminal_raw!r} is invalid") from None
+        terminal = TerminalRule.at(_get_float(sec, "terminal"))
 
-    dp_initial_raw = sec.get("initial_soc", "").strip()
-    dp_initial = float(dp_initial_raw) if dp_initial_raw else rule.cs_trigger
     dp = DpConfig(
         dt_s=dt_s,
         soc_min=_get_float(sec, "soc_min", rule.soc_low),
@@ -223,7 +222,7 @@ def load_scenario(path) -> Scenario:
         obd_energy_per_event_kwh=_get_float(sec, "obd_energy_per_event_kwh", 0.00497),
         c_batt_kwh=c_batt,
         p_genset_max_kw=_get_float(sec, "p_genset_max_kw", 40.0),
-        initial_soc=dp_initial,
+        initial_soc=_get_float(sec, "initial_soc", rule.cs_trigger),
     )
 
     sec = _section(cp, "accounting")

@@ -144,6 +144,55 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="terminal"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key,extra", [
+        ("battery", "r_in_ohm", ""),
+        ("rule", "regen_current_limit_a", ""),
+        ("rule", "min_dwell_s", ""),
+        ("rule", "genset_electrical_kw", ""),
+        ("dp", "initial_soc", ""),
+        ("dp", "terminal", ""),
+        pytest.param("calibration", "scale", "mode = explicit\n",
+                     id="calibration-scale"),
+        ("calibration", "sim_positive_wh_per_km", ""),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, scenario_dir, section,
+                                        key, extra, raw):
+        body = f"[accounting]\nuf = 0.8\n[{section}]\n{extra}{key} = {raw}\n"
+        with pytest.raises(ScenarioError,
+                           match=rf"\[{section}\] {key} = '{raw}' is not a finite"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+    @pytest.mark.parametrize("section,key", [
+        ("rule", "genset_electrical_kw"),
+        ("dp", "initial_soc"),
+        ("dp", "terminal"),
+        ("calibration", "test_positive_wh_per_km"),
+    ])
+    def test_bad_number_names_key(self, tmp_path, scenario_dir, section, key):
+        body = f"[accounting]\nuf = 0.8\n[{section}]\n{key} = abc\n"
+        with pytest.raises(ScenarioError, match=rf"\[{section}\] {key} = 'abc'"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+    @pytest.mark.parametrize("dp,key,bad", [
+        ("deltas = nan, 0.2", "deltas", "nan"),
+        ("deltas = 0.1, -inf", "deltas", "-inf"),
+        ("deltas = 0.1, 0.3\nefficiencies = 30, nan", "efficiencies", "nan"),
+        ("deltas = 0.1, 0.3\nefficiencies = inf, 32", "efficiencies", "inf"),
+    ])
+    def test_non_finite_list_entry_rejected(self, tmp_path, scenario_dir, dp, key,
+                                            bad):
+        body = f"[accounting]\nuf = 0.8\n[dp]\n{dp}\n"
+        with pytest.raises(ScenarioError,
+                           match=rf"\[dp\] {key} = '{bad}' is not a finite number"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+    @pytest.mark.parametrize("dt", ["0", "-10"])
+    def test_non_positive_dt_rejected(self, tmp_path, scenario_dir, dt):
+        body = f"[accounting]\nuf = 0.8\n[dp]\ndt_s = {dt}\n"
+        with pytest.raises(ScenarioError, match=r"\[dp\] dt_s .* must be positive"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
 
 class TestHybridRun:
     def test_single_lap_enters_cs_and_optimizes(self, scenario_dir):
@@ -204,6 +253,20 @@ class TestCliExitCodes:
         assert rc == 3
         assert "infeasible:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("body,named", [
+        pytest.param("[battery]\nr_in_ohm = nan\n", "[battery] r_in_ohm",
+                     id="nan-resistance"),
+        pytest.param("[dp]\ndt_s = 0\n", "[dp] dt_s", id="zero-interval"),
+        pytest.param("[dp]\ndeltas = nan, 0.2\n", "[dp] deltas", id="nan-delta"),
+    ])
+    def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
+                                              body, named):
+        p = write_scenario(tmp_path, scenario_dir, "[accounting]\nuf = 0.8\n" + body)
+        rc = main(["simulate", "--strategy", "dp", "--scenario", str(p),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_grid_step_not_dividing_window_exits_2(self, tmp_path, scenario_dir,
                                                     capsys):
