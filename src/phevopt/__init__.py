@@ -58,7 +58,6 @@ from .powertrain import (
     battery_power,
     current_from_power,
     engine_efficiency,
-    flat_voc_curve,
     generator_efficiency,
     integrate_soc,
     load_characterization,
@@ -90,7 +89,7 @@ __all__ = [
     "write_trace",
     "BatteryParams", "DrivetrainParams", "EfficiencyMap", "GenSetPoint",
     "PowertrainAssembly", "battery_power", "current_from_power",
-    "engine_efficiency", "flat_voc_curve", "generator_efficiency",
+    "engine_efficiency", "generator_efficiency",
     "integrate_soc", "load_characterization", "load_map",
     "map_from_characterization", "map_lookup", "merge_gen_set",
     "motor_efficiency", "motor_electrical_power", "save_map",

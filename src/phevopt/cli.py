@@ -172,8 +172,7 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
                           sc.assembly.drivetrain, sc.bp,
                           calibration=sc.calibration.energy_scale,
                           dt_s=cfg.dt_s,
-                          regen_current_limit_a=sc.rule.regen_current_limit_a,
-                          reference_soc=entry_soc)
+                          regen_current_limit_a=sc.rule.regen_current_limit_a)
     policy = solve(demand, cfg)
     roll = rollout(policy, demand, cfg, entry_soc)
     return HybridRun(trace, energy, idx, demand, cfg, roll, policy)

@@ -21,7 +21,7 @@ from ..powertrain import (
     BatteryParams,
     DrivetrainParams,
     EfficiencyMap,
-    PowertrainAssembly,
+    GenSetPoint,
     current_from_power,
     motor_electrical_power,
 )
@@ -202,18 +202,12 @@ def cs_step(cfg: DpConfig, soc, d_k: float, delta):
     return succ, gate_ok, ok
 
 
-def default_decisions(assembly: PowertrainAssembly, cfg_or_capacity,
-                      dt_s: float = 10.0,
-                      genset_speed_rpm: float = 2600.0,
+def default_decisions(point: GenSetPoint,
                       deltas: Sequence[float] = DEFAULT_DELTAS) -> tuple[Decision, ...]:
     """Default decision table: the null decision plus the quantized charge
-    increments, all at the efficiency of the single gen-set operating point
-    sized for the largest increment (smaller increments duty-cycle that
-    same point within the interval)."""
-    c_batt = getattr(cfg_or_capacity, "c_batt_kwh", cfg_or_capacity)
-    biggest = max(deltas)
-    point = assembly.genset_point(genset_speed_rpm,
-                                  delta_to_electrical_kw(biggest, dt_s, c_batt))
+    increments, all at the efficiency of ``point``, the single gen-set
+    operating point sized for the largest increment (smaller increments
+    duty-cycle that same point within the interval)."""
     decs = [null_decision()]
     for delta in sorted(deltas):
         decs.append(Decision(delta, point.combined_efficiency_pct, f"b{delta:g}"))
@@ -246,8 +240,7 @@ class DemandProfile:
 def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                  drv: DrivetrainParams, bp: BatteryParams,
                  calibration: float = 1.0, dt_s: float = 10.0,
-                 regen_current_limit_a: float | None = None,
-                 reference_soc: float = 50.0) -> DemandProfile:
+                 regen_current_limit_a: float | None = None) -> DemandProfile:
     """Convert a drive cycle into the per-interval battery drain the CS
     optimization consumes.
 
@@ -256,9 +249,8 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
     inversion to current; the chemistry power V_oc*I is integrated per
     interval. A partial trailing interval is folded into the last full one.
     Regeneration current is clipped at ``regen_current_limit_a`` when given.
-    ``reference_soc`` selects the open-circuit voltage used for the
-    power-to-current conversion (the drain profile is SOC-independent by
-    construction). An ``EnvelopeError`` names the first sample outside the
+    The open-circuit voltage is constant, so the drain profile does not
+    depend on SOC. An ``EnvelopeError`` names the first sample outside the
     motor or battery envelope.
     """
     if calibration <= 0:
@@ -268,17 +260,17 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
     t = cycle.t_s
     p_wheel = wheel_power_series(vp, cycle) * calibration
     i_amps = current_from_power(
-        bp, reference_soc, motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel))
+        bp, motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel))
     if np.isnan(i_amps).any():  # the scalar calls name the first bad sample
         k = np.flatnonzero(np.isnan(i_amps))[0]
         try:
-            current_from_power(bp, reference_soc, motor_electrical_power(
+            current_from_power(bp, motor_electrical_power(
                 motor_map, drv, cycle.v_mps[k], p_wheel[k]))
         except (EnvelopeError, MapDomainError) as exc:
             raise EnvelopeError(f"step {k} (t = {t[k]:g} s): {exc}") from None
     if regen_current_limit_a is not None:
         i_amps = np.maximum(i_amps, -regen_current_limit_a)
-    p_chem = bp.v_oc(reference_soc) * i_amps / 1000.0
+    p_chem = bp.v_oc * i_amps / 1000.0
 
     cum_kws = np.concatenate(
         [[0.0], np.cumsum(0.5 * (p_chem[1:] + p_chem[:-1]) * np.diff(t))])

@@ -184,12 +184,12 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         try:
             if math.isnan(p_motor):  # outside the motor envelope: raise the reason
                 motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
-            i_batt = current_from_power(bp, soc, p_motor + crank - p_gen)
+            i_batt = current_from_power(bp, p_motor + crank - p_gen)
         except (EnvelopeError, MapDomainError) as exc:
             raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
         if i_batt < -cfg.regen_current_limit_a:
             i_batt = -cfg.regen_current_limit_a
-            p_motor = terminal_power_kw(bp, soc, i_batt) + p_gen - crank
+            p_motor = terminal_power_kw(bp, i_batt) + p_gen - crank
 
         trace.mode[k] = MODE_CS if cs_entered else MODE_CD
         trace.genset_on[k] = genset_on
@@ -200,7 +200,7 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
 
         if k < n - 1:
             dt = t[k + 1] - now
-            soc -= bp.v_oc(soc) * i_batt * dt / (3.6e6 * bp.c_batt_kwh) * 100.0
+            soc -= bp.v_oc * i_batt * dt / (3.6e6 * bp.c_batt_kwh) * 100.0
             if soc <= 0.0:
                 raise InfeasibleVehicleError(
                     f"battery empty at t = {t[k + 1]:g} s "
@@ -232,7 +232,7 @@ def _energy_result(trace: SimTrace, bp: BatteryParams, cycle: DriveCycle) -> Ene
         cd_seg = slice(0, k_cs)
         cs_seg = slice(k_cs, trace.n_samples - 1)
 
-    p_chem_kw = bp.v_oc(trace.soc_pct) * trace.i_batt_a / 1000.0
+    p_chem_kw = bp.v_oc * trace.i_batt_a / 1000.0
     e_cd_kwh = float(np.sum(p_chem_kw[cd_seg] * dt[cd_seg])) / 3600.0
     fuel_cs_kwh = float(np.sum(trace.fuel_step_kwh[cs_seg]))
     return EnergyResult(

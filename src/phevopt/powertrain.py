@@ -7,9 +7,9 @@ matrices, or generated synthetically (the published figures carry no
 numeric tables, so the bundled defaults are parameterized stand-ins and are
 labeled as such).
 
-The battery is an internal-resistance model: open-circuit voltage from an
-SOC-indexed table, terminal power V_oc*I - R*I^2, and SOC integrated from
-the chemistry power V_oc*I. Current is discharge-positive.
+The battery is an internal-resistance model with one constant open-circuit
+voltage: terminal power V_oc*I - R*I^2, and SOC integrated from the
+chemistry power V_oc*I. Current is discharge-positive.
 """
 
 from __future__ import annotations
@@ -439,37 +439,22 @@ def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
 # ---------------------------------------------------------------------------
 # Battery
 
-def flat_voc_curve(volts: float = 340.0) -> np.ndarray:
-    """Two-point SOC-to-open-circuit-voltage table at a constant voltage."""
-    return np.asarray([[0.0, volts], [100.0, volts]], dtype=float)
-
-
 @dataclass
 class BatteryParams:
-    """Internal-resistance battery model parameters."""
+    """Internal-resistance battery model parameters; the open-circuit
+    voltage is one constant."""
 
     c_batt_kwh: float = 18.9
     r_in_ohm: float = 0.08
-    v_oc_curve: np.ndarray = field(default_factory=flat_voc_curve)
+    v_oc: float = 340.0
 
     def __post_init__(self) -> None:
-        self.v_oc_curve = np.asarray(self.v_oc_curve, dtype=float)
         if self.c_batt_kwh <= 0:
             raise ValueError("battery capacity must be positive")
         if self.r_in_ohm < 0:
             raise ValueError("internal resistance must be nonnegative")
-        curve = self.v_oc_curve
-        if curve.ndim != 2 or curve.shape[1] != 2 or curve.shape[0] < 2:
-            raise ValueError("v_oc_curve must be an (n, 2) table of (soc, volts)")
-        if not np.all(np.diff(curve[:, 0]) > 0):
-            raise ValueError("v_oc_curve SOC column must be strictly ascending")
-        if np.any(np.diff(curve[:, 1]) < 0) or np.any(curve[:, 1] <= 0):
-            raise ValueError("open-circuit voltage must be positive and nondecreasing")
-
-    def v_oc(self, soc):
-        """Open-circuit voltage at a SOC (%) or an array of them."""
-        v = np.interp(soc, self.v_oc_curve[:, 0], self.v_oc_curve[:, 1])
-        return float(v) if v.ndim == 0 else v
+        if not (math.isfinite(self.v_oc) and self.v_oc > 0):
+            raise ValueError("open-circuit voltage must be finite and positive")
 
 
 class SocResult(NamedTuple):
@@ -477,34 +462,30 @@ class SocResult(NamedTuple):
     clamped: bool
 
 
-def battery_power(b: BatteryParams, soc: float, i_amps: float) -> float:
+def battery_power(b: BatteryParams, i_amps: float) -> float:
     """Battery power in kW as the internal-resistance relation writes it:
     R_in*I^2 + V_oc*I. The ohmic term is always a loss, so this is the
     chemistry-side draw on discharge (I > 0)."""
-    if not (0.0 <= soc <= 100.0):
-        raise ValueError("soc must lie in [0, 100]")
-    v = b.v_oc(soc)
-    return (b.r_in_ohm * i_amps * i_amps + v * i_amps) / 1000.0
+    return (b.r_in_ohm * i_amps * i_amps + b.v_oc * i_amps) / 1000.0
 
 
-def terminal_power_kw(b: BatteryParams, soc: float, i_amps: float) -> float:
+def terminal_power_kw(b: BatteryParams, i_amps: float) -> float:
     """Power delivered to the DC bus: V_oc*I - R_in*I^2 (kW)."""
-    v = b.v_oc(soc)
-    return (v * i_amps - b.r_in_ohm * i_amps * i_amps) / 1000.0
+    return (b.v_oc * i_amps - b.r_in_ohm * i_amps * i_amps) / 1000.0
 
 
-def chemistry_power_kw(b: BatteryParams, soc: float, i_amps: float) -> float:
+def chemistry_power_kw(b: BatteryParams, i_amps: float) -> float:
     """Power drawn from the cell chemistry: V_oc*I (kW); this is the
     quantity the SOC integral consumes."""
-    return b.v_oc(soc) * i_amps / 1000.0
+    return b.v_oc * i_amps / 1000.0
 
 
-def current_from_power(b: BatteryParams, soc, p_terminal_kw):
+def current_from_power(b: BatteryParams, p_terminal_kw):
     """Invert the terminal-power relation for current.
 
     Solves V_oc*I - R_in*I^2 = P for the root with smaller magnitude.
-    ``soc`` and ``p_terminal_kw`` may be arrays (broadcast); the result is
-    then NaN wherever the scalar call would raise.
+    ``p_terminal_kw`` may be an array; the result is then NaN wherever the
+    scalar call would raise.
 
     Raises
     ------
@@ -512,7 +493,7 @@ def current_from_power(b: BatteryParams, soc, p_terminal_kw):
         When the demand exceeds the maximum deliverable power
         (discriminant < 0).
     """
-    v = b.v_oc(soc)
+    v = b.v_oc
     p_w = p_terminal_kw * 1000.0
     if b.r_in_ohm == 0.0:
         return p_w / v
@@ -531,8 +512,8 @@ def integrate_soc(b: BatteryParams, start_soc: float, t_s, i_amps) -> SocResult:
 
     Discharge current lowers SOC:
     delta = -integral(V_oc * I) dt / (3.6e6 * C_batt) * 100.
-    V_oc is held at the running SOC within each segment. The result is
-    clamped to [0, 100]; the flag reports whether clamping occurred.
+    The result is clamped to [0, 100] after every segment; the flag reports
+    whether clamping occurred.
     """
     if not (0.0 <= start_soc <= 100.0):
         raise ValueError("start_soc must lie in [0, 100]")
@@ -542,9 +523,9 @@ def integrate_soc(b: BatteryParams, start_soc: float, t_s, i_amps) -> SocResult:
         raise ValueError("time and current series must have equal length")
     soc = float(start_soc)
     clamped = False
+    v = b.v_oc
     for k in range(t.size - 1):
         dt = t[k + 1] - t[k]
-        v = b.v_oc(soc)
         energy_j = v * 0.5 * (i[k] + i[k + 1]) * dt
         soc -= energy_j / (3.6e6 * b.c_batt_kwh) * 100.0
         if soc < 0.0:

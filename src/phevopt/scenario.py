@@ -23,7 +23,6 @@ from .powertrain import (
     BatteryParams,
     DrivetrainParams,
     PowertrainAssembly,
-    flat_voc_curve,
     load_map,
     synthetic_engine_map,
     synthetic_generator_map,
@@ -159,11 +158,10 @@ def load_scenario(path) -> Scenario:
     )
 
     sec = _section(cp, "battery")
-    v_oc = _get_float(sec, "v_oc", 340.0)
     bp = BatteryParams(
         c_batt_kwh=_get_float(sec, "c_batt_kwh", 18.9),
         r_in_ohm=_get_float(sec, "r_in_ohm", 0.08),
-        v_oc_curve=flat_voc_curve(v_oc),
+        v_oc=_get_float(sec, "v_oc", 340.0),
     )
 
     sec = _section(cp, "dp")
@@ -177,8 +175,9 @@ def load_scenario(path) -> Scenario:
 
     sec_rule = _section(cp, "rule")
     genset_speed = _get_float(sec_rule, "genset_speed_rpm", 2600.0)
+    sized_kw = delta_to_electrical_kw(max(deltas), dt_s, c_batt)
     if sec_rule.get("genset_electrical_kw", "auto").strip() == "auto":
-        genset_kw = delta_to_electrical_kw(max(deltas), dt_s, c_batt)
+        genset_kw = sized_kw
     else:
         genset_kw = _get_float(sec_rule, "genset_electrical_kw")
     genset_point = assembly.genset_point(genset_speed, genset_kw)
@@ -195,13 +194,22 @@ def load_scenario(path) -> Scenario:
     )
 
     if sec.get("efficiencies", "auto").strip() == "auto":
-        decisions = default_decisions(assembly, c_batt, dt_s, genset_speed, deltas)
+        # the decisions run the point sized for the largest increment
+        sized = (genset_point if genset_kw == sized_kw
+                 else assembly.genset_point(genset_speed, sized_kw))
+        decisions = default_decisions(sized, deltas)
     else:
         effs = _get_floats(sec, "efficiencies", "")
         if len(effs) != len(deltas):
             raise ScenarioError("[dp] efficiencies must match deltas in length")
         decisions = (null_decision(),) + tuple(
             Decision(d, e, f"b{d:g}") for d, e in sorted(zip(deltas, effs)))
+
+    try:
+        obd_enabled = sec.getboolean("obd_enabled", fallback=False)
+    except ValueError:
+        raise ScenarioError(f"[dp] obd_enabled = {sec['obd_enabled']!r} "
+                            "is not a boolean") from None
 
     terminal_raw = sec.get("terminal", "initial").strip()
     if terminal_raw == "initial":
@@ -218,7 +226,7 @@ def load_scenario(path) -> Scenario:
         grid_step=_get_float(sec, "grid_step", 0.01),
         decisions=decisions,
         terminal_rule=terminal,
-        obd_enabled=sec.getboolean("obd_enabled", fallback=False),
+        obd_enabled=obd_enabled,
         obd_energy_per_event_kwh=_get_float(sec, "obd_energy_per_event_kwh", 0.00497),
         c_batt_kwh=c_batt,
         p_genset_max_kw=_get_float(sec, "p_genset_max_kw", 40.0),
@@ -233,6 +241,9 @@ def load_scenario(path) -> Scenario:
     if not (0.0 <= uf <= 1.0):
         raise ScenarioError("[accounting] uf must lie in [0, 1]")
     charging_eff = _get_float(sec, "charging_efficiency", 0.83)
+    if not (0.0 < charging_eff <= 1.0):
+        raise ScenarioError(
+            f"[accounting] charging_efficiency = {charging_eff:g} must lie in (0, 1]")
 
     sec = _section(cp, "calibration")
     mode = sec.get("mode", "none").strip()

@@ -226,7 +226,7 @@ def test_criterion_08_physics(assembly, battery):
     for _ in range(100):
         amps = rng.normal(0.0, 60.0, 120)
         amps -= amps.mean()
-        net_kwh = sum(terminal_power_kw(battery, 50.0, float(a))
+        net_kwh = sum(terminal_power_kw(battery, float(a))
                       for a in amps) / 3600.0
         assert net_kwh <= 1e-12
 
@@ -275,8 +275,7 @@ def test_criterion_09_grid_convergence(scenario_dir):
                      sc.assembly.drivetrain, sc.bp,
                      calibration=sc.calibration.energy_scale,
                      dt_s=sc.dp.dt_s,
-                     regen_current_limit_a=sc.rule.regen_current_limit_a,
-                     reference_soc=sc.dp.initial_soc)
+                     regen_current_limit_a=sc.rule.regen_current_limit_a)
     costs = [solve(d, replace(sc.dp, grid_step=h)).optimal_cost(14.0)
              for h in (0.02, 0.01, 0.005)]
     d1 = abs(costs[1] - costs[0])

@@ -10,7 +10,6 @@ from phevopt.dpopt import (
     DpConfig,
     TerminalRule,
     brute_force,
-    default_decisions,
     delta_to_electrical_kw,
     evaluate_rule_on_demand,
     max_delta_bound,
@@ -26,7 +25,7 @@ from phevopt.errors import (
     InstanceTooLargeError,
     ToleranceBreachError,
 )
-from phevopt.powertrain import DrivetrainParams, flat_map, flat_voc_curve
+from phevopt.powertrain import DrivetrainParams, flat_map
 
 from helpers import grid_aligned_instance
 
@@ -185,11 +184,6 @@ class TestDefaultDecisions:
         fuel = cfg.fuel_array()
         assert fuel[3] / fuel[1] == pytest.approx(0.567 / 0.051, rel=1e-12)
 
-    def test_accepts_config_or_capacity(self, assembly, decisions):
-        cfg = DpConfig(decisions=decisions, c_batt_kwh=18.9)
-        from_cfg = default_decisions(assembly, cfg)
-        assert from_cfg == decisions
-
 
 class TestDemandProfileValidation:
     def test_needs_an_interval(self):
@@ -209,8 +203,7 @@ class TestDemandProfileValidation:
 
 class TestBuildDemand:
     def flat_setup(self):
-        bp = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0,
-                           v_oc_curve=flat_voc_curve(350.0))
+        bp = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
         return flat_map(90.0), DrivetrainParams(), bp
 
     def const_cycle(self, duration=100.0, v=20.0):
@@ -261,12 +254,6 @@ class TestBuildDemand:
                               regen_current_limit_a=150.0)
         assert np.all(capped.d_pct >= free.d_pct - 1e-12)
         assert capped.d_pct.sum() > free.d_pct.sum()
-
-    def test_reference_soc_irrelevant_for_flat_voltage(self, vp):
-        m, drv, bp = self.flat_setup()
-        lo = build_demand(self.const_cycle(), vp, m, drv, bp, reference_soc=20.0)
-        hi = build_demand(self.const_cycle(), vp, m, drv, bp, reference_soc=80.0)
-        assert np.array_equal(lo.d_pct, hi.d_pct)
 
     def test_inputs_validated(self, vp):
         m, drv, bp = self.flat_setup()

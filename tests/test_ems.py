@@ -158,7 +158,7 @@ class TestSocBehavior:
     def test_soc_integrates_chemistry_power(self, cs_run, battery):
         trace, _, _ = cs_run
         dt = np.diff(trace.t_s)
-        v_oc = np.asarray([battery.v_oc(s) for s in trace.soc_pct[:-1]])
+        v_oc = battery.v_oc
         step = -v_oc * trace.i_batt_a[:-1] * dt / (3.6e6 * battery.c_batt_kwh) * 100.0
         assert np.allclose(np.diff(trace.soc_pct), step, atol=1e-12)
 
@@ -192,8 +192,7 @@ class TestRegenLimits:
         for k in np.nonzero(clipped)[0]:
             bus = (trace.p_motor_elec_kw[k] + trace.crank_kw[k]
                    - trace.p_genset_elec_kw[k])
-            expect = terminal_power_kw(battery, trace.soc_pct[k],
-                                       -cfg.regen_current_limit_a)
+            expect = terminal_power_kw(battery, -cfg.regen_current_limit_a)
             assert bus == pytest.approx(expect, abs=1e-9)
 
     def test_regen_locked_out_at_window_top(self, cs_run):
@@ -212,7 +211,7 @@ class TestEnergyAccounting:
     def test_per_step_power_identity(self, cs_run, battery):
         # chemistry power = bus power + ohmic loss, every sample
         trace, _, _ = cs_run
-        v_oc = np.asarray([battery.v_oc(s) for s in trace.soc_pct])
+        v_oc = battery.v_oc
         chem = v_oc * trace.i_batt_a / 1000.0
         bus = (trace.p_motor_elec_kw + trace.crank_kw - trace.p_genset_elec_kw)
         ohmic = battery.r_in_ohm * trace.i_batt_a**2 / 1000.0
@@ -221,8 +220,8 @@ class TestEnergyAccounting:
     def test_cycle_energy_balance(self, cs_run, battery):
         trace, _, _ = cs_run
         dt = np.diff(trace.t_s)
-        v_oc = np.asarray([battery.v_oc(s) for s in trace.soc_pct])
-        chem = np.sum(v_oc[:-1] * trace.i_batt_a[:-1] / 1000.0 * dt)
+        v_oc = battery.v_oc
+        chem = np.sum(v_oc * trace.i_batt_a[:-1] / 1000.0 * dt)
         motor = np.sum(trace.p_motor_elec_kw[:-1] * dt)
         crank = np.sum(trace.crank_kw[:-1] * dt)
         gen = np.sum(trace.p_genset_elec_kw[:-1] * dt)
@@ -260,7 +259,7 @@ class TestEnergyAccounting:
         trace, energy, _ = cs_run
         k = trace.cs_entry_index()
         dt = np.diff(trace.t_s)[:k]
-        v_oc = np.asarray([battery.v_oc(s) for s in trace.soc_pct[:k]])
+        v_oc = battery.v_oc
         kwh = np.sum(v_oc * trace.i_batt_a[:k] / 1000.0 * dt) / 3600.0
         assert energy.ec_cd_dc_wh_per_km == pytest.approx(
             kwh * 1000.0 / energy.cd_distance_km, rel=1e-12)

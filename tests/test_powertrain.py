@@ -25,7 +25,6 @@ from phevopt.powertrain import (
     current_from_power,
     engine_efficiency,
     flat_map,
-    flat_voc_curve,
     generator_efficiency,
     genset_electrical_kw,
     genset_point_at,
@@ -433,30 +432,25 @@ class TestCharacterization:
 
 class TestBatteryPower:
     def battery(self, r=0.1, volts=350.0):
-        return BatteryParams(c_batt_kwh=18.9, r_in_ohm=r,
-                             v_oc_curve=flat_voc_curve(volts))
+        return BatteryParams(c_batt_kwh=18.9, r_in_ohm=r, v_oc=volts)
 
     def test_discharge_example(self):
-        assert battery_power(self.battery(), 50.0, 100.0) == pytest.approx(
+        assert battery_power(self.battery(), 100.0) == pytest.approx(
             36.0, abs=1e-12)
 
     def test_charge_example(self):
-        assert battery_power(self.battery(), 50.0, -100.0) == pytest.approx(
+        assert battery_power(self.battery(), -100.0) == pytest.approx(
             -34.0, abs=1e-12)
 
     def test_zero_current(self):
-        assert battery_power(self.battery(), 50.0, 0.0) == 0.0
-
-    def test_soc_range_validated(self):
-        with pytest.raises(ValueError):
-            battery_power(self.battery(), 101.0, 10.0)
+        assert battery_power(self.battery(), 0.0) == 0.0
 
     def test_ohmic_term_is_always_a_loss(self):
         b = self.battery()
         rng = np.random.default_rng(7)
         for i in rng.uniform(-300.0, 300.0, 40):
-            chem = chemistry_power_kw(b, 50.0, i)
-            term = terminal_power_kw(b, 50.0, i)
+            chem = chemistry_power_kw(b, i)
+            term = terminal_power_kw(b, i)
             assert chem - term == pytest.approx(b.r_in_ohm * i * i / 1000.0,
                                                 rel=1e-12, abs=1e-12)
             assert chem >= term - 1e-12
@@ -465,7 +459,7 @@ class TestBatteryPower:
         b = self.battery()
         rng = np.random.default_rng(11)
         for i in rng.uniform(1.0, 300.0, 100):
-            net = terminal_power_kw(b, 50.0, i) + terminal_power_kw(b, 50.0, -i)
+            net = terminal_power_kw(b, i) + terminal_power_kw(b, -i)
             assert net == pytest.approx(-2.0 * b.r_in_ohm * i * i / 1000.0,
                                         rel=1e-12)
             assert net <= 0.0
@@ -474,40 +468,37 @@ class TestBatteryPower:
 class TestCurrentFromPower:
     def test_inverts_terminal_relation(self, battery):
         for i in (-250.0, -50.0, 0.0, 80.0, 400.0):
-            p = terminal_power_kw(battery, 50.0, i)
-            assert current_from_power(battery, 50.0, p) == pytest.approx(
+            p = terminal_power_kw(battery, i)
+            assert current_from_power(battery, p) == pytest.approx(
                 i, abs=1e-9)
 
     @given(r=st.floats(0.01, 0.2), volts=st.floats(200.0, 420.0),
            frac=st.floats(-1.0, 0.999))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_over_feasible_branch(self, r, volts, frac):
-        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=r,
-                          v_oc_curve=flat_voc_curve(volts))
+        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=r, v_oc=volts)
         i = frac * volts / (2.0 * r) if frac > 0 else frac * 400.0
-        p = terminal_power_kw(b, 50.0, i)
-        assert current_from_power(b, 50.0, p) == pytest.approx(i, rel=1e-7,
+        p = terminal_power_kw(b, i)
+        assert current_from_power(b, p) == pytest.approx(i, rel=1e-7,
                                                                abs=1e-7)
 
     def test_over_limit_raises(self, battery):
         # flat 340 V, 0.08 ohm tops out at 361.25 kW
         limit = 340.0 * 340.0 / (4.0 * 0.08) / 1000.0
-        assert current_from_power(battery, 50.0, limit) == pytest.approx(
+        assert current_from_power(battery, limit) == pytest.approx(
             340.0 / (2.0 * 0.08), rel=1e-9)
         with pytest.raises(EnvelopeError, match="361.25"):
-            current_from_power(battery, 50.0, limit + 0.01)
+            current_from_power(battery, limit + 0.01)
 
     def test_zero_resistance_is_linear(self):
-        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0,
-                          v_oc_curve=flat_voc_curve(350.0))
-        assert current_from_power(b, 50.0, 35.0) == pytest.approx(100.0, rel=1e-12)
-        assert current_from_power(b, 50.0, -35.0) == pytest.approx(-100.0, rel=1e-12)
+        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
+        assert current_from_power(b, 35.0) == pytest.approx(100.0, rel=1e-12)
+        assert current_from_power(b, -35.0) == pytest.approx(-100.0, rel=1e-12)
 
 
 class TestIntegrateSoc:
     def flat_battery(self, volts=350.0):
-        return BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0,
-                             v_oc_curve=flat_voc_curve(volts))
+        return BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=volts)
 
     def test_charge_example(self):
         # -54 A at 350 V for 360 s moves 1.89 kWh into an 18.9 kWh pack
@@ -532,8 +523,7 @@ class TestIntegrateSoc:
         assert up == pytest.approx(-down, abs=1e-9)
 
     def test_sequential_additivity(self):
-        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0,
-                          v_oc_curve=np.asarray([[0.0, 300.0], [100.0, 400.0]]))
+        b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
         rng = np.random.default_rng(5)
         t = np.linspace(0.0, 400.0, 41)
         i = rng.uniform(-30.0, 30.0, 41)
@@ -570,20 +560,16 @@ class TestBatteryParamsValidation:
     def test_defaults(self, battery):
         assert battery.c_batt_kwh == 18.9
         assert battery.r_in_ohm == 0.08
-        assert battery.v_oc(0.0) == battery.v_oc(100.0) == 340.0
-
-    def test_voltage_interpolates(self):
-        b = BatteryParams(v_oc_curve=np.asarray([[0.0, 300.0], [100.0, 400.0]]))
-        assert b.v_oc(25.0) == pytest.approx(325.0)
+        assert battery.v_oc == 340.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(c_batt_kwh=0.0),
         dict(c_batt_kwh=-1.0),
         dict(r_in_ohm=-0.01),
-        dict(v_oc_curve=np.asarray([[0.0, 340.0]])),
-        dict(v_oc_curve=np.asarray([[0.0, 340.0], [0.0, 340.0]])),
-        dict(v_oc_curve=np.asarray([[0.0, 340.0], [100.0, 320.0]])),
-        dict(v_oc_curve=np.asarray([[0.0, -340.0], [100.0, 340.0]])),
+        dict(v_oc=math.nan),
+        dict(v_oc=math.inf),
+        dict(v_oc=0.0),
+        dict(v_oc=-340.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -946,20 +932,18 @@ class TestArrayModelsMatchScalarReference:
                                  (m, drv, a, b, v_min))
 
     @given(p=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=12),
-           soc=st.floats(0.0, 100.0))
+           volts=st.floats(300.0, 400.0))
     @settings(max_examples=100, deadline=None)
-    def test_battery_current(self, p, soc):
-        b = BatteryParams(v_oc_curve=np.asarray([[0.0, 300.0], [100.0, 400.0]]))
+    def test_battery_current(self, p, volts):
+        b = BatteryParams(v_oc=volts)
         expect = []
         for x in p:
             try:
-                expect.append(current_from_power(b, soc, x))
+                expect.append(current_from_power(b, x))
             except EnvelopeError:
                 expect.append(math.nan)
-        assert np.array_equal(current_from_power(b, soc, np.asarray(p)),
+        assert np.array_equal(current_from_power(b, np.asarray(p)),
                               np.asarray(expect), equal_nan=True)
-        socs = np.full(len(p), soc)
-        assert np.array_equal(b.v_oc(socs), np.full(len(p), b.v_oc(soc)))
 
     def test_merge_matches_node_by_node_lookup(self):
         eng, gen = synthetic_engine_map(), synthetic_generator_map()

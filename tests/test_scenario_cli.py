@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import phevopt.cli as cli
+import phevopt.powertrain as powertrain
 from phevopt.cli import main, run_dp_hybrid
 from phevopt.ems import simulate_rule_based
 from phevopt.errors import ScenarioError
@@ -75,6 +76,41 @@ class TestLoadScenario:
                            "[accounting]\nuf = 0.8\n[battery]\nc_batt_kwh = big\n")
         with pytest.raises(ScenarioError, match="not a number"):
             load_scenario(p)
+
+    @pytest.mark.parametrize("eff", ["0", "1.5"])
+    def test_charging_efficiency_out_of_range_rejected(self, tmp_path, scenario_dir,
+                                                       eff):
+        body = f"[accounting]\nuf = 0.8\ncharging_efficiency = {eff}\n"
+        with pytest.raises(ScenarioError, match=r"\[accounting\] charging_efficiency"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+    def test_bad_boolean_names_key(self, tmp_path, scenario_dir):
+        body = "[accounting]\nuf = 0.8\n[dp]\nobd_enabled = maybe\n"
+        with pytest.raises(ScenarioError, match=r"\[dp\] obd_enabled"):
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+    @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
+                                      "obd_single_lap.ini"])
+    def test_genset_point_searched_once(self, scenario_dir, monkeypatch, name):
+        calls = []
+        real = powertrain.genset_point_at
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(powertrain, "genset_point_at", counted)
+        load_scenario(scenario_dir / name)
+        assert len(calls) == 1
+
+    def test_explicit_genset_power_keeps_decisions_sized(self, tmp_path,
+                                                         scenario_dir):
+        body = "[accounting]\nuf = 0.8\n[rule]\ngenset_electrical_kw = 30\n"
+        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
+        auto = load_scenario(write_scenario(tmp_path, scenario_dir,
+                                            "[accounting]\nuf = 0.8\n"))
+        assert sc.rule.genset_point.electrical_power_kw == 30.0
+        assert sc.dp.decisions == auto.dp.decisions
 
     def test_missing_cycle_file(self, tmp_path):
         p = tmp_path / "case.ini"
@@ -259,6 +295,8 @@ class TestCliExitCodes:
                      id="nan-resistance"),
         pytest.param("[dp]\ndt_s = 0\n", "[dp] dt_s", id="zero-interval"),
         pytest.param("[dp]\ndeltas = nan, 0.2\n", "[dp] deltas", id="nan-delta"),
+        pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
+                     id="charging-efficiency"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
