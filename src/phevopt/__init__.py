@@ -23,7 +23,6 @@ from .cycle import (
     compute_metrics,
     load_cycle,
     repeat_cycle,
-    save_cycle,
     synthetic_cycle,
 )
 from .dpopt import (
@@ -55,19 +54,12 @@ from .powertrain import (
     EfficiencyMap,
     GenSetPoint,
     PowertrainAssembly,
-    battery_power,
     current_from_power,
-    engine_efficiency,
-    generator_efficiency,
     integrate_soc,
-    load_characterization,
     load_map,
-    map_from_characterization,
     map_lookup,
     merge_gen_set,
-    motor_efficiency,
     motor_electrical_power,
-    save_map,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
@@ -80,7 +72,7 @@ __all__ = [
     "Calibration", "UfReport", "ac_from_dc", "build_uf_report",
     "calibration_factor", "uf_weighted",
     "CycleMetrics", "DriveCycle", "compute_metrics", "load_cycle",
-    "repeat_cycle", "save_cycle", "synthetic_cycle",
+    "repeat_cycle", "synthetic_cycle",
     "Decision", "DemandProfile", "DpConfig", "DpPolicy", "RolloutResult",
     "TerminalRule", "brute_force", "build_demand", "default_decisions",
     "evaluate_rule_on_demand", "obd_study", "rollout", "solve",
@@ -88,11 +80,8 @@ __all__ = [
     "EnergyResult", "RuleConfig", "SimTrace", "simulate_rule_based",
     "write_trace",
     "BatteryParams", "DrivetrainParams", "EfficiencyMap", "GenSetPoint",
-    "PowertrainAssembly", "battery_power", "current_from_power",
-    "engine_efficiency", "generator_efficiency",
-    "integrate_soc", "load_characterization", "load_map",
-    "map_from_characterization", "map_lookup", "merge_gen_set",
-    "motor_efficiency", "motor_electrical_power", "save_map",
+    "PowertrainAssembly", "current_from_power", "integrate_soc", "load_map",
+    "map_lookup", "merge_gen_set", "motor_electrical_power",
     "synthetic_engine_map", "synthetic_generator_map", "synthetic_motor_map",
     "Scenario", "load_scenario",
 ]

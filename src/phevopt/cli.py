@@ -49,7 +49,6 @@ from .errors import (
     EnvelopeError,
     InfeasibleProblemError,
     InfeasibleVehicleError,
-    InstanceTooLargeError,
     PhevOptError,
     ToleranceBreachError,
 )
@@ -357,7 +356,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InfeasibleProblemError, InfeasibleVehicleError, EnvelopeError,
-            ToleranceBreachError, InstanceTooLargeError) as exc:
+            ToleranceBreachError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (PhevOptError, ValueError) as exc:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csv import write_csv
 from .errors import CycleFormatError
 
 V_IDLE_MPS = 0.1  # below this speed the vehicle counts as stopped
@@ -173,12 +172,6 @@ def load_cycle(source, name: str | None = None) -> DriveCycle:
         return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade, name=label)
     except ValueError as exc:
         raise CycleFormatError(str(exc)) from None
-
-
-def save_cycle(cycle: DriveCycle, path) -> None:
-    """Write a cycle in the CSV format accepted by :func:`load_cycle`."""
-    write_csv(path, ("t_s", "%.3f", cycle.t_s), ("v_mps", "%.4f", cycle.v_mps),
-              ("grade_deg", "%.4f", cycle.grade_deg))
 
 
 def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:

@@ -312,7 +312,6 @@ class DpPolicy:
     decision_idx: np.ndarray    # (N, M) index into `decisions`
     grid: np.ndarray            # (M,) SOC %
     decisions: tuple[Decision, ...]
-    terminal_soc: float
 
     @property
     def n_intervals(self) -> int:

@@ -71,8 +71,7 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
     threshold = cfg.terminal_rule.resolve(cfg)
     cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
     policy = DpPolicy(cost_to_go=cost_to_go, decision_idx=decision_idx,
-                      grid=cfg.grid(), decisions=cfg.decisions,
-                      terminal_soc=threshold)
+                      grid=cfg.grid(), decisions=cfg.decisions)
 
     if cfg.initial_soc is not None:
         unreachable = not np.isfinite(policy.optimal_cost(cfg.initial_soc))

@@ -27,15 +27,12 @@ class ObdStudy:
 
     ec_without_wh_per_km: float
     ec_with_wh_per_km: float
-    fuel_without_kwh: float
-    fuel_with_kwh: float
     increase_wh_per_km: float
     increase_pct: float
     event_count: int
     drain_per_event_pct: float
     trajectory_without: np.ndarray
     trajectory_with: np.ndarray
-    dt_s: float
 
 
 def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly,
@@ -58,15 +55,12 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     return ObdStudy(
         ec_without_wh_per_km=off.cs_ec_wh_per_km,
         ec_with_wh_per_km=on.cs_ec_wh_per_km,
-        fuel_without_kwh=off.fuel_kwh,
-        fuel_with_kwh=on.fuel_kwh,
         increase_wh_per_km=increase,
         increase_pct=pct,
         event_count=on.null_intervals,
         drain_per_event_pct=cfg.obd_drain_pct,
         trajectory_without=off.soc_trajectory,
         trajectory_with=on.soc_trajectory,
-        dt_s=cfg.dt_s,
     )
 
 

@@ -19,11 +19,6 @@ class MapDomainError(PhevOptError):
     """A lookup point lies outside an efficiency map's axis bounding box."""
 
 
-class CharacterizationDataError(PhevOptError):
-    """Measured characterization data violates the second law (efficiency
-    above 100%); flagged rather than clamped."""
-
-
 class EmptyMapError(PhevOptError):
     """A map operation produced no feasible nodes (e.g. merging maps with
     disjoint envelopes)."""

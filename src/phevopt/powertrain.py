@@ -2,10 +2,9 @@
 
 Efficiency maps are node grids over (speed rpm, torque Nm) with NaN marking
 the infeasible region outside a component's envelope; lookups are bilinear.
-Maps can be built from measured characterization rows, loaded from CSV
-matrices, or generated synthetically (the published figures carry no
-numeric tables, so the bundled defaults are parameterized stand-ins and are
-labeled as such).
+Maps are loaded from CSV matrices or generated synthetically (the
+published figures carry no numeric tables, so the bundled defaults are
+parameterized stand-ins and are labeled as such).
 
 The battery is an internal-resistance model with one constant open-circuit
 voltage: terminal power V_oc*I - R*I^2, and SOC integrated from the
@@ -14,7 +13,6 @@ chemistry power V_oc*I. Current is discharge-positive.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CharacterizationDataError,
     EmptyMapError,
     EnvelopeError,
     MapDomainError,
@@ -31,7 +28,6 @@ from .errors import (
 )
 
 RAD_S_PER_RPM = 2.0 * math.pi / 60.0
-DEFAULT_LHV_KWH_PER_G = 0.011833  # diesel, 42.6 MJ/kg
 DEFAULT_BELT_RATIO = 2.7          # generator speed / engine speed
 
 _W_SNAP = 1e-12  # interpolation weights below this snap onto the node
@@ -68,49 +64,6 @@ class EfficiencyMap:
         finite = self.values[np.isfinite(self.values)]
         if finite.size and (np.any(finite <= 0) or np.any(finite > 100)):
             raise ValueError("feasible map values must lie in (0, 100]")
-
-    @property
-    def n_feasible(self) -> int:
-        return int(np.isfinite(self.values).sum())
-
-
-def motor_efficiency(torque_nm: float, omega_rpm: float,
-                     volts: float, amps: float) -> float:
-    """Motor efficiency in % from one characterization row:
-    mechanical output over electrical input."""
-    p_elec = volts * amps
-    if p_elec <= 0:
-        raise ValueError("electrical input power must be positive")
-    p_mech = torque_nm * omega_rpm * RAD_S_PER_RPM
-    if p_mech < 0:
-        raise ValueError("motoring quadrant requires torque*speed >= 0")
-    eta = p_mech / p_elec * 100.0
-    if eta > 100.0:
-        raise CharacterizationDataError(
-            f"mechanical power exceeds electrical input (eta = {eta:.2f}%)")
-    return eta
-
-
-def engine_efficiency(bsfc_g_per_kwh: float,
-                      lhv_kwh_per_g: float = DEFAULT_LHV_KWH_PER_G) -> float:
-    """Engine brake efficiency in % from BSFC and fuel heating value."""
-    if bsfc_g_per_kwh <= 0 or lhv_kwh_per_g <= 0:
-        raise ValueError("BSFC and LHV must be positive")
-    return 100.0 / (bsfc_g_per_kwh * lhv_kwh_per_g)
-
-
-def generator_efficiency(volts: float, amps: float,
-                         torque_nm: float, omega_rpm: float) -> float:
-    """Generator efficiency in % from one characterization row:
-    electrical output over mechanical input."""
-    p_mech = torque_nm * omega_rpm * RAD_S_PER_RPM
-    if p_mech <= 0:
-        raise ValueError("generating quadrant requires positive torque*speed")
-    eta = volts * amps / p_mech * 100.0
-    if eta > 100.0:
-        raise CharacterizationDataError(
-            f"electrical power exceeds mechanical input (eta = {eta:.2f}%)")
-    return eta
 
 
 def _cells(axis: np.ndarray, x):
@@ -254,72 +207,6 @@ def load_map(source, label: str | None = None) -> EfficiencyMap:
         raise MapFormatError(str(exc)) from None
 
 
-def save_map(m: EfficiencyMap, path) -> None:
-    """Write a map in the matrix format accepted by :func:`load_map`."""
-    buf = io.StringIO()
-    buf.write("," + ",".join(f"{t:g}" for t in m.torque_axis) + "\n")
-    for speed, row in zip(m.speed_axis, m.values):
-        cells = ["" if not np.isfinite(x) else f"{x:.4f}" for x in row]
-        buf.write(f"{speed:g}," + ",".join(cells) + "\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def load_characterization(source) -> np.ndarray:
-    """Read characterization rows ``omega_rpm,T_Nm,V_volts,I_amps``.
-
-    An optional header naming those columns and ``#`` comments are
-    accepted. Returns an (n, 4) array.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    rows: list[tuple[float, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts == ["omega_rpm", "T_Nm", "V_volts", "I_amps"]:
-            continue
-        if len(parts) != 4:
-            raise MapFormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise MapFormatError(f"line {lineno}: non-numeric value") from None
-    if not rows:
-        raise MapFormatError("characterization file has no data rows")
-    return np.asarray(rows, dtype=float)
-
-
-def map_from_characterization(rows, kind: str, label: str = "") -> EfficiencyMap:
-    """Build a map from characterization rows.
-
-    ``kind`` selects the efficiency definition: ``"motor"`` (mechanical out
-    over electrical in) or ``"generator"`` (electrical out over mechanical
-    in). Axes are the unique measured speeds and torques; grid nodes with
-    no measurement stay infeasible.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise MapFormatError("characterization rows must be (n, 4)")
-    if kind not in ("motor", "generator"):
-        raise ValueError("kind must be 'motor' or 'generator'")
-    speeds = np.unique(rows[:, 0])
-    torques = np.unique(rows[:, 1])
-    values = np.full((speeds.size, torques.size), np.nan)
-    for omega, torque, volts, amps in rows:
-        if kind == "motor":
-            eta = motor_efficiency(torque, omega, volts, amps)
-        else:
-            eta = generator_efficiency(volts, amps, torque, omega)
-        a = int(np.searchsorted(speeds, omega))
-        b = int(np.searchsorted(torques, torque))
-        values[a, b] = eta
-    return EfficiencyMap(speeds, torques, values, label or f"characterized-{kind}")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic default maps
 
@@ -369,13 +256,6 @@ def synthetic_generator_map(peak_eta: float = 92.0, max_torque_nm: float = 120.0
     return EfficiencyMap(speed, torque, values, "synthetic-generator")
 
 
-def flat_map(eta: float, label: str = "flat") -> EfficiencyMap:
-    """Constant-efficiency map over a wide box; useful for linearity tests."""
-    speed = np.asarray([0.0, 20000.0])
-    torque = np.asarray([0.0, 2000.0])
-    return EfficiencyMap(speed, torque, np.full((2, 2), float(eta)), label)
-
-
 # ---------------------------------------------------------------------------
 # Drivetrain and the wheel-to-motor conversion
 
@@ -393,9 +273,6 @@ class DrivetrainParams:
     @property
     def rpm_per_mps(self) -> float:
         return self.gear_ratio * 60.0 / (2.0 * math.pi * self.wheel_radius_m)
-
-    def motor_torque_nm(self, force_n: float) -> float:
-        return force_n * self.wheel_radius_m / self.gear_ratio
 
 
 def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
@@ -462,22 +339,9 @@ class SocResult(NamedTuple):
     clamped: bool
 
 
-def battery_power(b: BatteryParams, i_amps: float) -> float:
-    """Battery power in kW as the internal-resistance relation writes it:
-    R_in*I^2 + V_oc*I. The ohmic term is always a loss, so this is the
-    chemistry-side draw on discharge (I > 0)."""
-    return (b.r_in_ohm * i_amps * i_amps + b.v_oc * i_amps) / 1000.0
-
-
 def terminal_power_kw(b: BatteryParams, i_amps: float) -> float:
     """Power delivered to the DC bus: V_oc*I - R_in*I^2 (kW)."""
     return (b.v_oc * i_amps - b.r_in_ohm * i_amps * i_amps) / 1000.0
-
-
-def chemistry_power_kw(b: BatteryParams, i_amps: float) -> float:
-    """Power drawn from the cell chemistry: V_oc*I (kW); this is the
-    quantity the SOC integral consumes."""
-    return b.v_oc * i_amps / 1000.0
 
 
 def current_from_power(b: BatteryParams, p_terminal_kw):
@@ -568,7 +432,9 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                     belt_ratio: float, speed_rpm: float, electrical_kw: float,
                     belt_efficiency: float = 1.0) -> GenSetPoint:
     """Find the engine torque at a fixed speed that produces the requested
-    electrical power, by bisection over the feasible torque range."""
+    electrical power, by bisection over the feasible torque range. The
+    bisection stops once the bracket holds adjacent doubles, where further
+    steps cannot move the midpoint."""
     if electrical_kw < 0:
         raise ValueError("electrical power must be nonnegative")
     t_hi = max_feasible_torque(engine_map, speed_rpm)
@@ -584,6 +450,8 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
     lo, hi = 0.0, t_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         p_mid = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, mid,
                                      belt_efficiency)
         if p_mid < electrical_kw:

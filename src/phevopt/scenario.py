@@ -34,9 +34,6 @@ from .powertrain import (
 class Scenario:
     """Everything one command needs, already validated and composed."""
 
-    name: str
-    base_dir: Path
-    cycle_single: DriveCycle
     laps: int
     cycle: DriveCycle
     vp: VehicleParams
@@ -48,7 +45,6 @@ class Scenario:
     charging_efficiency: float
     calibration: Calibration
     test_metrics: CycleMetrics | None
-    sim_metrics: CycleMetrics | None
 
 
 def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
@@ -127,8 +123,7 @@ def load_scenario(path) -> Scenario:
     laps = _get_float(sec, "laps", 1.0)
     if not laps.is_integer():
         raise ScenarioError(f"[cycle] laps = {laps:g} is not a whole number")
-    cycle_single = load_cycle(base / cycle_path)
-    cycle = repeat_cycle(cycle_single, int(laps))
+    cycle = repeat_cycle(load_cycle(base / cycle_path), int(laps))
 
     sec = _section(cp, "vehicle")
     vp = VehicleParams(
@@ -171,6 +166,8 @@ def load_scenario(path) -> Scenario:
     deltas = _get_floats(sec, "deltas", "0.051, 0.294, 0.567")
     if not deltas:
         raise ScenarioError("[dp] deltas must list at least one charge increment")
+    if min(deltas) <= 0:
+        raise ScenarioError(f"[dp] deltas entry {min(deltas):g} must be positive")
     c_batt = bp.c_batt_kwh
 
     sec_rule = _section(cp, "rule")
@@ -232,6 +229,9 @@ def load_scenario(path) -> Scenario:
         p_genset_max_kw=_get_float(sec, "p_genset_max_kw", 40.0),
         initial_soc=_get_float(sec, "initial_soc", rule.cs_trigger),
     )
+    if terminal.kind == "threshold" and terminal.value > dp.soc_max:
+        raise ScenarioError(f"[dp] terminal = {terminal.value:g} lies above "
+                            f"soc_max = {dp.soc_max:g} and can never be met")
 
     sec = _section(cp, "accounting")
     if "uf" not in sec or not sec.get("uf", "").strip():
@@ -247,23 +247,22 @@ def load_scenario(path) -> Scenario:
 
     sec = _section(cp, "calibration")
     mode = sec.get("mode", "none").strip()
-    sim_metrics = _metrics_from(sec, "sim")
+    sim = _metrics_from(sec, "sim")
     test_metrics = _metrics_from(sec, "test")
     if mode == "none":
         calibration = Calibration(energy_scale=1.0)
     elif mode == "explicit":
         calibration = Calibration(energy_scale=_get_float(sec, "scale"))
     elif mode == "metrics":
-        if sim_metrics is None or test_metrics is None:
+        if sim is None or test_metrics is None:
             raise ScenarioError(
                 "[calibration] mode = metrics needs sim_* and test_* entries")
-        calibration = calibration_factor(sim_metrics, test_metrics)
+        calibration = calibration_factor(sim, test_metrics)
     else:
         raise ScenarioError(f"[calibration] unknown mode {mode!r}")
 
     return Scenario(
-        name=path.stem, base_dir=base, cycle_single=cycle_single, laps=int(laps),
-        cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule, dp=dp,
-        uf=uf, charging_efficiency=charging_eff, calibration=calibration,
-        test_metrics=test_metrics, sim_metrics=sim_metrics,
+        laps=int(laps), cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule,
+        dp=dp, uf=uf, charging_efficiency=charging_eff, calibration=calibration,
+        test_metrics=test_metrics,
     )

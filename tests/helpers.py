@@ -1,4 +1,5 @@
-"""Shared builders for randomized optimization instances.
+"""Shared test builders: a constant-efficiency map and randomized
+optimization instances.
 
 Grid-aligned instances keep every reachable state exactly on a value
 function node (demand, charge increments, and the initial state are all
@@ -11,6 +12,13 @@ from dataclasses import replace
 import numpy as np
 
 from phevopt.dpopt import Decision, DemandProfile, DpConfig, null_decision
+from phevopt.powertrain import EfficiencyMap
+
+
+def flat_map(eta: float, label: str = "flat") -> EfficiencyMap:
+    """Constant-efficiency map over a wide box; useful for linearity tests."""
+    return EfficiencyMap(np.asarray([0.0, 20000.0]), np.asarray([0.0, 2000.0]),
+                         np.full((2, 2), float(eta)), label)
 
 
 def grid_aligned_instance(rng, obd: bool = False) -> tuple[DemandProfile, DpConfig]:

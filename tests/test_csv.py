@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
-from phevopt.cycle import save_cycle
 from phevopt.dpopt.solver import write_policy
 from phevopt.ems import MODE_CS, write_trace
 from phevopt.scenario import load_scenario
@@ -64,13 +63,6 @@ def reference_policy(policy) -> str:
     return "".join(out)
 
 
-def reference_cycle(cycle) -> str:
-    out = ["t_s,v_mps,grade_deg\n"]
-    for t, v, g in zip(cycle.t_s, cycle.v_mps, cycle.grade_deg):
-        out.append(f"{t:.3f},{v:.4f},{g:.4f}\n")
-    return "".join(out)
-
-
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
 words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 
@@ -109,21 +101,16 @@ class TestWritersMatchRowLoops:
         sc = load_scenario(scenario_dir / "three_lap.ini")
         run = run_dp_hybrid(sc)
         assert run.policy is not None
-        return sc, run
+        return run
 
     def test_write_policy(self, run, tmp_path):
         path = tmp_path / "policy.csv"
-        write_policy(run[1].policy, path)
-        expected = reference_policy(run[1].policy)
+        write_policy(run.policy, path)
+        expected = reference_policy(run.policy)
         assert ",inf\n" in expected
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_write_trace(self, run, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace(run[1].trace, path)
-        assert path.read_bytes() == reference_trace(run[1].trace).encode("utf-8")
-
-    def test_save_cycle(self, run, tmp_path):
-        path = tmp_path / "cycle.csv"
-        save_cycle(run[0].cycle, path)
-        assert path.read_bytes() == reference_cycle(run[0].cycle).encode("utf-8")
+        write_trace(run.trace, path)
+        assert path.read_bytes() == reference_trace(run.trace).encode("utf-8")

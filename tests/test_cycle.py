@@ -8,7 +8,6 @@ from phevopt.cycle import (
     compute_metrics,
     load_cycle,
     repeat_cycle,
-    save_cycle,
     synthetic_cycle,
 )
 from phevopt.errors import CycleFormatError
@@ -55,13 +54,6 @@ class TestLoadCycle:
         dist = sum(0.5 * (v[i] + v[i + 1]) * (t[i + 1] - t[i])
                    for i in range(len(t) - 1))
         assert cycle.distance_km == pytest.approx(dist / 1000.0, rel=1e-12)
-
-    def test_save_round_trip(self, tmp_path, cycle):
-        path = tmp_path / "c.csv"
-        save_cycle(cycle, path)
-        back = load_cycle(path)
-        assert back.n_samples == cycle.n_samples
-        assert back.distance_km == pytest.approx(cycle.distance_km, rel=1e-4)
 
 
 class TestRepeatCycle:

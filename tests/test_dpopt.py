@@ -25,9 +25,9 @@ from phevopt.errors import (
     InstanceTooLargeError,
     ToleranceBreachError,
 )
-from phevopt.powertrain import DrivetrainParams, flat_map
+from phevopt.powertrain import DrivetrainParams
 
-from helpers import grid_aligned_instance
+from helpers import flat_map, grid_aligned_instance
 
 
 @pytest.fixture(scope="module")

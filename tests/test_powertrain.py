@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phevopt.powertrain as powertrain
 from phevopt.errors import (
-    CharacterizationDataError,
     EmptyMapError,
     EnvelopeError,
     MapDomainError,
@@ -20,93 +20,28 @@ from phevopt.powertrain import (
     EfficiencyMap,
     GenSetPoint,
     _bilinear,
-    battery_power,
-    chemistry_power_kw,
     current_from_power,
-    engine_efficiency,
-    flat_map,
-    generator_efficiency,
     genset_electrical_kw,
     genset_point_at,
     integrate_soc,
-    load_characterization,
     load_map,
-    map_from_characterization,
     map_lookup,
     max_feasible_torque,
     merge_gen_set,
-    motor_efficiency,
     motor_electrical_power,
-    save_map,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
     terminal_power_kw,
 )
 
+from helpers import flat_map
+
 
 def square_map(values, label="unit"):
     """2x2 map on the unit box, handy for corner-level assertions."""
     return EfficiencyMap(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]),
                          np.asarray(values, dtype=float), label)
-
-
-class TestEfficiencyFormulas:
-    def test_motor_example(self):
-        # 100 Nm * 3000 rpm mechanical over 350 V * 100 A electrical
-        assert motor_efficiency(100.0, 3000.0, 350.0, 100.0) == pytest.approx(
-            89.75979, abs=1e-4)
-
-    def test_motor_zero_torque_is_zero(self):
-        assert motor_efficiency(0.0, 3000.0, 350.0, 100.0) == 0.0
-
-    def test_motor_rejects_nonpositive_electrical(self):
-        with pytest.raises(ValueError):
-            motor_efficiency(100.0, 3000.0, 350.0, 0.0)
-        with pytest.raises(ValueError):
-            motor_efficiency(100.0, 3000.0, 350.0, -50.0)
-
-    def test_motor_rejects_wrong_quadrant(self):
-        with pytest.raises(ValueError):
-            motor_efficiency(-100.0, 3000.0, 350.0, 100.0)
-
-    def test_motor_flags_super_unity(self):
-        with pytest.raises(CharacterizationDataError):
-            motor_efficiency(200.0, 3000.0, 350.0, 100.0)
-
-    def test_engine_example(self):
-        assert engine_efficiency(240.0, 0.011833) == pytest.approx(35.21226, abs=1e-4)
-
-    def test_engine_default_lhv(self):
-        assert engine_efficiency(240.0) == pytest.approx(35.21226, abs=1e-4)
-
-    def test_engine_monotone_in_bsfc(self):
-        assert engine_efficiency(200.0) > engine_efficiency(300.0)
-
-    def test_engine_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            engine_efficiency(0.0)
-        with pytest.raises(ValueError):
-            engine_efficiency(240.0, -1.0)
-
-    def test_generator_example(self):
-        # 350 V * 90 A electrical over 120 Nm * 3000 rpm mechanical
-        assert generator_efficiency(350.0, 90.0, 120.0, 3000.0) == pytest.approx(
-            83.55635, abs=1e-4)
-
-    def test_generator_rejects_nonpositive_mechanical(self):
-        with pytest.raises(ValueError):
-            generator_efficiency(350.0, 90.0, 0.0, 3000.0)
-
-    def test_generator_flags_super_unity(self):
-        with pytest.raises(CharacterizationDataError):
-            generator_efficiency(350.0, 150.0, 100.0, 3000.0)
-
-    def test_motor_generator_reciprocity(self):
-        # same operating point measured in both directions multiplies to <= 1
-        eta_m = motor_efficiency(100.0, 3000.0, 350.0, 100.0)
-        eta_g = generator_efficiency(350.0, 80.0, 100.0, 3000.0)
-        assert eta_m <= 100.0 and eta_g <= 100.0
 
 
 class TestEfficiencyMapValidation:
@@ -135,11 +70,11 @@ class TestEfficiencyMapValidation:
 
     def test_nan_marks_infeasible_not_invalid(self):
         m = square_map([[50.0, np.nan], [50.0, 50.0]])
-        assert m.n_feasible == 3
+        assert np.isfinite(m.values).sum() == 3
 
     def test_boundary_value_100_allowed(self):
         m = square_map([[100.0, 100.0], [100.0, 100.0]])
-        assert m.n_feasible == 4
+        assert np.isfinite(m.values).sum() == 4
 
 
 class TestMapLookup:
@@ -281,7 +216,7 @@ class TestMergeGenSet:
                             np.asarray([[35.0, np.nan], [35.0, 35.0]]))
         merged = merge_gen_set(eng, flat_map(90.0), belt_ratio=2.7)
         assert np.isnan(merged.values[0, 1])
-        assert merged.n_feasible == 3
+        assert np.isfinite(merged.values).sum() == 3
 
     def test_generator_out_of_range_stays_infeasible(self):
         eng = EfficiencyMap(np.asarray([1000.0, 3000.0]), np.asarray([10.0, 20.0]),
@@ -318,17 +253,17 @@ class TestMergeGenSet:
 
 
 class TestMapIO:
-    def test_round_trip(self, tmp_path):
-        m = synthetic_engine_map()
+    def test_load_from_path(self, tmp_path):
         path = tmp_path / "engine.csv"
-        save_map(m, path)
-        back = load_map(path)
-        assert back.label == "engine"
-        assert np.array_equal(back.speed_axis, m.speed_axis)
-        assert np.array_equal(back.torque_axis, m.torque_axis)
-        assert np.array_equal(np.isnan(back.values), np.isnan(m.values))
-        finite = np.isfinite(m.values)
-        assert np.allclose(back.values[finite], m.values[finite], atol=5e-5)
+        path.write_text(",0,50,100\n1000,30.5,34,\n2000,31,35.25,36\n",
+                        encoding="utf-8")
+        m = load_map(path)
+        assert m.label == "engine"
+        assert m.speed_axis.tolist() == [1000.0, 2000.0]
+        assert m.torque_axis.tolist() == [0.0, 50.0, 100.0]
+        assert np.isnan(m.values[0, 2])
+        assert np.array_equal(m.values, [[30.5, 34.0, np.nan], [31.0, 35.25, 36.0]],
+                              equal_nan=True)
 
     def test_load_from_file_object(self):
         text = ",0,100\n1000,80,85\n2000,82,\n"
@@ -366,90 +301,27 @@ class TestMapIO:
             load_map(io.StringIO(",0,100\n2000,80,85\n1000,82,88\n"))
 
 
-class TestCharacterization:
-    def rows_text(self):
-        return ("omega_rpm,T_Nm,V_volts,I_amps\n"
-                "# bench sweep\n"
-                "2000,50,350,35\n"
-                "2000,100,350,70\n"
-                "3000,50,350,50\n")
-
-    def test_load_shape_and_values(self):
-        rows = load_characterization(io.StringIO(self.rows_text()))
-        assert rows.shape == (3, 4)
-        assert rows[0].tolist() == [2000.0, 50.0, 350.0, 35.0]
-
-    def test_field_count_reports_line(self):
-        with pytest.raises(MapFormatError, match="line 2"):
-            load_characterization(io.StringIO("2000,50,350,35\n2000,50,350\n"))
-
-    def test_non_numeric_reports_line(self):
-        with pytest.raises(MapFormatError, match="line 1"):
-            load_characterization(io.StringIO("x,50,350,35\n"))
-
-    def test_empty_rejected(self):
-        with pytest.raises(MapFormatError):
-            load_characterization(io.StringIO("# nothing\n"))
-
-    def test_motor_map_nodes(self):
-        rows = load_characterization(io.StringIO(self.rows_text()))
-        m = map_from_characterization(rows, "motor")
-        assert m.speed_axis.tolist() == [2000.0, 3000.0]
-        assert m.torque_axis.tolist() == [50.0, 100.0]
-        assert m.values[0, 0] == pytest.approx(
-            motor_efficiency(50.0, 2000.0, 350.0, 35.0))
-        assert m.values[0, 1] == pytest.approx(
-            motor_efficiency(100.0, 2000.0, 350.0, 70.0))
-        # unmeasured (3000, 100) node stays infeasible
-        assert np.isnan(m.values[1, 1])
-        assert m.label == "characterized-motor"
-
-    def test_generator_map_uses_inverse_ratio(self):
-        rows = np.asarray([[3000.0, 120.0, 350.0, 90.0],
-                           [3000.0, 60.0, 350.0, 45.0],
-                           [4000.0, 120.0, 350.0, 118.0],
-                           [4000.0, 60.0, 350.0, 60.0]])
-        m = map_from_characterization(rows, "generator", label="bench")
-        assert m.label == "bench"
-        assert m.values[0, 1] == pytest.approx(
-            generator_efficiency(350.0, 90.0, 120.0, 3000.0))
-
-    def test_super_unity_measurement_flagged(self):
-        rows = np.asarray([[2000.0, 50.0, 100.0, 10.0],
-                           [2000.0, 100.0, 350.0, 70.0]])
-        with pytest.raises(CharacterizationDataError):
-            map_from_characterization(rows, "motor")
-
-    def test_kind_validated(self):
-        rows = np.asarray([[2000.0, 50.0, 350.0, 35.0]])
-        with pytest.raises(ValueError):
-            map_from_characterization(rows, "turbine")
-
-    def test_row_shape_validated(self):
-        with pytest.raises(MapFormatError):
-            map_from_characterization(np.zeros((3, 3)), "motor")
-
-
 class TestBatteryPower:
     def battery(self, r=0.1, volts=350.0):
         return BatteryParams(c_batt_kwh=18.9, r_in_ohm=r, v_oc=volts)
 
     def test_discharge_example(self):
-        assert battery_power(self.battery(), 100.0) == pytest.approx(
-            36.0, abs=1e-12)
+        # 350 V * 100 A less 0.1 ohm * (100 A)^2 reaches the bus
+        assert terminal_power_kw(self.battery(), 100.0) == pytest.approx(
+            34.0, abs=1e-12)
 
     def test_charge_example(self):
-        assert battery_power(self.battery(), -100.0) == pytest.approx(
-            -34.0, abs=1e-12)
+        assert terminal_power_kw(self.battery(), -100.0) == pytest.approx(
+            -36.0, abs=1e-12)
 
     def test_zero_current(self):
-        assert battery_power(self.battery(), 0.0) == 0.0
+        assert terminal_power_kw(self.battery(), 0.0) == 0.0
 
     def test_ohmic_term_is_always_a_loss(self):
         b = self.battery()
         rng = np.random.default_rng(7)
         for i in rng.uniform(-300.0, 300.0, 40):
-            chem = chemistry_power_kw(b, i)
+            chem = b.v_oc * i / 1000.0
             term = terminal_power_kw(b, i)
             assert chem - term == pytest.approx(b.r_in_ohm * i * i / 1000.0,
                                                 rel=1e-12, abs=1e-12)
@@ -576,7 +448,53 @@ class TestBatteryParamsValidation:
             BatteryParams(**kwargs)
 
 
+def reference_genset_torque(engine_map, gen_map, belt_ratio, speed_rpm,
+                            electrical_kw, belt_efficiency=1.0):
+    """The fixed 80-step bisection that the early stop replaced."""
+    lo = 0.0
+    hi = min(max_feasible_torque(engine_map, speed_rpm),
+             max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, mid,
+                                belt_efficiency) < electrical_kw:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestGenSetPointSearch:
+    @pytest.mark.parametrize("speed", [1000.0, 1800.0, 2600.0, 3400.0])
+    @pytest.mark.parametrize("belt_efficiency", [1.0, 0.97])
+    def test_early_stop_matches_fixed_bisection(self, assembly, speed,
+                                                belt_efficiency):
+        args = (assembly.engine_map, assembly.generator_map, assembly.belt_ratio,
+                speed)
+        t_hi = min(max_feasible_torque(assembly.engine_map, speed),
+                   max_feasible_torque(assembly.generator_map,
+                                       speed * assembly.belt_ratio)
+                   * assembly.belt_ratio)
+        p_hi = genset_electrical_kw(*args, t_hi, belt_efficiency)
+        targets = [0.0, 5e-324, 1e-300, 1e-9, p_hi, np.nextafter(p_hi, 0.0)]
+        targets += list(np.linspace(0.0, p_hi, 41)[1:-1])
+        for kw in targets:
+            got = genset_point_at(*args, kw, belt_efficiency).engine_torque_nm
+            assert got == reference_genset_torque(*args, kw, belt_efficiency), kw
+
+    def test_early_stop_saves_lookups(self, assembly, monkeypatch):
+        calls = []
+        real = powertrain.genset_electrical_kw
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(powertrain, "genset_electrical_kw", counted)
+        assembly.genset_point(2600.0, 38.57868)
+        # one capability lookup plus fewer than the old 80 bisection steps
+        assert len(calls) < 81
+
     def test_point_meets_requested_power(self, assembly, genset_point):
         p = genset_point
         assert p.electrical_power_kw == pytest.approx(38.57868)
@@ -652,10 +570,6 @@ class TestDrivetrainParams:
     def test_default_conversion(self):
         d = DrivetrainParams()
         assert d.rpm_per_mps == pytest.approx(223.04510, abs=1e-4)
-
-    def test_motor_torque(self):
-        d = DrivetrainParams()
-        assert d.motor_torque_nm(1000.0) == pytest.approx(42.81330, abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -741,7 +655,7 @@ class TestSyntheticMaps:
 
     def test_assembly_builds_merged_map(self, assembly):
         assert assembly.merged_map.label == "synthetic-engine+synthetic-generator"
-        assert assembly.merged_map.n_feasible > 0
+        assert np.isfinite(assembly.merged_map.values).sum() > 0
         peak = np.nanmax(assembly.merged_map.values)
         assert 25.0 < peak < 36.0  # engine 36% times generator < 100%
 

@@ -6,6 +6,7 @@ import pytest
 import phevopt.cli as cli
 import phevopt.powertrain as powertrain
 from phevopt.cli import main, run_dp_hybrid
+from phevopt.cycle import load_cycle
 from phevopt.ems import simulate_rule_based
 from phevopt.errors import ScenarioError
 from phevopt.scenario import load_scenario
@@ -24,7 +25,8 @@ class TestLoadScenario:
     def test_three_lap_composition(self, scenario_dir):
         sc = load_scenario(scenario_dir / "three_lap.ini")
         assert sc.laps == 3
-        assert sc.cycle.distance_km == pytest.approx(3 * sc.cycle_single.distance_km)
+        lap = load_cycle(scenario_dir / CYCLE)
+        assert sc.cycle.distance_km == pytest.approx(3 * lap.distance_km)
         assert sc.rule.initial_soc == 88.0
         assert sc.rule.cs_trigger == 14.0
         assert sc.uf == 0.80
@@ -223,6 +225,11 @@ class TestLoadScenario:
                            match=rf"\[dp\] {key} = '{bad}' is not a finite number"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
+    def test_terminal_at_window_top_accepted(self, tmp_path, scenario_dir):
+        body = "[accounting]\nuf = 0.8\n[dp]\nsoc_max = 17\nterminal = 17\n"
+        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
+        assert sc.dp.terminal_rule.resolve(sc.dp) == 17.0
+
     @pytest.mark.parametrize("dt", ["0", "-10"])
     def test_non_positive_dt_rejected(self, tmp_path, scenario_dir, dt):
         body = f"[accounting]\nuf = 0.8\n[dp]\ndt_s = {dt}\n"
@@ -295,6 +302,10 @@ class TestCliExitCodes:
                      id="nan-resistance"),
         pytest.param("[dp]\ndt_s = 0\n", "[dp] dt_s", id="zero-interval"),
         pytest.param("[dp]\ndeltas = nan, 0.2\n", "[dp] deltas", id="nan-delta"),
+        pytest.param("[dp]\ndeltas = -0.1\n", "[dp] deltas", id="negative-delta"),
+        pytest.param("[dp]\ndeltas = 0.2, 0, 0.3\n", "[dp] deltas", id="zero-delta"),
+        pytest.param("[dp]\nterminal = 20\n", "[dp] terminal",
+                     id="terminal-above-window"),
         pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
                      id="charging-efficiency"),
     ])
