@@ -8,7 +8,8 @@ wheel-power trace against chassis-dynamometer measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -139,34 +140,43 @@ def load_cycle(source, name: str | None = None) -> DriveCycle:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
         label = name or path.stem
-    lines = text.splitlines()
-
-    header: list[str] | None = None
-    rows: list[tuple[float, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if header is None:
-            if parts == ["t_s", "v_mps"] or parts == ["t_s", "v_mps", "grade_deg"]:
-                header = parts
-                continue
-            raise CycleFormatError(
-                f"line {lineno}: expected header 't_s,v_mps[,grade_deg]', got {line!r}")
-        if len(parts) != len(header):
-            raise CycleFormatError(
-                f"line {lineno}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise CycleFormatError(f"line {lineno}: non-numeric value in {line!r}") from None
-    if header is None:
+    # each per-line step maps a builtin, so no Python code runs per row
+    lines = list(map(str.strip, text.splitlines()))
+    n = len(lines)
+    filled = np.fromiter(map(bool, lines), bool, n)
+    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
+    used = np.flatnonzero(filled & ~comment)
+    if used.size == 0:
         raise CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")
+    header = [p.strip() for p in lines[used[0]].split(",")]
+    if header not in (["t_s", "v_mps"], ["t_s", "v_mps", "grade_deg"]):
+        raise CycleFormatError(f"line {used[0] + 1}: expected header "
+                               f"'t_s,v_mps[,grade_deg]', got {lines[used[0]]!r}")
+
+    # every row before the first with a wrong field count is parsed in one
+    # pass; an error names the earliest offending line
+    rows = list(map(lines.__getitem__, used[1:].tolist()))
+    linenos = used[1:] + 1
+    width = len(header)
+    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+    bad = np.flatnonzero(counts != width)
+    n_ok = int(bad[0]) if bad.size else len(rows)
+    try:
+        values = np.array(",".join(rows[:n_ok]).split(",") if n_ok else [], dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row.split(","), dtype=float)
+            except ValueError:
+                raise CycleFormatError(
+                    f"line {lineno}: non-numeric value in {row!r}") from None
+    if bad.size:
+        raise CycleFormatError(f"line {linenos[n_ok]}: expected {width} fields, "
+                               f"got {counts[n_ok]}")
     if len(rows) < 2:
         raise CycleFormatError(f"need at least 2 samples, got {len(rows)}")
 
-    data = np.asarray(rows, dtype=float)
+    data = values.reshape(-1, width)
     grade = data[:, 2] if len(header) == 3 else None
     try:
         return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade, name=label)

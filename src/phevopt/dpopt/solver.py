@@ -7,12 +7,11 @@ decision per state.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .._csv import write_csv
 from ..errors import InfeasibleProblemError, ToleranceBreachError
 from .problem import DemandProfile, DpConfig, DpPolicy, cs_step, interp_inf
 
@@ -159,15 +158,9 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
 
 def write_policy(policy: DpPolicy, path) -> None:
     """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
-    # row loop kept until layerbench/test_bench.py stops mutating its f-string
-    buf = io.StringIO()
-    buf.write("k,soc_grid,decision_label,cost_to_go_kwh\n")
-    for k in range(policy.n_intervals):
-        row_cost = policy.cost_to_go[k]
-        row_idx = policy.decision_idx[k]
-        for i, soc in enumerate(policy.grid):
-            cost = row_cost[i]
-            cost_txt = f"{cost:.9f}" if np.isfinite(cost) else "inf"
-            buf.write(f"{k},{soc:.6f},{policy.decisions[int(row_idx[i])].label},"
-                      f"{cost_txt}\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    n, m = policy.n_intervals, policy.grid.size
+    labels = np.array([d.label for d in policy.decisions], dtype=object)
+    write_csv(path, ("k", "%d", np.repeat(np.arange(n), m)),
+              ("soc_grid", "%.6f", np.tile(policy.grid, n)),
+              ("decision_label", "%s", labels[policy.decision_idx.ravel()]),
+              ("cost_to_go_kwh", "%.9f", policy.cost_to_go[:n].ravel()))

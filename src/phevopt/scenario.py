@@ -216,10 +216,20 @@ def load_scenario(path) -> Scenario:
     else:
         terminal = TerminalRule.at(_get_float(sec, "terminal"))
 
+    soc_min = _get_float(sec, "soc_min", rule.soc_low)
+    soc_max = _get_float(sec, "soc_max", rule.soc_high)
+    initial_soc = _get_float(sec, "initial_soc", rule.cs_trigger)
+    if not soc_min <= initial_soc <= soc_max:
+        named = (f"[dp] initial_soc = {initial_soc:g}"
+                 if sec.get("initial_soc", "").strip() else
+                 f"[rule] cs_trigger = {initial_soc:g}, the default [dp] initial_soc,")
+        raise ScenarioError(f"{named} lies outside the SOC window "
+                            f"[{soc_min:g}, {soc_max:g}]")
+
     dp = DpConfig(
         dt_s=dt_s,
-        soc_min=_get_float(sec, "soc_min", rule.soc_low),
-        soc_max=_get_float(sec, "soc_max", rule.soc_high),
+        soc_min=soc_min,
+        soc_max=soc_max,
         grid_step=_get_float(sec, "grid_step", 0.01),
         decisions=decisions,
         terminal_rule=terminal,
@@ -227,7 +237,7 @@ def load_scenario(path) -> Scenario:
         obd_energy_per_event_kwh=_get_float(sec, "obd_energy_per_event_kwh", 0.00497),
         c_batt_kwh=c_batt,
         p_genset_max_kw=_get_float(sec, "p_genset_max_kw", 40.0),
-        initial_soc=_get_float(sec, "initial_soc", rule.cs_trigger),
+        initial_soc=initial_soc,
     )
     if terminal.kind == "threshold" and terminal.value > dp.soc_max:
         raise ScenarioError(f"[dp] terminal = {terminal.value:g} lies above "

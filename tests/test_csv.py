@@ -1,8 +1,8 @@
 """The column writer against the per-row f-string loops it replaced.
 
-The reference functions below are the per-row loops the package wrote its
-CSV files with (``write_policy`` still does); the block-wise writer must
-produce the same bytes.
+The reference functions below are the per-row loops the package once wrote
+its CSV files with; every CLI data file now goes through the block-wise
+column writer, which must produce the same bytes.
 """
 
 import math
@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phevopt import cli
 from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
-from phevopt.dpopt.solver import write_policy
+from phevopt.dpopt import Decision, DpPolicy, obd_study, solver, studies
+from phevopt.dpopt.solver import solve, write_policy
 from phevopt.ems import MODE_CS, write_trace
 from phevopt.scenario import load_scenario
 
@@ -65,6 +67,10 @@ def reference_policy(policy) -> str:
 
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
 words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# what a backward sweep can store: non-negative fuel, or +inf when unreachable
+costs = st.one_of(st.sampled_from([x for x in SPECIAL if x >= 0]),
+                  st.floats(min_value=0.0))
+POLICY_STATES = 3
 
 
 class TestWriteCsv:
@@ -95,6 +101,52 @@ class TestWriteCsv:
         assert not path.exists()
 
 
+class TestWritePolicy:
+    @pytest.mark.parametrize("n", (0, 1, _BLOCK // POLICY_STATES + 1))
+    @given(grid=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=POLICY_STATES, max_size=POLICY_STATES),
+           pool=st.lists(costs, min_size=1, max_size=24),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
+           labels=st.lists(words, min_size=1, max_size=4))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_row_loop(self, tmp_path_factory, n, grid, pool, picks, labels):
+        shape = (n + 1, POLICY_STATES)
+        policy = DpPolicy(
+            cost_to_go=np.resize(np.asarray(pool), shape),
+            decision_idx=np.resize(np.asarray(picks, dtype=np.int32) % len(labels),
+                                   shape)[:n],
+            grid=np.asarray(grid),
+            decisions=tuple(Decision(0.1 * j, 30.0, label)
+                            for j, label in enumerate(labels)))
+        path = tmp_path_factory.mktemp("policy") / "policy.csv"
+        write_policy(policy, path)
+        assert path.read_bytes() == reference_policy(policy).encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["single_lap", "three_lap", "obd_single_lap"])
+    def test_shipped_solves_store_no_nan_or_negative_inf(self, scenario_dir, name,
+                                                         monkeypatch):
+        # "%.9f" and the old isfinite branch print these two differently
+        policies = []
+
+        def recorded(*args, **kwargs):
+            policies.append(solve(*args, **kwargs))
+            return policies[-1]
+
+        monkeypatch.setattr(cli, "solve", recorded)
+        monkeypatch.setattr(studies, "solve", recorded)
+        sc = load_scenario(scenario_dir / f"{name}.ini")
+        run_dp_hybrid(sc)
+        obd_study(sc.cycle, sc.vp, sc.assembly, sc.bp, sc.dp,
+                  calibration=sc.calibration.energy_scale,
+                  regen_current_limit_a=sc.rule.regen_current_limit_a)
+        assert len(policies) == 3
+        for policy in policies:
+            ctg = policy.cost_to_go
+            assert not np.isnan(ctg).any()
+            assert not np.isneginf(ctg).any()
+            assert np.isfinite(ctg).any()
+
+
 class TestWritersMatchRowLoops:
     @pytest.fixture(scope="class")
     def run(self, scenario_dir):
@@ -114,3 +166,14 @@ class TestWritersMatchRowLoops:
         path = tmp_path / "trace.csv"
         write_trace(run.trace, path)
         assert path.read_bytes() == reference_trace(run.trace).encode("utf-8")
+
+    def test_write_policy_calls_write_csv_once(self, run, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return write_csv(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "write_csv", counted)
+        write_policy(run.policy, tmp_path / "policy.csv")
+        assert len(calls) == 1

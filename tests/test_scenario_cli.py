@@ -308,6 +308,10 @@ class TestCliExitCodes:
                      id="terminal-above-window"),
         pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
                      id="charging-efficiency"),
+        pytest.param("[dp]\ninitial_soc = 11\n", "[dp] initial_soc = 11 lies outside",
+                     id="initial-soc-outside-window"),
+        pytest.param("[dp]\nsoc_min = 15\n", "[rule] cs_trigger = 14, the default",
+                     id="default-initial-soc-outside-window"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
