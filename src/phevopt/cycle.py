@@ -115,17 +115,16 @@ class CycleMetrics:
             raise ValueError("percent_idle must lie in [0, 100]")
 
 
-def load_cycle(source, name: str | None = None) -> DriveCycle:
+def load_cycle(source) -> DriveCycle:
     """Parse a drive cycle from CSV text.
 
     The format is a header row ``t_s,v_mps`` or ``t_s,v_mps,grade_deg``
     followed by one sample per row. Lines starting with ``#`` are ignored.
+    The cycle's label is the file stem, or empty for a text stream.
 
     Parameters
     ----------
     source : path-like or text stream
-    name : str, optional
-        Cycle label; defaults to the file stem when a path is given.
 
     Raises
     ------
@@ -135,11 +134,11 @@ def load_cycle(source, name: str | None = None) -> DriveCycle:
     """
     if hasattr(source, "read"):
         text = source.read()
-        label = name or ""
+        label = ""
     else:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
-        label = name or path.stem
+        label = path.stem
     # each per-line step maps a builtin, so no Python code runs per row
     lines = list(map(str.strip, text.splitlines()))
     n = len(lines)
@@ -214,8 +213,7 @@ def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:
                       np.concatenate(g_parts), name)
 
 
-def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float,
-                    v_idle: float = V_IDLE_MPS) -> CycleMetrics:
+def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float) -> CycleMetrics:
     """Summarize a wheel-power trace with the four dynamometer metrics.
 
     Parameters
@@ -255,7 +253,7 @@ def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float,
     pos = p > 0.0
     w_pos = float(w[pos].sum())
     avg_pos = float((w[pos] @ p[pos]) / w_pos) if w_pos > 0 else 0.0
-    idle = float(w[v < v_idle].sum()) / float(t[-1] - t[0]) * 100.0
+    idle = float(w[v < V_IDLE_MPS].sum()) / float(t[-1] - t[0]) * 100.0
     return CycleMetrics(
         positive_propulsion_wh_per_km=energy_wh / distance_km,
         peak_power_kw=max(float(p.max()), 0.0),
@@ -285,7 +283,7 @@ _SYNTH_KEYPOINTS = (
 )
 
 
-def synthetic_cycle(name: str = "synthetic-mixed", step_s: float = 1.0) -> DriveCycle:
+def synthetic_cycle() -> DriveCycle:
     """Deterministic mixed urban/highway cycle bundled with the package.
 
     Roughly 20 km over 1380 s with about 10% idle time; accelerations stay
@@ -293,6 +291,6 @@ def synthetic_cycle(name: str = "synthetic-mixed", step_s: float = 1.0) -> Drive
     and the test fixtures.
     """
     kp = np.asarray(_SYNTH_KEYPOINTS)
-    t = np.arange(0.0, kp[-1, 0] + 0.5 * step_s, step_s)
+    t = np.arange(0.0, kp[-1, 0] + 0.5, 1.0)
     v = np.interp(t, kp[:, 0], kp[:, 1])
-    return DriveCycle(t_s=t, v_mps=v, name=name)
+    return DriveCycle(t_s=t, v_mps=v, name="synthetic-mixed")

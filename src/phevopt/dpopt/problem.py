@@ -317,12 +317,9 @@ class DpPolicy:
     def n_intervals(self) -> int:
         return self.decision_idx.shape[0]
 
-    def interp_cost(self, k: int, soc: float) -> float:
-        """Cost-to-go at stage k and an off-grid SOC (inf-aware linear
+    def optimal_cost(self, initial_soc: float) -> float:
+        """Cost-to-go at stage 0 and an off-grid SOC (inf-aware linear
         interpolation)."""
         grid = self.grid
         step = (grid[-1] - grid[0]) / (grid.size - 1)
-        return float(interp_inf(self.cost_to_go[k], soc, grid[0], step))
-
-    def optimal_cost(self, initial_soc: float) -> float:
-        return self.interp_cost(0, initial_soc)
+        return float(interp_inf(self.cost_to_go[0], initial_soc, grid[0], step))

@@ -77,20 +77,17 @@ class RuleOnDemandResult:
 
 
 def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
-                            trigger_soc: float, high_soc: float,
-                            decision_idx: int | None = None,
-                            min_dwell_intervals: int = 1) -> RuleOnDemandResult:
+                            trigger_soc: float, high_soc: float) -> RuleOnDemandResult:
     """Replay the CS thermostat rule interval-by-interval on a demand
     profile: gen-set on at or below the trigger, off at or above the window
-    top, holding each state for the dwell. Charging uses one fixed decision
-    from the table (the largest by default). The same gating and
-    curtailment as the DP apply, so the resulting sequence is admissible
-    and directly comparable with a DP rollout.
+    top, with a dwell of one interval. Charging uses the largest decision
+    of the table. The same gating and curtailment as the DP apply, so the
+    resulting sequence is admissible and directly comparable with a DP
+    rollout.
     """
     deltas = cfg.delta_array()
     fuels = cfg.fuel_array()
-    if decision_idx is None:
-        decision_idx = int(np.argmax(deltas))
+    decision_idx = int(np.argmax(deltas))
     if deltas[decision_idx] <= 0:
         raise ValueError("the rule decision must charge")
     delta = float(deltas[decision_idx])
@@ -101,21 +98,14 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     traj = np.empty(d.n_intervals + 1)
     traj[0] = soc
     on = False
-    since_change = min_dwell_intervals  # the first transition is free
     fuel = 0.0
     n_on = 0
     feasible = True
     for k in range(d.n_intervals):
-        want_on = on
         if on and soc >= high_soc:
-            want_on = False
+            on = False
         elif not on and soc <= trigger_soc:
-            want_on = True
-        if want_on != on and since_change >= min_dwell_intervals:
-            on = want_on
-            since_change = 0
-        since_change += 1
-
+            on = True
         succ, gate_ok, ok = cs_step(cfg, soc, d.d_pct[k], null_or_charge)
         a = 1 if on and gate_ok[1] else 0  # the DP gate forbids charging near the top
         if a:

@@ -3,7 +3,7 @@
 The road-load model sums inertial force (with a rotating-inertia factor),
 grade force, aerodynamic drag, and rolling resistance:
 
-    F_tr = m*i*a + m*g*sin(grade) + 0.5*rho*CdAf*v^2 + m*g*Crr*[v > v_idle]
+    F_tr = m*i*a + m*g*sin(grade) + 0.5*rho*CdAf*v^2 + m*g*Crr*[v > V_IDLE_MPS]
 
 Rolling resistance is gated on motion so no spurious static force appears
 at standstill.
@@ -51,8 +51,7 @@ class VehicleParams:
             raise ValueError("rho and g must be positive")
 
 
-def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg=0.0,
-                   v_idle: float = V_IDLE_MPS):
+def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg=0.0):
     """Tractive force in N at one operating point (or elementwise on arrays).
 
     Parameters
@@ -77,7 +76,7 @@ def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg=0.0,
     f = (mass * p.i * accel
          + mass * p.g * np.sin(grade)
          + 0.5 * p.rho * p.cdaf * v * v
-         + mass * p.g * p.crr * (v > v_idle))
+         + mass * p.g * p.crr * (v > V_IDLE_MPS))
     return float(f) if f.ndim == 0 else f
 
 
@@ -91,14 +90,12 @@ def accel_series(cycle: DriveCycle) -> np.ndarray:
     return a
 
 
-def wheel_power_series(p: VehicleParams, cycle: DriveCycle,
-                       mass: float | None = None) -> np.ndarray:
-    """Per-sample wheel power in kW for a cycle, aligned with ``cycle.t_s``.
+def wheel_power_series(p: VehicleParams, cycle: DriveCycle) -> np.ndarray:
+    """Per-sample wheel power in kW at the test mass, aligned with ``cycle.t_s``.
 
     Negative values are retained: they are the regenerative-braking
-    potential at the wheels. ``mass`` defaults to the test mass.
+    potential at the wheels.
     """
-    mass = p.m_t if mass is None else mass
     a = accel_series(cycle)
-    f = tractive_force(p, mass, cycle.v_mps, a, cycle.grade_deg)
+    f = tractive_force(p, p.m_t, cycle.v_mps, a, cycle.grade_deg)
     return f * cycle.v_mps / 1000.0

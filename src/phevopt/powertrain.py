@@ -4,7 +4,7 @@ Efficiency maps are node grids over (speed rpm, torque Nm) with NaN marking
 the infeasible region outside a component's envelope; lookups are bilinear.
 Maps are loaded from CSV matrices or generated synthetically (the
 published figures carry no numeric tables, so the bundled defaults are
-parameterized stand-ins and are labeled as such).
+fixed stand-ins and are labeled as such).
 
 The battery is an internal-resistance model with one constant open-circuit
 voltage: terminal power V_oc*I - R*I^2, and SOC integrated from the
@@ -28,7 +28,7 @@ from .errors import (
 )
 
 RAD_S_PER_RPM = 2.0 * math.pi / 60.0
-DEFAULT_BELT_RATIO = 2.7          # generator speed / engine speed
+MOTOR_V_MIN_MPS = 0.05  # below this speed the traction motor is off
 
 _W_SNAP = 1e-12  # interpolation weights below this snap onto the node
 
@@ -137,14 +137,13 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
 
 
 def merge_gen_set(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
-                  belt_ratio: float = DEFAULT_BELT_RATIO,
-                  belt_efficiency: float = 1.0) -> EfficiencyMap:
+                  belt_ratio: float, belt_efficiency: float) -> EfficiencyMap:
     """Combine engine and generator maps into one fuel-to-electricity map.
 
     The merged map lives on the engine's axes. At each engine node the
     generator is evaluated at (speed * belt_ratio, torque / belt_ratio) and
-    the combined efficiency is eta_eng * eta_gen / 100 (times an optional
-    belt efficiency). Nodes whose generator point is out of range or
+    the combined efficiency is eta_eng * eta_gen / 100 times the belt
+    efficiency. Nodes whose generator point is out of range or
     infeasible become infeasible.
     """
     if belt_ratio <= 0:
@@ -166,16 +165,17 @@ def merge_gen_set(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
 # ---------------------------------------------------------------------------
 # Map I/O
 
-def load_map(source, label: str | None = None) -> EfficiencyMap:
+def load_map(source) -> EfficiencyMap:
     """Read a map matrix: first row = torque axis, first column = speed
-    axis, body = efficiency %, empty cell = infeasible, ``#`` comments."""
+    axis, body = efficiency %, empty cell = infeasible, ``#`` comments.
+    The label is the file stem, or empty for a text stream."""
     if hasattr(source, "read"):
         text = source.read()
-        name = label or ""
+        name = ""
     else:
         path = Path(source)
         text = path.read_text(encoding="utf-8")
-        name = label or path.stem
+        name = path.stem
     torque_axis: list[float] | None = None
     speeds: list[float] = []
     body: list[list[float]] = []
@@ -210,48 +210,43 @@ def load_map(source, label: str | None = None) -> EfficiencyMap:
 # ---------------------------------------------------------------------------
 # Synthetic default maps
 
-def synthetic_motor_map(peak_eta: float = 94.0, max_torque_nm: float = 320.0,
-                        max_power_kw: float = 120.0) -> EfficiencyMap:
-    """Parameterized traction-motor map: peak efficiency near mid speed and
-    mid torque, constant-torque region up to base speed, constant-power
-    envelope above. Synthetic stand-in for unmeasured hardware."""
+def synthetic_motor_map() -> EfficiencyMap:
+    """Traction-motor map: 94% peak efficiency near mid speed and mid
+    torque, 320 Nm up to base speed, a 120 kW constant-power envelope
+    above. Synthetic stand-in for unmeasured hardware."""
     speed = np.arange(0.0, 10000.1, 500.0)
-    torque = np.arange(0.0, max_torque_nm + 0.1, 20.0)
+    torque = np.arange(0.0, 320.1, 20.0)
     s_norm = (speed[:, None] - 5000.0) / 5000.0
-    t_norm = (torque[None, :] - max_torque_nm / 2.0) / (max_torque_nm / 2.0)
-    values = peak_eta * (1.0 - 0.18 * s_norm**2) * (1.0 - 0.12 * t_norm**2)
+    t_norm = (torque[None, :] - 160.0) / 160.0
+    values = 94.0 * (1.0 - 0.18 * s_norm**2) * (1.0 - 0.12 * t_norm**2)
     power_lim = np.full_like(speed, np.inf)
     nz = speed > 0
-    power_lim[nz] = max_power_kw * 1000.0 / (speed[nz] * RAD_S_PER_RPM)
-    envelope = np.minimum(max_torque_nm, power_lim[:, None])
+    power_lim[nz] = 120000.0 / (speed[nz] * RAD_S_PER_RPM)
+    envelope = np.minimum(320.0, power_lim[:, None])
     values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
     return EfficiencyMap(speed, torque, values, "synthetic-motor")
 
 
-def synthetic_engine_map(peak_eta: float = 36.0, max_torque_nm: float = 170.0,
-                         max_power_kw: float = 52.0) -> EfficiencyMap:
-    """Parameterized diesel-engine map over 800-3600 rpm."""
+def synthetic_engine_map() -> EfficiencyMap:
+    """Diesel-engine map over 800-3600 rpm: 36% peak, 170 Nm, 52 kW."""
     speed = np.arange(800.0, 3600.1, 200.0)
     torque = np.arange(0.0, 180.1, 10.0)
     s_norm = (speed[:, None] - 2200.0) / 1400.0
     t_norm = (torque[None, :] - 120.0) / 120.0
-    values = peak_eta * (1.0 - 0.10 * s_norm**2) * (1.0 - 0.30 * t_norm**2)
-    envelope = np.minimum(max_torque_nm,
-                          max_power_kw * 1000.0 / (speed * RAD_S_PER_RPM))[:, None]
+    values = 36.0 * (1.0 - 0.10 * s_norm**2) * (1.0 - 0.30 * t_norm**2)
+    envelope = np.minimum(170.0, 52000.0 / (speed * RAD_S_PER_RPM))[:, None]
     values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
     return EfficiencyMap(speed, torque, values, "synthetic-engine")
 
 
-def synthetic_generator_map(peak_eta: float = 92.0, max_torque_nm: float = 120.0,
-                            max_power_kw: float = 56.0) -> EfficiencyMap:
-    """Parameterized generator map over 1000-10000 rpm (belt side)."""
+def synthetic_generator_map() -> EfficiencyMap:
+    """Generator map over 1000-10000 rpm (belt side): 92% peak, 120 Nm, 56 kW."""
     speed = np.arange(1000.0, 10000.1, 500.0)
     torque = np.arange(0.0, 120.1, 10.0)
     s_norm = (speed[:, None] - 6000.0) / 4000.0
     t_norm = (torque[None, :] - 60.0) / 60.0
-    values = peak_eta * (1.0 - 0.06 * s_norm**2) * (1.0 - 0.10 * t_norm**2)
-    envelope = np.minimum(max_torque_nm,
-                          max_power_kw * 1000.0 / (speed * RAD_S_PER_RPM))[:, None]
+    values = 92.0 * (1.0 - 0.06 * s_norm**2) * (1.0 - 0.10 * t_norm**2)
+    envelope = np.minimum(120.0, 56000.0 / (speed * RAD_S_PER_RPM))[:, None]
     values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
     return EfficiencyMap(speed, torque, values, "synthetic-generator")
 
@@ -276,13 +271,13 @@ class DrivetrainParams:
 
 
 def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
-                           v_mps, p_wheel_kw, v_min: float = 0.05):
+                           v_mps, p_wheel_kw):
     """Electrical power at the motor terminals for wheel operating points.
 
     Positive wheel power divides by map efficiency; negative wheel power
     (regeneration) multiplies by it, with braking torque clamped to the map
-    envelope (the remainder is friction braking). Below ``v_min`` the motor
-    is treated as off. ``v_mps`` and ``p_wheel_kw`` may be arrays
+    envelope (the remainder is friction braking). Below ``MOTOR_V_MIN_MPS``
+    the motor is treated as off. ``v_mps`` and ``p_wheel_kw`` may be arrays
     (broadcast); the result is then NaN wherever the scalar call would raise.
 
     Raises
@@ -303,7 +298,7 @@ def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
         eta = _bilinear(motor_map, omega_rpm, t_map) / 100.0
         p_regen_kw = t_map * omega_rpm * RAD_S_PER_RPM / 1000.0
         p_elec = np.where(drive, p / eta, np.where(t_map <= 0, 0.0, -p_regen_kw * eta))
-    p_elec = np.where((v < v_min) | (p == 0.0), 0.0, p_elec)
+    p_elec = np.where((v < MOTOR_V_MIN_MPS) | (p == 0.0), 0.0, p_elec)
     if np.ndim(v_mps) or np.ndim(p_wheel_kw):
         return p_elec
     if np.isnan(p_elec[0]):  # let the scalar faces raise the reason
@@ -421,7 +416,7 @@ class GenSetPoint:
 
 def genset_electrical_kw(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                          belt_ratio: float, speed_rpm: float, torque_nm: float,
-                         belt_efficiency: float = 1.0) -> float:
+                         belt_efficiency: float) -> float:
     """Electrical output of the gen-set at an engine operating point."""
     eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque_nm / belt_ratio)
     p_mech_kw = torque_nm * speed_rpm * RAD_S_PER_RPM / 1000.0
@@ -430,7 +425,7 @@ def genset_electrical_kw(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
 
 def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                     belt_ratio: float, speed_rpm: float, electrical_kw: float,
-                    belt_efficiency: float = 1.0) -> GenSetPoint:
+                    belt_efficiency: float) -> GenSetPoint:
     """Find the engine torque at a fixed speed that produces the requested
     electrical power, by bisection over the feasible torque range. The
     bisection stops once the bracket holds adjacent doubles, where further
@@ -476,7 +471,7 @@ class PowertrainAssembly:
     motor_map: EfficiencyMap
     engine_map: EfficiencyMap
     generator_map: EfficiencyMap
-    belt_ratio: float = DEFAULT_BELT_RATIO
+    belt_ratio: float = 2.7        # generator speed / engine speed
     belt_efficiency: float = 1.0
     drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
     merged_map: EfficiencyMap = None  # type: ignore[assignment]

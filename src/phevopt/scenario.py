@@ -3,19 +3,27 @@
 The format is INI-style ``key = value`` sections parsed with the standard
 library. Paths are resolved relative to the scenario file. Map entries
 accept either a CSV path or the keyword ``synthetic``.
+
+Each number in ``[vehicle]``, ``[drivetrain]``, ``[maps]``, ``[battery]``,
+``[rule]`` and ``[dp]`` is read from the key named after the dataclass
+field it fills and defaults to that field's default, so every default is
+stated once, on its dataclass; only the ``[dp]`` SOC window and initial
+SOC default to ``[rule]`` values instead. A section or key that loading
+does not read is rejected, so a misspelled key cannot leave its default in
+place unseen.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .accounting import Calibration, calibration_factor
 from .cycle import CycleMetrics, DriveCycle, load_cycle, repeat_cycle
 from .dpopt import Decision, DpConfig, TerminalRule, default_decisions, null_decision
-from .dpopt.problem import delta_to_electrical_kw
+from .dpopt.problem import DEFAULT_DELTAS, delta_to_electrical_kw
 from .dynamics import VehicleParams
 from .ems import RuleConfig
 from .errors import ScenarioError
@@ -47,6 +55,18 @@ class Scenario:
     test_metrics: CycleMetrics | None
 
 
+class _Parser(configparser.ConfigParser):
+    """An INI parser that records every ``(section, key)`` looked up."""
+
+    def __init__(self) -> None:
+        super().__init__(inline_comment_prefixes=("#",))
+        self.read_keys: set[tuple[str, str]] = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
     if not cp.has_section(name):
         cp.add_section(name)
@@ -72,9 +92,17 @@ def _to_float(sec, key: str, raw: str) -> float:
     return value
 
 
-def _get_floats(sec, key: str, default: str) -> tuple[float, ...]:
-    raw = sec.get(key, default)
-    return tuple(_to_float(sec, key, x.strip()) for x in raw.split(",") if x.strip())
+def _get_floats(sec, key: str) -> tuple[float, ...]:
+    return tuple(_to_float(sec, key, x.strip()) for x in sec[key].split(",") if x.strip())
+
+
+def _fill(cls, sec, **given):
+    """``cls(**given)``, where every field with a float default that is not
+    given is read from the key named after it, defaulting to that default."""
+    for f in fields(cls):
+        if f.name not in given and isinstance(f.default, float):
+            given[f.name] = _get_float(sec, f.name, f.default)
+    return cls(**given)
 
 
 def _load_map_entry(sec, key: str, base: Path, synth_factory):
@@ -89,9 +117,12 @@ def _metrics_from(sec, prefix: str) -> CycleMetrics | None:
         return None
     avg = _get_float(sec, f"{prefix}_avg_positive_power_kw", 0.0)
     peak = _get_float(sec, f"{prefix}_peak_power_kw", avg)
+    if peak < avg:
+        raise ScenarioError(f"[calibration] {prefix}_peak_power_kw = {peak:g} lies "
+                            f"below {prefix}_avg_positive_power_kw = {avg:g}")
     return CycleMetrics(
         positive_propulsion_wh_per_km=_get_float(sec, f"{prefix}_positive_wh_per_km"),
-        peak_power_kw=max(peak, avg),
+        peak_power_kw=peak,
         avg_positive_power_kw=avg,
         percent_idle=_get_float(sec, f"{prefix}_percent_idle", 0.0),
     )
@@ -105,11 +136,12 @@ def load_scenario(path) -> Scenario:
     FileNotFoundError
         When the scenario or a referenced file does not exist.
     ScenarioError
-        When a required key is missing or malformed.
+        When a required key is missing or malformed, or a section or key
+        is never read.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = _Parser()
     try:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -125,70 +157,36 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[cycle] laps = {laps:g} is not a whole number")
     cycle = repeat_cycle(load_cycle(base / cycle_path), int(laps))
 
-    sec = _section(cp, "vehicle")
-    vp = VehicleParams(
-        m=_get_float(sec, "m", 2100.0),
-        m_t=_get_float(sec, "m_t", 2800.0),
-        i=_get_float(sec, "i", 1.04),
-        cdaf=_get_float(sec, "cdaf", 0.75),
-        crr=_get_float(sec, "crr", 0.009),
-        rho=_get_float(sec, "rho", 1.20),
-        g=_get_float(sec, "g", 9.81),
-    )
-
-    sec = _section(cp, "drivetrain")
-    drv = DrivetrainParams(
-        gear_ratio=_get_float(sec, "gear_ratio", 7.82),
-        wheel_radius_m=_get_float(sec, "wheel_radius_m", 0.3348),
-    )
-
+    vp = _fill(VehicleParams, _section(cp, "vehicle"))
+    drv = _fill(DrivetrainParams, _section(cp, "drivetrain"))
     sec = _section(cp, "maps")
-    assembly = PowertrainAssembly(
+    assembly = _fill(
+        PowertrainAssembly, sec,
         motor_map=_load_map_entry(sec, "motor", base, synthetic_motor_map),
         engine_map=_load_map_entry(sec, "engine", base, synthetic_engine_map),
         generator_map=_load_map_entry(sec, "generator", base, synthetic_generator_map),
-        belt_ratio=_get_float(sec, "belt_ratio", 2.7),
-        belt_efficiency=_get_float(sec, "belt_efficiency", 1.0),
-        drivetrain=drv,
-    )
-
-    sec = _section(cp, "battery")
-    bp = BatteryParams(
-        c_batt_kwh=_get_float(sec, "c_batt_kwh", 18.9),
-        r_in_ohm=_get_float(sec, "r_in_ohm", 0.08),
-        v_oc=_get_float(sec, "v_oc", 340.0),
-    )
+        drivetrain=drv)
+    bp = _fill(BatteryParams, _section(cp, "battery"))
 
     sec = _section(cp, "dp")
-    dt_s = _get_float(sec, "dt_s", 10.0)
+    dt_s = _get_float(sec, "dt_s", DpConfig.dt_s)
     if dt_s <= 0:
         raise ScenarioError(f"[dp] dt_s = {dt_s:g} must be positive")
-    deltas = _get_floats(sec, "deltas", "0.051, 0.294, 0.567")
+    deltas = _get_floats(sec, "deltas") if "deltas" in sec else DEFAULT_DELTAS
     if not deltas:
         raise ScenarioError("[dp] deltas must list at least one charge increment")
     if min(deltas) <= 0:
         raise ScenarioError(f"[dp] deltas entry {min(deltas):g} must be positive")
-    c_batt = bp.c_batt_kwh
 
     sec_rule = _section(cp, "rule")
     genset_speed = _get_float(sec_rule, "genset_speed_rpm", 2600.0)
-    sized_kw = delta_to_electrical_kw(max(deltas), dt_s, c_batt)
+    sized_kw = delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh)
     if sec_rule.get("genset_electrical_kw", "auto").strip() == "auto":
         genset_kw = sized_kw
     else:
         genset_kw = _get_float(sec_rule, "genset_electrical_kw")
     genset_point = assembly.genset_point(genset_speed, genset_kw)
-    rule = RuleConfig(
-        genset_point=genset_point,
-        soc_high=_get_float(sec_rule, "soc_high", 17.0),
-        soc_low=_get_float(sec_rule, "soc_low", 12.0),
-        cs_trigger=_get_float(sec_rule, "cs_trigger", 14.0),
-        min_dwell_s=_get_float(sec_rule, "min_dwell_s", 10.0),
-        warmup_s=_get_float(sec_rule, "warmup_s", 20.0),
-        crank_power_kw=_get_float(sec_rule, "crank_power_kw", 2.0),
-        regen_current_limit_a=_get_float(sec_rule, "regen_current_limit_a", 150.0),
-        initial_soc=_get_float(sec_rule, "initial_soc", 70.0),
-    )
+    rule = _fill(RuleConfig, sec_rule, genset_point=genset_point)
 
     if sec.get("efficiencies", "auto").strip() == "auto":
         # the decisions run the point sized for the largest increment
@@ -196,7 +194,7 @@ def load_scenario(path) -> Scenario:
                  else assembly.genset_point(genset_speed, sized_kw))
         decisions = default_decisions(sized, deltas)
     else:
-        effs = _get_floats(sec, "efficiencies", "")
+        effs = _get_floats(sec, "efficiencies")
         if len(effs) != len(deltas):
             raise ScenarioError("[dp] efficiencies must match deltas in length")
         decisions = (null_decision(),) + tuple(
@@ -226,19 +224,9 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{named} lies outside the SOC window "
                             f"[{soc_min:g}, {soc_max:g}]")
 
-    dp = DpConfig(
-        dt_s=dt_s,
-        soc_min=soc_min,
-        soc_max=soc_max,
-        grid_step=_get_float(sec, "grid_step", 0.01),
-        decisions=decisions,
-        terminal_rule=terminal,
-        obd_enabled=obd_enabled,
-        obd_energy_per_event_kwh=_get_float(sec, "obd_energy_per_event_kwh", 0.00497),
-        c_batt_kwh=c_batt,
-        p_genset_max_kw=_get_float(sec, "p_genset_max_kw", 40.0),
-        initial_soc=initial_soc,
-    )
+    dp = _fill(DpConfig, sec, dt_s=dt_s, soc_min=soc_min, soc_max=soc_max,
+               decisions=decisions, terminal_rule=terminal, obd_enabled=obd_enabled,
+               c_batt_kwh=bp.c_batt_kwh, initial_soc=initial_soc)
     if terminal.kind == "threshold" and terminal.value > dp.soc_max:
         raise ScenarioError(f"[dp] terminal = {terminal.value:g} lies above "
                             f"soc_max = {dp.soc_max:g} and can never be met")
@@ -271,6 +259,12 @@ def load_scenario(path) -> Scenario:
     else:
         raise ScenarioError(f"[calibration] unknown mode {mode!r}")
 
+    # a [DEFAULT] key shows in every section, so it is reported first
+    for name in (cp.default_section, *cp.sections()):
+        for key in cp[name]:
+            if (name, key) not in cp.read_keys:
+                raise ScenarioError(f"[{name}] {key} is never read (unknown key or "
+                                    "section, or unused with these settings)")
     return Scenario(
         laps=int(laps), cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule,
         dp=dp, uf=uf, charging_efficiency=charging_eff, calibration=calibration,

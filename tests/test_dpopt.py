@@ -417,14 +417,14 @@ class TestPolicyCostSurface:
     def test_plateau_values(self, staircase, decisions):
         policy, cfg = staircase
         fuel = cfg.fuel_array()
-        assert policy.interp_cost(0, 16.5) == 0.0
-        assert policy.interp_cost(0, 15.8) == pytest.approx(fuel[2], rel=1e-12)
-        assert policy.interp_cost(0, 15.5) == pytest.approx(fuel[3], rel=1e-12)
+        assert policy.optimal_cost(16.5) == 0.0
+        assert policy.optimal_cost(15.8) == pytest.approx(fuel[2], rel=1e-12)
+        assert policy.optimal_cost(15.5) == pytest.approx(fuel[3], rel=1e-12)
 
     def test_unreachable_region_is_inf(self, staircase):
         policy, _ = staircase
-        assert policy.interp_cost(0, 15.0) == np.inf
-        assert policy.interp_cost(0, 12.0) == np.inf
+        assert policy.optimal_cost(15.0) == np.inf
+        assert policy.optimal_cost(12.0) == np.inf
 
     def test_inf_boundary_not_smeared(self, staircase):
         policy, _ = staircase
@@ -434,14 +434,14 @@ class TestPolicyCostSurface:
         edge = int(np.argmax(np.isfinite(row)))
         assert not np.isfinite(row[edge - 1])
         mid = 0.5 * (grid[edge - 1] + grid[edge])
-        assert policy.interp_cost(0, mid) == np.inf
+        assert policy.optimal_cost(mid) == np.inf
 
     def test_snap_onto_node(self, staircase):
         policy, _ = staircase
         grid = policy.grid
         row = policy.cost_to_go[0]
         edge = int(np.argmax(np.isfinite(row)))
-        assert policy.interp_cost(0, grid[edge] + 1e-10) == row[edge]
+        assert policy.optimal_cost(grid[edge] + 1e-10) == row[edge]
 
     def test_between_plateaus_interpolates(self, staircase, decisions):
         policy, cfg = staircase
@@ -450,13 +450,13 @@ class TestPolicyCostSurface:
         row = policy.cost_to_go[0]
         hi = np.where(np.isclose(row, fuel[3]))[0][-1]
         mid = 0.5 * (policy.grid[hi] + policy.grid[hi + 1])
-        out = policy.interp_cost(0, mid)
+        out = policy.optimal_cost(mid)
         assert fuel[2] < out < fuel[3]
 
     def test_outside_grid_clamps(self, staircase):
         policy, _ = staircase
-        assert policy.interp_cost(0, 11.0) == policy.cost_to_go[0, 0]
-        assert policy.interp_cost(0, 18.0) == policy.cost_to_go[0, -1]
+        assert policy.optimal_cost(11.0) == policy.cost_to_go[0, 0]
+        assert policy.optimal_cost(18.0) == policy.cost_to_go[0, -1]
 
 
 class TestCycleDemandSolution:
@@ -641,10 +641,10 @@ class TestRuleOnDemand:
         dp = rollout(solved, demand, dp_config, 14.0)
         assert dp.fuel_kwh <= rule.fuel_kwh * 1.005
 
-    def test_noncharging_decision_rejected(self, demand, dp_config):
+    def test_noncharging_decision_rejected(self, demand):
+        cfg = DpConfig(decisions=(null_decision(),), initial_soc=14.0)
         with pytest.raises(ValueError, match="must charge"):
-            evaluate_rule_on_demand(demand, dp_config, 14.0, 14.0, 17.0,
-                                    decision_idx=0)
+            evaluate_rule_on_demand(demand, cfg, 14.0, 14.0, 17.0)
 
 
 class TestWritePolicy:

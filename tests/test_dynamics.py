@@ -69,8 +69,9 @@ class TestWheelPowerSeries:
         assert np.all(wheel_power_series(vp, c) == 0.0)
 
     def test_defaults_to_test_mass(self, vp, cycle):
-        assert np.array_equal(wheel_power_series(vp, cycle),
-                              wheel_power_series(vp, cycle, mass=vp.m_t))
+        f = tractive_force(vp, vp.m_t, cycle.v_mps, accel_series(cycle),
+                           cycle.grade_deg)
+        assert np.array_equal(wheel_power_series(vp, cycle), f * cycle.v_mps / 1000.0)
 
     def test_symmetric_triangle_energy(self):
         p = lossless_params()

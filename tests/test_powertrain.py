@@ -178,7 +178,7 @@ class TestMergeGenSet:
         eng = EfficiencyMap(np.asarray([1000.0, 2000.0]), np.asarray([27.0, 54.0]),
                             np.full((2, 2), 35.0), "eng")
         gen = flat_map(90.0, "gen")
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7)
+        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
         assert np.allclose(merged.values, 31.5)
         assert merged.label == "eng+gen"
 
@@ -192,7 +192,7 @@ class TestMergeGenSet:
         eng = EfficiencyMap(np.asarray([1600.0, 1800.0, 2000.0]),
                             np.asarray([100.0, 120.0, 140.0]),
                             np.full((3, 3), 30.0))
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7)
+        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
         expect = 30.0 * (20.0 + 4.86 + (120.0 / 2.7) / 6.0) / 100.0
         assert merged.values[1, 1] == pytest.approx(expect, rel=1e-9)
         assert merged.values[1, 1] == pytest.approx(9.6802222, abs=1e-6)
@@ -214,7 +214,8 @@ class TestMergeGenSet:
     def test_engine_infeasible_stays_infeasible(self):
         eng = EfficiencyMap(np.asarray([1000.0, 2000.0]), np.asarray([27.0, 54.0]),
                             np.asarray([[35.0, np.nan], [35.0, 35.0]]))
-        merged = merge_gen_set(eng, flat_map(90.0), belt_ratio=2.7)
+        merged = merge_gen_set(eng, flat_map(90.0), belt_ratio=2.7,
+                               belt_efficiency=1.0)
         assert np.isnan(merged.values[0, 1])
         assert np.isfinite(merged.values).sum() == 3
 
@@ -224,7 +225,7 @@ class TestMergeGenSet:
         gen = EfficiencyMap(np.asarray([2500.0, 6000.0]), np.asarray([0.0, 60.0]),
                             np.full((2, 2), 90.0))
         # 1000 rpm * 2.7 = 2700 in range, 3000 * 2.7 = 8100 out of range
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7)
+        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
         assert np.all(np.isfinite(merged.values[0]))
         assert np.all(np.isnan(merged.values[1]))
 
@@ -234,13 +235,13 @@ class TestMergeGenSet:
         gen = EfficiencyMap(np.asarray([5000.0, 6000.0]), np.asarray([0.0, 60.0]),
                             np.full((2, 2), 90.0))
         with pytest.raises(EmptyMapError):
-            merge_gen_set(eng, gen, belt_ratio=2.7)
+            merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
 
     def test_belt_parameters_validated(self):
         eng = flat_map(35.0)
         gen = flat_map(90.0)
         with pytest.raises(ValueError):
-            merge_gen_set(eng, gen, belt_ratio=0.0)
+            merge_gen_set(eng, gen, belt_ratio=0.0, belt_efficiency=1.0)
         with pytest.raises(ValueError):
             merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.5)
 
@@ -267,8 +268,8 @@ class TestMapIO:
 
     def test_load_from_file_object(self):
         text = ",0,100\n1000,80,85\n2000,82,\n"
-        m = load_map(io.StringIO(text), label="tiny")
-        assert m.label == "tiny"
+        m = load_map(io.StringIO(text))
+        assert m.label == ""
         assert m.values[0, 1] == 85.0
         assert np.isnan(m.values[1, 1])
 
@@ -501,7 +502,8 @@ class TestGenSetPointSearch:
         realized = genset_electrical_kw(assembly.engine_map,
                                         assembly.generator_map,
                                         assembly.belt_ratio,
-                                        p.engine_speed_rpm, p.engine_torque_nm)
+                                        p.engine_speed_rpm, p.engine_torque_nm,
+                                        assembly.belt_efficiency)
         assert realized == pytest.approx(38.57868, abs=1e-6)
 
     def test_combined_efficiency_consistent(self, assembly, genset_point):
@@ -518,7 +520,7 @@ class TestGenSetPointSearch:
         eng = flat_map(35.0)
         gen = flat_map(90.0)
         # request 10 kW at 2000 rpm: torque = P / (eta_gen * omega)
-        p = genset_point_at(eng, gen, 2.7, 2000.0, 10.0)
+        p = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, 1.0)
         expect = 10.0e3 / 0.90 / (2000.0 * RAD_S_PER_RPM)
         assert p.engine_torque_nm == pytest.approx(expect, rel=1e-9)
         assert p.combined_efficiency_pct == pytest.approx(31.5, rel=1e-12)
@@ -526,7 +528,7 @@ class TestGenSetPointSearch:
     def test_belt_efficiency_raises_torque(self):
         eng = flat_map(35.0)
         gen = flat_map(90.0)
-        base = genset_point_at(eng, gen, 2.7, 2000.0, 10.0)
+        base = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, 1.0)
         lossy = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, belt_efficiency=0.9)
         assert lossy.engine_torque_nm == pytest.approx(
             base.engine_torque_nm / 0.9, rel=1e-9)
@@ -545,7 +547,7 @@ class TestGenSetPointSearch:
                             np.asarray([[np.nan, np.nan], [35.0, 35.0]]))
         gen = flat_map(90.0)
         with pytest.raises(EnvelopeError, match="no feasible"):
-            genset_point_at(eng, gen, 2.7, 1000.0, 5.0)
+            genset_point_at(eng, gen, 2.7, 1000.0, 5.0, 1.0)
 
     def test_genset_point_validation(self):
         with pytest.raises(ValueError):
@@ -559,7 +561,7 @@ class TestGenSetPointSearch:
         gen = flat_map(90.0)
         eng = flat_map(35.0)
         # 100 Nm at 2000 rpm is 20.944 kW mechanical
-        out = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0)
+        out = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0, 1.0)
         assert out == pytest.approx(20.94395102 * 0.90, rel=1e-8)
         lossy = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0,
                                      belt_efficiency=0.9)
@@ -819,11 +821,11 @@ class TestArrayModelsMatchScalarReference:
             _assert_face_matches(max_feasible_torque, _ref_max_feasible_torque, (m, s))
 
     @given(data=st.data(),
-           name=st.sampled_from(["motor", "half", "stairs", "ramp"]),
-           v_min=st.sampled_from([0.05, 0.5]))
+           name=st.sampled_from(["motor", "half", "stairs", "ramp"]))
     @settings(max_examples=200, deadline=None)
-    def test_motor_model(self, data, name, v_min):
+    def test_motor_model(self, data, name):
         m = _MAPS[name]
+        v_min = 0.05
         drv = DrivetrainParams(gear_ratio=1.0) if name != "motor" else DrivetrainParams()
         top = float(m.speed_axis[-1]) / drv.rpm_per_mps
         n = data.draw(st.integers(1, 12))
@@ -839,11 +841,11 @@ class TestArrayModelsMatchScalarReference:
             min_size=n, max_size=n)))
         ref = [_ref_or_nan(_ref_motor_electrical_power, m, drv, a, b, v_min)[0]
                for a, b in zip(v, p)]
-        out = motor_electrical_power(m, drv, v, p, v_min)
+        out = motor_electrical_power(m, drv, v, p)
         assert np.array_equal(out, np.asarray(ref), equal_nan=True)
         for a, b in zip(v, p):
             _assert_face_matches(motor_electrical_power, _ref_motor_electrical_power,
-                                 (m, drv, a, b, v_min))
+                                 (m, drv, a, b))
 
     @given(p=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=12),
            volts=st.floats(300.0, 400.0))

@@ -1,4 +1,5 @@
 import filecmp
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,29 @@ import phevopt.cli as cli
 import phevopt.powertrain as powertrain
 from phevopt.cli import main, run_dp_hybrid
 from phevopt.cycle import load_cycle
-from phevopt.ems import simulate_rule_based
+from phevopt.dpopt import DpConfig
+from phevopt.dynamics import VehicleParams
+from phevopt.ems import RuleConfig, simulate_rule_based
 from phevopt.errors import ScenarioError
+from phevopt.powertrain import BatteryParams, DrivetrainParams, PowertrainAssembly
 from phevopt.scenario import load_scenario
 
 CYCLE = "synthetic_cycle.csv"
+
+#: The dataclass each section's numbers fill.
+SECTION_FIELDS = {"vehicle": VehicleParams, "drivetrain": DrivetrainParams,
+                  "maps": PowertrainAssembly, "battery": BatteryParams,
+                  "rule": RuleConfig, "dp": DpConfig}
+
+
+def float_fields(cls):
+    return [f for f in fields(cls) if isinstance(f.default, float)]
+
+
+#: Every key read from the field it fills; [dp] takes the battery capacity
+#: from [battery] instead.
+FIELD_KEYS = [(section, f.name) for section, cls in SECTION_FIELDS.items()
+              for f in float_fields(cls) if (section, f.name) != ("dp", "c_batt_kwh")]
 
 
 def write_scenario(tmp_path: Path, scenario_dir: Path, body: str) -> Path:
@@ -206,6 +225,7 @@ class TestLoadScenario:
         ("dp", "initial_soc"),
         ("dp", "terminal"),
         ("calibration", "test_positive_wh_per_km"),
+        *FIELD_KEYS,
     ])
     def test_bad_number_names_key(self, tmp_path, scenario_dir, section, key):
         body = f"[accounting]\nuf = 0.8\n[{section}]\n{key} = abc\n"
@@ -229,6 +249,22 @@ class TestLoadScenario:
         body = "[accounting]\nuf = 0.8\n[dp]\nsoc_max = 17\nterminal = 17\n"
         sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
         assert sc.dp.terminal_rule.resolve(sc.dp) == 17.0
+
+    def test_minimal_scenario_takes_field_defaults(self, tmp_path, scenario_dir):
+        sc = load_scenario(write_scenario(tmp_path, scenario_dir,
+                                          "[accounting]\nuf = 0.8\n"))
+        assert sc.vp == VehicleParams()
+        assert sc.bp == BatteryParams()
+        assert sc.assembly.drivetrain == DrivetrainParams()
+        for cfg in (sc.assembly, sc.rule, sc.dp):
+            for f in float_fields(type(cfg)):
+                assert getattr(cfg, f.name) == f.default, f.name
+
+    def test_unset_peak_defaults_to_average(self, tmp_path, scenario_dir):
+        body = ("[accounting]\nuf = 0.8\n[calibration]\n"
+                "test_positive_wh_per_km = 259.21\ntest_avg_positive_power_kw = 16.37\n")
+        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
+        assert sc.test_metrics.peak_power_kw == 16.37
 
     @pytest.mark.parametrize("dt", ["0", "-10"])
     def test_non_positive_dt_rejected(self, tmp_path, scenario_dir, dt):
@@ -320,6 +356,33 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,named", [
+        pytest.param("[rule]\nsoc_hihg = 16\n", "[rule] soc_hihg is never read",
+                     id="unknown-key"),
+        pytest.param("[vehicel]\nm = 1900\n", "[vehicel] m is never read",
+                     id="unknown-section"),
+        pytest.param("[DEFAULT]\nsoc_high = 16\n", "[DEFAULT] soc_high is never read",
+                     id="default-section"),
+        pytest.param("[calibration]\nscale = 1.2\n", "[calibration] scale is never read",
+                     id="scale-without-explicit-mode"),
+        pytest.param("[dp]\nc_batt_kwh = 20\n", "[dp] c_batt_kwh is never read",
+                     id="field-taken-from-another-section"),
+    ])
+    def test_unread_scenario_entry_exits_2(self, tmp_path, scenario_dir, capsys,
+                                           body, named):
+        p = write_scenario(tmp_path, scenario_dir, "[accounting]\nuf = 0.8\n" + body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_peak_below_average_exits_2(self, tmp_path, scenario_dir, capsys):
+        body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
+                "sim_peak_power_kw = 5\nsim_avg_positive_power_kw = 14.04\n")
+        p = write_scenario(tmp_path, scenario_dir, body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[calibration] sim_peak_power_kw = 5 lies below" in capsys.readouterr().err
 
     def test_grid_step_not_dividing_window_exits_2(self, tmp_path, scenario_dir,
                                                     capsys):
