@@ -193,12 +193,16 @@ def cs_step(cfg: DpConfig, soc, d_k: float, delta):
     """
     delta = np.asarray(delta, dtype=float)
     null = delta == 0.0
-    drain = np.where(null, cfg.obd_drain_pct if cfg.obd_enabled else 0.0, 0.0)
-    succ = soc + delta - d_k - drain
+    succ = soc + delta  # a fresh array (or scalar), so -= touches no caller's data
+    succ -= d_k
+    if cfg.obd_enabled:  # without OBD the drain is 0.0, and x - 0.0 == x
+        succ -= np.where(null, cfg.obd_drain_pct, 0.0)
     if d_k < 0.0:
         succ = np.minimum(succ, cfg.soc_max)
     gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
-    ok = gate_ok & (succ >= cfg.soc_min - SOC_EPS) & (succ <= cfg.soc_max + SOC_EPS)
+    ok = succ >= cfg.soc_min - SOC_EPS
+    ok &= succ <= cfg.soc_max + SOC_EPS
+    ok &= gate_ok
     return succ, gate_ok, ok
 
 
@@ -290,17 +294,24 @@ def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
     infinite. Weights within ``SOC_EPS`` of a node snap onto it, and points
     outside the grid take the end node's value."""
     m = values.size
-    p = np.clip((x - lo) / step, 0.0, float(m - 1))
-    j = np.minimum(p.astype(np.int64), m - 2)
-    w = p - j
+    p = np.subtract(x, lo).reshape(-1)  # a fresh 1-d array, even for a scalar
+    p /= step
+    np.clip(p, 0.0, float(m - 1), out=p)
+    j = np.floor(p)
+    w = p - j  # the same bits as subtracting the integer index
+    j = j.astype(np.intp)
     left = values[j]
-    right = values[j + 1]
     with np.errstate(invalid="ignore"):
-        out = left + w * (right - left)
-    # inf - inf is NaN, and argmin over decisions would pick a NaN
-    out = np.where(np.isnan(out), np.inf, out)
-    out = np.where(w < SOC_EPS, left, out)
-    return np.where(w > 1.0 - SOC_EPS, right, out)
+        # right - left; the last node (w == 0) gets a zero step and snaps below
+        out = np.diff(values, append=values[-1])[j]
+        out *= w
+        out += left
+    # inf - inf is NaN, and a NaN would win the minimum over decisions
+    out[np.isnan(out)] = np.inf
+    np.copyto(out, left, where=w < SOC_EPS)
+    snap = w > 1.0 - SOC_EPS
+    out[snap] = values[j[snap] + 1]
+    return out.reshape(np.shape(x))
 
 
 @dataclass

@@ -28,7 +28,9 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     """Backward induction over the SOC grid under the ``cs_step`` rule.
 
     The terminal cost is 0 at or above the threshold and infinite below;
-    inadmissible moves cost infinity. Ties keep the lowest decision index.
+    inadmissible moves cost infinity. Each state keeps the lowest decision
+    index whose cost equals the stage minimum, and index 0 where every
+    decision is inadmissible.
 
     Returns (cost_to_go (N+1, M), decision_idx (N, M)).
     """
@@ -37,19 +39,23 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     step = (cfg.soc_max - cfg.soc_min) / (m - 1)
     deltas = cfg.delta_array()[:, None]
     fuel = cfg.fuel_array()[:, None]
-    states = np.arange(m)
+    last = deltas.shape[0] - 1
     cost_to_go = np.full((n + 1, m), np.inf)
     decision_idx = np.empty((n, m), dtype=np.int32)
     cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
 
     for k in range(n - 1, -1, -1):
         succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
-        cost = np.where(
-            ok, fuel + interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, step),
-            np.inf)
-        best = np.argmin(cost, axis=0)
-        decision_idx[k] = best
-        cost_to_go[k] = cost[best, states]
+        cost = interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, step)
+        cost += fuel
+        cost[~ok] = np.inf
+        low = cost.min(axis=0)
+        cost_to_go[k] = low
+        # overwrite from the last decision down, so the lowest tied index wins
+        best = decision_idx[k]
+        best[:] = last
+        for a in range(last - 1, -1, -1):
+            np.copyto(best, a, where=cost[a] == low)
     return cost_to_go, decision_idx
 
 

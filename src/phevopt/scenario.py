@@ -116,15 +116,22 @@ def _metrics_from(sec, prefix: str) -> CycleMetrics | None:
     if not sec.get(f"{prefix}_positive_wh_per_km", "").strip():
         return None
     avg = _get_float(sec, f"{prefix}_avg_positive_power_kw", 0.0)
+    if avg < 0:
+        raise ScenarioError(
+            f"[calibration] {prefix}_avg_positive_power_kw = {avg:g} is negative")
     peak = _get_float(sec, f"{prefix}_peak_power_kw", avg)
     if peak < avg:
         raise ScenarioError(f"[calibration] {prefix}_peak_power_kw = {peak:g} lies "
                             f"below {prefix}_avg_positive_power_kw = {avg:g}")
+    idle = _get_float(sec, f"{prefix}_percent_idle", 0.0)
+    if not 0.0 <= idle <= 100.0:
+        raise ScenarioError(
+            f"[calibration] {prefix}_percent_idle = {idle:g} lies outside [0, 100]")
     return CycleMetrics(
         positive_propulsion_wh_per_km=_get_float(sec, f"{prefix}_positive_wh_per_km"),
         peak_power_kw=peak,
         avg_positive_power_kw=avg,
-        percent_idle=_get_float(sec, f"{prefix}_percent_idle", 0.0),
+        percent_idle=idle,
     )
 
 

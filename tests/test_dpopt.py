@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phevopt import BatteryParams, DriveCycle, VehicleParams, build_demand
+from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
     Decision,
     DemandProfile,
@@ -25,7 +28,10 @@ from phevopt.errors import (
     InstanceTooLargeError,
     ToleranceBreachError,
 )
+from phevopt.dpopt.problem import SOC_EPS, cs_step, interp_inf
+from phevopt.dpopt.solver import backward_sweep
 from phevopt.powertrain import DrivetrainParams
+from phevopt.scenario import load_scenario
 
 from helpers import flat_map, grid_aligned_instance
 
@@ -669,3 +675,165 @@ class TestWritePolicy:
         path = tmp_path / "policy.csv"
         write_policy(policy, path)
         assert ",inf" in path.read_text()
+
+
+# References: the CS transition rule and one backward-sweep stage as first
+# written, with a fresh array per step, both interpolation corners gathered,
+# np.where for every fix-up, and argmin over decisions plus a fancy take.
+# The library's versions compute the same operations with fewer array
+# passes, so they must agree bit for bit.
+
+def reference_cs_step(cfg, soc, d_k, delta):
+    delta = np.asarray(delta, dtype=float)
+    null = delta == 0.0
+    drain = np.where(null, cfg.obd_drain_pct if cfg.obd_enabled else 0.0, 0.0)
+    succ = soc + delta - d_k - drain
+    if d_k < 0.0:
+        succ = np.minimum(succ, cfg.soc_max)
+    gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
+    ok = gate_ok & (succ >= cfg.soc_min - SOC_EPS) & (succ <= cfg.soc_max + SOC_EPS)
+    return succ, gate_ok, ok
+
+
+def reference_interp_inf(values, x, lo, step):
+    m = values.size
+    p = np.clip((x - lo) / step, 0.0, float(m - 1))
+    j = np.minimum(p.astype(np.int64), m - 2)
+    w = p - j
+    left = values[j]
+    right = values[j + 1]
+    with np.errstate(invalid="ignore"):
+        out = left + w * (right - left)
+    out = np.where(np.isnan(out), np.inf, out)
+    out = np.where(w < SOC_EPS, left, out)
+    return np.where(w > 1.0 - SOC_EPS, right, out)
+
+
+def reference_sweep(d, cfg, terminal_threshold):
+    grid = cfg.grid()
+    n, m = d.n_intervals, grid.size
+    step = (cfg.soc_max - cfg.soc_min) / (m - 1)
+    deltas = cfg.delta_array()[:, None]
+    fuel = cfg.fuel_array()[:, None]
+    states = np.arange(m)
+    cost_to_go = np.full((n + 1, m), np.inf)
+    decision_idx = np.empty((n, m), dtype=np.int32)
+    cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
+    for k in range(n - 1, -1, -1):
+        succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
+        cost = np.where(
+            ok, fuel + reference_interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, step),
+            np.inf)
+        best = np.argmin(cost, axis=0)
+        decision_idx[k] = best
+        cost_to_go[k] = cost[best, states]
+    return cost_to_go, decision_idx
+
+
+def assert_sweeps_equal(d, cfg, threshold):
+    expect_cost, expect_idx = reference_sweep(d, cfg, threshold)
+    cost, idx = backward_sweep(d, cfg, threshold)
+    assert cost.dtype == expect_cost.dtype and idx.dtype == expect_idx.dtype
+    assert np.array_equal(cost, expect_cost)
+    assert np.array_equal(idx, expect_idx)
+
+
+#: Grid steps that divide the default 12-17% window, 0.002 to 0.1.
+GRID_STEPS = (0.002, 0.0025, 0.004, 0.005, 0.01, 0.02, 0.025, 0.05, 0.1)
+
+
+@st.composite
+def sweep_instances(draw):
+    """A small CS problem that reaches the sweep's corner cases: drains on
+    whole and half grid steps (both snaps), net regeneration (curtailment
+    at soc_max), drains that carry successors past either window edge,
+    duplicate decisions (ties), a null-only decision set, OBD on and off,
+    and terminals up to and beyond soc_max (all-infinite stages)."""
+    g = draw(st.sampled_from(GRID_STEPS))
+    on_grid = st.integers(-140, 180).map(lambda i: i * g / 2.0)
+    drains = draw(st.lists(st.one_of(on_grid, st.floats(-0.7, 0.9)),
+                           min_size=1, max_size=25))
+    bound = 0.58  # below the 40 kW gen-set bound of 0.5879 %/interval
+    on_grid_delta = st.integers(1, int(bound / g * 2)).map(lambda i: i * g / 2.0)
+    positives = draw(st.lists(st.one_of(on_grid_delta, st.floats(0.001, bound)),
+                              max_size=4))
+    decs = [null_decision()] + [
+        Decision(dl, draw(st.sampled_from([25.0, 31.0, 38.5])), f"b{i}")
+        for i, dl in enumerate(positives)]
+    for i in draw(st.lists(st.integers(0, len(decs) - 1), max_size=2)):
+        decs.insert(draw(st.integers(i + 1, len(decs))), replace(decs[i], label="dup"))
+    obd_pct = draw(st.one_of(st.integers(1, 8).map(lambda i: i * g / 2.0),
+                             st.floats(0.0, 0.05)))
+    cfg = DpConfig(decisions=tuple(decs), grid_step=g,
+                   obd_enabled=draw(st.booleans()),
+                   obd_energy_per_event_kwh=obd_pct / 100.0 * 18.9)
+    threshold = draw(st.one_of(st.sampled_from([12.0, 17.0, 17.5]),
+                               st.floats(12.0, 17.0), on_grid.map(lambda x: 14.0 + x)))
+    return DemandProfile(np.asarray(drains), 10.0, 1.0), cfg, threshold
+
+
+class TestSweepMatchesReference:
+    @given(inst=sweep_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_random_instances(self, inst):
+        assert_sweeps_equal(*inst)
+
+    @given(inst=sweep_instances(), soc=st.floats(11.0, 18.0))
+    @settings(max_examples=200, deadline=None)
+    def test_cs_step(self, inst, soc):
+        d, cfg, _ = inst
+        deltas = cfg.delta_array()
+        for d_k in d.d_pct[:3]:
+            for args in ((soc, d_k, 0.0), (soc, d_k, deltas[-1]), (soc, d_k, deltas),
+                         (cfg.grid(), d_k, deltas[:, None])):
+                for out, expect in zip(cs_step(cfg, *args), reference_cs_step(cfg, *args)):
+                    assert np.shape(out) == np.shape(expect)
+                    assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
+                                      "obd_single_lap.ini"])
+    @pytest.mark.parametrize("grid_step", [None, 0.002])
+    @pytest.mark.parametrize("obd", [False, True])
+    def test_shipped_fixtures(self, scenario_dir, name, grid_step, obd):
+        # the demand the CLI solves: the trip's charge-sustaining remainder,
+        # which is the whole lap for obd_single_lap (it starts at the trigger)
+        run = run_dp_hybrid(load_scenario(scenario_dir / name))
+        cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
+                      obd_enabled=obd)
+        assert_sweeps_equal(run.demand, cfg, cfg.terminal_rule.resolve(cfg))
+
+
+class TestInterpShapes:
+    @pytest.fixture()
+    def values(self):
+        # an infinite band at the bottom, one infinite node inside, and a
+        # finite slope elsewhere, on the 0.5-step grid 12..17
+        v = np.linspace(3.0, 0.0, 11)
+        v[:3] = np.inf
+        v[6] = np.inf
+        return v
+
+    @staticmethod
+    def points(values):
+        nodes = 12.0 + 0.5 * np.arange(values.size)
+        return np.concatenate([nodes, nodes - 1e-10, nodes + 1e-10,
+                               nodes[:-1] + 0.25, [10.0, 11.0, 11.9, 17.1, 18.0]])
+
+    def test_scalar_gives_0d(self, values):
+        for x in self.points(values):
+            out = interp_inf(values, float(x), 12.0, 0.5)
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            assert float(out) == float(reference_interp_inf(values, float(x), 12.0, 0.5))
+
+    @pytest.mark.parametrize("shape", [(-1,), (2, -1), (-1, 1)])
+    def test_arrays_keep_shape_and_values(self, values, shape):
+        x = self.points(values).reshape(shape)
+        out = interp_inf(values, x, 12.0, 0.5)
+        assert out.shape == x.shape
+        assert np.array_equal(out, reference_interp_inf(values, x, 12.0, 0.5))
+
+    def test_input_untouched(self, values):
+        x = self.points(values)
+        before = x.copy()
+        interp_inf(values, x, 12.0, 0.5)
+        assert np.array_equal(x, before)

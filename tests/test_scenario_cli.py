@@ -384,6 +384,23 @@ class TestCliExitCodes:
         assert rc == 2
         assert "[calibration] sim_peak_power_kw = 5 lies below" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,named", [
+        pytest.param("sim_avg_positive_power_kw = -1",
+                     "[calibration] sim_avg_positive_power_kw = -1 is negative",
+                     id="negative-average"),
+        pytest.param("sim_percent_idle = 150",
+                     "[calibration] sim_percent_idle = 150 lies outside [0, 100]",
+                     id="idle-beyond-100"),
+    ])
+    def test_bad_calibration_metric_named(self, tmp_path, scenario_dir, capsys,
+                                          entry, named):
+        body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
+                f"{entry}\n")
+        p = write_scenario(tmp_path, scenario_dir, body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_grid_step_not_dividing_window_exits_2(self, tmp_path, scenario_dir,
                                                     capsys):
         rc = main(["simulate", "--strategy", "dp",
