@@ -84,7 +84,6 @@ def _prepare(args) -> tuple[Scenario, Path]:
 
 
 def cmd_analyze(args) -> int:
-    start = time.perf_counter()
     sc, out = _prepare(args)
     cyc = sc.cycle
     p_wheel = wheel_power_series(sc.vp, cyc)
@@ -115,7 +114,6 @@ def cmd_analyze(args) -> int:
     _write_rows(out / "metrics.csv", "metric,value", rows)
     write_csv(out / "wheel_power.csv", ("t_s", "%.3f", cyc.t_s),
               ("v_mps", "%.4f", cyc.v_mps), ("p_wheel_kw", "%.6f", p_wheel))
-    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
     return 0
@@ -161,7 +159,6 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
         t_s=sc.cycle.t_s[idx:] - t0,
         v_mps=sc.cycle.v_mps[idx:],
         grade_deg=sc.cycle.grade_deg[idx:],
-        name=f"{sc.cycle.name}-cs",
     )
     if sub.duration_s < sc.dp.dt_s:
         return HybridRun(trace, energy, idx)
@@ -219,7 +216,6 @@ def _write_plot_hybrid(path: Path, run: HybridRun, sc: Scenario) -> None:
 
 
 def cmd_simulate(args) -> int:
-    start = time.perf_counter()
     sc, out = _prepare(args)
     if args.strategy == "rule":
         trace, energy = simulate_rule_based(
@@ -254,14 +250,12 @@ def cmd_simulate(args) -> int:
         _write_plot_hybrid(out / "plot.csv", run, sc)
     write_trace(trace, out / "trace.csv")
     _write_rows(out / "summary.csv", "key,value", rows)
-    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    start = time.perf_counter()
     sc, out = _prepare(args)
     run = run_dp_hybrid(sc)
     rule_energy = run.rule_energy
@@ -285,7 +279,6 @@ def cmd_compare(args) -> int:
     _write_plot(out / "plot_rule.csv", run.trace.t_s, run.trace.v_mps,
                 run.trace.soc_pct)
     _write_plot_hybrid(out / "plot_dp.csv", run, sc)
-    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     print(header)
     for row in table:
         print(",".join(row))
@@ -293,7 +286,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_obd(args) -> int:
-    start = time.perf_counter()
     sc, out = _prepare(args)
     study = obd_study(sc.cycle, sc.vp, sc.assembly, sc.bp, sc.dp,
                       calibration=sc.calibration.energy_scale,
@@ -311,7 +303,6 @@ def cmd_obd(args) -> int:
               ("k", "%d", np.arange(study.trajectory_without.size)),
               ("soc_without_pct", "%.6f", study.trajectory_without),
               ("soc_with_pct", "%.6f", study.trajectory_with))
-    _write_log(out, args, {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
     for key, val in rows:
         print(f"{key} = {val}")
     return 0
@@ -353,8 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
+        _write_log(Path(args.out), args,
+                   {"elapsed_s": f"{time.perf_counter() - start:.3f}"})
+        return code
     except (InfeasibleProblemError, InfeasibleVehicleError, EnvelopeError,
             ToleranceBreachError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -43,14 +43,11 @@ class DriveCycle:
         Vehicle speed in m/s; nonnegative.
     grade_deg : array_like, optional
         Road grade in degrees; defaults to flat.
-    name : str
-        Label used in reports.
     """
 
     t_s: np.ndarray
     v_mps: np.ndarray
     grade_deg: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         self.t_s = np.asarray(self.t_s, dtype=float)
@@ -120,7 +117,6 @@ def load_cycle(source) -> DriveCycle:
 
     The format is a header row ``t_s,v_mps`` or ``t_s,v_mps,grade_deg``
     followed by one sample per row. Lines starting with ``#`` are ignored.
-    The cycle's label is the file stem, or empty for a text stream.
 
     Parameters
     ----------
@@ -134,11 +130,8 @@ def load_cycle(source) -> DriveCycle:
     """
     if hasattr(source, "read"):
         text = source.read()
-        label = ""
     else:
-        path = Path(source)
-        text = path.read_text(encoding="utf-8")
-        label = path.stem
+        text = Path(source).read_text(encoding="utf-8")
     # each per-line step maps a builtin, so no Python code runs per row
     lines = list(map(str.strip, text.splitlines()))
     n = len(lines)
@@ -178,7 +171,7 @@ def load_cycle(source) -> DriveCycle:
     data = values.reshape(-1, width)
     grade = data[:, 2] if len(header) == 3 else None
     try:
-        return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade, name=label)
+        return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade)
     except ValueError as exc:
         raise CycleFormatError(str(exc)) from None
 
@@ -196,7 +189,7 @@ def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:
     n = int(n)
     if n == 1:
         return DriveCycle(cycle.t_s.copy(), cycle.v_mps.copy(),
-                          cycle.grade_deg.copy(), cycle.name)
+                          cycle.grade_deg.copy())
     if not cycle.is_closed():
         raise ValueError("cannot repeat an open cycle without a speed discontinuity")
     lap_t = cycle.t_s
@@ -208,9 +201,8 @@ def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:
         t_parts.append(lap_t[1:] + k * dur)
         v_parts.append(cycle.v_mps[1:])
         g_parts.append(cycle.grade_deg[1:])
-    name = f"{cycle.name} x{n}" if cycle.name else f"x{n}"
     return DriveCycle(np.concatenate(t_parts), np.concatenate(v_parts),
-                      np.concatenate(g_parts), name)
+                      np.concatenate(g_parts))
 
 
 def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float) -> CycleMetrics:
@@ -293,4 +285,4 @@ def synthetic_cycle() -> DriveCycle:
     kp = np.asarray(_SYNTH_KEYPOINTS)
     t = np.arange(0.0, kp[-1, 0] + 0.5, 1.0)
     v = np.interp(t, kp[:, 0], kp[:, 1])
-    return DriveCycle(t_s=t, v_mps=v, name="synthetic-mixed")
+    return DriveCycle(t_s=t, v_mps=v)

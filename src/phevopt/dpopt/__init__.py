@@ -21,7 +21,7 @@ from .solver import (
     solve,
     write_policy,
 )
-from .studies import ObdStudy, RuleOnDemandResult, evaluate_rule_on_demand, obd_study
+from .studies import ObdStudy, evaluate_rule_on_demand, obd_study
 
 __all__ = [
     "DEFAULT_DELTAS",
@@ -31,7 +31,6 @@ __all__ = [
     "DpPolicy",
     "ObdStudy",
     "RolloutResult",
-    "RuleOnDemandResult",
     "TerminalRule",
     "brute_force",
     "build_demand",

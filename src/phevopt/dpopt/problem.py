@@ -207,7 +207,7 @@ def cs_step(cfg: DpConfig, soc, d_k: float, delta):
 
 
 def default_decisions(point: GenSetPoint,
-                      deltas: Sequence[float] = DEFAULT_DELTAS) -> tuple[Decision, ...]:
+                      deltas: Sequence[float]) -> tuple[Decision, ...]:
     """Default decision table: the null decision plus the quantized charge
     increments, all at the efficiency of ``point``, the single gen-set
     operating point sized for the largest increment (smaller increments
@@ -243,8 +243,8 @@ class DemandProfile:
 
 def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                  drv: DrivetrainParams, bp: BatteryParams,
-                 calibration: float = 1.0, dt_s: float = 10.0,
-                 regen_current_limit_a: float | None = None) -> DemandProfile:
+                 calibration: float, dt_s: float,
+                 regen_current_limit_a: float) -> DemandProfile:
     """Convert a drive cycle into the per-interval battery drain the CS
     optimization consumes.
 
@@ -252,7 +252,8 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
     through the motor map to electrical power and through the terminal-power
     inversion to current; the chemistry power V_oc*I is integrated per
     interval. A partial trailing interval is folded into the last full one.
-    Regeneration current is clipped at ``regen_current_limit_a`` when given.
+    Regeneration current is clipped at ``regen_current_limit_a`` (``math.inf``
+    for no clip).
     The open-circuit voltage is constant, so the drain profile does not
     depend on SOC. An ``EnvelopeError`` names the first sample outside the
     motor or battery envelope.
@@ -272,8 +273,7 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                 motor_map, drv, cycle.v_mps[k], p_wheel[k]))
         except (EnvelopeError, MapDomainError) as exc:
             raise EnvelopeError(f"step {k} (t = {t[k]:g} s): {exc}") from None
-    if regen_current_limit_a is not None:
-        i_amps = np.maximum(i_amps, -regen_current_limit_a)
+    i_amps = np.maximum(i_amps, -regen_current_limit_a)
     p_chem = bp.v_oc * i_amps / 1000.0
 
     cum_kws = np.concatenate(

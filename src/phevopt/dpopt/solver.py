@@ -1,13 +1,16 @@
-"""Backward-DP solver and forward rollout for the CS problem.
+"""Backward-DP solver and the forward pass for the CS problem.
 
 Each stage of the backward sweep evaluates every decision from every grid
 state at once, as one (decisions x states) array, and keeps the cheapest
-decision per state.
+decision per state. ``forward`` is the one per-interval loop over a
+demand: the policy rollout and the thermostat replay are two decision
+rules passed to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -98,17 +101,48 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
 
 @dataclass
 class RolloutResult:
-    """Forward pass of a solved policy from a concrete initial SOC."""
+    """One forward pass over a demand from a concrete initial SOC."""
 
     soc_trajectory: np.ndarray   # (N+1,) interval-boundary SOC %
     fuel_kwh: float
     cs_ec_wh_per_km: float
-    decision_indices: np.ndarray  # (N,)
+    decision_indices: np.ndarray  # (N,) index into the config's decisions
     null_intervals: int           # intervals with the gen-set off
+    feasible: bool                # False when a move was inadmissible
 
     @property
     def final_soc(self) -> float:
         return float(self.soc_trajectory[-1])
+
+
+def forward(d: DemandProfile, cfg: DpConfig, initial_soc: float,
+            pick: Callable[[int, float], int]) -> RolloutResult:
+    """Run a decision rule forward over a demand with exact continuous-SOC
+    ``cs_step`` transitions. ``pick(k, soc)`` returns the index into
+    ``cfg.decisions`` taken in interval ``k`` from boundary SOC ``soc``."""
+    deltas = cfg.delta_array()
+    fuels = cfg.fuel_array().tolist()
+    drains = d.d_pct.tolist()
+    n = d.n_intervals
+    traj = np.empty(n + 1)
+    chosen = np.empty(n, dtype=np.int32)
+    soc = float(initial_soc)
+    traj[0] = soc
+    fuel = 0.0
+    feasible = True
+    for k in range(n):
+        a = pick(k, soc)
+        succ, _, ok = cs_step(cfg, soc, drains[k], deltas[a])
+        soc = float(succ)
+        fuel += fuels[a]  # the null decision adds 0.0, which moves no bit
+        feasible = feasible and bool(ok)
+        chosen[k] = a
+        traj[k + 1] = soc
+    ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
+    return RolloutResult(soc_trajectory=traj, fuel_kwh=fuel,
+                         cs_ec_wh_per_km=ec, decision_indices=chosen,
+                         null_intervals=int(np.count_nonzero(deltas[chosen] == 0.0)),
+                         feasible=feasible)
 
 
 def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
@@ -130,36 +164,23 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
         raise InfeasibleProblemError(
             f"initial SOC {initial_soc:.4f}% has no feasible path")
     grid = policy.grid
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
-    n = d.n_intervals
-    traj = np.empty(n + 1)
-    chosen = np.empty(n, dtype=np.int32)
-    soc = float(initial_soc)
-    traj[0] = soc
-    fuel_arr = cfg.fuel_array()
-    fuel = 0.0
-    nulls = 0
-    for k in range(n):
-        i = int(round((soc - grid[0]) / step))
-        i = min(max(i, 0), grid.size - 1)
-        a = int(policy.decision_idx[k, i])
-        chosen[k] = a
-        delta = policy.decisions[a].delta_soc
-        if delta == 0.0:
-            nulls += 1
-        else:
-            fuel += fuel_arr[a]
-        soc = float(cs_step(cfg, soc, d.d_pct[k], delta)[0])
-        breach = max(cfg.soc_min - soc, soc - cfg.soc_max)
-        if breach > cfg.grid_step + 1e-12:
-            raise ToleranceBreachError(
-                f"interval {k}: SOC {soc:.4f}% leaves [{cfg.soc_min:g}, "
-                f"{cfg.soc_max:g}] by {breach:.4f}% (> grid step {cfg.grid_step:g})")
-        traj[k + 1] = soc
-    ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
-    return RolloutResult(soc_trajectory=traj, fuel_kwh=fuel,
-                         cs_ec_wh_per_km=ec, decision_indices=chosen,
-                         null_intervals=nulls)
+    lo, top = float(grid[0]), grid.size - 1
+    step = (float(grid[-1]) - lo) / top
+    table = policy.decision_idx
+
+    def nearest_node(k: int, soc: float) -> int:
+        return int(table[k, min(max(round((soc - lo) / step), 0), top)])
+
+    out = forward(d, cfg, initial_soc, nearest_node)
+    soc = out.soc_trajectory[1:]
+    breach = np.maximum(cfg.soc_min - soc, soc - cfg.soc_max)
+    over = np.flatnonzero(breach > cfg.grid_step + 1e-12)
+    if over.size:
+        k = int(over[0])
+        raise ToleranceBreachError(
+            f"interval {k}: SOC {soc[k]:.4f}% leaves [{cfg.soc_min:g}, "
+            f"{cfg.soc_max:g}] by {breach[k]:.4f}% (> grid step {cfg.grid_step:g})")
+    return out
 
 
 def write_policy(policy: DpPolicy, path) -> None:

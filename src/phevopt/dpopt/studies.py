@@ -3,8 +3,9 @@
 ``obd_study`` quantifies the energy cost of on-board-diagnostics events
 (the gen-set spinning without producing charge in every non-generating
 interval). ``evaluate_rule_on_demand`` replays the thermostat rule on a
-demand profile under the DP's own admissibility rules, which makes the
-rule trajectory a valid decision sequence and the DP cost its lower bound.
+demand profile through the rollout's own forward pass, as one more
+decision rule over the DP's decision table, so the rule trajectory is a
+valid decision sequence and the DP cost its lower bound.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import numpy as np
 
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams
-from ..errors import InfeasibleProblemError
 from ..powertrain import BatteryParams, PowertrainAssembly
 from .problem import DemandProfile, DpConfig, build_demand, cs_step
-from .solver import rollout, solve
+from .solver import RolloutResult, forward, rollout, solve
 
 
 @dataclass
@@ -36,8 +36,8 @@ class ObdStudy:
 
 
 def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly,
-              bp: BatteryParams, cfg: DpConfig, calibration: float = 1.0,
-              regen_current_limit_a: float | None = None) -> ObdStudy:
+              bp: BatteryParams, cfg: DpConfig, calibration: float,
+              regen_current_limit_a: float) -> ObdStudy:
     """Solve and roll out the CS problem twice over one cycle, with OBD
     penalties disabled and enabled, from ``cfg.initial_soc``."""
     if cfg.initial_soc is None:
@@ -64,20 +64,8 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     )
 
 
-@dataclass
-class RuleOnDemandResult:
-    """Thermostat rule replayed on a demand profile."""
-
-    fuel_kwh: float
-    cs_ec_wh_per_km: float
-    soc_trajectory: np.ndarray
-    on_intervals: int
-    feasible: bool  # False when a move left the SOC window
-    final_soc: float
-
-
 def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
-                            trigger_soc: float, high_soc: float) -> RuleOnDemandResult:
+                            trigger_soc: float, high_soc: float) -> RolloutResult:
     """Replay the CS thermostat rule interval-by-interval on a demand
     profile: gen-set on at or below the trigger, off at or above the window
     top, with a dwell of one interval. Charging uses the largest decision
@@ -86,35 +74,21 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     rollout.
     """
     deltas = cfg.delta_array()
-    fuels = cfg.fuel_array()
-    decision_idx = int(np.argmax(deltas))
-    if deltas[decision_idx] <= 0:
+    charge = int(np.argmax(deltas))
+    if deltas[charge] <= 0:
         raise ValueError("the rule decision must charge")
-    delta = float(deltas[decision_idx])
-    fuel_per_interval = float(fuels[decision_idx])
-    null_or_charge = np.asarray([0.0, delta])
-
-    soc = float(initial_soc)
-    traj = np.empty(d.n_intervals + 1)
-    traj[0] = soc
+    null = int(np.flatnonzero(deltas == 0.0)[0])
     on = False
-    fuel = 0.0
-    n_on = 0
-    feasible = True
-    for k in range(d.n_intervals):
+
+    def thermostat(k: int, soc: float) -> int:
+        nonlocal on
         if on and soc >= high_soc:
             on = False
         elif not on and soc <= trigger_soc:
             on = True
-        succ, gate_ok, ok = cs_step(cfg, soc, d.d_pct[k], null_or_charge)
-        a = 1 if on and gate_ok[1] else 0  # the DP gate forbids charging near the top
-        if a:
-            fuel += fuel_per_interval
-            n_on += 1
-        soc = float(succ[a])
-        feasible = feasible and bool(ok[a])
-        traj[k + 1] = soc
-    ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
-    return RuleOnDemandResult(fuel_kwh=fuel, cs_ec_wh_per_km=ec,
-                              soc_trajectory=traj, on_intervals=n_on,
-                              feasible=feasible, final_soc=soc)
+        # the DP gate forbids charging near the top
+        if on and cs_step(cfg, soc, d.d_pct[k], deltas[charge])[1]:
+            return charge
+        return null
+
+    return forward(d, cfg, initial_soc, thermostat)

@@ -51,7 +51,7 @@ class VehicleParams:
             raise ValueError("rho and g must be positive")
 
 
-def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg=0.0):
+def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg):
     """Tractive force in N at one operating point (or elementwise on arrays).
 
     Parameters

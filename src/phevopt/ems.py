@@ -114,8 +114,7 @@ class EnergyResult:
 
 def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
                         motor_map: EfficiencyMap, drv: DrivetrainParams,
-                        bp: BatteryParams, cfg: RuleConfig,
-                        calibration: float = 1.0
+                        bp: BatteryParams, cfg: RuleConfig, calibration: float
                         ) -> tuple[SimTrace, EnergyResult]:
     """Run the rule-based strategy over a cycle.
 

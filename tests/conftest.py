@@ -11,7 +11,7 @@ from phevopt import (
     default_decisions,
     synthetic_cycle,
 )
-from phevopt.dpopt import delta_to_electrical_kw
+from phevopt.dpopt import DEFAULT_DELTAS, delta_to_electrical_kw
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +49,8 @@ def rule_config(genset_point):
 @pytest.fixture(scope="session")
 def decisions(assembly):
     return default_decisions(
-        assembly.genset_point(2600.0, delta_to_electrical_kw(0.567, 10.0, 18.9)))
+        assembly.genset_point(2600.0, delta_to_electrical_kw(0.567, 10.0, 18.9)),
+        DEFAULT_DELTAS)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from phevopt.dpopt import (
     Decision,
     DemandProfile,
     DpConfig,
+    DpPolicy,
     TerminalRule,
     brute_force,
     delta_to_electrical_kw,
@@ -40,8 +42,7 @@ from helpers import flat_map, grid_aligned_instance
 def demand(cycle, vp, assembly, battery):
     """Charge-sustaining demand of the bundled cycle at test-data scale."""
     return build_demand(cycle, vp, assembly.motor_map, assembly.drivetrain,
-                        battery, calibration=1.1584804,
-                        regen_current_limit_a=150.0)
+                        battery, 1.1584804, 10.0, 150.0)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,11 @@ class TestDemandProfileValidation:
             DemandProfile(np.asarray([0.1]), 10.0, -1.0)
 
 
+def demand_of(cycle, vp, m, drv, bp, calibration=1.0):
+    """The demand at 10-s intervals without a regeneration clip."""
+    return build_demand(cycle, vp, m, drv, bp, calibration, 10.0, math.inf)
+
+
 class TestBuildDemand:
     def flat_setup(self):
         bp = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
@@ -219,28 +225,27 @@ class TestBuildDemand:
     def test_stationary_cycle_draws_nothing(self, vp):
         m, drv, bp = self.flat_setup()
         t = np.arange(0.0, 101.0)
-        d = build_demand(DriveCycle(t_s=t, v_mps=np.zeros(101)), vp, m, drv, bp)
+        d = demand_of(DriveCycle(t_s=t, v_mps=np.zeros(101)), vp, m, drv, bp)
         assert np.all(d.d_pct == 0.0)
         assert d.distance_km == 0.0
 
     def test_constant_speed_drain(self, vp):
         # 8.54424 kW wheel / 0.9 map for 10 s against 18.9 kWh
         m, drv, bp = self.flat_setup()
-        d = build_demand(self.const_cycle(), vp, m, drv, bp)
+        d = demand_of(self.const_cycle(), vp, m, drv, bp)
         assert d.n_intervals == 10
         assert d.distance_km == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(d.d_pct, 0.13952969, atol=1e-8)
 
     def test_calibration_scales_motoring_drain(self, vp):
         m, drv, bp = self.flat_setup()
-        base = build_demand(self.const_cycle(), vp, m, drv, bp)
-        scaled = build_demand(self.const_cycle(), vp, m, drv, bp,
-                              calibration=1.1584804)
+        base = demand_of(self.const_cycle(), vp, m, drv, bp)
+        scaled = demand_of(self.const_cycle(), vp, m, drv, bp, 1.1584804)
         assert np.allclose(scaled.d_pct, base.d_pct * 1.1584804, rtol=1e-12)
 
     def test_partial_trailing_interval_folds(self, vp):
         m, drv, bp = self.flat_setup()
-        d = build_demand(self.const_cycle(duration=105.0), vp, m, drv, bp)
+        d = demand_of(self.const_cycle(duration=105.0), vp, m, drv, bp)
         assert d.n_intervals == 10
         # the last interval absorbs 15 s instead of 10
         assert d.d_pct[-1] == pytest.approx(1.5 * d.d_pct[0], rel=1e-9)
@@ -255,25 +260,24 @@ class TestBuildDemand:
         down = np.linspace(25.0, 0.0, 13)[1:]
         v = np.concatenate([up, hold, down])
         c = DriveCycle(t_s=np.arange(0.0, v.size, dtype=float), v_mps=v)
-        free = build_demand(c, vp, m, drv, battery)
-        capped = build_demand(c, vp, m, drv, battery,
-                              regen_current_limit_a=150.0)
+        free = demand_of(c, vp, m, drv, battery)
+        capped = build_demand(c, vp, m, drv, battery, 1.0, 10.0, 150.0)
         assert np.all(capped.d_pct >= free.d_pct - 1e-12)
         assert capped.d_pct.sum() > free.d_pct.sum()
 
     def test_inputs_validated(self, vp):
         m, drv, bp = self.flat_setup()
         with pytest.raises(ValueError):
-            build_demand(self.const_cycle(), vp, m, drv, bp, calibration=0.0)
+            demand_of(self.const_cycle(), vp, m, drv, bp, 0.0)
         short = DriveCycle(t_s=np.asarray([0.0, 5.0]),
                            v_mps=np.asarray([10.0, 10.0]))
         with pytest.raises(ValueError, match="interval"):
-            build_demand(short, vp, m, drv, bp)
+            demand_of(short, vp, m, drv, bp)
 
     def test_envelope_error_names_step(self, cycle, vp, assembly, battery):
         with pytest.raises(EnvelopeError, match=r"step \d+ \(t = "):
-            build_demand(cycle, vp, assembly.motor_map, assembly.drivetrain,
-                         battery, calibration=10.0)
+            demand_of(cycle, vp, assembly.motor_map, assembly.drivetrain,
+                      battery, 10.0)
 
 
 class TestSolveExamples:
@@ -600,7 +604,7 @@ class TestObdStudy:
     def test_requires_initial_soc(self, cycle, vp, assembly, battery, decisions):
         cfg = DpConfig(decisions=decisions)
         with pytest.raises(ValueError, match="initial_soc"):
-            obd_study(cycle, vp, assembly, battery, cfg)
+            obd_study(cycle, vp, assembly, battery, cfg, 1.0, math.inf)
 
     def test_zero_penalty_branches_identical(self, cycle, vp, assembly,
                                              battery, decisions):
@@ -637,8 +641,8 @@ class TestRuleOnDemand:
         out = evaluate_rule_on_demand(demand, dp_config, 14.0,
                                       trigger_soc=14.0, high_soc=17.0)
         fuel = dp_config.fuel_array()
-        assert out.fuel_kwh == pytest.approx(out.on_intervals * fuel[3],
-                                             rel=1e-12)
+        on = demand.n_intervals - out.null_intervals
+        assert out.fuel_kwh == pytest.approx(on * fuel[3], rel=1e-12)
 
     def test_dp_dominates_rule(self, solved, demand, dp_config):
         # optimal control can only improve on the thermostat heuristic
@@ -837,3 +841,198 @@ class TestInterpShapes:
         before = x.copy()
         interp_inf(values, x, 12.0, 0.5)
         assert np.array_equal(x, before)
+
+
+# References: the policy rollout and the thermostat replay as first written,
+# two separate per-interval loops, each with its own trajectory, fuel and
+# count bookkeeping, and the replay over a two-entry (null, charge) table.
+# Both now run through one forward pass, which must agree bit for bit.
+
+def reference_rollout(policy, d, cfg, initial_soc):
+    if d.dt_s != cfg.dt_s:
+        raise ValueError(
+            f"demand intervals of {d.dt_s:g} s do not match the decision "
+            f"interval dt_s={cfg.dt_s:g} s")
+    if not np.isfinite(policy.optimal_cost(initial_soc)):
+        raise InfeasibleProblemError(
+            f"initial SOC {initial_soc:.4f}% has no feasible path")
+    grid = policy.grid
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    n = d.n_intervals
+    traj = np.empty(n + 1)
+    chosen = np.empty(n, dtype=np.int32)
+    soc = float(initial_soc)
+    traj[0] = soc
+    fuel_arr = cfg.fuel_array()
+    fuel = 0.0
+    nulls = 0
+    for k in range(n):
+        i = int(round((soc - grid[0]) / step))
+        i = min(max(i, 0), grid.size - 1)
+        a = int(policy.decision_idx[k, i])
+        chosen[k] = a
+        delta = policy.decisions[a].delta_soc
+        if delta == 0.0:
+            nulls += 1
+        else:
+            fuel += fuel_arr[a]
+        soc = float(cs_step(cfg, soc, d.d_pct[k], delta)[0])
+        breach = max(cfg.soc_min - soc, soc - cfg.soc_max)
+        if breach > cfg.grid_step + 1e-12:
+            raise ToleranceBreachError(
+                f"interval {k}: SOC {soc:.4f}% leaves [{cfg.soc_min:g}, "
+                f"{cfg.soc_max:g}] by {breach:.4f}% (> grid step {cfg.grid_step:g})")
+        traj[k + 1] = soc
+    ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
+    return dict(soc_trajectory=traj, fuel_kwh=fuel, cs_ec_wh_per_km=ec,
+                decision_indices=chosen, null_intervals=nulls)
+
+
+def reference_replay(d, cfg, initial_soc, trigger_soc, high_soc):
+    deltas = cfg.delta_array()
+    fuels = cfg.fuel_array()
+    decision_idx = int(np.argmax(deltas))
+    if deltas[decision_idx] <= 0:
+        raise ValueError("the rule decision must charge")
+    delta = float(deltas[decision_idx])
+    fuel_per_interval = float(fuels[decision_idx])
+    null_or_charge = np.asarray([0.0, delta])
+    soc = float(initial_soc)
+    traj = np.empty(d.n_intervals + 1)
+    traj[0] = soc
+    charging = np.zeros(d.n_intervals, dtype=bool)
+    on = False
+    fuel = 0.0
+    n_on = 0
+    feasible = True
+    for k in range(d.n_intervals):
+        if on and soc >= high_soc:
+            on = False
+        elif not on and soc <= trigger_soc:
+            on = True
+        succ, gate_ok, ok = cs_step(cfg, soc, d.d_pct[k], null_or_charge)
+        a = 1 if on and gate_ok[1] else 0
+        if a:
+            fuel += fuel_per_interval
+            n_on += 1
+        charging[k] = a
+        soc = float(succ[a])
+        feasible = feasible and bool(ok[a])
+        traj[k + 1] = soc
+    ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
+    return dict(fuel_kwh=fuel, cs_ec_wh_per_km=ec, soc_trajectory=traj,
+                on_intervals=n_on, feasible=feasible, final_soc=soc,
+                charging=charging)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, InfeasibleProblemError, ToleranceBreachError) as exc:
+        return (type(exc), str(exc))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_rollouts_equal(policy, d, cfg, initial_soc):
+    expect = outcome(reference_rollout, policy, d, cfg, initial_soc)
+    out = outcome(rollout, policy, d, cfg, initial_soc)
+    if isinstance(expect, tuple):
+        assert out == expect
+        return
+    assert not isinstance(out, tuple), out
+    for key in ("soc_trajectory", "decision_indices", "fuel_kwh", "cs_ec_wh_per_km"):
+        assert same_bits(getattr(out, key), expect[key]), key
+    assert out.null_intervals == expect["null_intervals"]
+    traj, chosen = expect["soc_trajectory"], expect["decision_indices"]
+    assert out.feasible is all(
+        bool(cs_step(cfg, traj[k], d.d_pct[k], cfg.decisions[a].delta_soc)[2])
+        for k, a in enumerate(chosen))
+
+
+def assert_replays_equal(d, cfg, initial_soc, trigger_soc, high_soc):
+    args = (d, cfg, initial_soc, trigger_soc, high_soc)
+    expect = outcome(reference_replay, *args)
+    out = outcome(evaluate_rule_on_demand, *args)
+    if isinstance(expect, tuple):
+        assert out == expect
+        return
+    assert not isinstance(out, tuple), out
+    for key in ("soc_trajectory", "fuel_kwh", "cs_ec_wh_per_km", "final_soc"):
+        assert same_bits(getattr(out, key), expect[key]), key
+    assert d.n_intervals - out.null_intervals == expect["on_intervals"]
+    assert out.feasible is expect["feasible"]
+    deltas = cfg.delta_array()
+    charge = int(np.argmax(deltas))
+    null = int(np.flatnonzero(deltas == 0.0)[0])
+    assert same_bits(out.decision_indices,
+                     np.where(expect["charging"], charge, null).astype(np.int32))
+
+
+@st.composite
+def forward_instances(draw):
+    """A sweep instance with its policy, a demand to roll it out on (the
+    solved one, or a heavier one that breaches the window), an off-grid
+    initial SOC inside or outside the window, and thermostat thresholds."""
+    d, cfg, threshold = draw(sweep_instances())
+    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
+    policy = DpPolicy(cost_to_go=cost_to_go, decision_idx=decision_idx,
+                      grid=cfg.grid(), decisions=cfg.decisions)
+    scale = draw(st.sampled_from([1.0, 1.0, 3.0, -2.0]))
+    replay = DemandProfile(d.d_pct * scale, d.dt_s, draw(st.sampled_from([0.0, 1.0, 2.7])))
+    finite = np.flatnonzero(np.isfinite(cost_to_go[0])).tolist()
+    if finite and draw(st.integers(0, 3)):  # mostly near a node the policy can start from
+        soc = float(policy.grid[draw(st.sampled_from(finite))])
+        soc += draw(st.floats(-0.49, 0.49)) * cfg.grid_step
+    else:
+        soc = draw(st.one_of(st.floats(11.5, 17.5), st.sampled_from([12.0, 14.0, 17.0])))
+    trigger = draw(st.floats(12.0, 17.0))
+    high = draw(st.one_of(st.floats(trigger, 17.5), st.just(17.0)))
+    return policy, replay, cfg, soc, trigger, high
+
+
+class TestForwardMatchesReference:
+    @given(inst=forward_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_rollout_random_instances(self, inst):
+        policy, d, cfg, soc, _, _ = inst
+        assert_rollouts_equal(policy, d, cfg, soc)
+
+    @given(inst=forward_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_replay_random_instances(self, inst):
+        _, d, cfg, soc, trigger, high = inst
+        assert_replays_equal(d, cfg, soc, trigger, high)
+
+    def test_rollout_breach_and_interval_errors(self, decisions):
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        policy = solve(one_interval(0.0), cfg)
+        for d, soc in ((one_interval(2.0), 12.5), (one_interval(-3.0), 16.9),
+                       (DemandProfile(np.zeros(1), 5.0, 1.0), 14.0)):
+            assert_rollouts_equal(policy, d, cfg, soc)
+        # on a 0.5 grid a 1.0 drain from 12.5 leaves the window by exactly one step
+        coarse = replace(cfg, grid_step=0.5)
+        for drain in (1.0, 1.0 + 1e-13, 1.01):
+            assert_rollouts_equal(solve(one_interval(0.0), coarse), one_interval(drain),
+                                  coarse, 12.5)
+        unreachable = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(14.0))
+        d = one_interval(0.8)
+        assert_rollouts_equal(solve(d, unreachable), d, unreachable, 14.0)
+
+    @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
+                                      "obd_single_lap.ini"])
+    @pytest.mark.parametrize("grid_step", [None, 0.002])
+    @pytest.mark.parametrize("obd", [False, True])
+    def test_shipped_fixtures(self, scenario_dir, name, grid_step, obd):
+        sc = load_scenario(scenario_dir / name)
+        run = run_dp_hybrid(sc)
+        cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
+                      obd_enabled=obd)
+        start = cfg.initial_soc
+        assert_rollouts_equal(solve(run.demand, cfg), run.demand, cfg, start)
+        assert_replays_equal(run.demand, cfg, start, sc.rule.cs_trigger,
+                             sc.rule.soc_high)

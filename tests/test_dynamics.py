@@ -16,12 +16,12 @@ def lossless_params():
 
 class TestTractiveForce:
     def test_steady_20mps_flat(self, vp):
-        f = tractive_force(vp, 2800.0, 20.0, 0.0)
+        f = tractive_force(vp, 2800.0, 20.0, 0.0, 0.0)
         # 0.5*1.20*0.75*400 aero + 2800*9.81*0.009 rolling
         assert f == pytest.approx(180.0 + 247.212, abs=1e-9)
 
     def test_rest_is_force_free(self, vp):
-        assert tractive_force(vp, 2800.0, 0.0, 0.0) == 0.0
+        assert tractive_force(vp, 2800.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_grade_term(self, vp):
         f = tractive_force(vp, 2800.0, 0.0, 0.0, grade_deg=5.0)
@@ -29,8 +29,8 @@ class TestTractiveForce:
         assert f == pytest.approx(2393.994, abs=1e-3)
 
     def test_rolling_resistance_gated_at_idle(self, vp):
-        crawling = tractive_force(vp, 2800.0, 0.05, 0.0)
-        moving = tractive_force(vp, 2800.0, 0.2, 0.0)
+        crawling = tractive_force(vp, 2800.0, 0.05, 0.0, 0.0)
+        moving = tractive_force(vp, 2800.0, 0.2, 0.0, 0.0)
         assert crawling < 1.0  # aero only at 5 cm/s
         assert moving > 247.0  # rolling resistance active
 
@@ -44,16 +44,16 @@ class TestTractiveForce:
         p = VehicleParams(crr=0.0)
         for v in (5.0, 12.0, 31.0):
             aero = 0.5 * p.rho * p.cdaf * v * v
-            assert tractive_force(p, 2800.0, 2 * v, 0.0) - tractive_force(
-                p, 2800.0, v, 0.0) == pytest.approx(3.0 * aero, rel=1e-12)
+            assert tractive_force(p, 2800.0, 2 * v, 0.0, 0.0) - tractive_force(
+                p, 2800.0, v, 0.0, 0.0) == pytest.approx(3.0 * aero, rel=1e-12)
 
     def test_negative_speed_rejected(self, vp):
         with pytest.raises(ValueError):
-            tractive_force(vp, 2800.0, -1.0, 0.0)
+            tractive_force(vp, 2800.0, -1.0, 0.0, 0.0)
 
     def test_nonpositive_mass_rejected(self, vp):
         with pytest.raises(ValueError):
-            tractive_force(vp, 0.0, 10.0, 0.0)
+            tractive_force(vp, 0.0, 10.0, 0.0, 0.0)
 
 
 class TestWheelPowerSeries:

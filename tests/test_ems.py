@@ -30,7 +30,7 @@ def cd_run(cycle, vp, assembly, battery, genset_point):
     """One lap started at high SOC: never reaches the trigger."""
     cfg = RuleConfig(genset_point, initial_soc=70.0)
     trace, energy = simulate_rule_based(cycle, vp, assembly.motor_map,
-                                        assembly.drivetrain, battery, cfg)
+                                        assembly.drivetrain, battery, cfg, 1.0)
     return trace, energy, cfg
 
 
@@ -174,7 +174,7 @@ class TestSocBehavior:
         cfg = RuleConfig(genset_point, initial_soc=70.0)
         with pytest.raises(InfeasibleVehicleError, match="battery empty"):
             simulate_rule_based(cycle, vp, assembly.motor_map,
-                                assembly.drivetrain, tiny, cfg)
+                                assembly.drivetrain, tiny, cfg, 1.0)
 
 
 class TestRegenLimits:

@@ -513,3 +513,21 @@ class TestDeterminism:
         for f in out.iterdir():
             if f.name != "run.log":
                 assert "elapsed" not in f.read_text()
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--strategy", "dp"],
+                                      ["compare"], ["obd"]], ids=lambda a: a[0])
+    def test_every_command_writes_the_log(self, tmp_path, scenario_dir, capsys, argv):
+        ini = scenario_dir / "single_lap.ini"
+        rc = main(argv + ["--scenario", str(ini), "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        keys = [line.split("=", 1)[0]
+                for line in (tmp_path / "run.log").read_text().splitlines()]
+        assert keys == ["command", "scenario", "version", "elapsed_s"]
+
+    def test_unwritable_log_exits_4(self, tmp_path, scenario_dir, capsys):
+        (tmp_path / "run.log").mkdir()
+        rc = main(["analyze", "--scenario", str(scenario_dir / "single_lap.ini"),
+                   "--out", str(tmp_path)])
+        assert rc == 4
+        assert "io error" in capsys.readouterr().err
