@@ -36,6 +36,7 @@ from .cycle import DriveCycle, compute_metrics
 from .dpopt import (
     DemandProfile,
     DpConfig,
+    DpPolicy,
     RolloutResult,
     build_demand,
     obd_study,
@@ -127,10 +128,16 @@ class HybridRun:
     trace: SimTrace
     rule_energy: EnergyResult
     entry_index: int | None
-    demand: DemandProfile | None = None
-    cfg: DpConfig | None = None
+    policy: DpPolicy | None = None
     roll: RolloutResult | None = None
-    policy: object | None = None
+
+    @property
+    def demand(self) -> DemandProfile | None:
+        return None if self.policy is None else self.policy.demand
+
+    @property
+    def cfg(self) -> DpConfig | None:
+        return None if self.policy is None else self.policy.cfg
 
     @property
     def ec_cs_fuel_wh_per_km(self) -> float:
@@ -162,16 +169,14 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
     )
     if sub.duration_s < sc.dp.dt_s:
         return HybridRun(trace, energy, idx)
-    entry_soc = float(trace.soc_pct[idx])
-    cfg = replace(sc.dp, initial_soc=entry_soc)
+    cfg = replace(sc.dp, initial_soc=float(trace.soc_pct[idx]))
     demand = build_demand(sub, sc.vp, sc.assembly.motor_map,
                           sc.assembly.drivetrain, sc.bp,
                           calibration=sc.calibration.energy_scale,
                           dt_s=cfg.dt_s,
                           regen_current_limit_a=sc.rule.regen_current_limit_a)
     policy = solve(demand, cfg)
-    roll = rollout(policy, demand, cfg, entry_soc)
-    return HybridRun(trace, energy, idx, demand, cfg, roll, policy)
+    return HybridRun(trace, energy, idx, policy, rollout(policy, cfg.initial_soc))
 
 
 def _summary_rows(sc: Scenario, strategy: str, ec_cd_dc: float, ec_cs: float,

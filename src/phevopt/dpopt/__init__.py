@@ -1,5 +1,5 @@
-"""Charge-sustaining optimization: backward DP over a quantized SOC grid,
-forward rollout, a brute-force optimality oracle, and OBD-cost studies."""
+"""Charge-sustaining optimization: a backward-DP policy that carries its own
+problem, its rollout, a brute-force optimality oracle, and OBD-cost studies."""
 
 from .oracle import brute_force
 from .problem import (

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams, wheel_power_series
+from ..ems import RuleConfig
 from ..errors import EnvelopeError, MapDomainError
 from ..powertrain import (
     BatteryParams,
@@ -105,14 +106,14 @@ class DpConfig:
     """Configuration of the CS optimization."""
 
     dt_s: float = 10.0
-    soc_min: float = 12.0
-    soc_max: float = 17.0
+    soc_min: float = RuleConfig.soc_low
+    soc_max: float = RuleConfig.soc_high
     grid_step: float = 0.01
     decisions: tuple[Decision, ...] = ()
     terminal_rule: TerminalRule = field(default_factory=TerminalRule.initial)
     obd_enabled: bool = False
     obd_energy_per_event_kwh: float = 0.00497
-    c_batt_kwh: float = 18.9
+    c_batt_kwh: float = BatteryParams.c_batt_kwh
     p_genset_max_kw: float = 40.0
     initial_soc: float | None = None
 
@@ -148,6 +149,11 @@ class DpConfig:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.soc_min, self.soc_max, self.n_states)
+
+    @property
+    def grid_spacing(self) -> float:
+        """Exact distance between grid nodes (``grid_step`` up to rounding)."""
+        return (self.soc_max - self.soc_min) / (self.n_states - 1)
 
     @property
     def max_positive_delta(self) -> float:
@@ -316,21 +322,20 @@ def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
 
 @dataclass
 class DpPolicy:
-    """Backward-induction output: optimal cost-to-go and the minimizing
-    decision index on the SOC grid for every interval."""
+    """Backward-induction output with the problem it solves: on ``cfg``'s grid,
+    the optimal cost-to-go and minimizing decision for each ``demand`` interval."""
 
+    cfg: DpConfig
+    demand: DemandProfile
     cost_to_go: np.ndarray      # (N+1, M) kWh fuel
-    decision_idx: np.ndarray    # (N, M) index into `decisions`
-    grid: np.ndarray            # (M,) SOC %
-    decisions: tuple[Decision, ...]
+    decision_idx: np.ndarray    # (N, M) index into `cfg.decisions`
 
     @property
-    def n_intervals(self) -> int:
-        return self.decision_idx.shape[0]
+    def grid(self) -> np.ndarray:
+        return self.cfg.grid()
 
     def optimal_cost(self, initial_soc: float) -> float:
         """Cost-to-go at stage 0 and an off-grid SOC (inf-aware linear
         interpolation)."""
-        grid = self.grid
-        step = (grid[-1] - grid[0]) / (grid.size - 1)
-        return float(interp_inf(self.cost_to_go[0], initial_soc, grid[0], step))
+        return float(interp_inf(self.cost_to_go[0], initial_soc, self.cfg.soc_min,
+                                self.cfg.grid_spacing))

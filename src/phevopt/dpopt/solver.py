@@ -19,13 +19,6 @@ from ..errors import InfeasibleProblemError, ToleranceBreachError
 from .problem import DemandProfile, DpConfig, DpPolicy, cs_step, interp_inf
 
 
-def _check_interval(d: DemandProfile, cfg: DpConfig) -> None:
-    if d.dt_s != cfg.dt_s:
-        raise ValueError(
-            f"demand intervals of {d.dt_s:g} s do not match the decision "
-            f"interval dt_s={cfg.dt_s:g} s")
-
-
 def backward_sweep(d: DemandProfile, cfg: DpConfig,
                    terminal_threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward induction over the SOC grid under the ``cs_step`` rule.
@@ -39,7 +32,6 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     """
     grid = cfg.grid()
     n, m = d.n_intervals, grid.size
-    step = (cfg.soc_max - cfg.soc_min) / (m - 1)
     deltas = cfg.delta_array()[:, None]
     fuel = cfg.fuel_array()[:, None]
     last = deltas.shape[0] - 1
@@ -49,7 +41,7 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
 
     for k in range(n - 1, -1, -1):
         succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
-        cost = interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, step)
+        cost = interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, cfg.grid_spacing)
         cost += fuel
         cost[~ok] = np.inf
         low = cost.min(axis=0)
@@ -75,11 +67,13 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
         initial state when it is set. The error names the first interval at
         which the whole grid is unreachable, when one exists.
     """
-    _check_interval(d, cfg)
+    if d.dt_s != cfg.dt_s:
+        raise ValueError(
+            f"demand intervals of {d.dt_s:g} s do not match the decision "
+            f"interval dt_s={cfg.dt_s:g} s")
     threshold = cfg.terminal_rule.resolve(cfg)
     cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
-    policy = DpPolicy(cost_to_go=cost_to_go, decision_idx=decision_idx,
-                      grid=cfg.grid(), decisions=cfg.decisions)
+    policy = DpPolicy(cfg, d, cost_to_go, decision_idx)
 
     if cfg.initial_soc is not None:
         unreachable = not np.isfinite(policy.optimal_cost(cfg.initial_soc))
@@ -145,33 +139,27 @@ def forward(d: DemandProfile, cfg: DpConfig, initial_soc: float,
                          feasible=feasible)
 
 
-def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
-            initial_soc: float) -> RolloutResult:
-    """Apply the stored policy forward from ``initial_soc`` with exact
-    continuous-SOC transitions (nearest-grid decisions at off-grid states).
+def rollout(policy: DpPolicy, initial_soc: float) -> RolloutResult:
+    """Apply the stored policy over its own demand from ``initial_soc`` with
+    exact continuous-SOC transitions (nearest-grid decisions off the grid).
 
     Raises
     ------
-    ValueError
-        When the demand's interval differs from ``cfg.dt_s``.
     InfeasibleProblemError
         If the initial state has no finite cost-to-go.
     ToleranceBreachError
         If any boundary SOC leaves the window by more than one grid step.
     """
-    _check_interval(d, cfg)
     if not np.isfinite(policy.optimal_cost(initial_soc)):
         raise InfeasibleProblemError(
             f"initial SOC {initial_soc:.4f}% has no feasible path")
-    grid = policy.grid
-    lo, top = float(grid[0]), grid.size - 1
-    step = (float(grid[-1]) - lo) / top
-    table = policy.decision_idx
+    cfg, table = policy.cfg, policy.decision_idx
+    lo, top, step = cfg.soc_min, cfg.n_states - 1, cfg.grid_spacing
 
     def nearest_node(k: int, soc: float) -> int:
         return int(table[k, min(max(round((soc - lo) / step), 0), top)])
 
-    out = forward(d, cfg, initial_soc, nearest_node)
+    out = forward(policy.demand, cfg, initial_soc, nearest_node)
     soc = out.soc_trajectory[1:]
     breach = np.maximum(cfg.soc_min - soc, soc - cfg.soc_max)
     over = np.flatnonzero(breach > cfg.grid_step + 1e-12)
@@ -185,8 +173,8 @@ def rollout(policy: DpPolicy, d: DemandProfile, cfg: DpConfig,
 
 def write_policy(policy: DpPolicy, path) -> None:
     """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
-    n, m = policy.n_intervals, policy.grid.size
-    labels = np.array([d.label for d in policy.decisions], dtype=object)
+    n, m = policy.decision_idx.shape
+    labels = np.array([d.label for d in policy.cfg.decisions], dtype=object)
     write_csv(path, ("k", "%d", np.repeat(np.arange(n), m)),
               ("soc_grid", "%.6f", np.tile(policy.grid, n)),
               ("decision_label", "%s", labels[policy.decision_idx.ravel()]),

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams
+from ..ems import thermostat_state
 from ..powertrain import BatteryParams, PowertrainAssembly
 from .problem import DemandProfile, DpConfig, build_demand, cs_step
 from .solver import RolloutResult, forward, rollout, solve
@@ -47,8 +48,7 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     results = {}
     for enabled in (False, True):
         branch_cfg = replace(cfg, obd_enabled=enabled)
-        policy = solve(demand, branch_cfg)
-        results[enabled] = rollout(policy, demand, branch_cfg, cfg.initial_soc)
+        results[enabled] = rollout(solve(demand, branch_cfg), cfg.initial_soc)
     off, on = results[False], results[True]
     increase = on.cs_ec_wh_per_km - off.cs_ec_wh_per_km
     pct = increase / off.cs_ec_wh_per_km * 100.0 if off.cs_ec_wh_per_km > 0 else 0.0
@@ -82,10 +82,7 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
 
     def thermostat(k: int, soc: float) -> int:
         nonlocal on
-        if on and soc >= high_soc:
-            on = False
-        elif not on and soc <= trigger_soc:
-            on = True
+        on = thermostat_state(on, soc, trigger_soc, high_soc)
         # the DP gate forbids charging near the top
         if on and cs_step(cfg, soc, d.d_pct[k], deltas[charge])[1]:
             return charge

@@ -112,6 +112,13 @@ class EnergyResult:
             raise ValueError("distances must be nonnegative")
 
 
+def thermostat_state(on: bool, soc: float, trigger: float, high: float) -> bool:
+    """The thermostat switch: on at or below ``trigger``, off at or above ``high``."""
+    if on:
+        return not soc >= high
+    return bool(soc <= trigger)
+
+
 def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
                         motor_map: EfficiencyMap, drv: DrivetrainParams,
                         bp: BatteryParams, cfg: RuleConfig, calibration: float
@@ -164,15 +171,12 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         # thermostat update on the state at this sample
         if not cs_entered and soc <= cfg.cs_trigger:
             cs_entered = True
-        if cs_entered:
-            dwell_ok = now - last_change_t >= cfg.min_dwell_s
-            if not genset_on and soc <= cfg.cs_trigger and dwell_ok:
-                genset_on = True
-                last_change_t = now
-                genset_start_t = now
-            elif genset_on and soc >= cfg.soc_high and dwell_ok:
-                genset_on = False
-                last_change_t = now
+        if cs_entered and now - last_change_t >= cfg.min_dwell_s:
+            on = thermostat_state(genset_on, soc, cfg.cs_trigger, cfg.soc_high)
+            if on != genset_on:
+                genset_on, last_change_t = on, now
+                if on:
+                    genset_start_t = now
         warm = genset_on and (now - genset_start_t >= cfg.warmup_s)
         p_gen = cfg.genset_point.electrical_power_kw if warm else 0.0
         crank = cfg.crank_power_kw if (genset_on and not warm) else 0.0

@@ -146,7 +146,7 @@ def test_criterion_05_oracle_agreement():
             expect = brute_force(d, cfg, 14.0)
         except InfeasibleProblemError:
             continue
-        out = rollout(solve(d, cfg), d, cfg, 14.0)
+        out = rollout(solve(d, cfg), 14.0)
         rel = (abs(out.fuel_kwh - expect) / expect if expect > 0
                else abs(out.fuel_kwh))
         worst = max(worst, rel)
@@ -172,7 +172,7 @@ def test_criterion_06_dominance(decisions):
         if not rule.feasible:
             continue
         try:
-            roll = rollout(solve(d, cfg), d, cfg, 14.0)
+            roll = rollout(solve(d, cfg), 14.0)
         except InfeasibleProblemError:
             continue
         assert roll.fuel_kwh <= rule.fuel_kwh * 1.005 + 1e-12

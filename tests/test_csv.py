@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from phevopt import cli
 from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
-from phevopt.dpopt import Decision, DpPolicy, obd_study, solver, studies
+from phevopt.dpopt import (
+    Decision,
+    DemandProfile,
+    DpConfig,
+    DpPolicy,
+    obd_study,
+    solver,
+    studies,
+)
 from phevopt.dpopt.solver import solve, write_policy
 from phevopt.ems import MODE_CS, write_trace
 from phevopt.scenario import load_scenario
@@ -54,13 +62,13 @@ def reference_trace(trace) -> str:
 
 def reference_policy(policy) -> str:
     out = ["k,soc_grid,decision_label,cost_to_go_kwh\n"]
-    for k in range(policy.n_intervals):
+    for k in range(policy.decision_idx.shape[0]):
         row_cost = policy.cost_to_go[k]
         row_idx = policy.decision_idx[k]
         for i, soc in enumerate(policy.grid):
             cost = row_cost[i]
             cost_txt = f"{cost:.9f}" if np.isfinite(cost) else "inf"
-            out.append(f"{k},{soc:.6f},{policy.decisions[int(row_idx[i])].label},"
+            out.append(f"{k},{soc:.6f},{policy.cfg.decisions[int(row_idx[i])].label},"
                        f"{cost_txt}\n")
     return "".join(out)
 
@@ -103,21 +111,27 @@ class TestWriteCsv:
 
 class TestWritePolicy:
     @pytest.mark.parametrize("n", (0, 1, _BLOCK // POLICY_STATES + 1))
-    @given(grid=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                         min_size=POLICY_STATES, max_size=POLICY_STATES),
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
            pool=st.lists(costs, min_size=1, max_size=24),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
            labels=st.lists(words, min_size=1, max_size=4))
     @settings(max_examples=8, deadline=None)
-    def test_matches_row_loop(self, tmp_path_factory, n, grid, pool, picks, labels):
+    def test_matches_row_loop(self, tmp_path_factory, n, lo, width, pool, picks,
+                              labels):
         shape = (n + 1, POLICY_STATES)
+        hi = lo + width
+        cfg = DpConfig(soc_min=lo, soc_max=hi,
+                       grid_step=(hi - lo) / (POLICY_STATES - 1),
+                       decisions=tuple(Decision(0.1 * j, 30.0, label)
+                                       for j, label in enumerate(labels)))
         policy = DpPolicy(
+            cfg=cfg,
+            # the writer reads the interval count off the tables; a demand
+            # holds at least one interval, so it stays one row for n = 0
+            demand=DemandProfile(np.zeros(max(n, 1)), cfg.dt_s, 1.0),
             cost_to_go=np.resize(np.asarray(pool), shape),
             decision_idx=np.resize(np.asarray(picks, dtype=np.int32) % len(labels),
-                                   shape)[:n],
-            grid=np.asarray(grid),
-            decisions=tuple(Decision(0.1 * j, 30.0, label)
-                            for j, label in enumerate(labels)))
+                                   shape)[:n])
         path = tmp_path_factory.mktemp("policy") / "policy.csv"
         write_policy(policy, path)
         assert path.read_bytes() == reference_policy(policy).encode("utf-8")

@@ -286,7 +286,7 @@ class TestSolveExamples:
         d = DemandProfile(np.zeros(3), 10.0, 1.0)
         policy = solve(d, cfg)
         assert policy.optimal_cost(14.0) == 0.0
-        out = rollout(policy, d, cfg, 14.0)
+        out = rollout(policy, 14.0)
         assert out.fuel_kwh == 0.0
         assert out.null_intervals == 3
         assert np.all(out.soc_trajectory == 14.0)
@@ -297,7 +297,7 @@ class TestSolveExamples:
         cfg = DpConfig(decisions=decisions, initial_soc=14.0, grid_step=0.005)
         d = one_interval(0.294)
         policy = solve(d, cfg)
-        out = rollout(policy, d, cfg, 14.0)
+        out = rollout(policy, 14.0)
         assert decisions[out.decision_indices[0]].label == "b0.294"
         fuel = cfg.fuel_array()
         assert out.fuel_kwh == pytest.approx(fuel[2], rel=1e-12)
@@ -308,7 +308,7 @@ class TestSolveExamples:
     def test_ec_normalizes_by_distance(self, decisions):
         cfg = DpConfig(decisions=decisions, initial_soc=14.0)
         d = one_interval(0.294, km=2.0)
-        out = rollout(solve(d, cfg), d, cfg, 14.0)
+        out = rollout(solve(d, cfg), 14.0)
         assert out.cs_ec_wh_per_km == pytest.approx(
             out.fuel_kwh * 1000.0 / 2.0, rel=1e-12)
 
@@ -326,7 +326,7 @@ class TestChargeGateAndCurtailment:
         cfg = DpConfig(decisions=decisions, initial_soc=16.0,
                        terminal_rule=TerminalRule.at(15.9))
         d = one_interval(0.6)
-        out = rollout(solve(d, cfg), d, cfg, 16.0)
+        out = rollout(solve(d, cfg), 16.0)
         assert decisions[out.decision_indices[0]].label == "b0.567"
         assert out.final_soc == pytest.approx(15.967, abs=1e-9)
 
@@ -334,7 +334,7 @@ class TestChargeGateAndCurtailment:
         cfg = DpConfig(decisions=decisions, initial_soc=16.8,
                        terminal_rule=TerminalRule.at(17.0))
         d = one_interval(-0.5)
-        out = rollout(solve(d, cfg), d, cfg, 16.8)
+        out = rollout(solve(d, cfg), 16.8)
         assert out.final_soc == 17.0
         assert out.fuel_kwh == 0.0
 
@@ -342,7 +342,7 @@ class TestChargeGateAndCurtailment:
         cfg = DpConfig(decisions=decisions, initial_soc=16.8,
                        terminal_rule=TerminalRule.at_soc_min())
         d = one_interval(0.5)
-        out = rollout(solve(d, cfg), d, cfg, 16.8)
+        out = rollout(solve(d, cfg), 16.8)
         assert out.final_soc == pytest.approx(16.3, abs=1e-9)
         assert out.null_intervals == 1  # gate leaves only the null decision
 
@@ -378,24 +378,21 @@ class TestInfeasibility:
         d = one_interval(0.8)
         policy = solve(d, cfg)
         with pytest.raises(InfeasibleProblemError):
-            rollout(policy, d, cfg, 14.0)
+            rollout(policy, 14.0)
 
     def test_demand_interval_must_match_config(self, decisions):
         cfg = DpConfig(decisions=decisions, initial_soc=14.0)
         coarse = DemandProfile(np.zeros(2), 5.0, 1.0)
         with pytest.raises(ValueError, match="dt_s"):
             solve(coarse, cfg)
-        policy = solve(DemandProfile(np.zeros(2), 10.0, 1.0), cfg)
-        with pytest.raises(ValueError, match="dt_s"):
-            rollout(policy, coarse, cfg, 14.0)
 
     def test_rollout_breach_guard(self, decisions):
         # replaying a policy on a much heavier demand trips the window guard
         cfg = DpConfig(decisions=decisions,
                        terminal_rule=TerminalRule.at_soc_min())
-        policy = solve(one_interval(0.0), cfg)
+        policy = replace(solve(one_interval(0.0), cfg), demand=one_interval(2.0))
         with pytest.raises(ToleranceBreachError, match="leaves"):
-            rollout(policy, one_interval(2.0), cfg, 12.5)
+            rollout(policy, 12.5)
 
 
 class TestTieBreaking:
@@ -412,7 +409,7 @@ class TestTieBreaking:
                 Decision(0.567, 31.0, "big"))
         cfg = DpConfig(decisions=decs, initial_soc=14.0)
         d = one_interval(0.294)
-        out = rollout(solve(d, cfg), d, cfg, 14.0)
+        out = rollout(solve(d, cfg), 14.0)
         assert out.decision_indices[0] == 1
 
 
@@ -471,18 +468,18 @@ class TestPolicyCostSurface:
 
 class TestCycleDemandSolution:
     def test_rollout_consistent_with_cost_to_go(self, solved, demand, dp_config):
-        out = rollout(solved, demand, dp_config, 14.0)
+        out = rollout(solved, 14.0)
         j0 = solved.optimal_cost(14.0)
         assert abs(out.fuel_kwh - j0) / j0 < 0.005
 
     def test_trajectory_respects_window(self, solved, demand, dp_config):
-        out = rollout(solved, demand, dp_config, 14.0)
+        out = rollout(solved, 14.0)
         assert out.soc_trajectory.size == demand.n_intervals + 1
         assert np.all(out.soc_trajectory >= 12.0 - dp_config.grid_step - 1e-12)
         assert np.all(out.soc_trajectory <= 17.0 + dp_config.grid_step + 1e-12)
 
     def test_terminal_rule_met_within_quantum(self, solved, demand, dp_config):
-        out = rollout(solved, demand, dp_config, 14.0)
+        out = rollout(solved, 14.0)
         quantum = dp_config.max_positive_delta + dp_config.grid_step
         assert out.final_soc >= 14.0 - quantum
         assert out.fuel_kwh > 0.0
@@ -564,7 +561,7 @@ def check_against_oracle(rng, count: int, obd: bool) -> None:
             expect = brute_force(d, cfg, 14.0)
         except InfeasibleProblemError:
             continue
-        out = rollout(solve(d, cfg), d, cfg, 14.0)
+        out = rollout(solve(d, cfg), 14.0)
         if expect > 0:
             assert abs(out.fuel_kwh - expect) / expect < 0.005
         else:
@@ -591,7 +588,7 @@ class TestOptimalityAgainstOracle:
                            grid_step=0.005)
             try:
                 expect = brute_force(d, cfg, 14.0)
-                out = rollout(solve(d, cfg), d, cfg, 14.0)
+                out = rollout(solve(d, cfg), 14.0)
             except InfeasibleProblemError:
                 continue
             checked += 1
@@ -648,7 +645,7 @@ class TestRuleOnDemand:
         # optimal control can only improve on the thermostat heuristic
         rule = evaluate_rule_on_demand(demand, dp_config, 14.0,
                                        trigger_soc=14.0, high_soc=17.0)
-        dp = rollout(solved, demand, dp_config, 14.0)
+        dp = rollout(solved, 14.0)
         assert dp.fuel_kwh <= rule.fuel_kwh * 1.005
 
     def test_noncharging_decision_rejected(self, demand):
@@ -871,7 +868,7 @@ def reference_rollout(policy, d, cfg, initial_soc):
         i = min(max(i, 0), grid.size - 1)
         a = int(policy.decision_idx[k, i])
         chosen[k] = a
-        delta = policy.decisions[a].delta_soc
+        delta = cfg.decisions[a].delta_soc
         if delta == 0.0:
             nulls += 1
         else:
@@ -938,9 +935,10 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_rollouts_equal(policy, d, cfg, initial_soc):
+def assert_rollouts_equal(policy, initial_soc):
+    d, cfg = policy.demand, policy.cfg
     expect = outcome(reference_rollout, policy, d, cfg, initial_soc)
-    out = outcome(rollout, policy, d, cfg, initial_soc)
+    out = outcome(rollout, policy, initial_soc)
     if isinstance(expect, tuple):
         assert out == expect
         return
@@ -980,10 +978,9 @@ def forward_instances(draw):
     initial SOC inside or outside the window, and thermostat thresholds."""
     d, cfg, threshold = draw(sweep_instances())
     cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
-    policy = DpPolicy(cost_to_go=cost_to_go, decision_idx=decision_idx,
-                      grid=cfg.grid(), decisions=cfg.decisions)
     scale = draw(st.sampled_from([1.0, 1.0, 3.0, -2.0]))
     replay = DemandProfile(d.d_pct * scale, d.dt_s, draw(st.sampled_from([0.0, 1.0, 2.7])))
+    policy = DpPolicy(cfg, replay, cost_to_go, decision_idx)
     finite = np.flatnonzero(np.isfinite(cost_to_go[0])).tolist()
     if finite and draw(st.integers(0, 3)):  # mostly near a node the policy can start from
         soc = float(policy.grid[draw(st.sampled_from(finite))])
@@ -992,36 +989,33 @@ def forward_instances(draw):
         soc = draw(st.one_of(st.floats(11.5, 17.5), st.sampled_from([12.0, 14.0, 17.0])))
     trigger = draw(st.floats(12.0, 17.0))
     high = draw(st.one_of(st.floats(trigger, 17.5), st.just(17.0)))
-    return policy, replay, cfg, soc, trigger, high
+    return policy, soc, trigger, high
 
 
 class TestForwardMatchesReference:
     @given(inst=forward_instances())
     @settings(max_examples=200, deadline=None)
     def test_rollout_random_instances(self, inst):
-        policy, d, cfg, soc, _, _ = inst
-        assert_rollouts_equal(policy, d, cfg, soc)
+        policy, soc, _, _ = inst
+        assert_rollouts_equal(policy, soc)
 
     @given(inst=forward_instances())
     @settings(max_examples=200, deadline=None)
     def test_replay_random_instances(self, inst):
-        _, d, cfg, soc, trigger, high = inst
-        assert_replays_equal(d, cfg, soc, trigger, high)
+        policy, soc, trigger, high = inst
+        assert_replays_equal(policy.demand, policy.cfg, soc, trigger, high)
 
     def test_rollout_breach_and_interval_errors(self, decisions):
         cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
         policy = solve(one_interval(0.0), cfg)
-        for d, soc in ((one_interval(2.0), 12.5), (one_interval(-3.0), 16.9),
-                       (DemandProfile(np.zeros(1), 5.0, 1.0), 14.0)):
-            assert_rollouts_equal(policy, d, cfg, soc)
+        for d, soc in ((one_interval(2.0), 12.5), (one_interval(-3.0), 16.9)):
+            assert_rollouts_equal(replace(policy, demand=d), soc)
         # on a 0.5 grid a 1.0 drain from 12.5 leaves the window by exactly one step
-        coarse = replace(cfg, grid_step=0.5)
+        coarse = solve(one_interval(0.0), replace(cfg, grid_step=0.5))
         for drain in (1.0, 1.0 + 1e-13, 1.01):
-            assert_rollouts_equal(solve(one_interval(0.0), coarse), one_interval(drain),
-                                  coarse, 12.5)
+            assert_rollouts_equal(replace(coarse, demand=one_interval(drain)), 12.5)
         unreachable = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(14.0))
-        d = one_interval(0.8)
-        assert_rollouts_equal(solve(d, unreachable), d, unreachable, 14.0)
+        assert_rollouts_equal(solve(one_interval(0.8), unreachable), 14.0)
 
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
                                       "obd_single_lap.ini"])
@@ -1033,6 +1027,6 @@ class TestForwardMatchesReference:
         cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
                       obd_enabled=obd)
         start = cfg.initial_soc
-        assert_rollouts_equal(solve(run.demand, cfg), run.demand, cfg, start)
+        assert_rollouts_equal(solve(run.demand, cfg), start)
         assert_replays_equal(run.demand, cfg, start, sc.rule.cs_trigger,
                              sc.rule.soc_high)

@@ -8,6 +8,7 @@ from phevopt.ems import (
     EnergyResult,
     RuleConfig,
     simulate_rule_based,
+    thermostat_state,
     write_trace,
 )
 from phevopt.errors import EnvelopeError, InfeasibleVehicleError
@@ -145,6 +146,22 @@ class TestThermostat:
         trace, _, _ = cs_run
         producing = trace.p_genset_elec_kw > 0.0
         assert np.array_equal(producing, trace.genset_warm)
+
+    @pytest.mark.parametrize("on,soc,trigger,high,expect", [
+        (False, 14.0, 14.0, 17.0, True),    # on at the trigger
+        (False, 14.5, 14.0, 17.0, False),   # off inside the band stays off
+        (False, 17.0, 14.0, 17.0, False),
+        (True, 17.0, 14.0, 17.0, False),    # off at the window top
+        (True, 14.5, 14.0, 17.0, True),     # on inside the band stays on
+        (True, 14.0, 14.0, 17.0, True),
+        (False, 15.0, 15.0, 15.0, True),    # a zero-width band flips each call
+        (True, 15.0, 15.0, 15.0, False),
+    ])
+    def test_hysteresis_truth_table(self, on, soc, trigger, high, expect):
+        for x in (soc, np.float64(soc)):  # the SOC loop holds np.float64
+            result = thermostat_state(on, x, trigger, high)
+            assert type(result) is bool
+            assert result is expect
 
 
 class TestSocBehavior:
