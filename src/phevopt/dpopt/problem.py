@@ -320,15 +320,36 @@ def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
     return out.reshape(np.shape(x))
 
 
+def check_demand_interval(d: DemandProfile, cfg: DpConfig) -> None:
+    """Raise ``ValueError`` when the demand's interval differs from ``cfg.dt_s``."""
+    if d.dt_s != cfg.dt_s:
+        raise ValueError(
+            f"demand intervals of {d.dt_s:g} s do not match the decision "
+            f"interval dt_s={cfg.dt_s:g} s")
+
+
 @dataclass
 class DpPolicy:
     """Backward-induction output with the problem it solves: on ``cfg``'s grid,
-    the optimal cost-to-go and minimizing decision for each ``demand`` interval."""
+    the optimal cost-to-go and minimizing decision for each ``demand`` interval.
+
+    Raises ``ValueError`` when the tables' shapes or the demand's interval
+    disagree with ``demand`` and ``cfg``."""
 
     cfg: DpConfig
     demand: DemandProfile
     cost_to_go: np.ndarray      # (N+1, M) kWh fuel
     decision_idx: np.ndarray    # (N, M) index into `cfg.decisions`
+
+    def __post_init__(self) -> None:
+        check_demand_interval(self.demand, self.cfg)
+        n, m = self.demand.n_intervals, self.cfg.n_states
+        for name, table, shape in (("decision_idx", self.decision_idx, (n, m)),
+                                   ("cost_to_go", self.cost_to_go, (n + 1, m))):
+            if table.shape != shape:
+                raise ValueError(
+                    f"{name} has shape {table.shape}, but a demand of {n} "
+                    f"intervals on a grid of {m} states needs {shape}")
 
     @property
     def grid(self) -> np.ndarray:

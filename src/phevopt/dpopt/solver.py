@@ -16,7 +16,14 @@ import numpy as np
 
 from .._csv import write_csv
 from ..errors import InfeasibleProblemError, ToleranceBreachError
-from .problem import DemandProfile, DpConfig, DpPolicy, cs_step, interp_inf
+from .problem import (
+    DemandProfile,
+    DpConfig,
+    DpPolicy,
+    check_demand_interval,
+    cs_step,
+    interp_inf,
+)
 
 
 def backward_sweep(d: DemandProfile, cfg: DpConfig,
@@ -67,10 +74,7 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
         initial state when it is set. The error names the first interval at
         which the whole grid is unreachable, when one exists.
     """
-    if d.dt_s != cfg.dt_s:
-        raise ValueError(
-            f"demand intervals of {d.dt_s:g} s do not match the decision "
-            f"interval dt_s={cfg.dt_s:g} s")
+    check_demand_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
     cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
     policy = DpPolicy(cfg, d, cost_to_go, decision_idx)

@@ -126,10 +126,11 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
     """Run the rule-based strategy over a cycle.
 
     Wheel power (scaled by ``calibration``) converts through the motor map
-    to electrical demand once for the whole cycle. Per step the gen-set
-    contributes per the thermostat state, the battery current follows from
-    the terminal-power inversion (with the regeneration clip), and SOC
-    integrates the chemistry power.
+    to electrical demand once for the whole cycle. The gen-set has three
+    regimes (off, cranking, warm); for each, the battery current follows
+    from the terminal-power inversion (with the regeneration clip) once for
+    the whole cycle, plus one regen-lockout value. Per step the thermostat
+    picks the regime and SOC integrates the chemistry power.
 
     Raises
     ------
@@ -146,75 +147,93 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
     p_wheel = wheel_power_series(vp, cycle) * calibration
     p_motor_series = motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel)
 
-    trace = SimTrace(
-        t_s=t.copy(), v_mps=cycle.v_mps.copy(),
-        mode=np.zeros(n, dtype=np.int8),
-        genset_on=np.zeros(n, dtype=bool),
-        genset_warm=np.zeros(n, dtype=bool),
-        p_wheel_kw=p_wheel,
-        p_motor_elec_kw=np.zeros(n),
-        p_genset_elec_kw=np.zeros(n),
-        crank_kw=np.zeros(n),
-        i_batt_a=np.zeros(n),
-        soc_pct=np.zeros(n),
-        fuel_step_kwh=np.zeros(n),
-    )
+    # (crank, p_gen) of the regimes off / cranking / warm, and per regime the
+    # current and motor power of every sample; entry n has the motor term at
+    # 0, for regen lockout at the window top (friction braking only)
+    regimes = ((0.0, 0.0), (cfg.crank_power_kw, 0.0),
+               (0.0, cfg.genset_point.electrical_power_kw))
+    p_motor_ext = np.append(p_motor_series, 0.0)
+    limit = cfg.regen_current_limit_a
+    currents = np.empty((3, n + 1))
+    motors = np.empty((3, n + 1))
+    for r, (crank, p_gen) in enumerate(regimes):
+        i_r = current_from_power(bp, p_motor_ext + crank - p_gen)
+        clip = i_r < -limit  # NaN (outside an envelope) is never clipped
+        currents[r] = np.where(clip, -limit, i_r)
+        motors[r] = np.where(clip, terminal_power_kw(bp, -limit) + p_gen - crank,
+                             p_motor_ext)
+    # a memoryview hands the loop Python floats without holding a list of them,
+    # which would add about 0.6 MB per 8281 samples to the peak
+    current_of = [memoryview(row) for row in currents]
+    regen, times = (p_motor_series < 0.0).tolist(), t.tolist()
 
+    trigger, high = cfg.cs_trigger, cfg.soc_high
+    dwell, warmup = cfg.min_dwell_s, cfg.warmup_s
+    v_oc, c_batt_kwh = bp.v_oc, bp.c_batt_kwh
+    regime, lockout, soc_pct = [0] * n, [False] * n, [0.0] * n
     soc = cfg.initial_soc
     cs_entered = False
+    k_cs = n
     genset_on = False
     last_change_t = -np.inf
     genset_start_t = -np.inf
 
     for k in range(n):
-        now = t[k]
+        now = times[k]
         # thermostat update on the state at this sample
-        if not cs_entered and soc <= cfg.cs_trigger:
-            cs_entered = True
-        if cs_entered and now - last_change_t >= cfg.min_dwell_s:
-            on = thermostat_state(genset_on, soc, cfg.cs_trigger, cfg.soc_high)
+        if not cs_entered and soc <= trigger:
+            cs_entered, k_cs = True, k
+        if cs_entered and now - last_change_t >= dwell:
+            on = thermostat_state(genset_on, soc, trigger, high)
             if on != genset_on:
                 genset_on, last_change_t = on, now
                 if on:
                     genset_start_t = now
-        warm = genset_on and (now - genset_start_t >= cfg.warmup_s)
-        p_gen = cfg.genset_point.electrical_power_kw if warm else 0.0
-        crank = cfg.crank_power_kw if (genset_on and not warm) else 0.0
-
-        p_motor = p_motor_series[k]
-        if cs_entered and soc >= cfg.soc_high and p_motor < 0.0:
-            p_motor = 0.0  # regen lockout at the window top: friction only
-        try:
-            if math.isnan(p_motor):  # outside the motor envelope: raise the reason
-                motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
-            i_batt = current_from_power(bp, p_motor + crank - p_gen)
-        except (EnvelopeError, MapDomainError) as exc:
-            raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
-        if i_batt < -cfg.regen_current_limit_a:
-            i_batt = -cfg.regen_current_limit_a
-            p_motor = terminal_power_kw(bp, i_batt) + p_gen - crank
-
-        trace.mode[k] = MODE_CS if cs_entered else MODE_CD
-        trace.genset_on[k] = genset_on
-        trace.genset_warm[k] = warm
-        trace.p_motor_elec_kw[k] = p_motor
-        trace.i_batt_a[k] = i_batt
-        trace.soc_pct[k] = soc
+        r = (2 if now - genset_start_t >= warmup else 1) if genset_on else 0
+        locked = cs_entered and soc >= high and regen[k]
+        j = n if locked else k
+        i_batt = current_of[r][j]
+        if math.isnan(i_batt):  # outside an envelope: the scalar faces raise the reason
+            crank, p_gen = regimes[r]
+            p_motor = motors[r, j]
+            try:
+                if math.isnan(p_motor):
+                    motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
+                current_from_power(bp, p_motor + crank - p_gen)
+            except (EnvelopeError, MapDomainError) as exc:
+                raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
+        regime[k], lockout[k], soc_pct[k] = r, locked, soc
 
         if k < n - 1:
-            dt = t[k + 1] - now
-            soc -= bp.v_oc * i_batt * dt / (3.6e6 * bp.c_batt_kwh) * 100.0
+            dt = times[k + 1] - now
+            soc -= v_oc * i_batt * dt / (3.6e6 * c_batt_kwh) * 100.0
             if soc <= 0.0:
                 raise InfeasibleVehicleError(
-                    f"battery empty at t = {t[k + 1]:g} s "
+                    f"battery empty at t = {times[k + 1]:g} s "
                     f"({'CS' if cs_entered else 'CD'} mode); the vehicle cannot "
                     f"complete this cycle")
             soc = min(soc, 100.0)
 
-    trace.p_genset_elec_kw[trace.genset_warm] = cfg.genset_point.electrical_power_kw
-    trace.crank_kw[trace.genset_on & ~trace.genset_warm] = cfg.crank_power_kw
+    regime = np.array(regime)
+    column = np.where(lockout, n, np.arange(n))
+    mode = np.full(n, MODE_CD, dtype=np.int8)
+    mode[k_cs:] = MODE_CS
+    warm = regime == 2
+    on = regime > 0
     eff = cfg.genset_point.combined_efficiency_pct / 100.0
-    trace.fuel_step_kwh[:-1] = trace.p_genset_elec_kw[:-1] / eff * np.diff(t) / 3600.0
+    p_genset = np.where(warm, cfg.genset_point.electrical_power_kw, 0.0)
+    fuel = np.zeros(n)
+    fuel[:-1] = p_genset[:-1] / eff * np.diff(t) / 3600.0
+    trace = SimTrace(
+        t_s=t.copy(), v_mps=cycle.v_mps.copy(), mode=mode,
+        genset_on=on, genset_warm=warm, p_wheel_kw=p_wheel,
+        p_motor_elec_kw=motors[regime, column],
+        p_genset_elec_kw=p_genset,
+        crank_kw=np.where(on & ~warm, cfg.crank_power_kw, 0.0),
+        i_batt_a=currents[regime, column],
+        soc_pct=np.array(soc_pct),
+        fuel_step_kwh=fuel,
+    )
     return trace, _energy_result(trace, bp, cycle)
 
 

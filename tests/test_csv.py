@@ -110,7 +110,7 @@ class TestWriteCsv:
 
 
 class TestWritePolicy:
-    @pytest.mark.parametrize("n", (0, 1, _BLOCK // POLICY_STATES + 1))
+    @pytest.mark.parametrize("n", (1, _BLOCK // POLICY_STATES + 1))
     @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
            pool=st.lists(costs, min_size=1, max_size=24),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
@@ -125,10 +125,7 @@ class TestWritePolicy:
                        decisions=tuple(Decision(0.1 * j, 30.0, label)
                                        for j, label in enumerate(labels)))
         policy = DpPolicy(
-            cfg=cfg,
-            # the writer reads the interval count off the tables; a demand
-            # holds at least one interval, so it stays one row for n = 0
-            demand=DemandProfile(np.zeros(max(n, 1)), cfg.dt_s, 1.0),
+            cfg=cfg, demand=DemandProfile(np.zeros(n), cfg.dt_s, 1.0),
             cost_to_go=np.resize(np.asarray(pool), shape),
             decision_idx=np.resize(np.asarray(picks, dtype=np.int32) % len(labels),
                                    shape)[:n])

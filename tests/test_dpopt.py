@@ -386,6 +386,26 @@ class TestInfeasibility:
         with pytest.raises(ValueError, match="dt_s"):
             solve(coarse, cfg)
 
+    def test_policy_refuses_demand_of_other_length(self, decisions):
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
+        with pytest.raises(ValueError, match=r"decision_idx has shape \(3, 501\), but "
+                           r"a demand of 4 intervals .* needs \(4, 501\)"):
+            replace(policy, demand=DemandProfile(np.zeros(4), 10.0, 1.0))
+        with pytest.raises(ValueError, match=r"cost_to_go has shape \(3, 501\)"):
+            replace(policy, cost_to_go=policy.cost_to_go[:-1])
+
+    def test_policy_refuses_demand_of_other_interval(self, decisions):
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
+        coarse = DemandProfile(np.zeros(3), 5.0, 1.0)
+        with pytest.raises(ValueError) as from_solve:
+            solve(coarse, cfg)
+        with pytest.raises(ValueError) as from_policy:
+            replace(policy, demand=coarse)
+        assert str(from_policy.value) == str(from_solve.value)
+        assert "dt_s=10 s" in str(from_policy.value)
+
     def test_rollout_breach_guard(self, decisions):
         # replaying a policy on a much heavier demand trips the window guard
         cfg = DpConfig(decisions=decisions,

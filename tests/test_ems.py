@@ -1,18 +1,33 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phevopt.cycle import DriveCycle
+from phevopt import ems
+from phevopt.cycle import DriveCycle, repeat_cycle
+from phevopt.dynamics import wheel_power_series
 from phevopt.ems import (
     MODE_CD,
     MODE_CS,
     EnergyResult,
     RuleConfig,
+    SimTrace,
+    _energy_result,
     simulate_rule_based,
     thermostat_state,
     write_trace,
 )
-from phevopt.errors import EnvelopeError, InfeasibleVehicleError
-from phevopt.powertrain import BatteryParams, terminal_power_kw
+from phevopt.errors import EnvelopeError, InfeasibleVehicleError, MapDomainError
+from phevopt.powertrain import (
+    BatteryParams,
+    current_from_power,
+    motor_electrical_power,
+    terminal_power_kw,
+)
+from phevopt.scenario import load_scenario
 
 CAL = 1.1584804
 
@@ -335,3 +350,207 @@ class TestTraceExport:
         assert float(row[10]) == pytest.approx(trace.soc_pct[k], abs=1e-6)
         first = lines[1].split(",")
         assert first[2] == "CD"
+
+
+def reference_simulate_rule_based(cycle, vp, motor_map, drv, bp, cfg, calibration):
+    """The thermostat loop as it stood before the per-regime current series:
+    one scalar terminal-power inversion per sample."""
+    if calibration <= 0:
+        raise ValueError("calibration must be positive")
+    n = cycle.n_samples
+    t = cycle.t_s
+    p_wheel = wheel_power_series(vp, cycle) * calibration
+    p_motor_series = motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel)
+
+    trace = SimTrace(
+        t_s=t.copy(), v_mps=cycle.v_mps.copy(),
+        mode=np.zeros(n, dtype=np.int8),
+        genset_on=np.zeros(n, dtype=bool),
+        genset_warm=np.zeros(n, dtype=bool),
+        p_wheel_kw=p_wheel,
+        p_motor_elec_kw=np.zeros(n),
+        p_genset_elec_kw=np.zeros(n),
+        crank_kw=np.zeros(n),
+        i_batt_a=np.zeros(n),
+        soc_pct=np.zeros(n),
+        fuel_step_kwh=np.zeros(n),
+    )
+
+    soc = cfg.initial_soc
+    cs_entered = False
+    genset_on = False
+    last_change_t = -np.inf
+    genset_start_t = -np.inf
+
+    for k in range(n):
+        now = t[k]
+        # thermostat update on the state at this sample
+        if not cs_entered and soc <= cfg.cs_trigger:
+            cs_entered = True
+        if cs_entered and now - last_change_t >= cfg.min_dwell_s:
+            on = thermostat_state(genset_on, soc, cfg.cs_trigger, cfg.soc_high)
+            if on != genset_on:
+                genset_on, last_change_t = on, now
+                if on:
+                    genset_start_t = now
+        warm = genset_on and (now - genset_start_t >= cfg.warmup_s)
+        p_gen = cfg.genset_point.electrical_power_kw if warm else 0.0
+        crank = cfg.crank_power_kw if (genset_on and not warm) else 0.0
+
+        p_motor = p_motor_series[k]
+        if cs_entered and soc >= cfg.soc_high and p_motor < 0.0:
+            p_motor = 0.0  # regen lockout at the window top: friction only
+        try:
+            if math.isnan(p_motor):  # outside the motor envelope: raise the reason
+                motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
+            i_batt = current_from_power(bp, p_motor + crank - p_gen)
+        except (EnvelopeError, MapDomainError) as exc:
+            raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
+        if i_batt < -cfg.regen_current_limit_a:
+            i_batt = -cfg.regen_current_limit_a
+            p_motor = terminal_power_kw(bp, i_batt) + p_gen - crank
+
+        trace.mode[k] = MODE_CS if cs_entered else MODE_CD
+        trace.genset_on[k] = genset_on
+        trace.genset_warm[k] = warm
+        trace.p_motor_elec_kw[k] = p_motor
+        trace.i_batt_a[k] = i_batt
+        trace.soc_pct[k] = soc
+
+        if k < n - 1:
+            dt = t[k + 1] - now
+            soc -= bp.v_oc * i_batt * dt / (3.6e6 * bp.c_batt_kwh) * 100.0
+            if soc <= 0.0:
+                raise InfeasibleVehicleError(
+                    f"battery empty at t = {t[k + 1]:g} s "
+                    f"({'CS' if cs_entered else 'CD'} mode); the vehicle cannot "
+                    f"complete this cycle")
+            soc = min(soc, 100.0)
+
+    trace.p_genset_elec_kw[trace.genset_warm] = cfg.genset_point.electrical_power_kw
+    trace.crank_kw[trace.genset_on & ~trace.genset_warm] = cfg.crank_power_kw
+    eff = cfg.genset_point.combined_efficiency_pct / 100.0
+    trace.fuel_step_kwh[:-1] = trace.p_genset_elec_kw[:-1] / eff * np.diff(t) / 3600.0
+    return trace, _energy_result(trace, bp, cycle)
+
+
+def outcome(simulate, *args):
+    """The simulation's (trace, energy), or the class and text of its error."""
+    try:
+        return simulate(*args)
+    except (EnvelopeError, InfeasibleVehicleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_simulations_equal(*args):
+    """Run both loops on the same arguments and require the same bits, or
+    the same error; return the reference outcome."""
+    expect = outcome(reference_simulate_rule_based, *args)
+    got = outcome(simulate_rule_based, *args)
+    if isinstance(expect[0], type):
+        assert got == expect
+        return expect
+    assert not isinstance(got[0], type), got
+    (trace, energy), (ref_trace, ref_energy) = got, expect
+    for f in fields(SimTrace):
+        a, b = getattr(trace, f.name), getattr(ref_trace, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    assert energy == ref_energy
+    return expect
+
+
+@st.composite
+def rule_runs(draw, cycle, genset_point):
+    """A short slice of ``cycle`` with a thermostat and battery that reach
+    the loop's corners: a start in CD or CS, a narrow or wide window, a
+    regen limit that binds in every gen-set regime and under lockout, a
+    dwell and warm-up from none to longer than a cycle phase, a crank
+    beyond the battery's capability, a battery small enough to run empty,
+    and a calibration beyond the motor envelope."""
+    start = draw(st.integers(0, cycle.n_samples - 2))
+    stop = min(start + draw(st.one_of(st.integers(2, 20), st.integers(100, 240))),
+               cycle.n_samples)
+    part = DriveCycle(cycle.t_s[start:stop] - cycle.t_s[start],
+                      cycle.v_mps[start:stop], cycle.grade_deg[start:stop])
+    trigger = draw(st.floats(12.5, 16.5))
+    high = trigger + draw(st.one_of(st.floats(0.01, 0.3), st.floats(0.3, 3.0)))
+    beyond_battery = draw(st.integers(0, 7)) == 7
+    cfg = RuleConfig(
+        genset_point, soc_high=high, cs_trigger=trigger,
+        min_dwell_s=draw(st.floats(0.0, 60.0)),
+        warmup_s=draw(st.one_of(st.floats(0.0, 5.0), st.floats(5.0, 60.0))),
+        crank_power_kw=400.0 if beyond_battery else draw(st.floats(0.0, 30.0)),
+        regen_current_limit_a=draw(st.one_of(st.floats(1.0, 60.0),
+                                             st.floats(60.0, 400.0))),
+        initial_soc=draw(st.one_of(st.floats(11.0, trigger), st.floats(trigger, 100.0))))
+    bp = BatteryParams(c_batt_kwh=draw(st.one_of(st.floats(0.01, 0.5),
+                                                 st.floats(0.5, 20.0))))
+    # two draws in three stay inside the motor envelope and reach the later corners
+    calibration = draw(st.one_of(st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                                 st.floats(2.0, 12.0)))
+    return part, bp, cfg, calibration
+
+
+class TestLoopMatchesReference:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_slices(self, data, cycle, vp, assembly, genset_point):
+        part, bp, cfg, calibration = data.draw(rule_runs(cycle, genset_point))
+        assert_simulations_equal(part, vp, assembly.motor_map, assembly.drivetrain,
+                                 bp, cfg, calibration)
+
+    @pytest.mark.parametrize("name", ["single_lap", "three_lap", "obd_single_lap"])
+    @pytest.mark.parametrize("laps", [1, 2])
+    def test_shipped_scenarios(self, scenario_dir, name, laps):
+        sc = load_scenario(scenario_dir / f"{name}.ini")
+        out = assert_simulations_equal(
+            repeat_cycle(sc.cycle, laps), sc.vp, sc.assembly.motor_map,
+            sc.assembly.drivetrain, sc.bp, sc.rule, sc.calibration.energy_scale)
+        assert not isinstance(out[0], type), out
+
+    @pytest.mark.parametrize("jump, expect, message", [
+        # the battery empties at t = 26 s, long before the sample at 59 s
+        (60, InfeasibleVehicleError,
+         "battery empty at t = 26 s (CS mode); the vehicle cannot complete this cycle"),
+        # the same cruise reaches a sample outside the envelope at 19 s first
+        (20, EnvelopeError, "step 19 (t = 19 s): torque 1885 Nm outside [0, 320]"),
+    ])
+    def test_error_precedence(self, vp, assembly, genset_point, jump, expect, message):
+        t = np.arange(61.0)
+        v = np.minimum(t, 15.0)
+        v[jump] = 45.0  # a speed jump no motor can drive
+        args = (DriveCycle(t, v), vp, assembly.motor_map, assembly.drivetrain,
+                BatteryParams(c_batt_kwh=0.2), RuleConfig(genset_point, initial_soc=70.0),
+                1.0)
+        assert assert_simulations_equal(*args) == (expect, message)
+
+
+class TestCurrentSeries:
+    def test_scalar_inversions_do_not_grow_with_samples(self, cycle, vp, assembly,
+                                                        battery, genset_point,
+                                                        monkeypatch):
+        calls = []
+
+        def counted(bp, p_terminal_kw):
+            calls.append(np.ndim(p_terminal_kw))
+            return current_from_power(bp, p_terminal_kw)
+
+        monkeypatch.setattr(ems, "current_from_power", counted)
+        cfg = RuleConfig(genset_point, initial_soc=15.0)
+        counts = []
+        for laps, samples in ((1, 1381), (6, 8281)):
+            calls.clear()
+            trace, _ = simulate_rule_based(repeat_cycle(cycle, laps), vp,
+                                           assembly.motor_map, assembly.drivetrain,
+                                           battery, cfg, CAL)
+            assert trace.n_samples == samples
+            # all three regimes and the regen lockout occur on these runs
+            assert (trace.genset_on & ~trace.genset_warm).any()
+            assert trace.genset_warm.any() and (~trace.genset_on).any()
+            assert ((trace.soc_pct >= cfg.soc_high) & (trace.p_motor_elec_kw == 0.0)
+                    & (trace.p_wheel_kw < 0.0)).any()
+            scalar = calls.count(0)
+            counts.append(scalar)
+            # one array inversion per regime, at most one lockout call each
+            assert len(calls) - scalar <= 3 and scalar <= 3
+        assert counts[0] == counts[1]
