@@ -4,12 +4,19 @@ The CS phase is a finite-horizon problem: the state is SOC, one decision is
 taken per interval (default 10 s) from a quantized set of gen-set charge
 increments, and the exogenous drain per interval comes from the driving
 load. Costs are kWh of fuel.
+
+``cs_step`` states the transition rule once, for one interval or for a
+column of intervals at a time. The inf-aware interpolation of a cost-to-go
+comes in two halves: ``interp_index`` turns points into node indices and
+weights, which depend only on the points, and ``interp_apply`` reads them
+against one table of node values. ``interp_inf`` is the two composed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -101,9 +108,10 @@ def delta_to_electrical_kw(delta_soc: float, dt_s: float, c_batt_kwh: float) -> 
     return delta_soc / 100.0 * c_batt_kwh * 3600.0 / dt_s
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpConfig:
-    """Configuration of the CS optimization."""
+    """Configuration of the CS optimization. Frozen, so that a derived value
+    cached on first read stays true: ``dataclasses.replace`` makes a new one."""
 
     dt_s: float = 10.0
     soc_min: float = RuleConfig.soc_low
@@ -155,7 +163,7 @@ class DpConfig:
         """Exact distance between grid nodes (``grid_step`` up to rounding)."""
         return (self.soc_max - self.soc_min) / (self.n_states - 1)
 
-    @property
+    @cached_property  # the forward pass reads it once per interval
     def max_positive_delta(self) -> float:
         positives = [dec.delta_soc for dec in self.decisions if dec.delta_soc > 0]
         return max(positives) if positives else 0.0
@@ -181,13 +189,14 @@ class DpConfig:
         return np.asarray(out, dtype=float)
 
 
-def cs_step(cfg: DpConfig, soc, d_k: float, delta):
+def cs_step(cfg: DpConfig, soc, d_k, delta):
     """One interval of the charge-sustaining dynamics: the transition rule
     that the backward sweep, the rollout and the thermostat replay share.
 
-    ``soc`` (% SOC) and ``delta`` (decision charge increments, % per
-    interval) broadcast against each other, e.g. a column of decisions
-    against a row of grid states; ``d_k`` is the interval's drain. The null
+    ``soc`` (% SOC), ``delta`` (decision charge increments, % per interval)
+    and ``d_k`` (the interval's drain) broadcast against each other, e.g. a
+    column of decisions against a row of grid states, and a ``(B, 1, 1)``
+    column of drains against both for ``B`` intervals at once. The null
     decision (``delta == 0``) also pays the OBD drain when it is enabled.
     On a net-regeneration interval the successor is curtailed at
     ``soc_max``. Charging is gated off wherever the largest increment could
@@ -199,11 +208,12 @@ def cs_step(cfg: DpConfig, soc, d_k: float, delta):
     """
     delta = np.asarray(delta, dtype=float)
     null = delta == 0.0
-    succ = soc + delta  # a fresh array (or scalar), so -= touches no caller's data
-    succ -= d_k
+    succ = soc + delta - d_k  # a fresh array (or scalar), so -= touches no caller's data
     if cfg.obd_enabled:  # without OBD the drain is 0.0, and x - 0.0 == x
         succ -= np.where(null, cfg.obd_drain_pct, 0.0)
-    if d_k < 0.0:
+    if isinstance(d_k, np.ndarray):  # min(x, inf) == x on the other intervals
+        succ = np.minimum(succ, np.where(d_k < 0.0, cfg.soc_max, np.inf))
+    elif d_k < 0.0:
         succ = np.minimum(succ, cfg.soc_max)
     gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
     ok = succ >= cfg.soc_min - SOC_EPS
@@ -293,31 +303,62 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                          dt_s=dt_s, distance_km=cycle.distance_km)
 
 
+def interp_index(x, lo: float, step: float, m: int):
+    """Index half of ``interp_inf``: where points ``x`` (any shape) fall on
+    the uniform grid ``lo + i*step`` of ``m`` nodes.
+
+    Returns ``(j, jd, w)``, each shaped like ``x``: the node whose value a
+    point reads, the slot of the step it reads (see ``interp_apply``), and
+    its weight. Points outside the grid are clipped onto the end node. A
+    weight within ``SOC_EPS`` of 0 snaps the point onto node ``j``, and one
+    within ``SOC_EPS`` of 1 onto node ``j + 1``; a snapped point reads step
+    slot ``m``, which holds a zero step.
+    """
+    p = np.subtract(x, lo).reshape(-1)  # a fresh 1-d array, even for a scalar
+    p /= step
+    np.clip(p, 0.0, float(m - 1), out=p)
+    j = np.floor(p)
+    w = np.subtract(p, j, out=p)  # the same bits as subtracting the integer index
+    j = j.astype(np.intp)
+    right = w > 1.0 - SOC_EPS
+    j += right
+    jd = np.where(right | (w < SOC_EPS), m, j)
+    shape = np.shape(x)
+    return j.reshape(shape), jd.reshape(shape), w.reshape(shape)
+
+
+def interp_apply(values: np.ndarray, j, jd, w):
+    """Value half of ``interp_inf``: ``steps[jd] * w + values[j]`` for the
+    ``(j, jd, w)`` of ``interp_index`` on a grid of ``values.size`` nodes.
+
+    ``steps`` holds ``values[i+1] - values[i]`` at slot ``i``, infinity
+    where either node is infinite, and a zero step in the last two slots.
+    So a point inside a cell that touches an infinite node is infinite
+    (the weight of an unsnapped point is at least ``SOC_EPS``), and never
+    NaN. A snapped point gives ``values[j] + 0.0``, which is its node value
+    bit for bit because ``values`` holds no -0.0 (costs lie in [0, inf]).
+    Returns an array shaped like the indices (a numpy scalar for 0-d ones).
+    """
+    m = values.size
+    steps = np.zeros(m + 1)
+    cell = steps[:m - 1]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        np.subtract(values[1:], values[:-1], out=cell)
+    np.copyto(cell, np.inf, where=~np.isfinite(cell))
+    out = steps[jd]
+    out *= w
+    out += values[j]
+    return out
+
+
 def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
     """Linear interpolation of node ``values`` on the uniform grid
     ``lo + i*step`` at points ``x`` (any shape), treating infinity as
     infeasible: a point inside a cell that touches an infinite node is
     infinite. Weights within ``SOC_EPS`` of a node snap onto it, and points
-    outside the grid take the end node's value."""
-    m = values.size
-    p = np.subtract(x, lo).reshape(-1)  # a fresh 1-d array, even for a scalar
-    p /= step
-    np.clip(p, 0.0, float(m - 1), out=p)
-    j = np.floor(p)
-    w = p - j  # the same bits as subtracting the integer index
-    j = j.astype(np.intp)
-    left = values[j]
-    with np.errstate(invalid="ignore"):
-        # right - left; the last node (w == 0) gets a zero step and snaps below
-        out = np.diff(values, append=values[-1])[j]
-        out *= w
-        out += left
-    # inf - inf is NaN, and a NaN would win the minimum over decisions
-    out[np.isnan(out)] = np.inf
-    np.copyto(out, left, where=w < SOC_EPS)
-    snap = w > 1.0 - SOC_EPS
-    out[snap] = values[j[snap] + 1]
-    return out.reshape(np.shape(x))
+    outside the grid take the end node's value. Returns an array shaped
+    like ``x``."""
+    return np.asarray(interp_apply(values, *interp_index(x, lo, step, values.size)))
 
 
 def check_demand_interval(d: DemandProfile, cfg: DpConfig) -> None:

@@ -2,9 +2,14 @@
 
 Each stage of the backward sweep evaluates every decision from every grid
 state at once, as one (decisions x states) array, and keeps the cheapest
-decision per state. ``forward`` is the one per-interval loop over a
-demand: the policy rollout and the thermostat replay are two decision
-rules passed to it.
+decision per state. What does not read the next stage's cost-to-go (the
+transitions, their interpolation indices and the stage costs) is computed
+once per block of stages, sized by a fixed cell budget, ``BLOCK_CELLS``;
+so is the tie pick, once the block's cost-to-go is known. A stage itself
+only reads its indices against the next stage's cost-to-go, adds its
+stage cost and takes the minimum. ``forward`` is the one per-interval loop
+over a demand: the policy rollout and the thermostat replay are two
+decision rules passed to it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,16 @@ from .problem import (
     DpPolicy,
     check_demand_interval,
     cs_step,
-    interp_inf,
+    interp_apply,
+    interp_index,
 )
+
+#: Cells (stages x decisions x states) of one block of the backward sweep:
+#: 10 stages at 501 states and 4 decisions, 2 at 2501. A block holds two
+#: indices, a weight and a cost per cell (32 bytes), and about 36 bytes
+#: while it is computed. 2 ** 15 cells swept 2-3% faster but raised the
+#: peak RSS of a CLI run by up to 0.9 MB (2%).
+BLOCK_CELLS = 20_480
 
 
 def backward_sweep(d: DemandProfile, cfg: DpConfig,
@@ -46,18 +59,26 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     decision_idx = np.empty((n, m), dtype=np.int32)
     cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
 
-    for k in range(n - 1, -1, -1):
-        succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
-        cost = interp_inf(cost_to_go[k + 1], succ, cfg.soc_min, cfg.grid_spacing)
-        cost += fuel
-        cost[~ok] = np.inf
-        low = cost.min(axis=0)
-        cost_to_go[k] = low
+    per_block = max(1, BLOCK_CELLS // fuel.size // m)
+    for stop in range(n, 0, -per_block):
+        start = max(stop - per_block, 0)
+        succ, _, ok = cs_step(cfg, grid, d.d_pct[start:stop, None, None], deltas)
+        js, jds, ws = interp_index(succ, cfg.soc_min, cfg.grid_spacing, m)
+        del succ  # the stage loop holds only indices, weights and costs
+        # inadmissible moves cost inf, and x + inf == inf for every x in [0, inf]
+        costs = np.where(ok, fuel, np.inf)
+        del ok
+        for b in range(stop - start - 1, -1, -1):
+            k = start + b
+            cost = costs[b]
+            cost += interp_apply(cost_to_go[k + 1], js[b], jds[b], ws[b])
+            cost.min(axis=0, out=cost_to_go[k])
         # overwrite from the last decision down, so the lowest tied index wins
-        best = decision_idx[k]
+        best = decision_idx[start:stop]
         best[:] = last
         for a in range(last - 1, -1, -1):
-            np.copyto(best, a, where=cost[a] == low)
+            np.copyto(best, a, where=costs[:, a] == cost_to_go[start:stop])
+        del js, jds, ws, costs  # before the next block is computed
     return cost_to_go, decision_idx
 
 

@@ -250,7 +250,9 @@ def _energy_result(trace: SimTrace, bp: BatteryParams, cycle: DriveCycle) -> Ene
         cs_seg = slice(0, 0)
     else:
         cd_km = cum_dist_m[k_cs] / 1000.0
-        cs_km = total_km - cd_km
+        # the cumulative sum can pass the trapezoid total by an ulp when CS
+        # is entered on the last sample
+        cs_km = max(total_km - cd_km, 0.0)
         cd_seg = slice(0, k_cs)
         cs_seg = slice(k_cs, trace.n_samples - 1)
 

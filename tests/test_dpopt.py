@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,14 @@ from phevopt.errors import (
     InstanceTooLargeError,
     ToleranceBreachError,
 )
-from phevopt.dpopt.problem import SOC_EPS, cs_step, interp_inf
-from phevopt.dpopt.solver import backward_sweep
+from phevopt.dpopt.problem import (
+    SOC_EPS,
+    cs_step,
+    interp_apply,
+    interp_index,
+    interp_inf,
+)
+from phevopt.dpopt.solver import BLOCK_CELLS, backward_sweep
 from phevopt.powertrain import DrivetrainParams
 from phevopt.scenario import load_scenario
 
@@ -82,6 +89,13 @@ class TestDpConfigValidation:
     def test_max_positive_delta(self, decisions):
         cfg = DpConfig(decisions=decisions)
         assert cfg.max_positive_delta == 0.567
+
+    def test_frozen_so_the_cached_gate_cannot_go_stale(self, decisions):
+        cfg = DpConfig(decisions=decisions)
+        assert cfg.max_positive_delta == 0.567
+        with pytest.raises(FrozenInstanceError):
+            cfg.decisions = decisions[:2]
+        assert replace(cfg, decisions=decisions[:2]).max_positive_delta == 0.051
 
     def test_obd_drain_value(self, decisions):
         cfg = DpConfig(decisions=decisions)
@@ -811,6 +825,35 @@ class TestSweepMatchesReference:
                     assert np.shape(out) == np.shape(expect)
                     assert np.array_equal(out, expect)
 
+    @given(inst=sweep_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_cs_step_on_a_drain_column(self, inst):
+        # B intervals at once give each interval's (decisions x states) move
+        d, cfg, _ = inst
+        grid, deltas = cfg.grid(), cfg.delta_array()[:, None]
+        block = cs_step(cfg, grid, d.d_pct[:, None, None], deltas)
+        for k, d_k in enumerate(d.d_pct):
+            for out, expect in zip(block, cs_step(cfg, grid, float(d_k), deltas)):
+                assert np.array_equal(np.broadcast_to(out, block[2].shape)[k], expect)
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.002])
+    @pytest.mark.parametrize("obd", [False, True])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "B-1", "B", "B+1", "2B+1"])
+    def test_block_edges(self, decisions, grid_step, obd, blocks, extra):
+        # demands of 1 interval and around one and two blocks of B stages
+        cfg = DpConfig(decisions=decisions, grid_step=grid_step, obd_enabled=obd)
+        per_block = BLOCK_CELLS // len(decisions) // cfg.n_states
+        assert per_block > 1  # 10 stages at 501 states, 2 at 2501
+        n = blocks * per_block + extra
+        rng = np.random.default_rng(n)
+        # regeneration, drains on whole and half grid steps, and heavy drains
+        drains = np.where(rng.random(n) < 0.3, rng.integers(-60, 120, n) * grid_step / 2,
+                          rng.uniform(-0.4, 0.8, n))
+        d = DemandProfile(drains, 10.0, 1.0)
+        for threshold in (12.0, 14.0, 16.9):
+            assert_sweeps_equal(d, cfg, threshold)
+
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
                                       "obd_single_lap.ini"])
     @pytest.mark.parametrize("grid_step", [None, 0.002])
@@ -822,6 +865,27 @@ class TestSweepMatchesReference:
         cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
                       obd_enabled=obd)
         assert_sweeps_equal(run.demand, cfg, cfg.terminal_rule.resolve(cfg))
+
+
+#: Bytes of working memory the backward sweep may hold per cell of its block
+#: budget. A block holds two intp indices, a weight and a stage cost per
+#: cell (32 bytes), 36 while it is being computed, and each stage a few
+#: (decisions x states) temporaries; 414 x 2501 x 4 measures 45.
+SWEEP_BYTES_PER_CELL = 48
+
+
+def test_sweep_memory_is_bounded_by_the_block_budget(decisions):
+    cfg = DpConfig(decisions=decisions, grid_step=0.002)
+    d = DemandProfile(np.random.default_rng(0).uniform(-0.3, 0.5, 414), 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        cost_to_go, decision_idx = backward_sweep(d, cfg, 14.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(cost_to_go[0]).any()
+    working = peak - cost_to_go.nbytes - decision_idx.nbytes
+    assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
 
 
 class TestInterpShapes:
@@ -852,6 +916,22 @@ class TestInterpShapes:
         out = interp_inf(values, x, 12.0, 0.5)
         assert out.shape == x.shape
         assert np.array_equal(out, reference_interp_inf(values, x, 12.0, 0.5))
+
+    def test_split_on_a_block(self, values):
+        # the (stages x decisions x states) block the backward sweep indexes
+        x = self.points(values).reshape(2, 4, -1)
+        index = interp_index(x, 12.0, 0.5, values.size)
+        assert all(a.shape == x.shape for a in index)
+        out = interp_apply(values, *index)
+        assert out.shape == x.shape
+        assert np.array_equal(out, reference_interp_inf(values, x, 12.0, 0.5))
+
+    def test_split_on_a_scalar(self, values):
+        for x in self.points(values):
+            index = interp_index(float(x), 12.0, 0.5, values.size)
+            assert all(a.shape == () for a in index)
+            out = interp_apply(values, *index)
+            assert float(out) == float(reference_interp_inf(values, float(x), 12.0, 0.5))
 
     def test_input_untouched(self, values):
         x = self.points(values)

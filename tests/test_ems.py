@@ -280,6 +280,21 @@ class TestEnergyAccounting:
         assert energy.cd_distance_km > 0.0
         assert energy.cs_distance_km > energy.cd_distance_km
 
+    def test_cs_entry_on_last_sample(self, cycle, vp, assembly, genset_point):
+        # the cumulative distance to the last sample, 47.64705882352942 m,
+        # passes the trapezoid total, 47.64705882352941 m: the CS distance
+        # is 0, not an error
+        part = DriveCycle(cycle.t_s[277:288] - cycle.t_s[277], cycle.v_mps[277:288],
+                          cycle.grade_deg[277:288])
+        cfg = RuleConfig(genset_point, cs_trigger=14.0, initial_soc=23.265)
+        trace, energy = simulate_rule_based(
+            part, vp, assembly.motor_map, assembly.drivetrain,
+            BatteryParams(c_batt_kwh=0.5), cfg, 1.0)
+        assert trace.cs_entry_index() == part.n_samples - 1
+        assert energy.cd_distance_km > part.distance_km
+        assert energy.cs_distance_km == 0.0
+        assert energy.ec_cs_fuel_wh_per_km == 0.0
+
     def test_cs_fuel_rate_recomputable(self, cs_run):
         trace, energy, _ = cs_run
         k = trace.cs_entry_index()
