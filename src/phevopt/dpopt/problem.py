@@ -321,8 +321,11 @@ def interp_index(x, lo: float, step: float, m: int):
     w = np.subtract(p, j, out=p)  # the same bits as subtracting the integer index
     j = j.astype(np.intp)
     right = w > 1.0 - SOC_EPS
-    j += right
-    jd = np.where(right | (w < SOC_EPS), m, j)
+    np.add(j, 1, out=j, where=right)
+    jd = j.copy()
+    snap = w < SOC_EPS
+    snap |= right
+    np.copyto(jd, m, where=snap)
     shape = np.shape(x)
     return j.reshape(shape), jd.reshape(shape), w.reshape(shape)
 

@@ -2,7 +2,8 @@
 
 The reference functions below are the per-row loops the package once wrote
 its CSV files with; every CLI data file now goes through the block-wise
-column writer, which must produce the same bytes.
+column writer, which must produce the same bytes. Repeated columns reach
+it once-formatted, through ``formatted``.
 """
 
 import math
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phevopt import cli
-from phevopt._csv import _BLOCK, write_csv
+from phevopt import cli, ems
+from phevopt._csv import _BLOCK, formatted, write_csv
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
     Decision,
@@ -109,6 +110,46 @@ class TestWriteCsv:
         assert not path.exists()
 
 
+def distinct_strings(column) -> int:
+    return len({id(s) for s in column})
+
+
+def handed_columns(monkeypatch, module, write, *args) -> dict:
+    """The ``{name: (spec, values)}`` that ``write(*args)`` hands to
+    ``module.write_csv``, which writes nothing."""
+    columns = {}
+    monkeypatch.setattr(module, "write_csv", lambda path, *cols: columns.update(
+        (name, (spec, v)) for name, spec, v in cols))
+    write(*args)
+    return columns
+
+
+class TestFormatted:
+    @given(pool=st.lists(floats, min_size=1, max_size=24),
+           picks=st.lists(st.integers(0, 23)))
+    @settings(max_examples=40, deadline=None)
+    def test_floats_match_per_value_format(self, pool, picks):
+        repeats = np.asarray(pool)[np.asarray(picks, dtype=np.intp) % len(pool)]
+        values = np.concatenate([SPECIAL, repeats])
+        for spec in FLOAT_SPECS:
+            out = formatted(spec, values)
+            assert out.dtype == object
+            assert out.tolist() == [spec % v for v in values.tolist()]
+            assert distinct_strings(out) == np.unique(values.view(np.uint64)).size
+
+    @given(ints=st.lists(st.integers(-2**63, 2**63 - 1), max_size=24),
+           flags=st.lists(st.booleans(), max_size=24))
+    @settings(max_examples=40, deadline=None)
+    def test_ints_and_bools_match_per_value_format(self, ints, flags):
+        for values in (np.asarray(ints, dtype=np.int64), np.asarray(flags, dtype=bool)):
+            assert formatted("%d", values).tolist() == ["%d" % v for v in values.tolist()]
+
+    def test_negative_zero_keeps_its_sign(self):
+        # np.unique on the floats themselves merges -0.0 into 0.0
+        assert formatted("%.6f", np.array([0.0, -0.0])).tolist() == [
+            "0.000000", "-0.000000"]
+
+
 class TestWritePolicy:
     @pytest.mark.parametrize("n", (1, _BLOCK // POLICY_STATES + 1))
     @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
@@ -188,3 +229,26 @@ class TestWritersMatchRowLoops:
         monkeypatch.setattr(solver, "write_csv", counted)
         write_policy(run.policy, tmp_path / "policy.csv")
         assert len(calls) == 1
+
+    def test_write_policy_formats_k_and_grid_once(self, run, tmp_path, monkeypatch):
+        columns = handed_columns(monkeypatch, solver, write_policy, run.policy,
+                                 tmp_path / "policy.csv")
+        n, m = run.policy.decision_idx.shape
+        assert n > 1 and m > 1
+        for name, distinct in (("k", n), ("soc_grid", m)):
+            spec, values = columns[name]
+            assert spec == "%s"
+            assert len(values) == n * m
+            assert distinct_strings(values) == distinct
+
+    def test_write_trace_formats_genset_columns_once(self, run, tmp_path, monkeypatch):
+        columns = handed_columns(monkeypatch, ems, write_trace, run.trace,
+                                 tmp_path / "trace.csv")
+        for name in ("genset_on", "genset_warm", "p_genset_elec_kw", "crank_kw",
+                     "fuel_step_kwh"):
+            spec, values = columns[name]
+            raw = getattr(run.trace, name)
+            assert spec == "%s"
+            assert len(values) == run.trace.n_samples
+            assert distinct_strings(values) == np.unique(
+                raw.view(f"u{raw.itemsize}")).size
