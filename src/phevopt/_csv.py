@@ -1,40 +1,135 @@
 """The column writer behind the package's CSV data files.
 
-A column whose values repeat (an interval index over every state, a grid
-over every interval, a flag) is passed once-formatted: ``formatted`` turns
-it into an array of strings, one string per distinct value, written with
-the spec ``"%s"``.
+``write_csv`` builds each block of rows as one ``(rows x width)`` byte
+matrix and writes its kept bytes in one call. Every column fills a box of
+bytes and a mask of the bytes to keep (digits and signs, or each string's
+UTF-8 bytes up to its length, so a NUL, comma or newline in a label is
+kept); the kept bytes, read row by row, are the block's lines.
+
+``%.Nf`` of a float and ``%d`` of an integer are formatted with array
+arithmetic, from the digits of the integer ``rint(|x| * 10**N)``. For a
+scaled value below 2**49 and more than one ulp from a half-integer,
+``rint`` provably rounds it the way CPython's correctly rounded ``%``
+does. Every other element (NaN, an infinity, a near-tie, a huge value,
+text, any other spec) goes through ``spec % v`` in ``_per_value``, the one
+place a value is formatted on its own.
+
+A column is ``(name, spec, values)``, or ``(name, spec, table, index)``
+for a coded column whose row ``i`` is ``table[index[i]]``: its table is
+formatted once, and each block gathers its rows from it.
 """
+
+import re
 
 import numpy as np
 
-_BLOCK = 4096  # rows formatted per write: bounds the strings held at once
+_BLOCK = 4096  # rows per write: bounds the byte matrices held at once
+_FIXED = re.compile(r"%\.(\d)f")  # 10.0**N is exact for these N
+_EXACT = 2.0 ** 49  # below it rint(y) is exact and y - rint(y) has no rounding
+_COMMA, _NEWLINE, _MINUS, _POINT, _ZERO = b",\n-.0"
 
 
-def formatted(spec: str, values) -> np.ndarray:
-    """``spec % v`` for each of ``values`` (a 1-d array), as an object array
-    that formats each distinct bit pattern once and shares its string.
+def _per_value(spec: str, values: np.ndarray):
+    """The box and keep mask of ``spec % v`` for each of ``values``, in UTF-8."""
+    encoded = [(spec % v).encode("utf-8") for v in values.tolist()]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    box = np.zeros(keep.shape, np.uint8)
+    box[keep] = np.frombuffer(b"".join(encoded), np.uint8)
+    return box, keep
 
-    Values are told apart by their bits, not by ``==``: ``-0.0`` keeps its
-    own ``"-0.000000"``, and every NaN is formatted as itself.
-    """
-    keys, inverse = np.unique(values.view(f"u{values.itemsize}"),
-                              return_inverse=True)
-    text = np.array([spec % v for v in keys.view(values.dtype).tolist()],
-                    dtype=object)
-    return text[inverse]
+
+def _digits(mag: np.ndarray, negative: np.ndarray, n: int):
+    """The box and keep mask of ``[-]i[.f]``: the unsigned integers ``mag``
+    over ``10**n``, with ``n`` fraction digits and no leading zeros."""
+    d = max(len(str(mag.max(initial=0))), n + 1)  # digits, at least one before the point
+    point = 1 + d - n  # column of the point, after the sign and the integer digits
+    box = np.zeros((mag.size, 1 + d + (n > 0)), np.uint8)
+    keep = np.ones(box.shape, bool)
+    keep[:, 0] = negative
+    columns = [*range(1, point), *range(point + 1, box.shape[1])]
+    q, t = mag.copy(), np.empty_like(mag)
+    for c in reversed(columns):
+        np.floor_divide(q, 10, out=t)
+        box[:, c] = q - t * 10
+        q, t = t, q
+    for j, c in enumerate(columns[:d - n - 1]):
+        keep[:, c] = mag >= np.uint64(10 ** (d - 1 - j))
+    box[:, 1:] += _ZERO
+    box[:, 0] = _MINUS
+    if n:
+        box[:, point] = _POINT
+    return box, keep
+
+
+def _floats(spec: str, n: int, x: np.ndarray):
+    """``_per_value(spec, x)`` for ``spec == "%.{n}f"``, per value only
+    where ``rint`` cannot be shown to round as ``%`` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(x) * 10.0 ** n
+        q = np.rint(y)
+        exact = (y < _EXACT) & (0.5 - np.abs(y - q) > np.spacing(y))
+    box, keep = _digits(np.where(exact, q, 0.0).astype(np.uint64), np.signbit(x), n)
+    if exact.all():
+        return box, keep
+    rows = ~exact
+    other, other_keep = _per_value(spec, x[rows])
+    width = max(box.shape[1], other.shape[1])
+    box, keep = _widened(box, width), _widened(keep, width)
+    box[rows], keep[rows] = _widened(other, width), _widened(other_keep, width)
+    return box, keep
+
+
+def _widened(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` padded on the right with zeros to ``width`` columns."""
+    out = np.zeros((a.shape[0], width), a.dtype)
+    out[:, :a.shape[1]] = a
+    return out
+
+
+def _cells(spec: str, values: np.ndarray):
+    """The box and keep mask of ``spec % v`` for each of ``values``."""
+    kind = values.dtype.kind
+    fixed = _FIXED.fullmatch(spec)
+    if fixed and kind == "f" and values.dtype.itemsize <= 8:
+        return _floats(spec, int(fixed[1]), values.astype(np.float64, copy=False))
+    if spec == "%d" and kind in "biu":
+        u = values.astype(np.uint64)
+        negative = values < 0
+        return _digits(np.where(negative, np.negative(u), u), negative, 0)
+    return _per_value(spec, values)
+
+
+def _column(spec: str, *data):
+    """The row count of a column and a function of a row range ``(a, b)``
+    giving its box and keep mask."""
+    if len(data) == 1:
+        values = np.asarray(data[0])
+        return len(values), lambda a, b: _cells(spec, values[a:b])
+    box, keep = _cells(spec, np.asarray(data[0]))
+    index = np.asarray(data[1])
+    return len(index), lambda a, b: (np.take(box, index[a:b], axis=0),
+                                     np.take(keep, index[a:b], axis=0))
 
 
 def write_csv(path, *columns) -> None:
-    """Write ``(name, %-spec, values)`` columns to ``path``, ``\\n``-terminated
-    on every platform; raise ``ValueError``, writing nothing, on unequal lengths."""
-    names, specs, values = zip(*columns)
-    n_rows = {len(v) for v in values}
-    if len(n_rows) != 1:
-        raise ValueError(f"CSV columns differ in length: {sorted(n_rows)}")
-    line = ",".join(specs) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for a in range(0, n_rows.pop(), _BLOCK):
-            block = [np.asarray(v[a:a + _BLOCK]).tolist() for v in values]
-            fh.write("".join(line % row for row in zip(*block)))
+    """Write ``(name, %-spec, values)`` and ``(name, %-spec, table, index)``
+    columns to ``path``, ``\\n``-terminated on every platform; raise
+    ``ValueError``, writing nothing, on unequal lengths."""
+    names = [c[0] for c in columns]
+    n_rows, cells = zip(*(_column(*c[1:]) for c in columns))
+    if len(set(n_rows)) != 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(set(n_rows))}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        for a in range(0, n_rows[0], _BLOCK):
+            b = min(a + _BLOCK, n_rows[0])
+            comma = np.full((b - a, 1), _COMMA, np.uint8)
+            kept = np.ones(comma.shape, bool)
+            boxes, keeps = [], []
+            for cell in cells:
+                box, keep = cell(a, b)
+                boxes += [box, comma]
+                keeps += [keep, kept]
+            boxes[-1] = np.full(comma.shape, _NEWLINE, np.uint8)
+            fh.write(np.concatenate(boxes, axis=1)[np.concatenate(keeps, axis=1)])

@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
             write_csv(out / "dp_schedule.csv",
                       ("k", "%d", np.arange(run.demand.n_intervals)),
                       ("soc_pct", "%.6f", run.roll.soc_trajectory[:-1]),
-                      ("decision", "%s", labels[run.roll.decision_indices]))
+                      ("decision", "%s", labels, run.roll.decision_indices))
         _write_plot_hybrid(out / "plot.csv", run, sc)
     write_trace(trace, out / "trace.csv")
     _write_rows(out / "summary.csv", "key,value", rows)

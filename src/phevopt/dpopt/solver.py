@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .._csv import formatted, write_csv
+from .._csv import write_csv
 from ..errors import InfeasibleProblemError, ToleranceBreachError
 from .problem import (
     DemandProfile,
@@ -202,7 +202,7 @@ def write_policy(policy: DpPolicy, path) -> None:
     """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
     n, m = policy.decision_idx.shape
     labels = np.array([d.label for d in policy.cfg.decisions], dtype=object)
-    write_csv(path, ("k", "%s", np.repeat(formatted("%d", np.arange(n)), m)),
-              ("soc_grid", "%s", np.tile(formatted("%.6f", policy.grid), n)),
-              ("decision_label", "%s", labels[policy.decision_idx.ravel()]),
+    write_csv(path, ("k", "%d", np.arange(n), np.repeat(np.arange(n), m)),
+              ("soc_grid", "%.6f", policy.grid, np.tile(np.arange(m), n)),
+              ("decision_label", "%s", labels, policy.decision_idx.ravel()),
               ("cost_to_go_kwh", "%.9f", policy.cost_to_go[:n].ravel()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import formatted, write_csv
+from ._csv import write_csv
 from .cycle import DriveCycle
 from .dynamics import VehicleParams, wheel_power_series
 from .errors import EnvelopeError, InfeasibleVehicleError, MapDomainError
@@ -36,6 +36,7 @@ from .powertrain import (
 
 MODE_CD = 0
 MODE_CS = 1
+_MODE_NAMES = ("CD", "CS")  # indexed by mode
 
 
 @dataclass
@@ -272,13 +273,13 @@ def write_trace(trace: SimTrace, path) -> None:
     """Export a simulation trace as CSV, one row per step, deterministic
     column order and formatting."""
     write_csv(path, ("t_s", "%.3f", trace.t_s), ("v_mps", "%.4f", trace.v_mps),
-              ("mode", "%s", np.where(trace.mode == MODE_CS, "CS", "CD")),
-              ("genset_on", "%s", formatted("%d", trace.genset_on)),
-              ("genset_warm", "%s", formatted("%d", trace.genset_warm)),
+              ("mode", "%s", _MODE_NAMES, trace.mode),
+              ("genset_on", "%d", trace.genset_on),
+              ("genset_warm", "%d", trace.genset_warm),
               ("p_wheel_kw", "%.6f", trace.p_wheel_kw),
               ("p_motor_elec_kw", "%.6f", trace.p_motor_elec_kw),
-              ("p_genset_elec_kw", "%s", formatted("%.6f", trace.p_genset_elec_kw)),
-              ("crank_kw", "%s", formatted("%.6f", trace.crank_kw)),
+              ("p_genset_elec_kw", "%.6f", trace.p_genset_elec_kw),
+              ("crank_kw", "%.6f", trace.crank_kw),
               ("i_batt_a", "%.6f", trace.i_batt_a),
               ("soc_pct", "%.6f", trace.soc_pct),
-              ("fuel_step_kwh", "%s", formatted("%.9f", trace.fuel_step_kwh)))
+              ("fuel_step_kwh", "%.9f", trace.fuel_step_kwh))

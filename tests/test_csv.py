@@ -2,19 +2,24 @@
 
 The reference functions below are the per-row loops the package once wrote
 its CSV files with; every CLI data file now goes through the block-wise
-column writer, which must produce the same bytes. Repeated columns reach
-it once-formatted, through ``formatted``.
+column writer, which must produce the same bytes. The writer formats
+``%.Nf`` and ``%d`` with array arithmetic, so its bytes are also checked
+against ``spec % v`` value by value, on the cases that arithmetic must hand
+to ``%`` (near-ties, NaN, infinities, huge values). Repeated columns reach
+it coded, as a table and an index into it.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phevopt import cli, ems
-from phevopt._csv import _BLOCK, formatted, write_csv
+from phevopt import _csv, cli, ems
+from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
     Decision,
@@ -33,6 +38,10 @@ FLOAT_SPECS = ("%.3f", "%.4f", "%.6f", "%.9f")
 ROW_COUNTS = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 SPECIAL = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e300, -1e300, 0.0005, 2.5e-10)
+# the writer's working memory per row of ``wide_columns``, the widest file's
+# shape: each column's bytes and keep mask, their concatenation and the kept
+# bytes; measures 606
+CSV_BYTES_PER_ROW = 650
 
 
 def reference_rows(columns) -> str:
@@ -75,11 +84,52 @@ def reference_policy(policy) -> str:
 
 
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
+signs = st.sampled_from((1.0, -1.0))
 words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 # what a backward sweep can store: non-negative fuel, or +inf when unreachable
 costs = st.one_of(st.sampled_from([x for x in SPECIAL if x >= 0]),
                   st.floats(min_value=0.0))
 POLICY_STATES = 3
+
+
+def scaled_floats(n: int):
+    """Floats whose ``%.{n}f`` is hard: within a few ulps of a rounding tie
+    ``(k + 0.5) * 10**-n``, either side of ``2**49 / 10**n`` (where the
+    array path ends), subnormal, or special."""
+    def near_tie(k, ulps, sign):
+        x = (k + 0.5) / 10.0 ** n
+        return sign * (x + ulps * math.ulp(x))
+
+    edge = 2.0 ** 49 / 10.0 ** n
+    return st.one_of(
+        st.builds(near_tie, st.integers(0, 2 ** 50), st.integers(-4, 4), signs),
+        st.builds(near_tie, st.integers(0, 10 ** 4), st.integers(-4, 4), signs),
+        st.builds(lambda x, sign: sign * x, st.floats(edge / 2, 2 * edge), signs),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.sampled_from(SPECIAL + (-math.nan,)),
+        floats)
+
+
+def per_value(name: str, spec: str, values) -> bytes:
+    """The bytes of a one-column file, formatted value by value."""
+    return (name + "\n" + "".join(spec % v + "\n" for v in values.tolist())).encode()
+
+
+def written(tmp_path_factory, *columns) -> bytes:
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, *columns)
+    return path.read_bytes()
+
+
+def wide_columns(n: int) -> list:
+    """Twelve columns shaped like the trace's, with infinite values."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-100.0, 100.0, (9, n))
+    x[:, ::97] = np.inf
+    return [(f"f{j}", FLOAT_SPECS[j % len(FLOAT_SPECS)], x[j]) for j in range(9)] + [
+        ("k", "%d", np.arange(n)),
+        ("mode", "%s", np.array(["CD", "CS"], dtype=object), rng.integers(0, 2, n)),
+        ("on", "%d", rng.integers(0, 2, n).astype(bool))]
 
 
 class TestWriteCsv:
@@ -102,6 +152,59 @@ class TestWriteCsv:
         write_csv(path, *columns)
         assert path.read_bytes() == reference_rows(columns).encode("utf-8")
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_floats_match_per_value_format(self, tmp_path_factory, data):
+        for spec in FLOAT_SPECS:
+            values = np.array(data.draw(st.lists(scaled_floats(int(spec[2:-1])),
+                                                 max_size=40)) + list(SPECIAL))
+            assert written(tmp_path_factory, ("x", spec, values)) == per_value(
+                "x", spec, values)
+        # a spec the array path does not know goes through % as a whole
+        values = np.array(data.draw(st.lists(scaled_floats(2), max_size=40)))
+        assert written(tmp_path_factory, ("x", "%.2e", values)) == per_value(
+            "x", "%.2e", values)
+
+    @given(ints=st.lists(st.integers(-2**63, 2**63 - 1), max_size=40),
+           flags=st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_ints_and_bools_match_per_value_format(self, tmp_path_factory, ints, flags):
+        ints = np.asarray(ints + [-2**63, 2**63 - 1, 0, -1], dtype=np.int64)
+        for values in (ints, np.asarray(flags, dtype=bool)):
+            assert written(tmp_path_factory, ("i", "%d", values)) == per_value(
+                "i", "%d", values)
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path_factory):
+        assert written(tmp_path_factory, ("x", "%.6f", np.array([0.0, -0.0, -1e-12]))
+                       ) == b"x\n0.000000\n-0.000000\n-0.000000\n"
+
+    def test_overflowing_and_special_values_warn_nothing(self, tmp_path_factory):
+        # 1e300 * 10**9 overflows and inf - inf is invalid in the array path
+        values = np.array([math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in FLOAT_SPECS:
+                assert written(tmp_path_factory, ("x", spec, values)) == per_value(
+                    "x", spec, values)
+
+    def test_coded_column_repeats_its_table(self, tmp_path_factory):
+        labels = np.array(["a\x00,b", "\u00e9\n"], dtype=object)
+        index = np.array([1, 0, 0, 1])
+        assert written(tmp_path_factory, ("s", "%s", labels, index),
+                       ("x", "%.3f", [0.5, -2.0], index)) == (
+            "s,x\n\u00e9\n,-2.000\na\x00,b,0.500\na\x00,b,0.500\n\u00e9\n,-2.000\n"
+        ).encode()
+
+    def test_working_memory_is_bounded_per_row(self, tmp_path):
+        columns = wide_columns(5 * _BLOCK + 7)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "out.csv", *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK * CSV_BYTES_PER_ROW
+
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="differ in length"):
@@ -110,44 +213,14 @@ class TestWriteCsv:
         assert not path.exists()
 
 
-def distinct_strings(column) -> int:
-    return len({id(s) for s in column})
-
-
 def handed_columns(monkeypatch, module, write, *args) -> dict:
-    """The ``{name: (spec, values)}`` that ``write(*args)`` hands to
-    ``module.write_csv``, which writes nothing."""
+    """The ``{name: (spec, values)}`` or ``{name: (spec, table, index)}``
+    that ``write(*args)`` hands to ``module.write_csv``, which writes nothing."""
     columns = {}
     monkeypatch.setattr(module, "write_csv", lambda path, *cols: columns.update(
-        (name, (spec, v)) for name, spec, v in cols))
+        (name, tuple(rest)) for name, *rest in cols))
     write(*args)
     return columns
-
-
-class TestFormatted:
-    @given(pool=st.lists(floats, min_size=1, max_size=24),
-           picks=st.lists(st.integers(0, 23)))
-    @settings(max_examples=40, deadline=None)
-    def test_floats_match_per_value_format(self, pool, picks):
-        repeats = np.asarray(pool)[np.asarray(picks, dtype=np.intp) % len(pool)]
-        values = np.concatenate([SPECIAL, repeats])
-        for spec in FLOAT_SPECS:
-            out = formatted(spec, values)
-            assert out.dtype == object
-            assert out.tolist() == [spec % v for v in values.tolist()]
-            assert distinct_strings(out) == np.unique(values.view(np.uint64)).size
-
-    @given(ints=st.lists(st.integers(-2**63, 2**63 - 1), max_size=24),
-           flags=st.lists(st.booleans(), max_size=24))
-    @settings(max_examples=40, deadline=None)
-    def test_ints_and_bools_match_per_value_format(self, ints, flags):
-        for values in (np.asarray(ints, dtype=np.int64), np.asarray(flags, dtype=bool)):
-            assert formatted("%d", values).tolist() == ["%d" % v for v in values.tolist()]
-
-    def test_negative_zero_keeps_its_sign(self):
-        # np.unique on the floats themselves merges -0.0 into 0.0
-        assert formatted("%.6f", np.array([0.0, -0.0])).tolist() == [
-            "0.000000", "-0.000000"]
 
 
 class TestWritePolicy:
@@ -230,25 +303,43 @@ class TestWritersMatchRowLoops:
         write_policy(run.policy, tmp_path / "policy.csv")
         assert len(calls) == 1
 
-    def test_write_policy_formats_k_and_grid_once(self, run, tmp_path, monkeypatch):
+    def test_write_policy_codes_k_grid_and_labels(self, run, tmp_path, monkeypatch):
         columns = handed_columns(monkeypatch, solver, write_policy, run.policy,
                                  tmp_path / "policy.csv")
         n, m = run.policy.decision_idx.shape
         assert n > 1 and m > 1
-        for name, distinct in (("k", n), ("soc_grid", m)):
-            spec, values = columns[name]
-            assert spec == "%s"
-            assert len(values) == n * m
-            assert distinct_strings(values) == distinct
+        for name, entries in (("k", n), ("soc_grid", m),
+                              ("decision_label", len(run.cfg.decisions))):
+            spec, table, index = columns[name]
+            assert len(table) == entries
+            assert len(index) == n * m
 
-    def test_write_trace_formats_genset_columns_once(self, run, tmp_path, monkeypatch):
+    def test_write_trace_codes_mode(self, run, tmp_path, monkeypatch):
         columns = handed_columns(monkeypatch, ems, write_trace, run.trace,
                                  tmp_path / "trace.csv")
+        spec, table, index = columns["mode"]
+        assert len(table) == 2 and len(index) == run.trace.n_samples
         for name in ("genset_on", "genset_warm", "p_genset_elec_kw", "crank_kw",
                      "fuel_step_kwh"):
             spec, values = columns[name]
-            raw = getattr(run.trace, name)
-            assert spec == "%s"
-            assert len(values) == run.trace.n_samples
-            assert distinct_strings(values) == np.unique(
-                raw.view(f"u{raw.itemsize}")).size
+            assert spec != "%s" and values is getattr(run.trace, name)
+
+    def test_finite_values_are_never_formatted_one_by_one(self, run, tmp_path,
+                                                          monkeypatch):
+        seen = []
+
+        def recorded(spec, values):
+            seen.append((spec, values))
+            return per_value_cells(spec, values)
+
+        per_value_cells = _csv._per_value
+        monkeypatch.setattr(_csv, "_per_value", recorded)
+        write_policy(run.policy, tmp_path / "policy.csv")
+        write_trace(run.trace, tmp_path / "trace.csv")
+        numbers = np.concatenate([v for spec, v in seen if spec != "%s"])
+        n = run.policy.decision_idx.shape[0]
+        assert np.isinf(numbers).all()
+        assert numbers.size == np.isinf(run.policy.cost_to_go[:n]).sum() > 0
+        assert sorted(len(v) for spec, v in seen if spec == "%s") == [
+            2, len(run.cfg.decisions)]
+        assert ",inf\n" in (tmp_path / "policy.csv").read_text(encoding="utf-8")
