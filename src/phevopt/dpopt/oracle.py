@@ -20,8 +20,6 @@ SEQUENCE_CAP = 10_000_000
 def brute_force(d: DemandProfile, cfg: DpConfig, initial_soc: float) -> float:
     """Minimum total fuel (kWh) over all admissible decision sequences.
 
-    Ties are broken toward fewer gen-set-on intervals.
-
     Raises
     ------
     InstanceTooLargeError
@@ -42,7 +40,6 @@ def brute_force(d: DemandProfile, cfg: DpConfig, initial_soc: float) -> float:
 
     soc = np.asarray([float(initial_soc)])
     cost = np.zeros(1)
-    n_on = np.zeros(1, dtype=np.int64)
     for k in range(n):
         dk = float(d.d_pct[k])
         branches = []
@@ -58,21 +55,16 @@ def brute_force(d: DemandProfile, cfg: DpConfig, initial_soc: float) -> float:
                 ok &= gate_ok
             if not ok.any():
                 continue
-            branches.append((succ[ok], cost[ok] + fuels[a],
-                             n_on[ok] + (1 if delta > 0.0 else 0)))
+            branches.append((succ[ok], cost[ok] + fuels[a]))
         if not branches:
             raise InfeasibleProblemError(
                 f"every sequence dies at interval {k}", stage=k)
         soc = np.concatenate([b[0] for b in branches])
         cost = np.concatenate([b[1] for b in branches])
-        n_on = np.concatenate([b[2] for b in branches])
 
     final_ok = soc >= threshold - 1e-12
     if not final_ok.any():
         raise InfeasibleProblemError(
             f"no sequence ends at or above the terminal SOC {threshold:.4f}%",
             stage=n)
-    cost = cost[final_ok]
-    n_on = n_on[final_ok]
-    order = np.lexsort((n_on, cost))
-    return float(cost[order[0]])
+    return float(cost[final_ok].min())

@@ -202,7 +202,10 @@ def write_policy(policy: DpPolicy, path) -> None:
     """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
     n, m = policy.decision_idx.shape
     labels = np.array([d.label for d in policy.cfg.decisions], dtype=object)
-    write_csv(path, ("k", "%d", np.arange(n), np.repeat(np.arange(n), m)),
-              ("soc_grid", "%.6f", policy.grid, np.tile(np.arange(m), n)),
+    # the narrowest index type: these two indices live for the whole write
+    k = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), m)
+    j = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
+    write_csv(path, ("k", "%d", np.arange(n), k),
+              ("soc_grid", "%.6f", policy.grid, j),
               ("decision_label", "%s", labels, policy.decision_idx.ravel()),
               ("cost_to_go_kwh", "%.9f", policy.cost_to_go[:n].ravel()))

@@ -179,6 +179,14 @@ class TestThermostat:
             assert result is expect
 
 
+def assert_soc_recurrence_exact(trace, bp):
+    """Every step of the trace closes the SOC identity bit for bit."""
+    soc = trace.soc_pct
+    step = bp.v_oc * trace.i_batt_a[:-1] * np.diff(trace.t_s) / (3.6e6 * bp.c_batt_kwh)
+    expect = np.minimum(soc[:-1] - step * 100.0, 100.0)
+    assert np.array_equal(soc[1:], expect)
+
+
 class TestSocBehavior:
     def test_window_contained_within_step_quantum(self, cs_run):
         trace, _, cfg = cs_run
@@ -193,6 +201,10 @@ class TestSocBehavior:
         v_oc = battery.v_oc
         step = -v_oc * trace.i_batt_a[:-1] * dt / (3.6e6 * battery.c_batt_kwh) * 100.0
         assert np.allclose(np.diff(trace.soc_pct), step, atol=1e-12)
+
+    def test_soc_recurrence_is_exact(self, cs_run, cd_run, battery):
+        for trace, _, _ in (cs_run, cd_run):
+            assert_soc_recurrence_exact(trace, battery)
 
     def test_cd_soc_monotone_outside_regen(self, cs_run):
         trace, _, _ = cs_run
@@ -506,6 +518,47 @@ def rule_runs(draw, cycle, genset_point):
     return part, bp, cfg, calibration
 
 
+@st.composite
+def long_rule_runs(draw, cycle, genset_point):
+    """A whole lap, up to three laps, or a long slice of them, with the
+    loop's corners placed inside long runs of samples: a start at 100 % SOC
+    on a braking sample (the clamp at 100 %), no dwell or warm-up, a start
+    at or just below a narrow window (SOC rests at its top under regen
+    lockout), a battery that empties part way, and a calibration that
+    leaves the motor envelope part way."""
+    laps = repeat_cycle(cycle, draw(st.integers(1, 3)))
+    n = laps.n_samples
+    full_charge = draw(st.booleans())
+    if full_charge:
+        braking = np.flatnonzero(np.diff(laps.v_mps) < -0.5)
+        start = int(braking[draw(st.integers(0, braking.size - 1))])
+    else:
+        start = draw(st.sampled_from([0, draw(st.integers(0, n - 2))]))
+    stop = draw(st.sampled_from([n, min(start + draw(st.integers(600, 3000)), n)]))
+    part = DriveCycle(laps.t_s[start:stop] - laps.t_s[start], laps.v_mps[start:stop],
+                      laps.grade_deg[start:stop])
+    trigger = draw(st.floats(12.5, 16.5))
+    high = trigger + draw(st.one_of(st.floats(0.01, 0.3), st.floats(0.3, 3.0)))
+    if full_charge:
+        initial_soc = 100.0
+    else:
+        initial_soc = draw(st.one_of(st.floats(11.0, trigger), st.just(high),
+                                     st.floats(trigger, 100.0)))
+    beyond_battery = draw(st.integers(0, 7)) == 7
+    cfg = RuleConfig(
+        genset_point, soc_high=high, cs_trigger=trigger,
+        min_dwell_s=draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0))),
+        warmup_s=draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0))),
+        crank_power_kw=400.0 if beyond_battery else draw(st.floats(0.0, 30.0)),
+        regen_current_limit_a=draw(st.floats(1.0, 400.0)),
+        initial_soc=initial_soc)
+    # one draw in four each empties the battery or leaves the motor envelope
+    bp = BatteryParams(c_batt_kwh=draw(st.one_of(st.floats(0.05, 0.5),
+                                                 *[st.floats(0.5, 20.0)] * 3)))
+    calibration = draw(st.one_of(*[st.floats(0.5, 1.5)] * 3, st.floats(2.0, 12.0)))
+    return part, bp, cfg, calibration
+
+
 class TestLoopMatchesReference:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -513,6 +566,45 @@ class TestLoopMatchesReference:
         part, bp, cfg, calibration = data.draw(rule_runs(cycle, genset_point))
         assert_simulations_equal(part, vp, assembly.motor_map, assembly.drivetrain,
                                  bp, cfg, calibration)
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_long_runs(self, data, cycle, vp, assembly, genset_point):
+        part, bp, cfg, calibration = data.draw(long_rule_runs(cycle, genset_point))
+        out = assert_simulations_equal(part, vp, assembly.motor_map,
+                                       assembly.drivetrain, bp, cfg, calibration)
+        if not isinstance(out[0], type):
+            assert_soc_recurrence_exact(out[0], bp)
+
+    def test_clamp_at_full_charge(self, cycle, vp, assembly, battery, genset_point):
+        braking = int(np.flatnonzero(np.diff(cycle.v_mps) < -0.5)[0])
+        part = DriveCycle(cycle.t_s[braking:] - cycle.t_s[braking],
+                          cycle.v_mps[braking:], cycle.grade_deg[braking:])
+        cfg = RuleConfig(genset_point, initial_soc=100.0)
+        trace, _ = assert_simulations_equal(part, vp, assembly.motor_map,
+                                            assembly.drivetrain, battery, cfg, CAL)
+        # the first step charges and is clamped; SOC leaves 100 % later on
+        assert trace.i_batt_a[0] < 0.0 and trace.soc_pct[1] == 100.0
+        assert trace.soc_pct[-1] < 100.0
+
+    @pytest.mark.parametrize("dwell, warmup", [(0.0, 0.0), (0.0, 20.0), (45.0, 0.0),
+                                               (10.0, 20.0), (35.0, 50.0)])
+    def test_lockout_dwell_and_warmup(self, cycle, vp, assembly, genset_point, dwell,
+                                      warmup):
+        # an 8 kWh battery and a 1 % band from the trigger to the window top
+        # cycle the gen-set every few dozen samples, and SOC rests at the top
+        # under regen lockout
+        cfg = RuleConfig(genset_point, soc_high=15.0, initial_soc=13.5,
+                         min_dwell_s=dwell, warmup_s=warmup)
+        bp = BatteryParams(c_batt_kwh=8.0)
+        trace, _ = assert_simulations_equal(repeat_cycle(cycle, 2), vp,
+                                            assembly.motor_map, assembly.drivetrain,
+                                            bp, cfg, CAL)
+        locked = ((trace.soc_pct >= cfg.soc_high) & (trace.p_motor_elec_kw == 0.0)
+                  & (trace.p_wheel_kw < 0.0))
+        assert locked.sum() > 10
+        assert trace.genset_transition_times().size > 10
+        assert_soc_recurrence_exact(trace, bp)
 
     @pytest.mark.parametrize("name", ["single_lap", "three_lap", "obd_single_lap"])
     @pytest.mark.parametrize("laps", [1, 2])
@@ -522,6 +614,7 @@ class TestLoopMatchesReference:
             repeat_cycle(sc.cycle, laps), sc.vp, sc.assembly.motor_map,
             sc.assembly.drivetrain, sc.bp, sc.rule, sc.calibration.energy_scale)
         assert not isinstance(out[0], type), out
+        assert_soc_recurrence_exact(out[0], sc.bp)
 
     @pytest.mark.parametrize("jump, expect, message", [
         # the battery empties at t = 26 s, long before the sample at 59 s
@@ -569,3 +662,21 @@ class TestCurrentSeries:
             # one array inversion per regime, at most one lockout call each
             assert len(calls) - scalar <= 3 and scalar <= 3
         assert counts[0] == counts[1]
+
+    def test_scalar_steps_are_few(self, cycle, vp, assembly, battery, genset_point,
+                                  monkeypatch):
+        spans = []
+        real = ems._run_length
+
+        def counted(path, *args):
+            spans.append(path.size - 1)
+            return real(path, *args)
+
+        monkeypatch.setattr(ems, "_run_length", counted)
+        cfg = RuleConfig(genset_point, initial_soc=70.0)
+        trace, _ = simulate_rule_based(repeat_cycle(cycle, 6), vp, assembly.motor_map,
+                                       assembly.drivetrain, battery, cfg, CAL)
+        assert trace.n_samples == 8281 and trace.genset_transition_times().size > 10
+        # one scalar step ends each run: 81 of 8281 samples when measured
+        assert len(spans) <= 0.015 * trace.n_samples
+        assert max(spans) <= ems.RUN_SAMPLES

@@ -465,6 +465,53 @@ def reference_genset_torque(engine_map, gen_map, belt_ratio, speed_rpm,
     return 0.5 * (lo + hi)
 
 
+def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
+                            electrical_kw, belt_efficiency):
+    """``genset_point_at`` as it stood before the tree walk, one scalar power
+    lookup per bisection step; returns the point and the step count."""
+    if electrical_kw < 0:
+        raise ValueError("electrical power must be nonnegative")
+    t_hi = max_feasible_torque(engine_map, speed_rpm)
+    t_hi = min(t_hi, max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio)
+    if t_hi <= 0:
+        raise EnvelopeError(f"gen-set has no feasible torque at {speed_rpm:g} rpm")
+    p_hi = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi,
+                                belt_efficiency)
+    if electrical_kw > p_hi + 1e-12:
+        raise EnvelopeError(
+            f"{electrical_kw:.2f} kW exceeds the gen-set's {p_hi:.2f} kW "
+            f"capability at {speed_rpm:g} rpm")
+    lo, hi = 0.0, t_hi
+    steps = 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        steps += 1
+        p_mid = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, mid,
+                                     belt_efficiency)
+        if p_mid < electrical_kw:
+            lo = mid
+        else:
+            hi = mid
+    torque = 0.5 * (lo + hi)
+    eta_eng = map_lookup(engine_map, speed_rpm, torque)
+    eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque / belt_ratio)
+    combined = eta_eng * eta_gen / 100.0 * belt_efficiency
+    return GenSetPoint(speed_rpm, torque, combined, electrical_kw), steps
+
+
+_GEN_MAPS = {
+    "synthetic": synthetic_generator_map(),
+    # the torque axis starts at 4 Nm, so the low midpoints of a small
+    # request fall off the map and the walk raises there
+    "offset": EfficiencyMap(np.arange(1000.0, 10000.1, 1000.0),
+                            np.arange(4.0, 124.1, 10.0),
+                            90.0 - 0.5 * np.add.outer(np.arange(10.0), np.arange(13.0)),
+                            "offset"),
+}
+
+
 class TestGenSetPointSearch:
     @pytest.mark.parametrize("speed", [1000.0, 1800.0, 2600.0, 3400.0])
     @pytest.mark.parametrize("belt_efficiency", [1.0, 0.97])
@@ -495,6 +542,53 @@ class TestGenSetPointSearch:
         assembly.genset_point(2600.0, 38.57868)
         # one capability lookup plus fewer than the old 80 bisection steps
         assert len(calls) < 81
+
+    @given(data=st.data(), name=st.sampled_from(sorted(_GEN_MAPS)),
+           speed=st.floats(700.0, 3700.0), belt_ratio=st.floats(1.0, 4.0),
+           belt_efficiency=st.floats(0.5, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_tree_matches_step_by_step_walk(self, data, name, speed, belt_ratio,
+                                            belt_efficiency):
+        args = (synthetic_engine_map(), _GEN_MAPS[name], belt_ratio, speed)
+        try:
+            t_hi = min(max_feasible_torque(args[0], speed),
+                       max_feasible_torque(args[1], speed * belt_ratio) * belt_ratio)
+            p_hi = genset_electrical_kw(*args, t_hi, belt_efficiency)
+        except (MapDomainError, EnvelopeError):
+            p_hi = 40.0  # both walks raise before the bisection
+        kw = data.draw(st.one_of(
+            st.sampled_from([0.0, 5e-324, p_hi, float(np.nextafter(p_hi, 0.0)),
+                             p_hi * 1.001]),
+            st.floats(0.0, p_hi)))
+        try:
+            expect = early_stop_genset_point(*args, kw, belt_efficiency)[0]
+        except (MapDomainError, EnvelopeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                genset_point_at(*args, kw, belt_efficiency)
+            assert str(got.value) == str(exc)
+            return
+        got = genset_point_at(*args, kw, belt_efficiency)
+        assert got == expect
+        assert got.engine_torque_nm == reference_genset_torque(*args, kw, belt_efficiency)
+
+    def test_tree_bounds_lookups(self, assembly, monkeypatch):
+        args = (assembly.engine_map, assembly.generator_map, assembly.belt_ratio,
+                2600.0, 38.57868, assembly.belt_efficiency)
+        steps = early_stop_genset_point(*args)[1]
+        calls = []
+        real = powertrain._bilinear
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(powertrain, "_bilinear", counted)
+        genset_point_at(*args)
+        # two capability lookups, the power at the top, one lookup per
+        # TREE_LEVELS steps and the two efficiencies: 14 against 57 one step
+        # at a time
+        assert steps == 52
+        assert len(calls) == 5 + math.ceil(steps / powertrain.TREE_LEVELS)
 
     def test_point_meets_requested_power(self, assembly, genset_point):
         p = genset_point
