@@ -8,6 +8,7 @@ wheel-power trace against chassis-dynamometer measurements.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -132,7 +133,64 @@ def load_cycle(source) -> DriveCycle:
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
-    # each per-line step maps a builtin, so no Python code runs per row
+    data = _parse_samples(text)
+    if data is None:  # refused by the one pass: find the line that is wrong
+        data = _parse_lines(text)
+    grade = data[:, 2] if data.shape[1] == 3 else None
+    try:
+        return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade)
+    except ValueError as exc:
+        raise CycleFormatError(str(exc)) from None
+
+
+_HEADERS = (["t_s", "v_mps"], ["t_s", "v_mps", "grade_deg"])
+# ASCII characters that end a line for str.splitlines, or are whitespace to
+# np.loadtxt but not to numpy's string-to-float cast (\x1f); a lone \r too
+_LINE_ODDITIES = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# a comment line or a line of blanks; np.loadtxt skips only empty lines.
+# Either holds one of the marks, unless it is the last line and unended.
+_SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.MULTILINE)
+_SKIPPED_LINE_MARKS = ("#", " \n", "\t\n")
+
+
+def _parse_samples(text: str) -> np.ndarray | None:
+    """The (samples x columns) table of a cycle CSV, parsed in one C pass,
+    or None where ``_parse_lines`` has to decide.
+
+    Only ASCII text whose lines end in ``\n`` or ``\r\n`` comes this far,
+    so its lines are those of str.splitlines, and np.loadtxt strips each
+    field where numpy's string-to-float cast does; both read the number
+    with the same C parser. What np.loadtxt refuses (inline ``#``, an empty
+    field, a token only Python's float reads, a wrong field count) goes to
+    ``_parse_lines``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.isascii() or any(map(text.__contains__, _LINE_ODDITIES)):
+        return None
+    if any(map(text.__contains__, _SKIPPED_LINE_MARKS)):
+        text = _SKIPPED_LINE.sub("", text)
+    lines = text.split("\n")
+    # the header is the first line that is not blank; comment lines are blank now
+    h = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if h is None:
+        return None
+    names = [p.strip() for p in lines[h].split(",")]
+    rows = lines[h + 1:]
+    if names not in _HEADERS or not any(rows):  # np.loadtxt warns on no data
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[0] >= 2 and data.shape[1] == len(names) else None
+
+
+def _parse_lines(text: str) -> np.ndarray:
+    """The (samples x columns) table of a cycle CSV, line by line; raises
+    ``CycleFormatError`` naming the first line that is wrong. It runs only
+    on texts that ``_parse_samples`` refuses, and it decides which of them
+    are cycles: str methods split, strip and skip the lines, and numpy's
+    string-to-float cast reads the fields."""
     lines = list(map(str.strip, text.splitlines()))
     n = len(lines)
     filled = np.fromiter(map(bool, lines), bool, n)
@@ -141,7 +199,7 @@ def load_cycle(source) -> DriveCycle:
     if used.size == 0:
         raise CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")
     header = [p.strip() for p in lines[used[0]].split(",")]
-    if header not in (["t_s", "v_mps"], ["t_s", "v_mps", "grade_deg"]):
+    if header not in _HEADERS:
         raise CycleFormatError(f"line {used[0] + 1}: expected header "
                                f"'t_s,v_mps[,grade_deg]', got {lines[used[0]]!r}")
 
@@ -167,13 +225,7 @@ def load_cycle(source) -> DriveCycle:
                                f"got {counts[n_ok]}")
     if len(rows) < 2:
         raise CycleFormatError(f"need at least 2 samples, got {len(rows)}")
-
-    data = values.reshape(-1, width)
-    grade = data[:, 2] if len(header) == 3 else None
-    try:
-        return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade)
-    except ValueError as exc:
-        raise CycleFormatError(str(exc)) from None
+    return values.reshape(-1, width)
 
 
 def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:

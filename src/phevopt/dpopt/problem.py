@@ -133,9 +133,10 @@ class DpConfig:
         n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0
         if not (1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
             raise ValueError(f"grid_step {self.grid_step:g} does not divide the window")
-        if self.obd_energy_per_event_kwh < 0:
-            raise ValueError("OBD energy per event must be nonnegative")
-        if self.c_batt_kwh <= 0:
+        # so the OBD drain is finite: cs_step multiplies it by the null mask
+        if not 0.0 <= self.obd_energy_per_event_kwh < math.inf:
+            raise ValueError("OBD energy per event must be finite and nonnegative")
+        if not self.c_batt_kwh > 0:
             raise ValueError("battery capacity must be positive")
         if not self.decisions:
             raise ValueError("decision set must not be empty")
@@ -204,17 +205,19 @@ def cs_step(cfg: DpConfig, soc, d_k, delta):
     its successor lies in the window, both up to ``SOC_EPS``.
 
     Returns ``(succ, gate_ok, ok)``: the successor SOC, whether the gate
-    lets the decision run, and whether the move is admissible.
+    lets the decision run, and whether the move is admissible. Python
+    floats in give a Python float and two bools out, with the bits of the
+    matching element of the array call, so a forward pass steps on floats.
     """
-    delta = np.asarray(delta, dtype=float)
     null = delta == 0.0
     succ = soc + delta - d_k  # a fresh array (or scalar), so -= touches no caller's data
     if cfg.obd_enabled:  # without OBD the drain is 0.0, and x - 0.0 == x
-        succ -= np.where(null, cfg.obd_drain_pct, 0.0)
+        succ -= cfg.obd_drain_pct * null  # drain * 1 is the drain, drain * 0 is 0.0
     if isinstance(d_k, np.ndarray):  # min(x, inf) == x on the other intervals
         succ = np.minimum(succ, np.where(d_k < 0.0, cfg.soc_max, np.inf))
     elif d_k < 0.0:
-        succ = np.minimum(succ, cfg.soc_max)
+        succ = min(succ, cfg.soc_max) if isinstance(succ, float) else \
+            np.minimum(succ, cfg.soc_max)
     gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
     ok = succ >= cfg.soc_min - SOC_EPS
     ok &= succ <= cfg.soc_max + SOC_EPS

@@ -139,31 +139,29 @@ class RolloutResult:
 def forward(d: DemandProfile, cfg: DpConfig, initial_soc: float,
             pick: Callable[[int, float], int]) -> RolloutResult:
     """Run a decision rule forward over a demand with exact continuous-SOC
-    ``cs_step`` transitions. ``pick(k, soc)`` returns the index into
-    ``cfg.decisions`` taken in interval ``k`` from boundary SOC ``soc``."""
-    deltas = cfg.delta_array()
+    ``cs_step`` transitions, stepped on Python floats. ``pick(k, soc)``
+    returns the index into ``cfg.decisions`` taken in interval ``k`` from
+    boundary SOC ``soc``."""
+    deltas = cfg.delta_array().tolist()
     fuels = cfg.fuel_array().tolist()
-    drains = d.d_pct.tolist()
-    n = d.n_intervals
-    traj = np.empty(n + 1)
-    chosen = np.empty(n, dtype=np.int32)
     soc = float(initial_soc)
-    traj[0] = soc
+    traj = [soc]
+    chosen = []
     fuel = 0.0
     feasible = True
-    for k in range(n):
+    for k, d_k in enumerate(d.d_pct.tolist()):
         a = pick(k, soc)
-        succ, _, ok = cs_step(cfg, soc, drains[k], deltas[a])
-        soc = float(succ)
+        soc, _, ok = cs_step(cfg, soc, d_k, deltas[a])
         fuel += fuels[a]  # the null decision adds 0.0, which moves no bit
-        feasible = feasible and bool(ok)
-        chosen[k] = a
-        traj[k + 1] = soc
+        feasible = feasible and ok
+        chosen.append(a)
+        traj.append(soc)
     ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
-    return RolloutResult(soc_trajectory=traj, fuel_kwh=fuel,
+    chosen = np.array(chosen, dtype=np.int32)
+    nulls = int(np.count_nonzero(cfg.delta_array()[chosen] == 0.0))
+    return RolloutResult(soc_trajectory=np.array(traj), fuel_kwh=fuel,
                          cs_ec_wh_per_km=ec, decision_indices=chosen,
-                         null_intervals=int(np.count_nonzero(deltas[chosen] == 0.0)),
-                         feasible=feasible)
+                         null_intervals=nulls, feasible=feasible)
 
 
 def rollout(policy: DpPolicy, initial_soc: float) -> RolloutResult:
@@ -184,7 +182,7 @@ def rollout(policy: DpPolicy, initial_soc: float) -> RolloutResult:
     lo, top, step = cfg.soc_min, cfg.n_states - 1, cfg.grid_spacing
 
     def nearest_node(k: int, soc: float) -> int:
-        return int(table[k, min(max(round((soc - lo) / step), 0), top)])
+        return table.item(k, min(max(round((soc - lo) / step), 0), top))
 
     out = forward(policy.demand, cfg, initial_soc, nearest_node)
     soc = out.soc_trajectory[1:]

@@ -78,13 +78,15 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     if deltas[charge] <= 0:
         raise ValueError("the rule decision must charge")
     null = int(np.flatnonzero(deltas == 0.0)[0])
+    # Python floats, as forward steps on them
+    delta, drains = float(deltas[charge]), d.d_pct.tolist()
     on = False
 
     def thermostat(k: int, soc: float) -> int:
         nonlocal on
         on = thermostat_state(on, soc, trigger_soc, high_soc)
         # the DP gate forbids charging near the top
-        if on and cs_step(cfg, soc, d.d_pct[k], deltas[charge])[1]:
+        if on and cs_step(cfg, soc, drains[k], delta)[1]:
             return charge
         return null
 

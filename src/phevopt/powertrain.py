@@ -130,13 +130,19 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
     if inside.ndim == 0 and not inside:
         raise MapDomainError(f"speed {speed_rpm:g} rpm outside map {m.label!r}")
     # the limit depends only on which speed rows carry weight, so look it up
-    # at every node and cell midpoint: probe 2i + 1 stands for cell i
+    # at the nodes and cell midpoints the speeds select: probe 2i + 1 stands
+    # for cell i
     s = m.speed_axis
-    probes = np.insert(s, np.arange(1, s.size), 0.5 * (s[:-1] + s[1:]))
-    ok = ~np.isnan(_bilinear(m, probes[:, None], m.torque_axis))
+    probes = np.empty(2 * s.size - 1)
+    probes[::2] = s
+    probes[1::2] = 0.5 * (s[:-1] + s[1:])
+    probe = 2 * i + (u > 0.0) + (u == 1.0)
+    used = np.flatnonzero(np.bincount(np.ravel(probe), minlength=probes.size))
+    ok = ~np.isnan(_bilinear(m, probes[used, None], m.torque_axis))
     n_ok = np.cumprod(ok, axis=1).sum(axis=1)  # leading feasible torques
-    limits = np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0)
-    limit = np.where(inside, limits[2 * i + (u > 0.0) + (u == 1.0)], np.nan)
+    limits = np.empty(probes.size)
+    limits[used] = np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0)
+    limit = np.where(inside, limits[probe], np.nan)
     return float(limit) if limit.ndim == 0 else limit
 
 

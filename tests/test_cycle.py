@@ -1,10 +1,15 @@
 import io
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phevopt.cycle import (
     DriveCycle,
+    _parse_samples,
     compute_metrics,
     load_cycle,
     repeat_cycle,
@@ -54,6 +59,163 @@ class TestLoadCycle:
         dist = sum(0.5 * (v[i] + v[i + 1]) * (t[i + 1] - t[i])
                    for i in range(len(t) - 1))
         assert cycle.distance_km == pytest.approx(dist / 1000.0, rel=1e-12)
+
+
+def reference_load_cycle(source) -> DriveCycle:
+    """``load_cycle`` as it was before the one-pass parser: every line goes
+    through Python's own str methods."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = Path(source).read_text(encoding="utf-8")
+    # each per-line step maps a builtin, so no Python code runs per row
+    lines = list(map(str.strip, text.splitlines()))
+    n = len(lines)
+    filled = np.fromiter(map(bool, lines), bool, n)
+    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
+    used = np.flatnonzero(filled & ~comment)
+    if used.size == 0:
+        raise CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")
+    header = [p.strip() for p in lines[used[0]].split(",")]
+    if header not in (["t_s", "v_mps"], ["t_s", "v_mps", "grade_deg"]):
+        raise CycleFormatError(f"line {used[0] + 1}: expected header "
+                               f"'t_s,v_mps[,grade_deg]', got {lines[used[0]]!r}")
+
+    # every row before the first with a wrong field count is parsed in one
+    # pass; an error names the earliest offending line
+    rows = list(map(lines.__getitem__, used[1:].tolist()))
+    linenos = used[1:] + 1
+    width = len(header)
+    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
+    bad = np.flatnonzero(counts != width)
+    n_ok = int(bad[0]) if bad.size else len(rows)
+    try:
+        values = np.array(",".join(rows[:n_ok]).split(",") if n_ok else [], dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row.split(","), dtype=float)
+            except ValueError:
+                raise CycleFormatError(
+                    f"line {lineno}: non-numeric value in {row!r}") from None
+    if bad.size:
+        raise CycleFormatError(f"line {linenos[n_ok]}: expected {width} fields, "
+                               f"got {counts[n_ok]}")
+    if len(rows) < 2:
+        raise CycleFormatError(f"need at least 2 samples, got {len(rows)}")
+
+    data = values.reshape(-1, width)
+    grade = data[:, 2] if len(header) == 3 else None
+    try:
+        return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade)
+    except ValueError as exc:
+        raise CycleFormatError(str(exc)) from None
+
+
+def parsed(load, text):
+    """The arrays a parser returns, as (dtype, shape, bytes), or the class
+    and message of what it raises."""
+    try:
+        c = load(io.StringIO(text))
+    except CycleFormatError as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (c.t_s, c.v_mps, c.grade_deg)]
+
+
+#: Tokens the two number parsers might read differently: Python's float
+#: takes underscores and non-ASCII digits, np.loadtxt's C parser does not.
+ODD_TOKENS = ("", " ", "nan", "-nan", "inf", "1e500", "-1e500", "1_000", "1__0",
+              "\u0661\u0662", "\uff13", "\u00a01", "0x10", "1d5", "+2", ".5", "5.",
+              "1e", "abc", "1 2", "1#2")
+FORMATS = ("%r", "%.3f", "%g", "%.6e", "%d")
+
+
+@st.composite
+def cycle_texts(draw):
+    """Cycle CSV texts near the format's edges: 2 or 3 columns, headers
+    with spaces, blank and comment lines around the header and the rows,
+    inline comments, CRLF line ends, surrounding whitespace, wrong field
+    counts, empty fields, and odd number tokens. Each kind of fault is
+    switched on for a share of the texts only, so that about half of them
+    are valid cycles."""
+    width = draw(st.sampled_from([2, 3]))
+    names = ["t_s", "v_mps", "grade_deg"][:width]
+    pad = st.sampled_from(["", "", " ", "\t", "  "]) if draw(st.booleans()) else st.just("")
+    header = ",".join(draw(pad) + name + draw(pad) for name in names)
+    if draw(st.integers(0, 19)) == 0:
+        header = draw(st.sampled_from(["time,speed", "t_s", "t_s,v_mps,grade"]))
+    skipped = st.sampled_from(["", " ", "\t", "# note", "#t_s,v_mps", "  # indented"])
+    lines = draw(st.lists(skipped, max_size=3)) + [header]
+    lines += draw(st.lists(skipped, max_size=2))
+    # the chance, in tenths, of each fault on each row
+    odd, count, inline, gap = (draw(st.sampled_from([0, 0, 0, 1, 3])) for _ in range(4))
+    t = 0.0
+    for _ in range(draw(st.sampled_from([3, 2, 4, 8, 6, 1, 0]))):
+        values = [t, draw(st.floats(0.0, 40.0)), draw(st.floats(-5.0, 5.0))][:width]
+        t += draw(st.sampled_from([0.5, 1.0, 2.0, 0.1, 1e-9]))
+        fields = [draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 9)) < odd
+                  else draw(st.sampled_from(FORMATS)) % v for v in values]
+        if draw(st.integers(0, 9)) < count:
+            fields = draw(st.sampled_from([fields[:-1], fields + ["1"], fields + [""]]))
+        row = draw(pad) + ",".join(draw(pad) + f + draw(pad) for f in fields) + draw(pad)
+        if draw(st.integers(0, 9)) < inline:
+            row += draw(st.sampled_from([" # inline", "#"]))
+        lines.append(row)
+        if draw(st.integers(0, 9)) < gap:
+            lines.append(draw(skipped))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    if draw(st.integers(0, 19)) == 0:  # one line end of the other kind
+        text = text.replace(end, "\n" if end == "\r\n" else "\r\n", 1)
+    return text
+
+
+class TestOnePassParser:
+    """``load_cycle`` parses in one C pass and leaves only the texts it
+    refuses to the line-by-line reader; either way it must return what
+    the reference returns, bit for bit, or raise the same error."""
+
+    @given(text=cycle_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text):
+        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+
+    @pytest.mark.parametrize("char", [chr(i) for i in range(33)] + [
+        "\x7f", "\x85", "\xa0", "\u2000", "\u2028", "\u2029", "\u3000", "\u0661"])
+    def test_every_odd_character_at_every_position(self, char):
+        base = "t_s,v_mps\n0,0\n1,1.5\n2,2\n"
+        for text in (base, base.replace("\n", "\r\n")):
+            for pos in range(len(text) + 1):
+                for odd in (text[:pos] + char + text[pos:],
+                            text[:pos] + char + text[pos + 1:]):
+                    assert parsed(load_cycle, odd) == parsed(reference_load_cycle, odd)
+
+    @pytest.mark.parametrize("text", [
+        "t_s,v_mps\n0,0\n1,1\n",
+        "# a comment\n\nt_s,v_mps\n# mid\n0,0\n\n1,3\n# end\n",
+        "  t_s , v_mps ,grade_deg\r\n0,0,1\r\n1,2,3\r\n",
+        "t_s,v_mps\n 0 , 0 \n1,\t2\n  # indented comment\n\t\n2,2",
+        "t_s,v_mps\n0,0\n  \n1,1 \n\t\n",
+    ])
+    def test_one_pass_takes_comments_blank_lines_and_spaced_headers(self, text):
+        assert _parse_samples(text) is not None
+        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+
+    @pytest.mark.parametrize("text", [
+        "t_s,v_mps\n0,0 # inline\n1,1\n",
+        "t_s,v_mps\n0,0\n1,1_0\n",
+        "t_s,v_mps\n0,0\n1,\u0661\n",
+        "t_s,v_mps\n0,0\r1,1\n",
+        "t_s,v_mps\n0,0\n1\n",
+    ])
+    def test_one_pass_leaves_the_rest_to_the_line_reader(self, text):
+        assert _parse_samples(text) is None
+        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+
+    def test_shipped_cycle(self, scenario_dir):
+        text = (scenario_dir / "synthetic_cycle.csv").read_text(encoding="utf-8")
+        assert _parse_samples(text) is not None
+        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
 
 
 class TestRepeatCycle:

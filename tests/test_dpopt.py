@@ -133,7 +133,10 @@ class TestDpConfigValidation:
         dict(grid_step=0.0),
         dict(grid_step=6.0),
         dict(obd_energy_per_event_kwh=-0.1),
+        dict(obd_energy_per_event_kwh=math.inf),
+        dict(obd_energy_per_event_kwh=math.nan),
         dict(c_batt_kwh=0.0),
+        dict(c_batt_kwh=math.nan),
     ])
     def test_invalid_rejected(self, decisions, kwargs):
         with pytest.raises(ValueError):
@@ -824,6 +827,30 @@ class TestSweepMatchesReference:
                 for out, expect in zip(cs_step(cfg, *args), reference_cs_step(cfg, *args)):
                     assert np.shape(out) == np.shape(expect)
                     assert np.array_equal(out, expect)
+
+    @given(inst=sweep_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cs_step_on_floats(self, inst, data):
+        # the forward pass steps on Python floats: each call returns a float
+        # and two bools with the bits of its element of the array call
+        d, cfg, _ = inst
+        deltas = cfg.delta_array()
+        gate = cfg.soc_max + SOC_EPS - cfg.max_positive_delta
+        edges = [gate, math.nextafter(gate, 0.0), math.nextafter(gate, 99.0),
+                 cfg.soc_min, cfg.soc_max, cfg.soc_max + SOC_EPS]
+        socs = data.draw(st.lists(st.one_of(st.floats(11.0, 18.0), st.sampled_from(edges)),
+                                  min_size=1, max_size=4))
+        # net regeneration (curtailment at soc_max) on every instance
+        drains = np.append(d.d_pct[:4], data.draw(st.floats(-0.7, -1e-9)))
+        block = cs_step(cfg, np.asarray(socs), drains[:, None, None], deltas[:, None])
+        block = [np.broadcast_to(x, block[2].shape) for x in block]
+        for k, d_k in enumerate(drains.tolist()):
+            for a, delta in enumerate(deltas.tolist()):
+                for j, soc in enumerate(socs):
+                    succ, gate_ok, ok = cs_step(cfg, soc, d_k, delta)
+                    assert (type(succ), type(gate_ok), type(ok)) == (float, bool, bool)
+                    assert same_bits(succ, block[0][k, a, j])
+                    assert (gate_ok, ok) == (block[1][k, a, j], block[2][k, a, j])
 
     @given(inst=sweep_instances())
     @settings(max_examples=100, deadline=None)
