@@ -55,10 +55,8 @@ from .powertrain import (
     GenSetPoint,
     PowertrainAssembly,
     current_from_power,
-    integrate_soc,
     load_map,
     map_lookup,
-    merge_gen_set,
     motor_electrical_power,
     synthetic_engine_map,
     synthetic_generator_map,
@@ -80,8 +78,8 @@ __all__ = [
     "EnergyResult", "RuleConfig", "SimTrace", "simulate_rule_based",
     "write_trace",
     "BatteryParams", "DrivetrainParams", "EfficiencyMap", "GenSetPoint",
-    "PowertrainAssembly", "current_from_power", "integrate_soc", "load_map",
-    "map_lookup", "merge_gen_set", "motor_electrical_power",
+    "PowertrainAssembly", "current_from_power", "load_map", "map_lookup",
+    "motor_electrical_power",
     "synthetic_engine_map", "synthetic_generator_map", "synthetic_motor_map",
     "Scenario", "load_scenario",
 ]

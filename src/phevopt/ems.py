@@ -31,6 +31,7 @@ from .powertrain import (
     GenSetPoint,
     current_from_power,
     motor_electrical_power,
+    soc_drop_pct,
     terminal_power_kw,
 )
 
@@ -201,7 +202,6 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
 
     trigger, high = cfg.cs_trigger, cfg.soc_high
     dwell, warmup = cfg.min_dwell_s, cfg.warmup_s
-    v_oc, c_batt_kwh = bp.v_oc, bp.c_batt_kwh
     regime = np.zeros(n, dtype=np.intp)
     lockout = np.zeros(n, dtype=bool)
     soc_pct = np.empty(n)
@@ -234,7 +234,7 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
             i_run = currents[r, k:stop]
         path = np.empty(i_run.size + 1)
         path[0] = soc
-        path[1:] = v_oc * i_run * dt[k:stop] / (3.6e6 * c_batt_kwh) * 100.0
+        path[1:] = soc_drop_pct(bp, i_run, dt[k:stop])
         np.subtract.accumulate(path, out=path)
         m = _run_length(path, cs_entered, consulted, genset_on, locked_side,
                         trigger, high)
@@ -271,7 +271,7 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         regime[k], lockout[k], soc_pct[k] = r, locked, soc
 
         if k < n - 1:
-            soc -= v_oc * i_batt * dt.item(k) / (3.6e6 * c_batt_kwh) * 100.0
+            soc -= soc_drop_pct(bp, i_batt, dt.item(k))
             if soc <= 0.0:
                 raise InfeasibleVehicleError(
                     f"battery empty at t = {t.item(k + 1):g} s "

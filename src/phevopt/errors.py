@@ -19,11 +19,6 @@ class MapDomainError(PhevOptError):
     """A lookup point lies outside an efficiency map's axis bounding box."""
 
 
-class EmptyMapError(PhevOptError):
-    """A map operation produced no feasible nodes (e.g. merging maps with
-    disjoint envelopes)."""
-
-
 class EnvelopeError(PhevOptError):
     """A power request exceeds a component's physical envelope."""
 

@@ -1,4 +1,5 @@
-"""Component models: efficiency maps, gen-set merging, and the battery.
+"""Component models: efficiency maps, gen-set operating points, and the
+battery.
 
 Efficiency maps are node grids over (speed rpm, torque Nm) with NaN marking
 the infeasible region outside a component's envelope; lookups are bilinear.
@@ -7,8 +8,8 @@ published figures carry no numeric tables, so the bundled defaults are
 fixed stand-ins and are labeled as such).
 
 The battery is an internal-resistance model with one constant open-circuit
-voltage: terminal power V_oc*I - R*I^2, and SOC integrated from the
-chemistry power V_oc*I. Current is discharge-positive.
+voltage: terminal power V_oc*I - R*I^2, and SOC stepped by the chemistry
+energy V_oc*I*dt (``soc_drop_pct``). Current is discharge-positive.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    EmptyMapError,
     EnvelopeError,
     MapDomainError,
     MapFormatError,
@@ -144,32 +143,6 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
     limits[used] = np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0)
     limit = np.where(inside, limits[probe], np.nan)
     return float(limit) if limit.ndim == 0 else limit
-
-
-def merge_gen_set(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
-                  belt_ratio: float, belt_efficiency: float) -> EfficiencyMap:
-    """Combine engine and generator maps into one fuel-to-electricity map.
-
-    The merged map lives on the engine's axes. At each engine node the
-    generator is evaluated at (speed * belt_ratio, torque / belt_ratio) and
-    the combined efficiency is eta_eng * eta_gen / 100 times the belt
-    efficiency. Nodes whose generator point is out of range or
-    infeasible become infeasible.
-    """
-    if belt_ratio <= 0:
-        raise ValueError("belt ratio must be positive")
-    if not (0 < belt_efficiency <= 1):
-        raise ValueError("belt efficiency must lie in (0, 1]")
-    eta_gen = _bilinear(gen_map, engine_map.speed_axis[:, None] * belt_ratio,
-                        engine_map.torque_axis[None, :] / belt_ratio)
-    values = engine_map.values * eta_gen / 100.0 * belt_efficiency
-    if not np.isfinite(values).any():
-        raise EmptyMapError(
-            f"maps {engine_map.label!r} and {gen_map.label!r} have disjoint "
-            f"envelopes through belt ratio {belt_ratio:g}")
-    label = f"{engine_map.label}+{gen_map.label}" if engine_map.label else "gen-set"
-    return EfficiencyMap(engine_map.speed_axis.copy(), engine_map.torque_axis.copy(),
-                         values, label)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +312,6 @@ class BatteryParams:
             raise ValueError("open-circuit voltage must be finite and positive")
 
 
-class SocResult(NamedTuple):
-    soc: float
-    clamped: bool
-
-
 def terminal_power_kw(b: BatteryParams, i_amps: float) -> float:
     """Power delivered to the DC bus: V_oc*I - R_in*I^2 (kW)."""
     return (b.v_oc * i_amps - b.r_in_ohm * i_amps * i_amps) / 1000.0
@@ -376,32 +344,12 @@ def current_from_power(b: BatteryParams, p_terminal_kw):
     return (v - math.sqrt(disc)) / (2.0 * b.r_in_ohm)
 
 
-def integrate_soc(b: BatteryParams, start_soc: float, t_s, i_amps) -> SocResult:
-    """Integrate SOC over a current series (trapezoidal).
-
-    Discharge current lowers SOC:
-    delta = -integral(V_oc * I) dt / (3.6e6 * C_batt) * 100.
-    The result is clamped to [0, 100] after every segment; the flag reports
-    whether clamping occurred.
-    """
-    if not (0.0 <= start_soc <= 100.0):
-        raise ValueError("start_soc must lie in [0, 100]")
-    t = np.asarray(t_s, dtype=float)
-    i = np.asarray(i_amps, dtype=float)
-    if t.size != i.size:
-        raise ValueError("time and current series must have equal length")
-    soc = float(start_soc)
-    clamped = False
-    v = b.v_oc
-    for k in range(t.size - 1):
-        dt = t[k + 1] - t[k]
-        energy_j = v * 0.5 * (i[k] + i[k + 1]) * dt
-        soc -= energy_j / (3.6e6 * b.c_batt_kwh) * 100.0
-        if soc < 0.0:
-            soc, clamped = 0.0, True
-        elif soc > 100.0:
-            soc, clamped = 100.0, True
-    return SocResult(soc, clamped)
+def soc_drop_pct(b: BatteryParams, i_amps, dt_s):
+    """SOC fall (percentage points) over a step of ``dt_s`` seconds at a
+    constant current: the chemistry energy V_oc*I*dt over the capacity.
+    Discharge lowers SOC, so a charging (negative) current gives a negative
+    drop. ``i_amps`` and ``dt_s`` may be arrays (broadcast)."""
+    return b.v_oc * i_amps * dt_s / (3.6e6 * b.c_batt_kwh) * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +455,9 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
 
 @dataclass
 class PowertrainAssembly:
-    """All component maps of the series powertrain plus the merged gen-set
-    map, kept together so scenario code passes one object around."""
+    """All component maps of the series powertrain and the belt between
+    engine and generator, kept together so scenario code passes one object
+    around."""
 
     motor_map: EfficiencyMap
     engine_map: EfficiencyMap
@@ -516,12 +465,12 @@ class PowertrainAssembly:
     belt_ratio: float = 2.7        # generator speed / engine speed
     belt_efficiency: float = 1.0
     drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
-    merged_map: EfficiencyMap = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.merged_map is None:
-            self.merged_map = merge_gen_set(self.engine_map, self.generator_map,
-                                            self.belt_ratio, self.belt_efficiency)
+        if self.belt_ratio <= 0:
+            raise ValueError("belt ratio must be positive")
+        if not (0 < self.belt_efficiency <= 1):
+            raise ValueError("belt efficiency must lie in (0, 1]")
 
     @classmethod
     def synthetic(cls) -> "PowertrainAssembly":

@@ -25,6 +25,7 @@ from phevopt.powertrain import (
     BatteryParams,
     current_from_power,
     motor_electrical_power,
+    soc_drop_pct,
     terminal_power_kw,
 )
 from phevopt.scenario import load_scenario
@@ -182,9 +183,8 @@ class TestThermostat:
 def assert_soc_recurrence_exact(trace, bp):
     """Every step of the trace closes the SOC identity bit for bit."""
     soc = trace.soc_pct
-    step = bp.v_oc * trace.i_batt_a[:-1] * np.diff(trace.t_s) / (3.6e6 * bp.c_batt_kwh)
-    expect = np.minimum(soc[:-1] - step * 100.0, 100.0)
-    assert np.array_equal(soc[1:], expect)
+    drop = soc_drop_pct(bp, trace.i_batt_a[:-1], np.diff(trace.t_s))
+    assert np.array_equal(soc[1:], np.minimum(soc[:-1] - drop, 100.0))
 
 
 class TestSocBehavior:

@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter: every name a
 module imports is used in it (package ``__init__`` files re-export theirs),
-and every dataclass field is read somewhere in the package or its tests."""
+every dataclass field is read somewhere in the package or its tests, and
+every exported name is run by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,47 @@ def test_unread_field_is_found():
                      "class C:\n    w: int\n"
                      "print(A(1).x, B(2.0).z)\na.y = 3\n")
     assert unread_fields(tree, attributes_read(tree)) == ["A.y"]
+
+
+#: Exports that nothing in the package calls, kept as entry points.
+ENTRY_POINTS = {
+    "brute_force": "the exhaustive oracle acceptance criterion 5 judges the DP by",
+    "evaluate_rule_on_demand": "criterion 6 and the benchmark gate replay the rule with it",
+    "synthetic_cycle": "generates the shipped drive-cycle fixture",
+}
+#: Exports that are not code to run.
+NOT_CODE = {"__version__", "errors"}
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names listed in the module's ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unrun_exports(inits: list[ast.Module], modules: list[ast.Module]) -> list[str]:
+    """Names the ``inits`` export that no name or attribute of ``modules``
+    mentions, apart from the entry points and the exports that are not code."""
+    used = set().union(*map(names_used, modules))
+    return [name for tree in inits for name in exported(tree)
+            if name not in used | ENTRY_POINTS.keys() | NOT_CODE]
+
+
+def test_every_export_is_run():
+    inits = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in (SRC / "__init__.py", SRC / "dpopt" / "__init__.py")]
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    assert unrun_exports(inits, modules) == []
+
+
+def test_unrun_export_is_found():
+    init = ast.parse('__version__ = "1"\nfrom .m import a, b, c, brute_force\n'
+                     '__all__ = ["__version__", "a", "b", "c", "brute_force"]\n')
+    module = ast.parse("def a():\n    return 1\nprint(b(), x.c)\n")
+    assert unrun_exports([init], [module]) == ["a"]

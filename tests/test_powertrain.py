@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import phevopt.powertrain as powertrain
 from phevopt.errors import (
-    EmptyMapError,
     EnvelopeError,
     MapDomainError,
     MapFormatError,
@@ -19,16 +18,16 @@ from phevopt.powertrain import (
     DrivetrainParams,
     EfficiencyMap,
     GenSetPoint,
+    PowertrainAssembly,
     _bilinear,
     current_from_power,
     genset_electrical_kw,
     genset_point_at,
-    integrate_soc,
     load_map,
     map_lookup,
     max_feasible_torque,
-    merge_gen_set,
     motor_electrical_power,
+    soc_drop_pct,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
@@ -173,84 +172,27 @@ class TestMaxFeasibleTorque:
             max_feasible_torque(m, 30000.0)
 
 
-class TestMergeGenSet:
-    def test_flat_components_multiply(self):
-        eng = EfficiencyMap(np.asarray([1000.0, 2000.0]), np.asarray([27.0, 54.0]),
-                            np.full((2, 2), 35.0), "eng")
-        gen = flat_map(90.0, "gen")
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
-        assert np.allclose(merged.values, 31.5)
-        assert merged.label == "eng+gen"
-
-    def test_belt_transform_point(self):
-        # generator efficiency varies linearly, so bilinear lookup is exact:
-        # engine node (1800 rpm, 120 Nm) maps to (4860 rpm, 44.44 Nm)
-        g_speed = np.asarray([2000.0, 6000.0])
-        g_torque = np.asarray([0.0, 60.0])
-        g_vals = 20.0 + g_speed[:, None] / 1000.0 + g_torque[None, :] / 6.0
-        gen = EfficiencyMap(g_speed, g_torque, g_vals)
-        eng = EfficiencyMap(np.asarray([1600.0, 1800.0, 2000.0]),
-                            np.asarray([100.0, 120.0, 140.0]),
-                            np.full((3, 3), 30.0))
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
-        expect = 30.0 * (20.0 + 4.86 + (120.0 / 2.7) / 6.0) / 100.0
-        assert merged.values[1, 1] == pytest.approx(expect, rel=1e-9)
-        assert merged.values[1, 1] == pytest.approx(9.6802222, abs=1e-6)
-
-    def test_merged_below_both_factors(self, assembly):
-        merged = assembly.merged_map
-        eng = assembly.engine_map
-        for a in range(merged.speed_axis.size):
-            for b in range(merged.torque_axis.size):
-                v = merged.values[a, b]
-                if not np.isfinite(v):
-                    continue
-                eta_gen = map_lookup(assembly.generator_map,
-                                     merged.speed_axis[a] * assembly.belt_ratio,
-                                     merged.torque_axis[b] / assembly.belt_ratio)
-                assert v <= eng.values[a, b] + 1e-12
-                assert v <= eta_gen + 1e-12
-
-    def test_engine_infeasible_stays_infeasible(self):
-        eng = EfficiencyMap(np.asarray([1000.0, 2000.0]), np.asarray([27.0, 54.0]),
-                            np.asarray([[35.0, np.nan], [35.0, 35.0]]))
-        merged = merge_gen_set(eng, flat_map(90.0), belt_ratio=2.7,
-                               belt_efficiency=1.0)
-        assert np.isnan(merged.values[0, 1])
-        assert np.isfinite(merged.values).sum() == 3
-
-    def test_generator_out_of_range_stays_infeasible(self):
-        eng = EfficiencyMap(np.asarray([1000.0, 3000.0]), np.asarray([10.0, 20.0]),
-                            np.full((2, 2), 35.0))
-        gen = EfficiencyMap(np.asarray([2500.0, 6000.0]), np.asarray([0.0, 60.0]),
-                            np.full((2, 2), 90.0))
-        # 1000 rpm * 2.7 = 2700 in range, 3000 * 2.7 = 8100 out of range
-        merged = merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
-        assert np.all(np.isfinite(merged.values[0]))
-        assert np.all(np.isnan(merged.values[1]))
+class TestPowertrainAssembly:
+    def test_belt_parameters_validated(self):
+        motor, eng, gen = flat_map(94.0), flat_map(35.0), flat_map(90.0)
+        with pytest.raises(ValueError, match="belt ratio must be positive"):
+            PowertrainAssembly(motor, eng, gen, belt_ratio=0.0)
+        with pytest.raises(ValueError, match=r"belt efficiency must lie in \(0, 1\]"):
+            PowertrainAssembly(motor, eng, gen, belt_efficiency=1.5)
+        with pytest.raises(ValueError, match="belt efficiency"):
+            PowertrainAssembly(motor, eng, gen, belt_efficiency=0.0)
 
     def test_disjoint_envelopes_raise(self):
+        # through the belt the engine's 800-1000 rpm reach 2160-2700 rpm,
+        # below the generator's axis: no engine speed has a gen-set point
         eng = EfficiencyMap(np.asarray([800.0, 1000.0]), np.asarray([10.0, 20.0]),
                             np.full((2, 2), 35.0))
         gen = EfficiencyMap(np.asarray([5000.0, 6000.0]), np.asarray([0.0, 60.0]),
                             np.full((2, 2), 90.0))
-        with pytest.raises(EmptyMapError):
-            merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.0)
-
-    def test_belt_parameters_validated(self):
-        eng = flat_map(35.0)
-        gen = flat_map(90.0)
-        with pytest.raises(ValueError):
-            merge_gen_set(eng, gen, belt_ratio=0.0, belt_efficiency=1.0)
-        with pytest.raises(ValueError):
-            merge_gen_set(eng, gen, belt_ratio=2.7, belt_efficiency=1.5)
-
-    def test_belt_efficiency_scales(self):
-        eng = EfficiencyMap(np.asarray([1000.0, 2000.0]), np.asarray([27.0, 54.0]),
-                            np.full((2, 2), 35.0))
-        merged = merge_gen_set(eng, flat_map(90.0), belt_ratio=2.7,
-                               belt_efficiency=0.95)
-        assert np.allclose(merged.values, 31.5 * 0.95)
+        assembly = PowertrainAssembly(flat_map(94.0), eng, gen, belt_ratio=2.7)
+        for speed in (800.0, 900.0, 1000.0, 2600.0):
+            with pytest.raises(MapDomainError, match="outside map"):
+                assembly.genset_point(speed, 1.0)
 
 
 class TestMapIO:
@@ -369,64 +311,11 @@ class TestCurrentFromPower:
         assert current_from_power(b, -35.0) == pytest.approx(-100.0, rel=1e-12)
 
 
-class TestIntegrateSoc:
-    def flat_battery(self, volts=350.0):
-        return BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=volts)
-
+class TestSocDropPct:
     def test_charge_example(self):
         # -54 A at 350 V for 360 s moves 1.89 kWh into an 18.9 kWh pack
-        b = self.flat_battery()
-        out = integrate_soc(b, 50.0, [0.0, 360.0], [-54.0, -54.0])
-        assert out.soc == pytest.approx(60.0, abs=1e-9)
-        assert not out.clamped
-
-    def test_zero_current_is_identity(self):
-        b = self.flat_battery()
-        t = np.linspace(0.0, 100.0, 11)
-        out = integrate_soc(b, 37.5, t, np.zeros(11))
-        assert out.soc == 37.5
-
-    def test_antisymmetry(self):
-        b = self.flat_battery()
-        rng = np.random.default_rng(3)
-        t = np.linspace(0.0, 600.0, 61)
-        i = rng.uniform(-40.0, 40.0, 61)
-        up = integrate_soc(b, 50.0, t, i).soc - 50.0
-        down = integrate_soc(b, 50.0, t, -i).soc - 50.0
-        assert up == pytest.approx(-down, abs=1e-9)
-
-    def test_sequential_additivity(self):
         b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
-        rng = np.random.default_rng(5)
-        t = np.linspace(0.0, 400.0, 41)
-        i = rng.uniform(-30.0, 30.0, 41)
-        whole = integrate_soc(b, 60.0, t, i).soc
-        half = integrate_soc(b, 60.0, t[:21], i[:21]).soc
-        rest = integrate_soc(b, half, t[20:], i[20:]).soc
-        assert rest == pytest.approx(whole, rel=1e-12)
-
-    def test_discharge_then_recharge_restores(self):
-        b = self.flat_battery()
-        t = np.linspace(0.0, 300.0, 31)
-        i = np.full(31, 25.0)
-        mid = integrate_soc(b, 50.0, t, i).soc
-        back = integrate_soc(b, mid, t, -i).soc
-        assert back == pytest.approx(50.0, abs=1e-9)
-        assert mid < 50.0
-
-    def test_clamp_flags(self):
-        b = self.flat_battery()
-        drained = integrate_soc(b, 5.0, [0.0, 3600.0], [500.0, 500.0])
-        assert drained.soc == 0.0 and drained.clamped
-        filled = integrate_soc(b, 95.0, [0.0, 3600.0], [-500.0, -500.0])
-        assert filled.soc == 100.0 and filled.clamped
-
-    def test_inputs_validated(self):
-        b = self.flat_battery()
-        with pytest.raises(ValueError):
-            integrate_soc(b, 120.0, [0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            integrate_soc(b, 50.0, [0.0, 1.0, 2.0], [0.0, 0.0])
+        assert soc_drop_pct(b, -54.0, 360.0) == pytest.approx(-10.0, abs=1e-9)
 
 
 class TestBatteryParamsValidation:
@@ -749,12 +638,6 @@ class TestSyntheticMaps:
         gen = synthetic_generator_map()
         assert gen.speed_axis[0] == 1000.0 and gen.speed_axis[-1] == 10000.0
 
-    def test_assembly_builds_merged_map(self, assembly):
-        assert assembly.merged_map.label == "synthetic-engine+synthetic-generator"
-        assert np.isfinite(assembly.merged_map.values).sum() > 0
-        peak = np.nanmax(assembly.merged_map.values)
-        assert 25.0 < peak < 36.0  # engine 36% times generator < 100%
-
     def test_peak_efficiency_is_global_max(self):
         m = synthetic_motor_map()
         assert np.nanmax(m.values) == pytest.approx(94.0)
@@ -954,13 +837,3 @@ class TestArrayModelsMatchScalarReference:
                 expect.append(math.nan)
         assert np.array_equal(current_from_power(b, np.asarray(p)),
                               np.asarray(expect), equal_nan=True)
-
-    def test_merge_matches_node_by_node_lookup(self):
-        eng, gen = synthetic_engine_map(), synthetic_generator_map()
-        merged = merge_gen_set(eng, gen, 2.7, 0.97)
-        for a, speed in enumerate(eng.speed_axis):
-            for b, torque in enumerate(eng.torque_axis):
-                eta_gen, _ = _ref_or_nan(_ref_map_lookup, gen, speed * 2.7, torque / 2.7)
-                expect = eng.values[a, b] * eta_gen / 100.0 * 0.97
-                assert (merged.values[a, b] == expect
-                        or (np.isnan(merged.values[a, b]) and np.isnan(expect)))

@@ -348,6 +348,10 @@ class TestCliExitCodes:
                      id="initial-soc-outside-window"),
         pytest.param("[dp]\nsoc_min = 15\n", "[rule] cs_trigger = 14, the default",
                      id="default-initial-soc-outside-window"),
+        pytest.param("[maps]\nbelt_ratio = 0\n", "error: belt ratio must be positive",
+                     id="zero-belt-ratio"),
+        pytest.param("[maps]\nbelt_efficiency = 1.5\n",
+                     "error: belt efficiency must lie in (0, 1]", id="belt-efficiency"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
@@ -375,6 +379,19 @@ class TestCliExitCodes:
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_disjoint_genset_maps_exit_2(self, tmp_path, scenario_dir, capsys):
+        # through the 2.7 belt the engine's 800-1000 rpm never reach the
+        # generator's 5000-6000 rpm, so no gen-set point exists
+        (tmp_path / "eng.csv").write_text(",10,20\n800,35,35\n1000,35,35\n",
+                                          encoding="utf-8")
+        (tmp_path / "gen.csv").write_text(",0,60\n5000,90,90\n6000,90,90\n",
+                                          encoding="utf-8")
+        body = "[accounting]\nuf = 0.8\n[maps]\nengine = eng.csv\ngenerator = gen.csv\n"
+        p = write_scenario(tmp_path, scenario_dir, body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: speed 2600 rpm outside map 'eng'" in capsys.readouterr().err
 
     def test_peak_below_average_exits_2(self, tmp_path, scenario_dir, capsys):
         body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
