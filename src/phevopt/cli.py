@@ -10,7 +10,9 @@ simulate
     ``--strategy dp`` (thermostat charge-depleting prefix, optimal
     charge-sustaining remainder).
 compare
-    Both strategies side by side with utility-factor weighted totals.
+    Both strategies side by side with utility-factor weighted totals: its
+    two rows and two plots are exactly what ``simulate --strategy rule`` and
+    ``--strategy dp`` write.
 obd
     Diagnostics-drain sensitivity study on the charge-sustaining problem.
 
@@ -65,6 +67,14 @@ def _write_rows(path: Path, header: str, rows) -> None:
                       in zip(header.split(","), zip(*rows), strict=True)))
 
 
+def _report(path: Path, header: str, rows) -> None:
+    """Write the key/value ``rows``, then print them; called last, after the
+    command's other files."""
+    _write_rows(path, header, rows)
+    for key, val in rows:
+        print(f"{key} = {val}")
+
+
 def _write_log(out: Path, args, extra: dict) -> None:
     lines = [
         f"command={args.command}",
@@ -112,18 +122,16 @@ def cmd_analyze(args) -> int:
                 ("avg_power_ratio", _fmt(ratio)),
                 ("avg_power_delta_pct", _fmt(cal.avg_power_delta_pct)),
             ]
-    _write_rows(out / "metrics.csv", "metric,value", rows)
     write_csv(out / "wheel_power.csv", ("t_s", "%.3f", cyc.t_s),
               ("v_mps", "%.4f", cyc.v_mps), ("p_wheel_kw", "%.6f", p_wheel))
-    for key, val in rows:
-        print(f"{key} = {val}")
+    _report(out / "metrics.csv", "metric,value", rows)
     return 0
 
 
 @dataclass
 class HybridRun:
-    """Thermostat CD prefix plus, when the cycle reaches CS, the optimized
-    remainder."""
+    """One strategy's run: the thermostat's trace and energy plus, when the
+    DP took over at CS entry sample ``entry_index``, its policy and rollout."""
 
     trace: SimTrace
     rule_energy: EnergyResult
@@ -152,15 +160,22 @@ class HybridRun:
         return self.roll.final_soc
 
 
-def run_dp_hybrid(sc: Scenario) -> HybridRun:
-    """Simulate the rule until CS entry, then solve the remainder as the
-    charge-sustaining optimization and roll the policy out."""
+def run_rule(sc: Scenario) -> HybridRun:
+    """Run the thermostat over the whole cycle."""
     trace, energy = simulate_rule_based(
         sc.cycle, sc.vp, sc.assembly.motor_map, sc.assembly.drivetrain,
         sc.bp, sc.rule, calibration=sc.calibration.energy_scale)
+    return HybridRun(trace, energy, None)
+
+
+def run_dp_hybrid(sc: Scenario) -> HybridRun:
+    """Simulate the rule until CS entry, then solve the remainder as the
+    charge-sustaining optimization and roll the policy out."""
+    rule = run_rule(sc)
+    trace = rule.trace
     idx = trace.cs_entry_index()
     if idx is None or idx >= trace.n_samples - 1:
-        return HybridRun(trace, energy, None)
+        return rule
     t0 = float(trace.t_s[idx])
     sub = DriveCycle(
         t_s=sc.cycle.t_s[idx:] - t0,
@@ -168,7 +183,7 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
         grade_deg=sc.cycle.grade_deg[idx:],
     )
     if sub.duration_s < sc.dp.dt_s:
-        return HybridRun(trace, energy, idx)
+        return HybridRun(trace, rule.rule_energy, idx)
     cfg = replace(sc.dp, initial_soc=float(trace.soc_pct[idx]))
     demand = build_demand(sub, sc.vp, sc.assembly.motor_map,
                           sc.assembly.drivetrain, sc.bp,
@@ -176,114 +191,88 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
                           dt_s=cfg.dt_s,
                           regen_current_limit_a=sc.rule.regen_current_limit_a)
     policy = solve(demand, cfg)
-    return HybridRun(trace, energy, idx, policy, rollout(policy, cfg.initial_soc))
+    return HybridRun(trace, rule.rule_energy, idx, policy, rollout(policy, cfg.initial_soc))
 
 
-def _summary_rows(sc: Scenario, strategy: str, ec_cd_dc: float, ec_cs: float,
-                  cd_km: float, cs_km: float, final_soc: float):
-    rep = build_uf_report(ec_cd_dc, ec_cs, sc.uf, sc.charging_efficiency)
+def _summary_rows(sc: Scenario, strategy: str, run: HybridRun):
+    energy = run.rule_energy
+    rep = build_uf_report(energy.ec_cd_dc_wh_per_km, run.ec_cs_fuel_wh_per_km,
+                          sc.uf, sc.charging_efficiency)
     return [
         ("strategy", strategy),
         ("laps", str(sc.laps)),
         ("distance_km", _fmt(sc.cycle.distance_km)),
-        ("cd_distance_km", _fmt(cd_km)),
-        ("cs_distance_km", _fmt(cs_km)),
-        ("ec_cd_dc_wh_per_km", _fmt(ec_cd_dc)),
+        ("cd_distance_km", _fmt(energy.cd_distance_km)),
+        ("cs_distance_km", _fmt(energy.cs_distance_km)),
+        ("ec_cd_dc_wh_per_km", _fmt(energy.ec_cd_dc_wh_per_km)),
         ("ec_cd_ac_wh_per_km", _fmt(rep.ec_cd_ac_wh_per_km)),
-        ("ec_cs_fuel_wh_per_km", _fmt(ec_cs)),
+        ("ec_cs_fuel_wh_per_km", _fmt(run.ec_cs_fuel_wh_per_km)),
         ("uf", _fmt(sc.uf)),
         ("uf_weighted_electric_wh_per_km", _fmt(rep.ec_uf_weighted_electric)),
         ("uf_weighted_fuel_wh_per_km", _fmt(rep.ec_uf_weighted_fuel)),
         ("uf_weighted_total_wh_per_km", _fmt(rep.ec_uf_weighted_total)),
-        ("final_soc_pct", _fmt(final_soc)),
+        ("final_soc_pct", _fmt(run.final_soc)),
     ]
 
 
-def _write_plot(path: Path, t_s, v_mps, soc_pct) -> None:
-    write_csv(path, ("t_s", "%.3f", t_s), ("v_mps", "%.4f", v_mps),
-              ("soc_pct", "%.6f", soc_pct))
-
-
-def _write_plot_hybrid(path: Path, run: HybridRun, sc: Scenario) -> None:
-    """Thermostat SOC up to CS entry, then the rolled-out SOC per interval."""
+def _write_plot(path: Path, run: HybridRun) -> None:
+    """Thermostat SOC per sample, up to CS entry when the DP took over and
+    then the rolled-out SOC per interval."""
     t, v, soc = run.trace.t_s, run.trace.v_mps, run.trace.soc_pct
-    idx = run.entry_index
-    if idx is not None and run.roll is not None:
+    if run.roll is not None:
+        idx = run.entry_index
         t0 = float(t[idx])
         n = run.demand.n_intervals
-        sub_end = float(sc.cycle.t_s[-1]) - t0
-        t_end = np.minimum(np.arange(1, n + 1) * run.demand.dt_s, sub_end) + t0
+        t_end = np.minimum(np.arange(1, n + 1) * run.demand.dt_s, float(t[-1]) - t0) + t0
+        v = np.concatenate((v[: idx + 1], np.interp(t_end, t, v)))
         t = np.concatenate((t[: idx + 1], t_end))
-        v = np.concatenate((v[: idx + 1],
-                            np.interp(t_end, sc.cycle.t_s, sc.cycle.v_mps)))
         soc = np.concatenate((soc[: idx + 1], run.roll.soc_trajectory[1:]))
-    _write_plot(path, t, v, soc)
+    write_csv(path, ("t_s", "%.3f", t), ("v_mps", "%.4f", v),
+              ("soc_pct", "%.6f", soc))
 
 
 def cmd_simulate(args) -> int:
     sc, out = _prepare(args)
+    run = run_rule(sc) if args.strategy == "rule" else run_dp_hybrid(sc)
+    rows = _summary_rows(sc, args.strategy, run)
     if args.strategy == "rule":
-        trace, energy = simulate_rule_based(
-            sc.cycle, sc.vp, sc.assembly.motor_map, sc.assembly.drivetrain,
-            sc.bp, sc.rule, calibration=sc.calibration.energy_scale)
-        rows = _summary_rows(sc, "rule", energy.ec_cd_dc_wh_per_km,
-                             energy.ec_cs_fuel_wh_per_km,
-                             energy.cd_distance_km, energy.cs_distance_km,
-                             energy.final_soc)
         rows.append(("genset_transitions",
-                     str(len(trace.genset_transition_times()))))
-        _write_plot(out / "plot.csv", trace.t_s, trace.v_mps, trace.soc_pct)
-    else:
-        run = run_dp_hybrid(sc)
-        trace, energy = run.trace, run.rule_energy
-        rows = _summary_rows(sc, "dp", energy.ec_cd_dc_wh_per_km,
-                             run.ec_cs_fuel_wh_per_km,
-                             energy.cd_distance_km, energy.cs_distance_km,
-                             run.final_soc)
-        if run.roll is not None:
-            rows += [
-                ("dp_fuel_kwh", _fmt(run.roll.fuel_kwh)),
-                ("dp_intervals", str(run.demand.n_intervals)),
-                ("dp_null_intervals", str(run.roll.null_intervals)),
-            ]
-            write_policy(run.policy, out / "policy.csv")
-            labels = np.array([d.label for d in run.cfg.decisions], dtype=object)
-            write_csv(out / "dp_schedule.csv",
-                      ("k", "%d", np.arange(run.demand.n_intervals)),
-                      ("soc_pct", "%.6f", run.roll.soc_trajectory[:-1]),
-                      ("decision", "%s", labels, run.roll.decision_indices))
-        _write_plot_hybrid(out / "plot.csv", run, sc)
-    write_trace(trace, out / "trace.csv")
-    _write_rows(out / "summary.csv", "key,value", rows)
-    for key, val in rows:
-        print(f"{key} = {val}")
+                     str(len(run.trace.genset_transition_times()))))
+    if run.roll is not None:
+        rows += [
+            ("dp_fuel_kwh", _fmt(run.roll.fuel_kwh)),
+            ("dp_intervals", str(run.demand.n_intervals)),
+            ("dp_null_intervals", str(run.roll.null_intervals)),
+        ]
+        write_policy(run.policy, out / "policy.csv")
+        labels = np.array([d.label for d in run.cfg.decisions], dtype=object)
+        write_csv(out / "dp_schedule.csv",
+                  ("k", "%d", np.arange(run.demand.n_intervals)),
+                  ("soc_pct", "%.6f", run.roll.soc_trajectory[:-1]),
+                  ("decision", "%s", labels, run.roll.decision_indices))
+    _write_plot(out / "plot.csv", run)
+    write_trace(run.trace, out / "trace.csv")
+    _report(out / "summary.csv", "key,value", rows)
     return 0
+
+
+#: The summary keys ``compare`` sets side by side; they are its header.
+COMPARED = ("strategy", "ec_cd_dc_wh_per_km", "ec_cd_ac_wh_per_km",
+            "ec_cs_fuel_wh_per_km", "uf_weighted_electric_wh_per_km",
+            "uf_weighted_fuel_wh_per_km", "uf_weighted_total_wh_per_km",
+            "final_soc_pct")
 
 
 def cmd_compare(args) -> int:
     sc, out = _prepare(args)
     run = run_dp_hybrid(sc)
-    rule_energy = run.rule_energy
-
-    header = ("strategy,ec_cd_dc_wh_per_km,ec_cd_ac_wh_per_km,"
-              "ec_cs_fuel_wh_per_km,uf_weighted_electric_wh_per_km,"
-              "uf_weighted_fuel_wh_per_km,uf_weighted_total_wh_per_km,"
-              "final_soc_pct")
     table = []
-    for name, ec_cd, ec_cs, final in (
-            ("rule", rule_energy.ec_cd_dc_wh_per_km,
-             rule_energy.ec_cs_fuel_wh_per_km, rule_energy.final_soc),
-            ("dp", run.rule_energy.ec_cd_dc_wh_per_km,
-             run.ec_cs_fuel_wh_per_km, run.final_soc)):
-        rep = build_uf_report(ec_cd, ec_cs, sc.uf, sc.charging_efficiency)
-        table.append((name, _fmt(ec_cd), _fmt(rep.ec_cd_ac_wh_per_km),
-                      _fmt(ec_cs), _fmt(rep.ec_uf_weighted_electric),
-                      _fmt(rep.ec_uf_weighted_fuel),
-                      _fmt(rep.ec_uf_weighted_total), _fmt(final)))
+    for strategy, r in (("rule", HybridRun(run.trace, run.rule_energy, None)), ("dp", run)):
+        summary = dict(_summary_rows(sc, strategy, r))
+        table.append(tuple(summary[key] for key in COMPARED))
+        _write_plot(out / f"plot_{strategy}.csv", r)
+    header = ",".join(COMPARED)
     _write_rows(out / "comparison.csv", header, table)
-    _write_plot(out / "plot_rule.csv", run.trace.t_s, run.trace.v_mps,
-                run.trace.soc_pct)
-    _write_plot_hybrid(out / "plot_dp.csv", run, sc)
     print(header)
     for row in table:
         print(",".join(row))
@@ -303,13 +292,11 @@ def cmd_obd(args) -> int:
         ("event_count", str(study.event_count)),
         ("drain_per_event_pct", f"{study.drain_per_event_pct:.7f}"),
     ]
-    _write_rows(out / "obd_summary.csv", "key,value", rows)
     write_csv(out / "obd_trajectories.csv",
               ("k", "%d", np.arange(study.trajectory_without.size)),
               ("soc_without_pct", "%.6f", study.trajectory_without),
               ("soc_with_pct", "%.6f", study.trajectory_with))
-    for key, val in rows:
-        print(f"{key} = {val}")
+    _report(out / "obd_summary.csv", "key,value", rows)
     return 0
 
 

@@ -87,9 +87,6 @@ class DriveCycle:
     def distance_km(self) -> float:
         return self.distance_m / 1000.0
 
-    def node_weights(self) -> np.ndarray:
-        return _trapezoid_weights(self.t_s)
-
     def is_closed(self) -> bool:
         """True when the trace ends in the state it started from, so laps
         can be chained without a kinematic discontinuity."""

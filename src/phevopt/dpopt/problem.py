@@ -23,8 +23,7 @@ import numpy as np
 
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams, wheel_power_series
-from ..ems import RuleConfig
-from ..errors import EnvelopeError, MapDomainError
+from ..ems import RuleConfig, raise_step_error
 from ..powertrain import (
     BatteryParams,
     DrivetrainParams,
@@ -283,15 +282,12 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
         raise ValueError("cycle must span at least one decision interval")
     t = cycle.t_s
     p_wheel = wheel_power_series(vp, cycle) * calibration
-    i_amps = current_from_power(
-        bp, motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel))
+    p_motor = motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel)
+    i_amps = current_from_power(bp, p_motor)
     if np.isnan(i_amps).any():  # the scalar calls name the first bad sample
         k = np.flatnonzero(np.isnan(i_amps))[0]
-        try:
-            current_from_power(bp, motor_electrical_power(
-                motor_map, drv, cycle.v_mps[k], p_wheel[k]))
-        except (EnvelopeError, MapDomainError) as exc:
-            raise EnvelopeError(f"step {k} (t = {t[k]:g} s): {exc}") from None
+        raise_step_error(k, t[k], motor_map, drv, bp, cycle.v_mps[k], p_wheel[k],
+                         p_motor[k], 0.0, 0.0)
     i_amps = np.maximum(i_amps, -regen_current_limit_a)
     p_chem = bp.v_oc * i_amps / 1000.0
 

@@ -259,15 +259,9 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         locked = cs_entered and soc >= high and regen[k]
         j = n if locked else k
         i_batt = currents.item(r, j)
-        if math.isnan(i_batt):  # outside an envelope: the scalar faces raise the reason
-            crank, p_gen = regimes[r]
-            p_motor = motors[r, j]
-            try:
-                if math.isnan(p_motor):
-                    motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
-                current_from_power(bp, p_motor + crank - p_gen)
-            except (EnvelopeError, MapDomainError) as exc:
-                raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None
+        if math.isnan(i_batt):
+            raise_step_error(k, now, motor_map, drv, bp, cycle.v_mps[k], p_wheel[k],
+                             motors[r, j], *regimes[r])
         regime[k], lockout[k], soc_pct[k] = r, locked, soc
 
         if k < n - 1:
@@ -300,6 +294,19 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
         fuel_step_kwh=fuel,
     )
     return trace, _energy_result(trace, bp, cycle)
+
+
+def raise_step_error(k, t_k, motor_map, drv, bp, v_k, p_wheel_k, p_motor, crank, p_gen):
+    """Explain sample ``k``'s NaN battery current: the scalar motor (when
+    ``p_motor`` is NaN) and battery functions raise the reason, as an
+    ``EnvelopeError`` naming the step. The bus power is
+    ``p_motor + crank - p_gen``."""
+    try:
+        if math.isnan(p_motor):
+            motor_electrical_power(motor_map, drv, v_k, p_wheel_k)
+        current_from_power(bp, p_motor + crank - p_gen)
+    except (EnvelopeError, MapDomainError) as exc:
+        raise EnvelopeError(f"step {k} (t = {t_k:g} s): {exc}") from None
 
 
 def _energy_result(trace: SimTrace, bp: BatteryParams, cycle: DriveCycle) -> EnergyResult:

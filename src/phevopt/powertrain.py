@@ -472,12 +472,6 @@ class PowertrainAssembly:
         if not (0 < self.belt_efficiency <= 1):
             raise ValueError("belt efficiency must lie in (0, 1]")
 
-    @classmethod
-    def synthetic(cls) -> "PowertrainAssembly":
-        return cls(motor_map=synthetic_motor_map(),
-                   engine_map=synthetic_engine_map(),
-                   generator_map=synthetic_generator_map())
-
     def genset_point(self, speed_rpm: float, electrical_kw: float) -> GenSetPoint:
         return genset_point_at(self.engine_map, self.generator_map, self.belt_ratio,
                                speed_rpm, electrical_kw, self.belt_efficiency)

@@ -10,6 +10,9 @@ from phevopt import (
     VehicleParams,
     default_decisions,
     synthetic_cycle,
+    synthetic_engine_map,
+    synthetic_generator_map,
+    synthetic_motor_map,
 )
 from phevopt.dpopt import DEFAULT_DELTAS, delta_to_electrical_kw
 
@@ -28,7 +31,8 @@ def vp():
 
 @pytest.fixture(scope="session")
 def assembly():
-    return PowertrainAssembly.synthetic()
+    return PowertrainAssembly(synthetic_motor_map(), synthetic_engine_map(),
+                              synthetic_generator_map())
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from phevopt.cycle import (
     DriveCycle,
     _parse_samples,
+    _trapezoid_weights,
     compute_metrics,
     load_cycle,
     repeat_cycle,
@@ -318,8 +319,8 @@ class TestDriveCycleValidation:
         with pytest.raises(ValueError):
             make_cycle([1.0, 2.0], [0.0, 0.0])
 
-    def test_node_weights_sum_to_duration(self, cycle):
-        assert cycle.node_weights().sum() == pytest.approx(cycle.duration_s)
+    def test_trapezoid_weights_sum_to_duration(self, cycle):
+        assert _trapezoid_weights(cycle.t_s).sum() == pytest.approx(cycle.duration_s)
 
     def test_synthetic_is_closed(self):
         assert synthetic_cycle().is_closed()

@@ -80,9 +80,8 @@ class TestWheelPowerSeries:
         v = np.concatenate([up, up[::-1][1:]])
         c = DriveCycle(t_s=t, v_mps=v)
         power = wheel_power_series(p, c)
-        w = c.node_weights()
-        e_pos = float(np.sum(w * np.maximum(power, 0.0)))
-        e_neg = float(np.sum(w * np.minimum(power, 0.0)))
+        e_pos = float(np.trapezoid(np.maximum(power, 0.0), t))
+        e_neg = float(np.trapezoid(np.minimum(power, 0.0), t))
         assert e_pos == pytest.approx(-e_neg, rel=1e-9)
 
     def test_kinetic_energy_audit(self):
@@ -91,7 +90,7 @@ class TestWheelPowerSeries:
         v = 12.5 * (1.0 - np.cos(2.0 * np.pi * t / 200.0))  # smooth 0 -> 25 m/s
         c = DriveCycle(t_s=t, v_mps=v)
         power_kw = wheel_power_series(p, c)
-        energy_j = float(np.sum(c.node_weights() * power_kw)) * 1000.0
+        energy_j = float(np.trapezoid(power_kw, t)) * 1000.0
         dke = 0.5 * p.m_t * (v[-1] ** 2 - v[0] ** 2)
         assert energy_j == pytest.approx(dke, rel=1e-3)
 

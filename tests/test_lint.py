@@ -1,7 +1,8 @@
 """Static checks on the package source that need no linter: every name a
 module imports is used in it (package ``__init__`` files re-export theirs),
-every dataclass field is read somewhere in the package or its tests, and
-every exported name is run by some module of the package."""
+every dataclass field is read somewhere in the package or its tests, every
+exported name is run by some module of the package, and so is every
+function, method and class a module defines."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,30 @@ def test_unrun_export_is_found():
                      '__all__ = ["__version__", "a", "b", "c", "brute_force"]\n')
     module = ast.parse("def a():\n    return 1\nprint(b(), x.c)\n")
     assert unrun_exports([init], [module]) == ["a"]
+
+
+def unnamed_definitions(modules: list[ast.Module]) -> list[str]:
+    """Functions, methods and classes defined in ``modules`` that no name or
+    attribute of ``modules`` mentions, apart from dunders and the entry
+    points."""
+    used = set().union(*map(names_used, modules)) | ENTRY_POINTS.keys()
+    return [node.name for tree in modules for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def test_every_definition_is_named():
+    modules = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    assert unnamed_definitions(modules) == []
+
+
+def test_unnamed_definition_is_found():
+    module = ast.parse("class A:\n    def __init__(self):\n        self.x = 1\n"
+                       "    def m(self):\n        pass\n"
+                       "    def n(self):\n        pass\n"
+                       "def f():\n    return A().n\n"
+                       "def g():\n    pass\n"
+                       "def brute_force():\n    pass\n"
+                       "print(f())\n")
+    assert unnamed_definitions([module]) == ["g", "m"]

@@ -488,6 +488,27 @@ class TestCliSimulate:
         assert rc == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["single_lap.ini", "obd_single_lap.ini",
+                                      "three_lap.ini"])
+    def test_compare_is_the_two_simulations(self, tmp_path, scenario_dir, capsys,
+                                            name):
+        scenario = str(scenario_dir / name)
+        cmp = tmp_path / "cmp"
+        assert main(["compare", "--scenario", scenario, "--out", str(cmp)]) == 0
+        header, *lines = (cmp / "comparison.csv").read_text().splitlines()
+        keys = header.split(",")
+        rows = [dict(zip(keys, line.split(","), strict=True)) for line in lines]
+        assert [row["strategy"] for row in rows] == ["rule", "dp"]
+        for row in rows:
+            sim = tmp_path / row["strategy"]
+            assert main(["simulate", "--strategy", row["strategy"],
+                         "--scenario", scenario, "--out", str(sim)]) == 0
+            summary = dict(line.split(",") for line
+                           in (sim / "summary.csv").read_text().splitlines()[1:])
+            assert row == {key: summary[key] for key in keys}
+            assert ((cmp / f"plot_{row['strategy']}.csv").read_bytes()
+                    == (sim / "plot.csv").read_bytes())
+
     def test_obd_outputs(self, tmp_path, scenario_dir, capsys):
         out = tmp_path / "obd"
         rc = main(["obd", "--scenario", str(scenario_dir / "obd_single_lap.ini"),
