@@ -377,12 +377,13 @@ class DpPolicy:
     the optimal cost-to-go and minimizing decision for each ``demand`` interval.
 
     Raises ``ValueError`` when the tables' shapes or the demand's interval
-    disagree with ``demand`` and ``cfg``."""
+    disagree with ``demand`` and ``cfg``, or when ``decision_idx`` holds
+    anything but unsigned indices into ``cfg.decisions``."""
 
     cfg: DpConfig
     demand: DemandProfile
     cost_to_go: np.ndarray      # (N+1, M) kWh fuel
-    decision_idx: np.ndarray    # (N, M) index into `cfg.decisions`
+    decision_idx: np.ndarray    # (N, M) unsigned index into `cfg.decisions`
 
     def __post_init__(self) -> None:
         check_demand_interval(self.demand, self.cfg)
@@ -393,6 +394,13 @@ class DpPolicy:
                 raise ValueError(
                     f"{name} has shape {table.shape}, but a demand of {n} "
                     f"intervals on a grid of {m} states needs {shape}")
+        if self.decision_idx.dtype.kind != "u":
+            raise ValueError(f"decision_idx has dtype {self.decision_idx.dtype}, "
+                             f"but indices into cfg.decisions are unsigned integers")
+        top = int(self.decision_idx.max(initial=0))
+        if top >= len(self.cfg.decisions):
+            raise ValueError(f"decision_idx holds index {top}, but cfg has "
+                             f"{len(self.cfg.decisions)} decisions")
 
     @property
     def grid(self) -> np.ndarray:

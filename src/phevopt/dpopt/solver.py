@@ -5,11 +5,13 @@ state at once, as one (decisions x states) array, and keeps the cheapest
 decision per state. What does not read the next stage's cost-to-go (the
 transitions, their interpolation indices and the stage costs) is computed
 once per block of stages, sized by a fixed cell budget, ``BLOCK_CELLS``;
-so is the tie pick, once the block's cost-to-go is known. A stage itself
-only reads its indices against the next stage's cost-to-go, adds its
-stage cost and takes the minimum. ``forward`` is the one per-interval loop
-over a demand: the policy rollout and the thermostat replay are two
-decision rules passed to it.
+so is the tie pick, once the block's cost-to-go is known: one comparison
+of the block's costs with it, then byte arithmetic per decision into a
+table of the narrowest unsigned type (``uint8`` up to 256 decisions). A
+stage itself only reads its indices against the next stage's cost-to-go,
+adds its stage cost and takes the minimum. ``forward`` is the one
+per-interval loop over a demand: the policy rollout and the thermostat
+replay are two decision rules passed to it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .problem import (
 #: Cells (stages x decisions x states) of one block of the backward sweep:
 #: 10 stages at 501 states and 4 decisions, 2 at 2501. A block holds two
 #: indices, a weight and a cost per cell (32 bytes), and about 36 bytes
-#: while it is computed. 2 ** 15 cells swept 2-3% faster but raised the
-#: peak RSS of a CLI run by up to 0.9 MB (2%).
+#: while it is computed; with the stage temporaries the sweep's working
+#: memory measures 43.8 bytes per cell at 2501 states. 2 ** 15 cells swept
+#: 2-3% faster but raised the peak RSS of a CLI run by up to 0.9 MB (2%).
 BLOCK_CELLS = 20_480
 
 
@@ -46,9 +49,12 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     The terminal cost is 0 at or above the threshold and infinite below;
     inadmissible moves cost infinity. Each state keeps the lowest decision
     index whose cost equals the stage minimum, and index 0 where every
-    decision is inadmissible.
+    decision is inadmissible. A block picks it from one ``uint8`` table of
+    ties: counting down from the last decision, each decision before the
+    first tie takes one off.
 
-    Returns (cost_to_go (N+1, M), decision_idx (N, M)).
+    Returns (cost_to_go (N+1, M) float64, decision_idx (N, M) in
+    ``np.min_scalar_type`` of the last decision index).
     """
     grid = cfg.grid()
     n, m = d.n_intervals, grid.size
@@ -56,7 +62,7 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     fuel = cfg.fuel_array()[:, None]
     last = deltas.shape[0] - 1
     cost_to_go = np.full((n + 1, m), np.inf)
-    decision_idx = np.empty((n, m), dtype=np.int32)
+    decision_idx = np.empty((n, m), dtype=np.min_scalar_type(last))
     cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
 
     per_block = max(1, BLOCK_CELLS // fuel.size // m)
@@ -75,12 +81,15 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
             cost = costs[b]
             cost += interp_apply(cost_to_go[k + 1], js[b], jds[b], ws[b])
             cost.min(axis=0, out=cost_to_go[k])
-        # overwrite from the last decision down, so the lowest tied index wins
+        # all-inf states tie at 0, as inf == inf
+        tied = (costs == cost_to_go[start:stop, None]).view(np.uint8)
         best = decision_idx[start:stop]
         best[:] = last
-        for a in range(last - 1, -1, -1):
-            np.copyto(best, a, where=costs[:, a] == cost_to_go[start:stop])
-        del js, jds, ws, costs  # before the next block is computed
+        seen = np.zeros(best.shape, np.uint8)
+        for a in range(last):
+            seen |= tied[:, a]
+            best -= seen
+        del js, jds, ws, costs, tied, seen  # before the next block is computed
     return cost_to_go, decision_idx
 
 
@@ -95,7 +104,8 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
         When no admissible decision sequence reaches the terminal set: from
         every grid state when ``cfg.initial_soc`` is unset, or from that
         initial state when it is set. The error names the first interval at
-        which the whole grid is unreachable, when one exists.
+        which the whole grid is unreachable, when one exists, or says that
+        no grid state meets the terminal SOC.
     """
     check_demand_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
@@ -112,8 +122,13 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
             if not np.isfinite(cost_to_go[k]).any():
                 stage = k
                 break
-        where = (f"interval {stage} blocks every state"
-                 if stage is not None else "the designated initial state")
+        if stage == d.n_intervals:
+            where = (f"no grid state meets the terminal SOC (the grid ends "
+                     f"at {cfg.soc_max:g}%)")
+        elif stage is not None:
+            where = f"interval {stage} blocks every state"
+        else:
+            where = "the designated initial state"
         raise InfeasibleProblemError(
             f"no admissible decision sequence reaches SOC >= {threshold:.4f}%: "
             f"{where}", stage=stage)

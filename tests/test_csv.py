@@ -245,7 +245,7 @@ class TestWritePolicy:
         policy = DpPolicy(
             cfg=cfg, demand=DemandProfile(np.zeros(n), cfg.dt_s, 1.0),
             cost_to_go=np.resize(np.asarray(pool), shape),
-            decision_idx=np.resize(np.asarray(picks, dtype=np.int32) % len(labels),
+            decision_idx=np.resize(np.asarray(picks, dtype=np.uint8) % len(labels),
                                    shape)[:n])
         path = tmp_path_factory.mktemp("policy") / "policy.csv"
         write_policy(policy, path)

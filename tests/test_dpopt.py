@@ -412,6 +412,38 @@ class TestInfeasibility:
         with pytest.raises(ValueError, match=r"cost_to_go has shape \(3, 501\)"):
             replace(policy, cost_to_go=policy.cost_to_go[:-1])
 
+    def test_policy_refuses_a_signed_table(self, decisions):
+        # a -1 would read as the last label in write_policy and the last
+        # decision in rollout
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
+        signed = policy.decision_idx.astype(np.int32)
+        signed[1, 7] = -1
+        for table in (signed, policy.decision_idx.astype(np.int8)):
+            with pytest.raises(ValueError, match=r"decision_idx has dtype int\d+, "
+                               r"but indices .* are unsigned integers"):
+                replace(policy, decision_idx=table)
+
+    def test_policy_refuses_an_index_past_the_decisions(self, decisions):
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
+        table = policy.decision_idx.copy()
+        table[2, -1] = len(decisions)
+        with pytest.raises(ValueError, match=rf"decision_idx holds index "
+                           rf"{len(decisions)}, but cfg has {len(decisions)} decisions"):
+            replace(policy, decision_idx=table)
+        table[2, -1] = len(decisions) - 1
+        assert replace(policy, decision_idx=table).decision_idx.dtype == np.uint8
+
+    def test_terminal_above_the_grid_is_named(self, decisions):
+        # the scenario loader refuses this terminal; the API reaches it
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(17.5))
+        with pytest.raises(InfeasibleProblemError) as exc:
+            solve(DemandProfile(np.zeros(5), 10.0, 1.0), cfg)
+        assert exc.value.stage == 5
+        assert "no grid state meets the terminal SOC" in str(exc.value)
+        assert "interval" not in str(exc.value)
+
     def test_policy_refuses_demand_of_other_interval(self, decisions):
         cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
         policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
@@ -755,7 +787,7 @@ def reference_sweep(d, cfg, terminal_threshold):
     fuel = cfg.fuel_array()[:, None]
     states = np.arange(m)
     cost_to_go = np.full((n + 1, m), np.inf)
-    decision_idx = np.empty((n, m), dtype=np.int32)
+    decision_idx = np.empty((n, m), dtype=np.min_scalar_type(len(cfg.decisions) - 1))
     cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
     for k in range(n - 1, -1, -1):
         succ, _, ok = cs_step(cfg, grid, d.d_pct[k], deltas)
@@ -881,6 +913,22 @@ class TestSweepMatchesReference:
         for threshold in (12.0, 14.0, 16.9):
             assert_sweeps_equal(d, cfg, threshold)
 
+    @pytest.mark.parametrize("obd", [False, True])
+    def test_more_decisions_than_a_byte_holds(self, obd):
+        # 300 decisions take a uint16 table. The efficient ones, each
+        # charge level listed four times, sit past index 255, so the lowest
+        # tied index is picked above the range of one byte.
+        rng = np.random.default_rng(300)
+        slow = [Decision(round(x, 1), 25.0, "slow")
+                for x in rng.choice([0.1, 0.2, 0.3, 0.4, 0.5], 279)]
+        fast = [Decision(0.1 * (i % 10 // 2 + 1), 38.5, f"fast{i}") for i in range(20)]
+        cfg = DpConfig(decisions=(null_decision(), *slow, *fast), grid_step=0.1,
+                       obd_enabled=obd)
+        d = DemandProfile(rng.uniform(-0.2, 0.6, 6), 10.0, 1.0)
+        for threshold in (12.0, 14.0, 16.9):
+            assert backward_sweep(d, cfg, threshold)[1].dtype == np.uint16
+            assert_sweeps_equal(d, cfg, threshold)
+
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
                                       "obd_single_lap.ini"])
     @pytest.mark.parametrize("grid_step", [None, 0.002])
@@ -897,7 +945,8 @@ class TestSweepMatchesReference:
 #: Bytes of working memory the backward sweep may hold per cell of its block
 #: budget. A block holds two intp indices, a weight and a stage cost per
 #: cell (32 bytes), 36 while it is being computed, and each stage a few
-#: (decisions x states) temporaries; 414 x 2501 x 4 measures 45.
+#: (decisions x states) temporaries; its tie pick adds one byte per cell.
+#: 414 x 2501 x 4 measures 43.8.
 SWEEP_BYTES_PER_CELL = 48
 
 
@@ -913,6 +962,17 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions):
     assert np.isfinite(cost_to_go[0]).any()
     working = peak - cost_to_go.nbytes - decision_idx.nbytes
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
+
+
+def test_policy_tables_take_nine_bytes_per_cell(decisions):
+    # a float64 cost-to-go and one byte per decision cell for four decisions
+    cfg = DpConfig(decisions=decisions, grid_step=0.002)
+    n, m = 7, cfg.n_states
+    policy = solve(DemandProfile(np.full(n, 0.1), 10.0, 1.0),
+                   replace(cfg, terminal_rule=TerminalRule.at_soc_min()))
+    assert len(decisions) == 4
+    assert policy.decision_idx.dtype == np.uint8
+    assert policy.cost_to_go.nbytes + policy.decision_idx.nbytes == (n + 1) * m * 8 + n * m
 
 
 class TestInterpShapes:
