@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +112,17 @@ class CycleMetrics:
 def load_cycle(source) -> DriveCycle:
     """Parse a drive cycle from CSV text.
 
-    The format is a header row ``t_s,v_mps`` or ``t_s,v_mps,grade_deg``
-    followed by one sample per row. Lines starting with ``#`` are ignored.
+    The grammar:
+
+    - ASCII only, comment lines included; lines end in ``\n`` or
+      ``\r\n``, and a lone ``\r`` or any of ``\x0b``, ``\x0c`` and
+      ``\x1c``-``\x1f`` is refused wherever it stands;
+    - lines of blanks, and comment lines (``#`` after optional blanks),
+      are skipped;
+    - the first other line is the header ``t_s,v_mps`` or
+      ``t_s,v_mps,grade_deg``, with blanks allowed around the names;
+    - every later line is one sample with one field per name, each a
+      number as ``np.loadtxt`` reads it (blanks around it allowed).
 
     Parameters
     ----------
@@ -123,16 +131,15 @@ def load_cycle(source) -> DriveCycle:
     Raises
     ------
     CycleFormatError
-        On malformed rows (reported with line number) or invariant
-        violations (non-increasing time, negative speed, ...).
+        On input outside the grammar, naming the first line that is wrong,
+        on fewer than two samples, or on invariant violations
+        (non-increasing time, negative speed, ...).
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
     data = _parse_samples(text)
-    if data is None:  # refused by the one pass: find the line that is wrong
-        data = _parse_lines(text)
     grade = data[:, 2] if data.shape[1] == 3 else None
     try:
         return DriveCycle(t_s=data[:, 0], v_mps=data[:, 1], grade_deg=grade)
@@ -141,88 +148,84 @@ def load_cycle(source) -> DriveCycle:
 
 
 _HEADERS = (["t_s", "v_mps"], ["t_s", "v_mps", "grade_deg"])
-# ASCII characters that end a line for str.splitlines, or are whitespace to
-# np.loadtxt but not to numpy's string-to-float cast (\x1f); a lone \r too
+# Refused anywhere once \r\n is \n: a lone \r, and the ASCII controls that
+# np.loadtxt reads as blanks around a number but str.splitlines reads as
+# line ends (all but \x1f), so that no reader finds other lines or fields
 _LINE_ODDITIES = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # a comment line or a line of blanks; np.loadtxt skips only empty lines.
-# Either holds one of the marks, unless it is the last line and unended.
+# Either holds one of the marks, or ends an unended text in a blank.
 _SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.MULTILINE)
 _SKIPPED_LINE_MARKS = ("#", " \n", "\t\n")
 
 
-def _parse_samples(text: str) -> np.ndarray | None:
-    """The (samples x columns) table of a cycle CSV, parsed in one C pass,
-    or None where ``_parse_lines`` has to decide.
+def _has_refused_char(s: str) -> bool:
+    return not s.isascii() or any(map(s.__contains__, _LINE_ODDITIES))
 
-    Only ASCII text whose lines end in ``\n`` or ``\r\n`` comes this far,
-    so its lines are those of str.splitlines, and np.loadtxt strips each
-    field where numpy's string-to-float cast does; both read the number
-    with the same C parser. What np.loadtxt refuses (inline ``#``, an empty
-    field, a token only Python's float reads, a wrong field count) goes to
-    ``_parse_lines``."""
+
+def _read_rows(rows: list[str]) -> np.ndarray:
+    """The numbers of the cycle grammar: every string-to-float read."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _parse_samples(text: str) -> np.ndarray:
+    """The (samples x columns) table of a cycle CSV, parsed in one C pass.
+    A text this pass refuses is outside the grammar, and ``_first_fault``
+    names the line where it leaves it."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    if not text.isascii() or any(map(text.__contains__, _LINE_ODDITIES)):
-        return None
-    if any(map(text.__contains__, _SKIPPED_LINE_MARKS)):
-        text = _SKIPPED_LINE.sub("", text)
+    if _has_refused_char(text):
+        raise _first_fault(text)
+    if any(map(text.__contains__, _SKIPPED_LINE_MARKS)) or text.endswith((" ", "\t")):
+        text = _SKIPPED_LINE.sub("", text)  # keeps every line end, so every line number
     lines = text.split("\n")
-    # the header is the first line that is not blank; comment lines are blank now
-    h = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if h is None:
-        return None
+    # the header is the first line that is not blank; comment lines are blank
+    # now, and where every line is, lines[0] is no header either
+    h = next((i for i, line in enumerate(lines) if line.strip()), 0)
     names = [p.strip() for p in lines[h].split(",")]
     rows = lines[h + 1:]
-    if names not in _HEADERS or not any(rows):  # np.loadtxt warns on no data
-        return None
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape[0] >= 2 and data.shape[1] == len(names) else None
+    if names in _HEADERS and any(rows):  # np.loadtxt warns on no data
+        try:
+            data = _read_rows(rows)
+        except ValueError:
+            pass
+        else:
+            if data.shape[0] >= 2 and data.shape[1] == len(names):
+                return data
+    raise _first_fault(text)
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """The (samples x columns) table of a cycle CSV, line by line; raises
-    ``CycleFormatError`` naming the first line that is wrong. It runs only
-    on texts that ``_parse_samples`` refuses, and it decides which of them
-    are cycles: str methods split, strip and skip the lines, and numpy's
-    string-to-float cast reads the fields."""
-    lines = list(map(str.strip, text.splitlines()))
-    n = len(lines)
-    filled = np.fromiter(map(bool, lines), bool, n)
-    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, n)
-    used = np.flatnonzero(filled & ~comment)
-    if used.size == 0:
-        raise CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")
-    header = [p.strip() for p in lines[used[0]].split(",")]
-    if header not in _HEADERS:
-        raise CycleFormatError(f"line {used[0] + 1}: expected header "
-                               f"'t_s,v_mps[,grade_deg]', got {lines[used[0]]!r}")
-
-    # every row before the first with a wrong field count is parsed in one
-    # pass; an error names the earliest offending line
-    rows = list(map(lines.__getitem__, used[1:].tolist()))
-    linenos = used[1:] + 1
-    width = len(header)
-    counts = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows)) + 1
-    bad = np.flatnonzero(counts != width)
-    n_ok = int(bad[0]) if bad.size else len(rows)
-    try:
-        values = np.array(",".join(rows[:n_ok]).split(",") if n_ok else [], dtype=float)
-    except ValueError:
-        for lineno, row in zip(linenos, rows):
-            try:
-                np.array(row.split(","), dtype=float)
-            except ValueError:
-                raise CycleFormatError(
-                    f"line {lineno}: non-numeric value in {row!r}") from None
-    if bad.size:
-        raise CycleFormatError(f"line {linenos[n_ok]}: expected {width} fields, "
-                               f"got {counts[n_ok]}")
-    if len(rows) < 2:
-        raise CycleFormatError(f"need at least 2 samples, got {len(rows)}")
-    return values.reshape(-1, width)
+def _first_fault(text: str) -> CycleFormatError:
+    """The error for a text that ``_parse_samples`` refuses, with ``\r\n``
+    already ``\n``: it names the first line outside the grammar, checking
+    each sample line with the same ``np.loadtxt`` call, or else says there
+    are fewer than two samples."""
+    width = None
+    n_rows = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if _has_refused_char(line):
+            char = next(filter(_has_refused_char, line))
+            return CycleFormatError(f"line {lineno}: character {char!r} is not allowed")
+        if _SKIPPED_LINE.match(line):
+            continue
+        line = line.strip()
+        fields = line.count(",") + 1
+        if width is None:
+            if [p.strip() for p in line.split(",")] not in _HEADERS:
+                return CycleFormatError(f"line {lineno}: expected header "
+                                        f"'t_s,v_mps[,grade_deg]', got {line!r}")
+            width = fields
+            continue
+        if fields != width:
+            return CycleFormatError(f"line {lineno}: expected {width} fields, "
+                                    f"got {fields}")
+        try:
+            _read_rows([line])
+        except ValueError:
+            return CycleFormatError(f"line {lineno}: non-numeric value in {line!r}")
+        n_rows += 1
+    if width is None:
+        return CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")
+    return CycleFormatError(f"need at least 2 samples, got {n_rows}")
 
 
 def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:
@@ -236,22 +239,13 @@ def repeat_cycle(cycle: DriveCycle, n: int) -> DriveCycle:
     if int(n) != n or n < 1:
         raise ValueError("lap count must be a positive integer")
     n = int(n)
-    if n == 1:
-        return DriveCycle(cycle.t_s.copy(), cycle.v_mps.copy(),
-                          cycle.grade_deg.copy())
-    if not cycle.is_closed():
+    if n > 1 and not cycle.is_closed():
         raise ValueError("cannot repeat an open cycle without a speed discontinuity")
-    lap_t = cycle.t_s
-    dur = cycle.duration_s
-    t_parts = [lap_t]
-    v_parts = [cycle.v_mps]
-    g_parts = [cycle.grade_deg]
-    for k in range(1, n):
-        t_parts.append(lap_t[1:] + k * dur)
-        v_parts.append(cycle.v_mps[1:])
-        g_parts.append(cycle.grade_deg[1:])
-    return DriveCycle(np.concatenate(t_parts), np.concatenate(v_parts),
-                      np.concatenate(g_parts))
+    offsets = np.arange(n)[:, None] * cycle.duration_s
+    t = np.append(cycle.t_s[0], cycle.t_s[1:] + offsets)
+    v = np.append(cycle.v_mps[0], np.tile(cycle.v_mps[1:], n))
+    g = np.append(cycle.grade_deg[0], np.tile(cycle.grade_deg[1:], n))
+    return DriveCycle(t, v, g)
 
 
 def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float) -> CycleMetrics:

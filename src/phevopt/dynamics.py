@@ -28,7 +28,6 @@ class VehicleParams:
     record; standard-ambient 1.20 kg/m^3 and i = 1.04 are used.
     """
 
-    m: float = 2100.0        # kg, curb-equivalent vehicle mass
     m_t: float = 2800.0      # kg, test mass incl. payload
     i: float = 1.04          # rotating-inertia factor on m*a
     cdaf: float = 0.75       # m^2, drag coefficient * frontal area
@@ -37,10 +36,8 @@ class VehicleParams:
     g: float = 9.81          # N/kg
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValueError("m must be positive")
-        if self.m_t < self.m:
-            raise ValueError("test mass must be >= vehicle mass")
+        if self.m_t <= 0:
+            raise ValueError("test mass must be positive")
         if self.i < 1.0:
             raise ValueError("rotating-inertia factor must be >= 1")
         if self.cdaf < 0:

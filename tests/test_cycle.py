@@ -1,4 +1,5 @@
 import io
+import re
 from itertools import repeat
 from pathlib import Path
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phevopt.cycle
 from phevopt.cycle import (
     DriveCycle,
-    _parse_samples,
     _trapezoid_weights,
     compute_metrics,
     load_cycle,
@@ -171,15 +172,72 @@ def cycle_texts(draw):
     return text
 
 
+#: What the cycle grammar refuses and the reference reads: once ``\r\n``
+#: is ``\n``, a character outside ASCII, a lone ``\r`` or a control that
+#: str.splitlines or str.strip takes for a line end or a blank; and an
+#: underscore between digits, which Python's float reads.
+OUTSIDE_CHAR = re.compile(r"[^\x00-\x7f]|[\r\x0b\x0c\x1c-\x1f]")
+DIGIT_UNDERSCORE = re.compile(r"\d_\d")
+
+
+def error_line(result):
+    """The line number a ``parsed`` error names, or None."""
+    m = re.match(r"line (\d+): ", result[1]) if isinstance(result, tuple) else None
+    return int(m.group(1)) if m else None
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The argument tuples of every np.loadtxt call phevopt.cycle makes."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(phevopt.cycle.np, "loadtxt", counted)
+    return calls
+
+
+def assert_one_pass(text, calls):
+    """``text`` parses as the reference parses it, in one np.loadtxt call."""
+    result = parsed(load_cycle, text)
+    assert len(calls) == 1
+    assert result == parsed(reference_load_cycle, text)
+
+
+#: Texts outside the grammar, each with the error naming its first wrong
+#: line; the reference accepts all but the first and the last.
+REFUSED = {
+    "t_s,v_mps\n0,0 # inline\n1,1\n": "line 2: non-numeric value in '0,0 # inline'",
+    "t_s,v_mps\n0,0\n1,1_0\n": "line 3: non-numeric value in '1,1_0'",
+    "t_s,v_mps\n0,0\n1,\u0661\n": "line 3: character '\u0661' is not allowed",
+    "t_s,v_mps\n0,0\r1,1\n": "line 2: character '\\r' is not allowed",
+    **{f"t_s,v_mps\n0,0{c}1,1\n": f"line 2: character {c!r} is not allowed"
+       for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+    "t_s,v_mps\n0,0\n1,\xa01\n": "line 3: character '\\xa0' is not allowed",
+    "t_s,v_mps\n0,0 \xa0\n1,1\n": "line 2: character '\\xa0' is not allowed",
+    "t_s,v_mps\n0,0\n1\n": "line 3: expected 2 fields, got 1",
+}
+
+
 class TestOnePassParser:
-    """``load_cycle`` parses in one C pass and leaves only the texts it
-    refuses to the line-by-line reader; either way it must return what
-    the reference returns, bit for bit, or raise the same error."""
+    """``load_cycle`` parses in one C pass. Inside the grammar it returns
+    what the reference returns, bit for bit, or raises the same error; a
+    text outside it raises ``CycleFormatError`` naming a line no later than
+    any line the reference names."""
 
     @given(text=cycle_texts())
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, text):
-        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+        result, expected = parsed(load_cycle, text), parsed(reference_load_cycle, text)
+        if OUTSIDE_CHAR.search(text.replace("\r\n", "\n")) or DIGIT_UNDERSCORE.search(text):
+            assert error_line(result) is not None
+            if error_line(expected) is not None:
+                assert error_line(result) <= error_line(expected)
+        else:
+            assert result == expected
 
     @pytest.mark.parametrize("char", [chr(i) for i in range(33)] + [
         "\x7f", "\x85", "\xa0", "\u2000", "\u2028", "\u2029", "\u3000", "\u0661"])
@@ -189,7 +247,14 @@ class TestOnePassParser:
             for pos in range(len(text) + 1):
                 for odd in (text[:pos] + char + text[pos:],
                             text[:pos] + char + text[pos + 1:]):
-                    assert parsed(load_cycle, odd) == parsed(reference_load_cycle, odd)
+                    folded = odd.replace("\r\n", "\n")
+                    refused = OUTSIDE_CHAR.search(folded)
+                    if refused:
+                        line = folded.count("\n", 0, refused.start()) + 1
+                        assert parsed(load_cycle, odd) == (CycleFormatError, (
+                            f"line {line}: character {refused.group()!r} is not allowed"))
+                    else:
+                        assert parsed(load_cycle, odd) == parsed(reference_load_cycle, odd)
 
     @pytest.mark.parametrize("text", [
         "t_s,v_mps\n0,0\n1,1\n",
@@ -197,26 +262,36 @@ class TestOnePassParser:
         "  t_s , v_mps ,grade_deg\r\n0,0,1\r\n1,2,3\r\n",
         "t_s,v_mps\n 0 , 0 \n1,\t2\n  # indented comment\n\t\n2,2",
         "t_s,v_mps\n0,0\n  \n1,1 \n\t\n",
+        "t_s,v_mps\n0,0\n1,1\n ",
+        "t_s,v_mps\n0,0\n1,1\n\t",
     ])
-    def test_one_pass_takes_comments_blank_lines_and_spaced_headers(self, text):
-        assert _parse_samples(text) is not None
-        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+    def test_one_pass_takes_comments_blank_lines_and_spaced_headers(self, text,
+                                                                     loadtxt_calls):
+        assert_one_pass(text, loadtxt_calls)
 
-    @pytest.mark.parametrize("text", [
-        "t_s,v_mps\n0,0 # inline\n1,1\n",
-        "t_s,v_mps\n0,0\n1,1_0\n",
-        "t_s,v_mps\n0,0\n1,\u0661\n",
-        "t_s,v_mps\n0,0\r1,1\n",
-        "t_s,v_mps\n0,0\n1\n",
-    ])
+    @pytest.mark.parametrize("text", REFUSED)
     def test_one_pass_leaves_the_rest_to_the_line_reader(self, text):
-        assert _parse_samples(text) is None
-        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+        assert parsed(load_cycle, text) == (CycleFormatError, REFUSED[text])
 
-    def test_shipped_cycle(self, scenario_dir):
+    def test_earliest_fault_is_named_whatever_its_kind(self):
+        # the reference reads 1_000 and names the 0x10 on line 8
+        text = "t_s,v_mps\n0,0\n1,1\n2,2\n3,3\n4,1_000\n5,5\n6,0x10\n"
+        assert parsed(load_cycle, text) == (
+            CycleFormatError, "line 6: non-numeric value in '4,1_000'")
+
+    def test_shipped_cycle(self, scenario_dir, loadtxt_calls):
         text = (scenario_dir / "synthetic_cycle.csv").read_text(encoding="utf-8")
-        assert _parse_samples(text) is not None
-        assert parsed(load_cycle, text) == parsed(reference_load_cycle, text)
+        assert_one_pass(text, loadtxt_calls)
+
+    def test_fixed_point_trip(self, loadtxt_calls):
+        """A 3-column trip in the benchmark's ``%.3f,%.4f,%.4f`` rows."""
+        rng = np.random.default_rng(3)
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, 999))])
+        v = rng.uniform(0.0, 35.0, t.size)
+        g = rng.uniform(-4.0, 4.0, t.size)
+        lines = ["t_s,v_mps,grade_deg"] + [f"{a:.3f},{b:.4f},{c:.4f}"
+                                            for a, b, c in zip(t, v, g)]
+        assert_one_pass("\n".join(lines) + "\n", loadtxt_calls)
 
 
 class TestRepeatCycle:

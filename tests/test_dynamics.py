@@ -11,7 +11,7 @@ from phevopt.dynamics import (
 
 
 def lossless_params():
-    return VehicleParams(m=2100.0, m_t=2800.0, i=1.0, cdaf=0.0, crr=0.0)
+    return VehicleParams(m_t=2800.0, i=1.0, cdaf=0.0, crr=0.0)
 
 
 class TestTractiveForce:
@@ -112,12 +112,12 @@ class TestVehicleParams:
         VehicleParams()
 
     @pytest.mark.parametrize("kwargs", [
-        {"m": 0.0},
-        {"m_t": 1000.0},
+        {"m_t": 0.0},
         {"i": 0.9},
         {"crr": 0.2},
         {"cdaf": -1.0},
         {"rho": 0.0},
+        {"g": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -372,6 +372,8 @@ class TestCliExitCodes:
                      id="scale-without-explicit-mode"),
         pytest.param("[dp]\nc_batt_kwh = 20\n", "[dp] c_batt_kwh is never read",
                      id="field-taken-from-another-section"),
+        pytest.param("[vehicle]\nm = 2100\n", "[vehicle] m is never read",
+                     id="curb-mass"),
     ])
     def test_unread_scenario_entry_exits_2(self, tmp_path, scenario_dir, capsys,
                                            body, named):
@@ -392,6 +394,15 @@ class TestCliExitCodes:
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error: speed 2600 rpm outside map 'eng'" in capsys.readouterr().err
+
+    def test_cycle_outside_the_grammar_exits_2(self, tmp_path, capsys):
+        (tmp_path / "cycle.csv").write_text("t_s,v_mps\n0,0\n1,1_0\n", encoding="utf-8")
+        p = tmp_path / "case.ini"
+        p.write_text("[cycle]\npath = cycle.csv\n[accounting]\nuf = 0.8\n",
+                     encoding="utf-8")
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 3: non-numeric value in '1,1_0'" in capsys.readouterr().err
 
     def test_peak_below_average_exits_2(self, tmp_path, scenario_dir, capsys):
         body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
