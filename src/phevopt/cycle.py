@@ -138,7 +138,7 @@ def load_cycle(source) -> DriveCycle:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_bytes().decode("utf-8")  # no newline translation
     data = _parse_samples(text)
     grade = data[:, 2] if data.shape[1] == 3 else None
     try:

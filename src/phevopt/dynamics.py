@@ -48,14 +48,13 @@ class VehicleParams:
             raise ValueError("rho and g must be positive")
 
 
-def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg):
-    """Tractive force in N at one operating point (or elementwise on arrays).
+def tractive_force(p: VehicleParams, v, accel, grade_deg):
+    """Tractive force in N at one operating point (or elementwise on arrays),
+    at the test mass ``p.m_t``.
 
     Parameters
     ----------
     p : VehicleParams
-    mass : float
-        Mass carried by the force balance, typically ``p.m_t``.
     v : float or array
         Speed in m/s, nonnegative.
     accel : float or array
@@ -63,17 +62,15 @@ def tractive_force(p: VehicleParams, mass: float, v, accel, grade_deg):
     grade_deg : float or array
         Road grade in degrees.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise ValueError("speed must be nonnegative")
     accel = np.asarray(accel, dtype=float)
     grade = np.deg2rad(np.asarray(grade_deg, dtype=float))
-    f = (mass * p.i * accel
-         + mass * p.g * np.sin(grade)
+    f = (p.m_t * p.i * accel
+         + p.m_t * p.g * np.sin(grade)
          + 0.5 * p.rho * p.cdaf * v * v
-         + mass * p.g * p.crr * (v > V_IDLE_MPS))
+         + p.m_t * p.g * p.crr * (v > V_IDLE_MPS))
     return float(f) if f.ndim == 0 else f
 
 
@@ -94,5 +91,5 @@ def wheel_power_series(p: VehicleParams, cycle: DriveCycle) -> np.ndarray:
     potential at the wheels.
     """
     a = accel_series(cycle)
-    f = tractive_force(p, p.m_t, cycle.v_mps, a, cycle.grade_deg)
+    f = tractive_force(p, cycle.v_mps, a, cycle.grade_deg)
     return f * cycle.v_mps / 1000.0

@@ -148,28 +148,36 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
 # ---------------------------------------------------------------------------
 # Map I/O
 
+def _map_number(field: str) -> float:
+    """One map number, as Python's ``float`` reads it but ASCII only and
+    without ``_``, so ``1_0`` or a non-ASCII digit or blank is refused."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
+
+
 def load_map(source) -> EfficiencyMap:
     """Read a map matrix: first row = torque axis, first column = speed
     axis, body = efficiency %, empty cell = infeasible, ``#`` comments.
-    The label is the file stem, or empty for a text stream."""
+    Lines end only in ``\n`` or ``\r\n``. The label is the file stem, or
+    empty for a text stream."""
     if hasattr(source, "read"):
         text = source.read()
         name = ""
     else:
         path = Path(source)
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")  # no newline translation
         name = path.stem
     torque_axis: list[float] | None = None
     speeds: list[float] = []
     body: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if torque_axis is None:
             try:
-                torque_axis = [float(p) for p in parts[1:]]
+                torque_axis = [_map_number(p) for p in parts[1:]]
             except ValueError:
                 raise MapFormatError(f"line {lineno}: non-numeric torque axis") from None
             continue
@@ -177,8 +185,9 @@ def load_map(source) -> EfficiencyMap:
             raise MapFormatError(
                 f"line {lineno}: expected {len(torque_axis) + 1} fields, got {len(parts)}")
         try:
-            speeds.append(float(parts[0]))
-            body.append([float(p) if p else math.nan for p in parts[1:]])
+            speeds.append(_map_number(parts[0]))
+            body.append([_map_number(p) if p.strip(" \t") else math.nan
+                         for p in parts[1:]])
         except ValueError:
             raise MapFormatError(f"line {lineno}: non-numeric value") from None
     if torque_axis is None or not body:

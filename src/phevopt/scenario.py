@@ -1,16 +1,24 @@
 """Scenario files: one structured-text document fully determines a run.
 
 The format is INI-style ``key = value`` sections parsed with the standard
-library. Paths are resolved relative to the scenario file. Map entries
-accept either a CSV path or the keyword ``synthetic``.
+library, without interpolation, so ``%`` is a plain character. Paths are
+resolved relative to the scenario file. Map entries accept either a CSV
+path or the keyword ``synthetic``.
 
 Each number in ``[vehicle]``, ``[drivetrain]``, ``[maps]``, ``[battery]``,
 ``[rule]`` and ``[dp]`` is read from the key named after the dataclass
 field it fills and defaults to that field's default, so every default is
 stated once, on its dataclass; only the ``[dp]`` SOC window and initial
-SOC default to ``[rule]`` values instead. A section or key that loading
-does not read is rejected, so a misspelled key cannot leave its default in
-place unseen.
+SOC default to ``[rule]`` values instead. Numbers are read with Python's
+``float`` but must be ASCII without ``_``.
+
+``SCHEMA`` below lists every key each section accepts. ``load_scenario``
+checks the file against it before it reads any value or file, so a
+misspelled key cannot leave its default in place unseen, and is named even
+where that default would fail another check. A key that depends on another
+setting (``[calibration] scale`` without ``mode = explicit``, a
+``<prefix>_*`` metric without its ``<prefix>_positive_wh_per_km``) is
+refused once that setting is read.
 """
 
 from __future__ import annotations
@@ -55,22 +63,36 @@ class Scenario:
     test_metrics: CycleMetrics | None
 
 
-class _Parser(configparser.ConfigParser):
-    """An INI parser that records every ``(section, key)`` looked up."""
-
-    def __init__(self) -> None:
-        super().__init__(inline_comment_prefixes=("#",))
-        self.read_keys: set[tuple[str, str]] = set()
-
-    def get(self, section, option, **kwargs):
-        self.read_keys.add((section, self.optionxform(option)))
-        return super().get(section, option, **kwargs)
+def _float_defaults(cls) -> dict[str, float]:
+    """The fields of ``cls`` that a scenario key named after them fills,
+    with their defaults."""
+    return {f.name: f.default for f in fields(cls) if isinstance(f.default, float)}
 
 
-def _section(cp: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
-    if not cp.has_section(name):
-        cp.add_section(name)
-    return cp[name]
+# read only where <prefix>_positive_wh_per_km is set
+_OPTIONAL_METRICS = ("peak_power_kw", "avg_positive_power_kw", "percent_idle")
+
+#: Every key each section accepts. ``load_scenario`` refuses any other
+#: section or key before it reads a value or a file.
+SCHEMA: dict[str, set[str]] = {
+    "cycle": {"path", "laps"},
+    "vehicle": {*_float_defaults(VehicleParams)},
+    "drivetrain": {*_float_defaults(DrivetrainParams)},
+    "maps": {*_float_defaults(PowertrainAssembly), "motor", "engine", "generator"},
+    "battery": {*_float_defaults(BatteryParams)},
+    "rule": {*_float_defaults(RuleConfig), "genset_speed_rpm", "genset_electrical_kw"},
+    "dp": {*_float_defaults(DpConfig), "initial_soc", "deltas", "efficiencies",
+           "obd_enabled", "terminal"} - {"c_batt_kwh"},
+    "accounting": {"uf", "charging_efficiency"},
+    "calibration": {"mode", "scale", *(
+        f"{prefix}_{m}" for prefix in ("sim", "test")
+        for m in ("positive_wh_per_km", *_OPTIONAL_METRICS))},
+}
+
+
+def _never_read(section: str, key: str) -> ScenarioError:
+    return ScenarioError(f"[{section}] {key} is never read (unknown key or "
+                         "section, or unused with these settings)")
 
 
 def _get_float(sec, key: str, default: float | None = None) -> float:
@@ -83,7 +105,11 @@ def _get_float(sec, key: str, default: float | None = None) -> float:
 
 
 def _to_float(sec, key: str, raw: str) -> float:
+    """A finite number as Python's ``float`` reads it, but ASCII only and
+    without ``_``, so ``1_8.9`` or an Arabic-Indic digit is not a number."""
     try:
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(raw)
         value = float(raw)
     except ValueError:
         raise ScenarioError(f"[{sec.name}] {key} = {raw!r} is not a number") from None
@@ -93,15 +119,17 @@ def _to_float(sec, key: str, raw: str) -> float:
 
 
 def _get_floats(sec, key: str) -> tuple[float, ...]:
-    return tuple(_to_float(sec, key, x.strip()) for x in sec[key].split(",") if x.strip())
+    # only ASCII blanks are stripped, so a no-break space stays in its entry
+    entries = (x.strip(" \t\n") for x in sec[key].split(","))
+    return tuple(_to_float(sec, key, x) for x in entries if x)
 
 
 def _fill(cls, sec, **given):
     """``cls(**given)``, where every field with a float default that is not
     given is read from the key named after it, defaulting to that default."""
-    for f in fields(cls):
-        if f.name not in given and isinstance(f.default, float):
-            given[f.name] = _get_float(sec, f.name, f.default)
+    for name, default in _float_defaults(cls).items():
+        if name not in given:
+            given[name] = _get_float(sec, name, default)
     return cls(**given)
 
 
@@ -114,6 +142,9 @@ def _load_map_entry(sec, key: str, base: Path, synth_factory):
 
 def _metrics_from(sec, prefix: str) -> CycleMetrics | None:
     if not sec.get(f"{prefix}_positive_wh_per_km", "").strip():
+        for m in _OPTIONAL_METRICS:
+            if f"{prefix}_{m}" in sec:
+                raise _never_read(sec.name, f"{prefix}_{m}")
         return None
     avg = _get_float(sec, f"{prefix}_avg_positive_power_kw", 0.0)
     if avg < 0:
@@ -143,19 +174,25 @@ def load_scenario(path) -> Scenario:
     FileNotFoundError
         When the scenario or a referenced file does not exist.
     ScenarioError
-        When a required key is missing or malformed, or a section or key
-        is never read.
+        When a section or key is never read, checked first, or a required
+        key is missing or malformed.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    cp = _Parser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    # a [DEFAULT] key shows in every section, so it is reported first
+    for name in (cp.default_section, *cp.sections()):
+        for key in cp[name]:
+            if key not in SCHEMA.get(name, ()):
+                raise _never_read(name, key)
+    cp.read_dict(dict.fromkeys(SCHEMA, {}))
     base = path.parent
 
-    sec = _section(cp, "cycle")
+    sec = cp["cycle"]
     cycle_path = sec.get("path", "").strip()
     if not cycle_path:
         raise ScenarioError("[cycle] is missing required key 'path'")
@@ -164,18 +201,18 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[cycle] laps = {laps:g} is not a whole number")
     cycle = repeat_cycle(load_cycle(base / cycle_path), int(laps))
 
-    vp = _fill(VehicleParams, _section(cp, "vehicle"))
-    drv = _fill(DrivetrainParams, _section(cp, "drivetrain"))
-    sec = _section(cp, "maps")
+    vp = _fill(VehicleParams, cp["vehicle"])
+    drv = _fill(DrivetrainParams, cp["drivetrain"])
+    sec = cp["maps"]
     assembly = _fill(
         PowertrainAssembly, sec,
         motor_map=_load_map_entry(sec, "motor", base, synthetic_motor_map),
         engine_map=_load_map_entry(sec, "engine", base, synthetic_engine_map),
         generator_map=_load_map_entry(sec, "generator", base, synthetic_generator_map),
         drivetrain=drv)
-    bp = _fill(BatteryParams, _section(cp, "battery"))
+    bp = _fill(BatteryParams, cp["battery"])
 
-    sec = _section(cp, "dp")
+    sec = cp["dp"]
     dt_s = _get_float(sec, "dt_s", DpConfig.dt_s)
     if dt_s <= 0:
         raise ScenarioError(f"[dp] dt_s = {dt_s:g} must be positive")
@@ -185,7 +222,7 @@ def load_scenario(path) -> Scenario:
     if min(deltas) <= 0:
         raise ScenarioError(f"[dp] deltas entry {min(deltas):g} must be positive")
 
-    sec_rule = _section(cp, "rule")
+    sec_rule = cp["rule"]
     genset_speed = _get_float(sec_rule, "genset_speed_rpm", 2600.0)
     sized_kw = delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh)
     if sec_rule.get("genset_electrical_kw", "auto").strip() == "auto":
@@ -238,7 +275,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[dp] terminal = {terminal.value:g} lies above "
                             f"soc_max = {dp.soc_max:g} and can never be met")
 
-    sec = _section(cp, "accounting")
+    sec = cp["accounting"]
     if "uf" not in sec or not sec.get("uf", "").strip():
         raise ScenarioError(
             "[accounting] must set 'uf': the utility factor has no default")
@@ -250,7 +287,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"[accounting] charging_efficiency = {charging_eff:g} must lie in (0, 1]")
 
-    sec = _section(cp, "calibration")
+    sec = cp["calibration"]
     mode = sec.get("mode", "none").strip()
     sim = _metrics_from(sec, "sim")
     test_metrics = _metrics_from(sec, "test")
@@ -265,13 +302,8 @@ def load_scenario(path) -> Scenario:
         calibration = calibration_factor(sim, test_metrics)
     else:
         raise ScenarioError(f"[calibration] unknown mode {mode!r}")
-
-    # a [DEFAULT] key shows in every section, so it is reported first
-    for name in (cp.default_section, *cp.sections()):
-        for key in cp[name]:
-            if (name, key) not in cp.read_keys:
-                raise ScenarioError(f"[{name}] {key} is never read (unknown key or "
-                                    "section, or unused with these settings)")
+    if mode != "explicit" and "scale" in sec:
+        raise _never_read("calibration", "scale")
     return Scenario(
         laps=int(laps), cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule,
         dp=dp, uf=uf, charging_efficiency=charging_eff, calibration=calibration,

@@ -279,6 +279,13 @@ class TestOnePassParser:
         assert parsed(load_cycle, text) == (
             CycleFormatError, "line 6: non-numeric value in '4,1_000'")
 
+    @pytest.mark.parametrize("text", ["t_s,v_mps\r\n0,0\r1,1\r\n2,2\n", *REFUSED])
+    def test_a_file_reads_as_its_text(self, tmp_path, text):
+        # no newline translation: a lone \r in a file is refused as in a stream
+        path = tmp_path / "cycle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parsed(lambda _: load_cycle(path), text) == parsed(load_cycle, text)
+
     def test_shipped_cycle(self, scenario_dir, loadtxt_calls):
         text = (scenario_dir / "synthetic_cycle.csv").read_text(encoding="utf-8")
         assert_one_pass(text, loadtxt_calls)

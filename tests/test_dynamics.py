@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,44 +18,40 @@ def lossless_params():
 
 class TestTractiveForce:
     def test_steady_20mps_flat(self, vp):
-        f = tractive_force(vp, 2800.0, 20.0, 0.0, 0.0)
+        f = tractive_force(vp, 20.0, 0.0, 0.0)
         # 0.5*1.20*0.75*400 aero + 2800*9.81*0.009 rolling
         assert f == pytest.approx(180.0 + 247.212, abs=1e-9)
 
     def test_rest_is_force_free(self, vp):
-        assert tractive_force(vp, 2800.0, 0.0, 0.0, 0.0) == 0.0
+        assert tractive_force(vp, 0.0, 0.0, 0.0) == 0.0
 
     def test_grade_term(self, vp):
-        f = tractive_force(vp, 2800.0, 0.0, 0.0, grade_deg=5.0)
+        f = tractive_force(vp, 0.0, 0.0, grade_deg=5.0)
         assert f == pytest.approx(2800.0 * 9.81 * np.sin(np.deg2rad(5.0)), abs=1e-9)
         assert f == pytest.approx(2393.994, abs=1e-3)
 
     def test_rolling_resistance_gated_at_idle(self, vp):
-        crawling = tractive_force(vp, 2800.0, 0.05, 0.0, 0.0)
-        moving = tractive_force(vp, 2800.0, 0.2, 0.0, 0.0)
+        crawling = tractive_force(vp, 0.05, 0.0, 0.0)
+        moving = tractive_force(vp, 0.2, 0.0, 0.0)
         assert crawling < 1.0  # aero only at 5 cm/s
         assert moving > 247.0  # rolling resistance active
 
     def test_mass_monotonicity(self, vp):
         for v, a, g in [(0.0, 0.0, 0.0), (10.0, 1.0, 2.0), (30.0, 0.5, 0.0)]:
-            light = tractive_force(vp, 2000.0, v, a, g)
-            heavy = tractive_force(vp, 2900.0, v, a, g)
+            light = tractive_force(replace(vp, m_t=2000.0), v, a, g)
+            heavy = tractive_force(replace(vp, m_t=2900.0), v, a, g)
             assert heavy >= light
 
     def test_aero_grows_quadratically(self):
         p = VehicleParams(crr=0.0)
         for v in (5.0, 12.0, 31.0):
             aero = 0.5 * p.rho * p.cdaf * v * v
-            assert tractive_force(p, 2800.0, 2 * v, 0.0, 0.0) - tractive_force(
-                p, 2800.0, v, 0.0, 0.0) == pytest.approx(3.0 * aero, rel=1e-12)
+            assert tractive_force(p, 2 * v, 0.0, 0.0) - tractive_force(
+                p, v, 0.0, 0.0) == pytest.approx(3.0 * aero, rel=1e-12)
 
     def test_negative_speed_rejected(self, vp):
         with pytest.raises(ValueError):
-            tractive_force(vp, 2800.0, -1.0, 0.0, 0.0)
-
-    def test_nonpositive_mass_rejected(self, vp):
-        with pytest.raises(ValueError):
-            tractive_force(vp, 0.0, 10.0, 0.0, 0.0)
+            tractive_force(vp, -1.0, 0.0, 0.0)
 
 
 class TestWheelPowerSeries:
@@ -69,8 +67,7 @@ class TestWheelPowerSeries:
         assert np.all(wheel_power_series(vp, c) == 0.0)
 
     def test_defaults_to_test_mass(self, vp, cycle):
-        f = tractive_force(vp, vp.m_t, cycle.v_mps, accel_series(cycle),
-                           cycle.grade_deg)
+        f = tractive_force(vp, cycle.v_mps, accel_series(cycle), cycle.grade_deg)
         assert np.array_equal(wheel_power_series(vp, cycle), f * cycle.v_mps / 1000.0)
 
     def test_symmetric_triangle_energy(self):

@@ -238,6 +238,36 @@ class TestMapIO:
         with pytest.raises(MapFormatError):
             load_map(io.StringIO("# only comments\n"))
 
+    @pytest.mark.parametrize("text,named", [
+        pytest.param(",0,1_0\n1000,80,85\n", "line 1: non-numeric torque axis",
+                     id="underscore-in-axis"),
+        pytest.param(",0,100\n1000,80,8_5\n", "line 2: non-numeric value",
+                     id="underscore-in-cell"),
+        pytest.param(",0,100\n1000,80,\u0668\u0665\n", "line 2: non-numeric value",
+                     id="arabic-indic-digits"),
+        pytest.param(",0,100\n1000,80,\xa085\n", "line 2: non-numeric value",
+                     id="no-break-space"),
+        pytest.param(",0,100\n1000,80,85\u20282000,82,88\n",
+                     "line 2: expected 3 fields, got 5", id="line-separator"),
+        pytest.param(",0,100\n1000,80,85\r2000,82,88\n",
+                     "line 2: expected 3 fields, got 5", id="lone-cr"),
+    ])
+    def test_outside_the_grammar_names_the_line(self, tmp_path, text, named):
+        path = tmp_path / "map.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), path):
+            with pytest.raises(MapFormatError) as exc:
+                load_map(source)
+            assert str(exc.value) == named
+
+    def test_crlf_line_ends(self, tmp_path):
+        text = ",0,100\n1000,80,85\n2000,82,\n"
+        path = tmp_path / "map.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        crlf, lf = load_map(path), load_map(io.StringIO(text))
+        assert np.array_equal(crlf.values, lf.values, equal_nan=True)
+        assert crlf.speed_axis.tolist() == [1000.0, 2000.0]
+
     def test_structural_errors_become_format_errors(self):
         # descending speed axis fails map validation, rewrapped for callers
         with pytest.raises(MapFormatError, match="ascending"):

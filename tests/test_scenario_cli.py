@@ -1,4 +1,6 @@
+import configparser
 import filecmp
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from phevopt.dynamics import VehicleParams
 from phevopt.ems import RuleConfig, simulate_rule_based
 from phevopt.errors import ScenarioError
 from phevopt.powertrain import BatteryParams, DrivetrainParams, PowertrainAssembly
-from phevopt.scenario import load_scenario
+from phevopt.scenario import SCHEMA, load_scenario
 
 CYCLE = "synthetic_cycle.csv"
 
@@ -245,6 +247,23 @@ class TestLoadScenario:
                            match=rf"\[dp\] {key} = '{bad}' is not a finite number"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
+    @pytest.mark.parametrize("body,named", [
+        pytest.param("[battery]\nc_batt_kwh = 1_8.9\n[accounting]\nuf = 0.8\n",
+                     "[battery] c_batt_kwh = '1_8.9'", id="underscore"),
+        pytest.param("[dp]\ndeltas = 0.051, 0.2_94\n[accounting]\nuf = 0.8\n",
+                     "[dp] deltas = '0.2_94'", id="underscore-in-list"),
+        pytest.param("[accounting]\nuf = \u0660.8\n", "[accounting] uf = '\u0660.8'",
+                     id="arabic-indic-zero"),
+        pytest.param("[dp]\ndeltas = 0.1, 0.3\nefficiencies = 30, \xa032\n"
+                     "[accounting]\nuf = 0.8\n", "[dp] efficiencies = '\\xa032'",
+                     id="no-break-space-in-list"),
+    ])
+    def test_number_outside_ascii_grammar_rejected(self, tmp_path, scenario_dir, body,
+                                                   named):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_scenario(tmp_path, scenario_dir, body))
+        assert str(exc.value) == f"{named} is not a number"
+
     def test_terminal_at_window_top_accepted(self, tmp_path, scenario_dir):
         body = "[accounting]\nuf = 0.8\n[dp]\nsoc_max = 17\nterminal = 17\n"
         sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
@@ -271,6 +290,44 @@ class TestLoadScenario:
         body = f"[accounting]\nuf = 0.8\n[dp]\ndt_s = {dt}\n"
         with pytest.raises(ScenarioError, match=r"\[dp\] dt_s .* must be positive"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def keys_left_out(ini: Path) -> set[tuple[str, str]]:
+    """The ``(section, key)`` pairs of the schema that a scenario does not set."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read(ini, encoding="utf-8")
+    return {(name, key) for name, keys in SCHEMA.items() for key in keys
+            if not cp.has_option(name, key)}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section,key", sorted(
+        (name, key) for name, keys in SCHEMA.items() for key in keys))
+    def test_every_accepted_key_is_read(self, tmp_path, scenario_dir, section, key):
+        entries = {"cycle": {"path": str(scenario_dir / CYCLE)},
+                   "accounting": {"uf": "0.8"}}
+        entries.setdefault(section, {})[key] = "abc"
+        cp = configparser.ConfigParser()
+        cp.read_dict(entries)
+        p = tmp_path / "case.ini"
+        with p.open("w", encoding="utf-8") as fh:
+            cp.write(fh)
+        with pytest.raises((ScenarioError, FileNotFoundError)) as exc:
+            load_scenario(p)
+        if isinstance(exc.value, FileNotFoundError):
+            assert exc.value.filename == str(tmp_path / "abc")
+        else:
+            assert re.match(rf"\[{section}\] (.* )?{key}\b", str(exc.value))
+
+    def test_readme_names_what_three_lap_leaves_out(self, scenario_dir):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        sentence = re.search(r"`scenarios/three_lap\.ini` writes out every key "
+                             r"except ([^.]*)\.", text)
+        named = set(re.findall(r"`\[(\w+)\] (\w+)`", sentence.group(1)))
+        assert named == keys_left_out(scenario_dir / "three_lap.ini")
 
 
 class TestHybridRun:
@@ -348,6 +405,11 @@ class TestCliExitCodes:
                      id="initial-soc-outside-window"),
         pytest.param("[dp]\nsoc_min = 15\n", "[rule] cs_trigger = 14, the default",
                      id="default-initial-soc-outside-window"),
+        pytest.param("[rule]\nsoc_high = 17%\n", "[rule] soc_high = '17%' is not a number",
+                     id="percent-sign"),
+        pytest.param("[rule]\nsoc_low = 12\nsoc_high = %(soc_low)s\n",
+                     "[rule] soc_high = '%(soc_low)s' is not a number",
+                     id="no-interpolation"),
         pytest.param("[maps]\nbelt_ratio = 0\n", "error: belt ratio must be positive",
                      id="zero-belt-ratio"),
         pytest.param("[maps]\nbelt_efficiency = 1.5\n",
@@ -381,6 +443,26 @@ class TestCliExitCodes:
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_misspelt_key_named_before_the_default_it_leaves(self, tmp_path,
+                                                             scenario_dir, capsys):
+        # with soc_min = 15 the default initial_soc (cs_trigger = 14) lies
+        # outside the window; the misspelling is what the message names
+        text = (scenario_dir / "three_lap.ini").read_text(encoding="utf-8")
+        text = text.replace("soc_min = 12.0\n", "soc_min = 15\ninital_soc = 15\n")
+        p = tmp_path / "three_lap.ini"
+        p.write_text(text.replace(CYCLE, str(scenario_dir / CYCLE)), encoding="utf-8")
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[dp] inital_soc is never read" in capsys.readouterr().err
+
+    def test_unread_key_named_before_a_missing_cycle_file(self, tmp_path, capsys):
+        p = tmp_path / "case.ini"
+        p.write_text("[cycle]\npath = nowhere.csv\n[accounting]\nuf = 0.8\n"
+                     "[rule]\nsoc_hihg = 16\n", encoding="utf-8")
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[rule] soc_hihg is never read" in capsys.readouterr().err
 
     def test_disjoint_genset_maps_exit_2(self, tmp_path, scenario_dir, capsys):
         # through the 2.7 belt the engine's 800-1000 rpm never reach the
