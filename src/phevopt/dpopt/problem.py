@@ -10,6 +10,8 @@ column of intervals at a time. The inf-aware interpolation of a cost-to-go
 comes in two halves: ``interp_index`` turns points into node indices and
 weights, which depend only on the points, and ``interp_apply`` reads them
 against one table of node values. ``interp_inf`` is the two composed.
+``cs_step`` and ``interp_index`` take ``out=`` arrays for array calls, so
+that the backward sweep writes them into its workspace.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class DpConfig:
         return np.asarray(out, dtype=float)
 
 
-def cs_step(cfg: DpConfig, soc, d_k, delta):
+def cs_step(cfg: DpConfig, soc, d_k, delta, out=None):
     """One interval of the charge-sustaining dynamics: the transition rule
     that the backward sweep, the rollout and the thermostat replay share.
 
@@ -207,18 +209,33 @@ def cs_step(cfg: DpConfig, soc, d_k, delta):
     lets the decision run, and whether the move is admissible. Python
     floats in give a Python float and two bools out, with the bits of the
     matching element of the array call, so a forward pass steps on floats.
+    An array call may pass ``out``, three arrays of the shapes and dtypes
+    it returns (float64, bool, bool), to have the results written there.
     """
     null = delta == 0.0
-    succ = soc + delta - d_k  # a fresh array (or scalar), so -= touches no caller's data
+    if out is None:
+        succ = soc + delta - d_k  # a fresh array (or scalar), so -= touches no caller's data
+    else:
+        succ, gate_ok, ok = out
+        np.subtract(soc + delta, d_k, out=succ)
     if cfg.obd_enabled:  # without OBD the drain is 0.0, and x - 0.0 == x
-        succ -= cfg.obd_drain_pct * null  # drain * 1 is the drain, drain * 0 is 0.0
-    if isinstance(d_k, np.ndarray):  # min(x, inf) == x on the other intervals
-        succ = np.minimum(succ, np.where(d_k < 0.0, cfg.soc_max, np.inf))
+        if isinstance(succ, np.ndarray):  # only the null decision's cells move
+            np.subtract(succ, cfg.obd_drain_pct, out=succ, where=null)
+        else:
+            succ -= cfg.obd_drain_pct * null  # drain * 1 is the drain, drain * 0 is 0.0
+    if isinstance(d_k, np.ndarray):
+        regen = d_k < 0.0
+        if regen.any():  # min(x, inf) == x on the other intervals
+            np.minimum(succ, np.where(regen, cfg.soc_max, np.inf), out=succ)
     elif d_k < 0.0:
         succ = min(succ, cfg.soc_max) if isinstance(succ, float) else \
-            np.minimum(succ, cfg.soc_max)
-    gate_ok = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
-    ok = succ >= cfg.soc_min - SOC_EPS
+            np.minimum(succ, cfg.soc_max, out=succ)
+    gate = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
+    if out is None:
+        gate_ok, ok = gate, succ >= cfg.soc_min - SOC_EPS
+    else:
+        np.copyto(gate_ok, gate)
+        np.greater_equal(succ, cfg.soc_min - SOC_EPS, out=ok)
     ok &= succ <= cfg.soc_max + SOC_EPS
     ok &= gate_ok
     return succ, gate_ok, ok
@@ -302,7 +319,7 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
                          dt_s=dt_s, distance_km=cycle.distance_km)
 
 
-def interp_index(x, lo: float, step: float, m: int):
+def interp_index(x, lo: float, step: float, m: int, out=None):
     """Index half of ``interp_inf``: where points ``x`` (any shape) fall on
     the uniform grid ``lo + i*step`` of ``m`` nodes.
 
@@ -311,20 +328,31 @@ def interp_index(x, lo: float, step: float, m: int):
     its weight. Points outside the grid are clipped onto the end node. A
     weight within ``SOC_EPS`` of 0 snaps the point onto node ``j``, and one
     within ``SOC_EPS`` of 1 onto node ``j + 1``; a snapped point reads step
-    slot ``m``, which holds a zero step.
+    slot ``m``, which holds a zero step. So ``j`` lies in [0, m-1] and
+    ``jd`` in [0, m]. An array ``x`` may pass ``out``, arrays shaped like it
+    (int64, int64, float64), to have the results written there; the weights
+    may overwrite ``x`` itself.
     """
-    p = np.subtract(x, lo).reshape(-1)  # a fresh 1-d array, even for a scalar
+    if out is None:
+        p = np.subtract(x, lo).reshape(-1)  # a fresh 1-d array, even for a scalar
+        j, jd = np.empty(p.shape, np.int64), np.empty(p.shape, np.int64)
+    else:
+        j, jd, p = out
+        np.subtract(x, lo, out=p)
     p /= step
     np.clip(p, 0.0, float(m - 1), out=p)
-    j = np.floor(p)
-    w = np.subtract(p, j, out=p)  # the same bits as subtracting the integer index
-    j = j.astype(np.intp)
-    right = w > 1.0 - SOC_EPS
-    np.add(j, 1, out=j, where=right)
-    jd = j.copy()
-    snap = w < SOC_EPS
-    snap |= right
+    # the float node index lives in jd's bytes (both are 8 wide) until jd is set
+    node = np.floor(p, out=jd.view(np.float64))
+    w = np.subtract(p, node, out=p)
+    np.copyto(j, node, casting="unsafe")
+    snap = w > 1.0 - SOC_EPS
+    np.add(j, 1, out=j, where=snap)
+    np.copyto(jd, j)
     np.copyto(jd, m, where=snap)
+    np.less(w, SOC_EPS, out=snap)
+    np.copyto(jd, m, where=snap)
+    if out is not None:
+        return out
     shape = np.shape(x)
     return j.reshape(shape), jd.reshape(shape), w.reshape(shape)
 
@@ -344,12 +372,15 @@ def interp_apply(values: np.ndarray, j, jd, w):
     m = values.size
     steps = np.zeros(m + 1)
     cell = steps[:m - 1]
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        np.subtract(values[1:], values[:-1], out=cell)
-    np.copyto(cell, np.inf, where=~np.isfinite(cell))
-    out = steps[jd]
+    # a step into an infinite node is inf - x == inf; one out of it would be
+    # x - inf, -inf or NaN, so it is set to inf instead
+    left = values[:-1]
+    np.subtract(values[1:], left, out=cell, where=left < np.inf)
+    np.copyto(cell, np.inf, where=left == np.inf)
+    # j and jd lie in range, so "wrap" never wraps; it spares take's range error
+    out = steps.take(jd, mode="wrap")
     out *= w
-    out += values[j]
+    out += values.take(j, mode="wrap")
     return out
 
 

@@ -9,7 +9,11 @@ so is the tie pick, once the block's cost-to-go is known: one comparison
 of the block's costs with it, then byte arithmetic per decision into a
 table of the narrowest unsigned type (``uint8`` up to 256 decisions). A
 stage itself only reads its indices against the next stage's cost-to-go,
-adds its stage cost and takes the minimum. ``forward`` is the one
+adds its stage cost and takes the minimum. The blocks share one workspace,
+allocated once per sweep: each block writes its transitions, indices,
+weights, stage costs and tie table into the workspace's leading slices, so
+that a block allocates only small temporaries and a cold process does not
+map and fault in fresh block arrays again and again. ``forward`` is the one
 per-interval loop over a demand: the policy rollout and the thermostat
 replay are two decision rules passed to it.
 """
@@ -34,11 +38,14 @@ from .problem import (
 )
 
 #: Cells (stages x decisions x states) of one block of the backward sweep:
-#: 10 stages at 501 states and 4 decisions, 2 at 2501. A block holds two
-#: indices, a weight and a cost per cell (32 bytes), and about 36 bytes
-#: while it is computed; with the stage temporaries the sweep's working
-#: memory measures 43.8 bytes per cell at 2501 states. 2 ** 15 cells swept
-#: 2-3% faster but raised the peak RSS of a CLI run by up to 0.9 MB (2%).
+#: 10 stages at 501 states and 4 decisions, 2 at 2501. The sweep's workspace
+#: holds, per cell, the successor (which then becomes the weight), two int64
+#: indices and a stage cost (32 bytes), and one byte for the admissible
+#: moves (which then marks the inadmissible ones and at last holds the tie
+#: table). With the one-byte temporaries of each block's calls and the
+#: (decisions x states) ones of each stage, the sweep's working memory
+#: measures 44.1 bytes per cell at 2501 states. 2 ** 15 cells swept 2-3%
+#: faster but raised the peak RSS of a CLI run by up to 0.9 MB (2%).
 BLOCK_CELLS = 20_480
 
 
@@ -61,35 +68,42 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     deltas = cfg.delta_array()[:, None]
     fuel = cfg.fuel_array()[:, None]
     last = deltas.shape[0] - 1
-    cost_to_go = np.full((n + 1, m), np.inf)
+    cost_to_go = np.empty((n + 1, m))  # the stages fill rows 0..n-1
     decision_idx = np.empty((n, m), dtype=np.min_scalar_type(last))
-    cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
+    cost_to_go[n] = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
 
     per_block = max(1, BLOCK_CELLS // fuel.size // m)
+    # the workspace (see BLOCK_CELLS): w holds the successors, then the
+    # weights; ok the admissible moves, then the inadmissible ones, then the
+    # tie table
+    shape = (min(per_block, n), fuel.size, m)
+    workspace = (np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64),
+                 np.empty(shape), np.empty(shape, bool))
+    gate = np.empty(shape[1:], bool)
+    w, js, jds, costs, ok = workspace
     for stop in range(n, 0, -per_block):
         start = max(stop - per_block, 0)
-        succ, _, ok = cs_step(cfg, grid, d.d_pct[start:stop, None, None], deltas)
-        js, jds, ws = interp_index(succ, cfg.soc_min, cfg.grid_spacing, m)
-        del succ  # the stage loop holds only indices, weights and costs
+        nb = stop - start
+        if nb < len(w):  # the last block, at the start of the demand
+            w, js, jds, costs, ok = (a[:nb] for a in workspace)
+        cs_step(cfg, grid, d.d_pct[start:stop, None, None], deltas, out=(w, gate, ok))
+        interp_index(w, cfg.soc_min, cfg.grid_spacing, m, out=(js, jds, w))
         # inadmissible moves cost inf, and x + inf == inf for every x in [0, inf]
-        costs = np.empty(ok.shape)
-        costs[...] = fuel
-        np.copyto(costs, np.inf, where=~ok)
-        del ok
-        for b in range(stop - start - 1, -1, -1):
+        np.copyto(costs, fuel)
+        np.copyto(costs, np.inf, where=np.logical_not(ok, out=ok))
+        for b in range(nb - 1, -1, -1):
             k = start + b
             cost = costs[b]
-            cost += interp_apply(cost_to_go[k + 1], js[b], jds[b], ws[b])
-            cost.min(axis=0, out=cost_to_go[k])
+            cost += interp_apply(cost_to_go[k + 1], js[b], jds[b], w[b])
+            np.minimum.reduce(cost, axis=0, out=cost_to_go[k])
         # all-inf states tie at 0, as inf == inf
-        tied = (costs == cost_to_go[start:stop, None]).view(np.uint8)
+        tied = np.equal(costs, cost_to_go[start:stop, None], out=ok).view(np.uint8)
         best = decision_idx[start:stop]
         best[:] = last
         seen = np.zeros(best.shape, np.uint8)
         for a in range(last):
             seen |= tied[:, a]
             best -= seen
-        del js, jds, ws, costs, tied, seen  # before the next block is computed
     return cost_to_go, decision_idx
 
 

@@ -149,11 +149,16 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
 # Map I/O
 
 def _map_number(field: str) -> float:
-    """One map number, as Python's ``float`` reads it but ASCII only and
-    without ``_``, so ``1_0`` or a non-ASCII digit or blank is refused."""
+    """One map number, as Python's ``float`` reads it but ASCII only,
+    without ``_`` and finite, so ``1_0``, a non-ASCII digit or blank,
+    ``inf`` or ``nan`` is refused: the empty cell is the one spelling of
+    an infeasible cell."""
     if not field.isascii() or "_" in field:
         raise ValueError(field)
-    return float(field)
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(field)
+    return value
 
 
 def load_map(source) -> EfficiencyMap:

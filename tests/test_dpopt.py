@@ -895,6 +895,31 @@ class TestSweepMatchesReference:
             for out, expect in zip(block, cs_step(cfg, grid, float(d_k), deltas)):
                 assert np.array_equal(np.broadcast_to(out, block[2].shape)[k], expect)
 
+    @given(inst=sweep_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_out_matches_the_allocating_calls(self, inst):
+        # the sweep's call: each result written into the array passed for
+        # it, with the bits and shape of the allocating call; the out arrays
+        # start as the negation (or NaN) of the result, so every cell is written
+        d, cfg, _ = inst
+        grid, m = cfg.grid(), cfg.n_states
+        args = (cfg, grid, d.d_pct[:, None, None], cfg.delta_array()[:, None])
+        fresh = cs_step(*args)
+        out = (np.full(fresh[0].shape, np.nan), ~fresh[1], ~fresh[2])
+        got = cs_step(*args, out=out)
+        for g, o, f in zip(got, out, fresh):
+            assert g is o and same_bits(o, f)
+
+        x = fresh[0]
+        fresh = interp_index(x, cfg.soc_min, cfg.grid_spacing, m)
+        # into arrays of their own, and with the weights over the points as
+        # the sweep writes them
+        for w, points in ((np.full(x.shape, np.nan), x), (x.copy(),) * 2):
+            out = (np.full(x.shape, -1, np.int64), np.full(x.shape, -1, np.int64), w)
+            got = interp_index(points, cfg.soc_min, cfg.grid_spacing, m, out=out)
+            for g, o, f in zip(got, out, fresh):
+                assert g is o and same_bits(o, f)
+
     @pytest.mark.parametrize("grid_step", [0.01, 0.002])
     @pytest.mark.parametrize("obd", [False, True])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
@@ -910,6 +935,18 @@ class TestSweepMatchesReference:
         drains = np.where(rng.random(n) < 0.3, rng.integers(-60, 120, n) * grid_step / 2,
                           rng.uniform(-0.4, 0.8, n))
         d = DemandProfile(drains, 10.0, 1.0)
+        for threshold in (12.0, 14.0, 16.9):
+            assert_sweeps_equal(d, cfg, threshold)
+
+    @pytest.mark.parametrize("obd", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stage_wider_than_a_block(self, decisions, obd, n):
+        # 10001 states x 4 decisions = 40004 cells, more than BLOCK_CELLS,
+        # so every block holds one stage: regeneration (curtailment at
+        # soc_max), a drain on a whole grid step and one on a half step
+        cfg = DpConfig(decisions=decisions, grid_step=0.0005, obd_enabled=obd)
+        assert len(decisions) * cfg.n_states > BLOCK_CELLS
+        d = DemandProfile(np.array([-0.3, 0.45, 0.20025])[:n], 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):
             assert_sweeps_equal(d, cfg, threshold)
 
@@ -943,10 +980,11 @@ class TestSweepMatchesReference:
 
 
 #: Bytes of working memory the backward sweep may hold per cell of its block
-#: budget. A block holds two intp indices, a weight and a stage cost per
-#: cell (32 bytes), 36 while it is being computed, and each stage a few
-#: (decisions x states) temporaries; its tie pick adds one byte per cell.
-#: 414 x 2501 x 4 measures 43.8.
+#: budget. Its workspace holds a weight, two int64 indices and a stage cost
+#: per cell (32 bytes) and one byte for the admissible moves, which then
+#: holds the tie table; each block's calls add a few one-byte temporaries
+#: and each stage a few (decisions x states) ones. 414 x 2501 x 4 measures
+#: 44.1.
 SWEEP_BYTES_PER_CELL = 48
 
 
@@ -962,6 +1000,21 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions):
     assert np.isfinite(cost_to_go[0]).any()
     working = peak - cost_to_go.nbytes - decision_idx.nbytes
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
+
+
+def test_consecutive_solves_share_no_memory(decisions):
+    # obd_study's two solves, OBD off and then on: the second sweep must
+    # leave the first one's tables as they were
+    d = DemandProfile(np.random.default_rng(1).uniform(-0.3, 0.5, 21), 10.0, 1.0)
+    cfgs = [DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd)
+            for obd in (False, True)]
+    sweeps = [backward_sweep(d, cfg, 14.0) for cfg in cfgs]
+    for a in sweeps[0]:
+        for b in sweeps[1]:
+            assert not np.shares_memory(a, b)
+    for (cost, idx), cfg in zip(sweeps, cfgs):
+        expect_cost, expect_idx = reference_sweep(d, cfg, 14.0)
+        assert np.array_equal(cost, expect_cost) and np.array_equal(idx, expect_idx)
 
 
 def test_policy_tables_take_nine_bytes_per_cell(decisions):

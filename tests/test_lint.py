@@ -2,7 +2,8 @@
 module imports is used in it (package ``__init__`` files re-export theirs),
 every dataclass field is read somewhere in the package or its tests, every
 exported name is run by some module of the package, and so is every
-function, method and class a module defines."""
+function, method and class a module defines. No module reaches the C
+allocator's process-wide settings."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,38 @@ def test_unnamed_definition_is_found():
                        "def brute_force():\n    pass\n"
                        "print(f())\n")
     assert unnamed_definitions([module]) == ["g", "m"]
+
+
+def allocator_settings(tree: ast.Module) -> list[str]:
+    """Names, attributes, imports and strings in ``tree`` that are
+    ``mallopt`` or a ``MALLOC_*`` environment variable: settings of the C
+    allocator that hold for the whole process, and so for every caller of
+    the package in it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif isinstance(node, ast.alias):
+            text = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text == "mallopt" or text.startswith("MALLOC_"):
+            found.append(text)
+    return sorted(found)
+
+
+def test_no_allocator_settings():
+    assert [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+            for name in allocator_settings(ast.parse(p.read_text(encoding="utf-8")))] == []
+
+
+def test_allocator_setting_is_found():
+    tree = ast.parse('import ctypes, os\nlibc = ctypes.CDLL("libc.so.6")\n'
+                     'libc.mallopt(-3, 1 << 20)\nos.environ["MALLOC_ARENA_MAX"] = "2"\n'
+                     'getattr(libc, "mallopt")\nfrom glibc import mallopt as tune\n'
+                     'print(os.environ.get("MALLOCS"), "no mallopt here")\n')
+    assert allocator_settings(tree) == ["MALLOC_ARENA_MAX", "mallopt", "mallopt", "mallopt"]

@@ -251,6 +251,17 @@ class TestMapIO:
                      "line 2: expected 3 fields, got 5", id="line-separator"),
         pytest.param(",0,100\n1000,80,85\r2000,82,88\n",
                      "line 2: expected 3 fields, got 5", id="lone-cr"),
+        # the empty cell is the one spelling of an infeasible cell
+        pytest.param(",0,100\n1000,inf,85\n2000,80,80\n", "line 2: non-numeric value",
+                     id="inf-cell"),
+        pytest.param(",0,100\n1000,nan,85\n2000,80,80\n", "line 2: non-numeric value",
+                     id="nan-cell"),
+        pytest.param(",0,100\n1000,80,85\n2000,-Infinity,80\n",
+                     "line 3: non-numeric value", id="negative-inf-cell"),
+        pytest.param(",0,inf\n1000,80,85\n2000,80,80\n",
+                     "line 1: non-numeric torque axis", id="inf-torque-node"),
+        pytest.param(",0,100\n1000,80,85\nNaN,80,80\n", "line 3: non-numeric value",
+                     id="nan-speed-node"),
     ])
     def test_outside_the_grammar_names_the_line(self, tmp_path, text, named):
         path = tmp_path / "map.csv"

@@ -477,6 +477,16 @@ class TestCliExitCodes:
         assert rc == 2
         assert "error: speed 2600 rpm outside map 'eng'" in capsys.readouterr().err
 
+    def test_non_finite_map_cell_exits_2(self, tmp_path, scenario_dir, capsys):
+        # an efficiency of inf is no number a map may hold
+        (tmp_path / "gen.csv").write_text(",0,60\n0,90,inf\n9000,90,90\n",
+                                          encoding="utf-8")
+        body = "[accounting]\nuf = 0.8\n[maps]\ngenerator = gen.csv\n"
+        p = write_scenario(tmp_path, scenario_dir, body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "line 2: non-numeric value" in capsys.readouterr().err
+
     def test_cycle_outside_the_grammar_exits_2(self, tmp_path, capsys):
         (tmp_path / "cycle.csv").write_text("t_s,v_mps\n0,0\n1,1_0\n", encoding="utf-8")
         p = tmp_path / "case.ini"
