@@ -55,7 +55,7 @@ from .errors import (
     PhevOptError,
     ToleranceBreachError,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, parse_number
 
 
 def _fmt(x: float) -> str:
@@ -300,6 +300,14 @@ def cmd_obd(args) -> int:
     return 0
 
 
+def _grid_step(raw: str) -> float:
+    """``--grid-step`` reads a number as a scenario file does."""
+    try:
+        return parse_number(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{raw!r} {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phevopt",
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--grid-step", type=float, default=None,
+        p.add_argument("--grid-step", type=_grid_step, default=None,
                        help="override the SOC grid step (percent)")
 
     p = sub.add_parser("analyze", help="wheel-side cycle metrics")

@@ -5,13 +5,16 @@ taken per interval (default 10 s) from a quantized set of gen-set charge
 increments, and the exogenous drain per interval comes from the driving
 load. Costs are kWh of fuel.
 
-``cs_step`` states the transition rule once, for one interval or for a
-column of intervals at a time. The inf-aware interpolation of a cost-to-go
-comes in two halves: ``interp_index`` turns points into node indices and
-weights, which depend only on the points, and ``interp_apply`` reads them
-against one table of node values. ``interp_inf`` is the two composed.
-``cs_step`` and ``interp_index`` take ``out=`` arrays for array calls, so
-that the backward sweep writes them into its workspace.
+The transition rule is stated once, in two halves, for one interval or
+for a column of intervals at a time: ``cs_moves`` computes what does not
+read the drain (the moved SOC ``soc + delta``, the charge gate and the null
+mask), and ``cs_drain`` applies one interval's drain to it. ``cs_step`` is
+the two composed. The inf-aware interpolation of a cost-to-go comes in two
+halves too: ``interp_index`` turns points into node indices and weights,
+which depend only on the points, and ``interp_apply`` reads them against
+one table of node values. ``interp_inf`` is the two composed. So the
+backward sweep calls ``cs_moves`` once per solve, and ``cs_drain`` and
+``interp_index`` once per block, with ``out=`` arrays in its workspace.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class DpConfig:
         n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0
         if not (1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
             raise ValueError(f"grid_step {self.grid_step:g} does not divide the window")
-        # so the OBD drain is finite: cs_step multiplies it by the null mask
+        # so the OBD drain is finite: cs_drain multiplies it by the null mask
         if not 0.0 <= self.obd_energy_per_event_kwh < math.inf:
             raise ValueError("OBD energy per event must be finite and nonnegative")
         if not self.c_batt_kwh > 0:
@@ -191,33 +194,44 @@ class DpConfig:
         return np.asarray(out, dtype=float)
 
 
-def cs_step(cfg: DpConfig, soc, d_k, delta, out=None):
-    """One interval of the charge-sustaining dynamics: the transition rule
-    that the backward sweep, the rollout and the thermostat replay share.
+def cs_moves(cfg: DpConfig, soc, delta):
+    """Drain-free half of ``cs_step``: what an interval's move does before
+    its drain, for states ``soc`` (% SOC) and decision charge increments
+    ``delta`` (% per interval) that broadcast against each other.
 
-    ``soc`` (% SOC), ``delta`` (decision charge increments, % per interval)
-    and ``d_k`` (the interval's drain) broadcast against each other, e.g. a
-    column of decisions against a row of grid states, and a ``(B, 1, 1)``
-    column of drains against both for ``B`` intervals at once. The null
-    decision (``delta == 0``) also pays the OBD drain when it is enabled.
-    On a net-regeneration interval the successor is curtailed at
-    ``soc_max``. Charging is gated off wherever the largest increment could
-    overshoot ``soc_max``. A move is admissible when it passes the gate and
-    its successor lies in the window, both up to ``SOC_EPS``.
-
-    Returns ``(succ, gate_ok, ok)``: the successor SOC, whether the gate
-    lets the decision run, and whether the move is admissible. Python
-    floats in give a Python float and two bools out, with the bits of the
-    matching element of the array call, so a forward pass steps on floats.
-    An array call may pass ``out``, three arrays of the shapes and dtypes
-    it returns (float64, bool, bool), to have the results written there.
+    Returns ``(moved, gate, null)``: ``soc + delta``, whether the gate lets
+    the decision run (the null decision always runs; charging is gated off
+    wherever the largest increment could overshoot ``soc_max`` by more than
+    ``SOC_EPS``), and whether the decision is the null one (``delta == 0``).
+    None of them reads the drain, so the backward sweep computes them once
+    per solve. Python floats in give a Python float and two bools out.
     """
     null = delta == 0.0
+    gate = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
+    return soc + delta, gate, null
+
+
+def cs_drain(cfg: DpConfig, moved, gate, null, d_k, out=None):
+    """Drain half of ``cs_step``: applies the interval's drain ``d_k`` to
+    the ``(moved, gate, null)`` of ``cs_moves``.
+
+    ``d_k`` broadcasts against them, e.g. a ``(B, 1, 1)`` column of drains
+    against (decisions x states) moves for ``B`` intervals at once. The
+    null decision also pays the OBD drain when it is enabled. On a
+    net-regeneration interval the successor is curtailed at ``soc_max``. A
+    move is admissible when it passes the gate and its successor lies in
+    the window, both up to ``SOC_EPS``.
+
+    Returns ``(succ, ok)``: the successor SOC and whether the move is
+    admissible. An array call may pass ``out``, two arrays of the shapes
+    and dtypes it returns (float64, bool), to have the results written
+    there.
+    """
     if out is None:
-        succ = soc + delta - d_k  # a fresh array (or scalar), so -= touches no caller's data
+        succ = moved - d_k  # a fresh array (or scalar), so -= touches no caller's data
     else:
-        succ, gate_ok, ok = out
-        np.subtract(soc + delta, d_k, out=succ)
+        succ, ok = out
+        np.subtract(moved, d_k, out=succ)
     if cfg.obd_enabled:  # without OBD the drain is 0.0, and x - 0.0 == x
         if isinstance(succ, np.ndarray):  # only the null decision's cells move
             np.subtract(succ, cfg.obd_drain_pct, out=succ, where=null)
@@ -230,15 +244,29 @@ def cs_step(cfg: DpConfig, soc, d_k, delta, out=None):
     elif d_k < 0.0:
         succ = min(succ, cfg.soc_max) if isinstance(succ, float) else \
             np.minimum(succ, cfg.soc_max, out=succ)
-    gate = null | (soc + cfg.max_positive_delta <= cfg.soc_max + SOC_EPS)
     if out is None:
-        gate_ok, ok = gate, succ >= cfg.soc_min - SOC_EPS
+        ok = succ >= cfg.soc_min - SOC_EPS
     else:
-        np.copyto(gate_ok, gate)
         np.greater_equal(succ, cfg.soc_min - SOC_EPS, out=ok)
     ok &= succ <= cfg.soc_max + SOC_EPS
-    ok &= gate_ok
-    return succ, gate_ok, ok
+    ok &= gate
+    return succ, ok
+
+
+def cs_step(cfg: DpConfig, soc, d_k, delta):
+    """One interval of the charge-sustaining dynamics, ``cs_moves`` and
+    ``cs_drain`` composed: the rule the forward pass steps on.
+
+    ``soc`` (% SOC), ``delta`` (decision charge increments, % per interval)
+    and ``d_k`` (the interval's drain) broadcast against each other.
+    Returns ``(succ, gate_ok, ok)``: the successor SOC, whether the gate
+    lets the decision run, and whether the move is admissible. Python
+    floats in give a Python float and two bools out, with the bits of the
+    matching element of the array call, so a forward pass steps on floats.
+    """
+    moved, gate, null = cs_moves(cfg, soc, delta)
+    succ, ok = cs_drain(cfg, moved, gate, null, d_k)
+    return succ, gate, ok
 
 
 def default_decisions(point: GenSetPoint,

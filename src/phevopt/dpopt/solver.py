@@ -2,7 +2,9 @@
 
 Each stage of the backward sweep evaluates every decision from every grid
 state at once, as one (decisions x states) array, and keeps the cheapest
-decision per state. What does not read the next stage's cost-to-go (the
+decision per state. What reads no drain (``cs_moves``: the moved SOC, the
+charge gate and the null mask, each (decisions x states)) is computed once
+per solve. What reads the drain but not the next stage's cost-to-go (the
 transitions, their interpolation indices and the stage costs) is computed
 once per block of stages, sized by a fixed cell budget, ``BLOCK_CELLS``;
 so is the tie pick, once the block's cost-to-go is known: one comparison
@@ -32,6 +34,8 @@ from .problem import (
     DpConfig,
     DpPolicy,
     check_demand_interval,
+    cs_drain,
+    cs_moves,
     cs_step,
     interp_apply,
     interp_index,
@@ -42,16 +46,19 @@ from .problem import (
 #: holds, per cell, the successor (which then becomes the weight), two int64
 #: indices and a stage cost (32 bytes), and one byte for the admissible
 #: moves (which then marks the inadmissible ones and at last holds the tie
-#: table). With the one-byte temporaries of each block's calls and the
-#: (decisions x states) ones of each stage, the sweep's working memory
-#: measures 44.1 bytes per cell at 2501 states. 2 ** 15 cells swept 2-3%
-#: faster but raised the peak RSS of a CLI run by up to 0.9 MB (2%).
+#: table). The moves of ``cs_moves`` (9 bytes per decision and state) live
+#: for the whole sweep. With them, the one-byte temporaries of each block's
+#: calls and the (decisions x states) ones of each stage, the sweep's
+#: working memory measures 47.0 bytes per cell at 2501 states. 2 ** 15
+#: cells swept 2-3% faster but raised the peak RSS of a CLI run by up to
+#: 0.9 MB (2%).
 BLOCK_CELLS = 20_480
 
 
 def backward_sweep(d: DemandProfile, cfg: DpConfig,
                    terminal_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward induction over the SOC grid under the ``cs_step`` rule.
+    """Backward induction over the SOC grid under the ``cs_moves`` and
+    ``cs_drain`` rule.
 
     The terminal cost is 0 at or above the threshold and infinite below;
     inadmissible moves cost infinity. Each state keeps the lowest decision
@@ -65,13 +72,13 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     """
     grid = cfg.grid()
     n, m = d.n_intervals, grid.size
-    deltas = cfg.delta_array()[:, None]
     fuel = cfg.fuel_array()[:, None]
-    last = deltas.shape[0] - 1
+    last = fuel.size - 1
     cost_to_go = np.empty((n + 1, m))  # the stages fill rows 0..n-1
     decision_idx = np.empty((n, m), dtype=np.min_scalar_type(last))
     cost_to_go[n] = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
 
+    moves = cs_moves(cfg, grid, cfg.delta_array()[:, None])  # the same in every block
     per_block = max(1, BLOCK_CELLS // fuel.size // m)
     # the workspace (see BLOCK_CELLS): w holds the successors, then the
     # weights; ok the admissible moves, then the inadmissible ones, then the
@@ -79,14 +86,13 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     shape = (min(per_block, n), fuel.size, m)
     workspace = (np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64),
                  np.empty(shape), np.empty(shape, bool))
-    gate = np.empty(shape[1:], bool)
     w, js, jds, costs, ok = workspace
     for stop in range(n, 0, -per_block):
         start = max(stop - per_block, 0)
         nb = stop - start
         if nb < len(w):  # the last block, at the start of the demand
             w, js, jds, costs, ok = (a[:nb] for a in workspace)
-        cs_step(cfg, grid, d.d_pct[start:stop, None, None], deltas, out=(w, gate, ok))
+        cs_drain(cfg, *moves, d.d_pct[start:stop, None, None], out=(w, ok))
         interp_index(w, cfg.soc_min, cfg.grid_spacing, m, out=(js, jds, w))
         # inadmissible moves cost inf, and x + inf == inf for every x in [0, inf]
         np.copyto(costs, fuel)

@@ -18,7 +18,7 @@ from ..cycle import DriveCycle
 from ..dynamics import VehicleParams
 from ..ems import thermostat_state
 from ..powertrain import BatteryParams, PowertrainAssembly
-from .problem import DemandProfile, DpConfig, build_demand, cs_step
+from .problem import DemandProfile, DpConfig, build_demand, cs_moves
 from .solver import RolloutResult, forward, rollout, solve
 
 
@@ -78,15 +78,14 @@ def evaluate_rule_on_demand(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     if deltas[charge] <= 0:
         raise ValueError("the rule decision must charge")
     null = int(np.flatnonzero(deltas == 0.0)[0])
-    # Python floats, as forward steps on them
-    delta, drains = float(deltas[charge]), d.d_pct.tolist()
+    delta = float(deltas[charge])  # a Python float, as forward steps on them
     on = False
 
     def thermostat(k: int, soc: float) -> int:
         nonlocal on
         on = thermostat_state(on, soc, trigger_soc, high_soc)
-        # the DP gate forbids charging near the top
-        if on and cs_step(cfg, soc, drains[k], delta)[1]:
+        # the DP gate forbids charging near the top; it reads no drain
+        if on and cs_moves(cfg, soc, delta)[1]:
             return charge
         return null
 

@@ -104,18 +104,27 @@ def _get_float(sec, key: str, default: float | None = None) -> float:
     return _to_float(sec, key, raw)
 
 
-def _to_float(sec, key: str, raw: str) -> float:
+def parse_number(raw: str) -> float:
     """A finite number as Python's ``float`` reads it, but ASCII only and
-    without ``_``, so ``1_8.9`` or an Arabic-Indic digit is not a number."""
+    without ``_``, so ``1_8.9`` or an Arabic-Indic digit is not a number.
+    The ``ValueError`` it raises says "is not a number" or "is not a finite
+    number"."""
     try:
         if not raw.isascii() or "_" in raw:
             raise ValueError(raw)
         value = float(raw)
     except ValueError:
-        raise ScenarioError(f"[{sec.name}] {key} = {raw!r} is not a number") from None
+        raise ValueError("is not a number") from None
     if not math.isfinite(value):
-        raise ScenarioError(f"[{sec.name}] {key} = {raw!r} is not a finite number")
+        raise ValueError("is not a finite number")
     return value
+
+
+def _to_float(sec, key: str, raw: str) -> float:
+    try:
+        return parse_number(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"[{sec.name}] {key} = {raw!r} {exc}") from None
 
 
 def _get_floats(sec, key: str) -> tuple[float, ...]:

@@ -8,7 +8,7 @@ import pytest
 
 import phevopt.cli as cli
 import phevopt.powertrain as powertrain
-from phevopt.cli import main, run_dp_hybrid
+from phevopt.cli import build_parser, main, run_dp_hybrid
 from phevopt.cycle import load_cycle
 from phevopt.dpopt import DpConfig
 from phevopt.dynamics import VehicleParams
@@ -422,6 +422,28 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,named", [
+        pytest.param("0.0_1", "'0.0_1' is not a number", id="underscore"),
+        pytest.param("\u0660.\u0660\u0661", "'\u0660.\u0660\u0661' is not a number",
+                     id="arabic-indic-digits"),
+        pytest.param("nan", "'nan' is not a finite number", id="nan"),
+    ])
+    def test_grid_step_outside_the_scenario_grammar_exits_2(self, tmp_path, scenario_dir,
+                                                            capsys, raw, named):
+        # --grid-step reads a number as [dp] grid_step does, before any run
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", "--strategy", "dp", "--grid-step", raw,
+                  "--scenario", str(scenario_dir / "single_lap.ini"),
+                  "--out", str(tmp_path / "o")])
+        assert stop.value.code == 2
+        assert f"argument --grid-step: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw", ["0.02", "2e-2", " 0.002", "0.0025"])
+    def test_grid_step_reads_as_float(self, raw):
+        args = build_parser().parse_args(["obd", "--scenario", "s.ini", "--grid-step", raw])
+        assert args.grid_step == float(raw)
 
     @pytest.mark.parametrize("body,named", [
         pytest.param("[rule]\nsoc_hihg = 16\n", "[rule] soc_hihg is never read",
