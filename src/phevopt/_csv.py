@@ -1,10 +1,13 @@
 """The column writer behind the package's CSV data files.
 
 ``write_csv`` builds each block of rows as one ``(rows x width)`` byte
-matrix and writes its kept bytes in one call. Every column fills a box of
-bytes and a mask of the bytes to keep (digits and signs, or each string's
-UTF-8 bytes up to its length, so a NUL, comma or newline in a label is
-kept); the kept bytes, read row by row, are the block's lines.
+matrix and writes it in one call. Every column fills a box of bytes, one
+row per cell, and pads each cell to the box's width with the byte 0xFF:
+in the sign column of a non-negative number, in place of its leading
+zeros, and past the end of a string's UTF-8. Strict UTF-8 never holds
+0xFF, so deleting every pad byte keeps exactly the cells' bytes, a NUL,
+comma or newline in a label included; what is left, read row by row, is
+the block's lines.
 
 ``%.Nf`` of a float and ``%d`` of an integer are formatted with array
 arithmetic, from the digits of the integer ``rint(|x| * 10**N)``. For a
@@ -27,68 +30,65 @@ _BLOCK = 4096  # rows per write: bounds the byte matrices held at once
 _FIXED = re.compile(r"%\.(\d)f")  # 10.0**N is exact for these N
 _EXACT = 2.0 ** 49  # below it rint(y) is exact and y - rint(y) has no rounding
 _COMMA, _NEWLINE, _MINUS, _POINT, _ZERO = b",\n-.0"
+_PAD = b"\xff"  # no UTF-8 encoding holds it: write_csv deletes every one
 
 
-def _per_value(spec: str, values: np.ndarray):
-    """The box and keep mask of ``spec % v`` for each of ``values``, in UTF-8."""
+def _per_value(spec: str, values: np.ndarray) -> np.ndarray:
+    """The padded box of ``spec % v`` for each of ``values``, in UTF-8."""
     encoded = [(spec % v).encode("utf-8") for v in values.tolist()]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    box = np.zeros(keep.shape, np.uint8)
-    box[keep] = np.frombuffer(b"".join(encoded), np.uint8)
-    return box, keep
+    width = max(map(len, encoded), default=0)
+    padded = b"".join(e.ljust(width, _PAD) for e in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
-def _digits(mag: np.ndarray, negative: np.ndarray, n: int):
-    """The box and keep mask of ``[-]i[.f]``: the unsigned integers ``mag``
-    over ``10**n``, with ``n`` fraction digits and no leading zeros."""
+def _digits(mag: np.ndarray, negative: np.ndarray, n: int) -> np.ndarray:
+    """The padded box of ``[-]i[.f]``: the unsigned integers ``mag`` over
+    ``10**n``, with ``n`` fraction digits and no leading zeros."""
     d = max(len(str(mag.max(initial=0))), n + 1)  # digits, at least one before the point
     point = 1 + d - n  # column of the point, after the sign and the integer digits
-    box = np.zeros((mag.size, 1 + d + (n > 0)), np.uint8)
-    keep = np.ones(box.shape, bool)
-    keep[:, 0] = negative
+    box = np.empty((mag.size, 1 + d + (n > 0)), np.uint8)
     columns = [*range(1, point), *range(point + 1, box.shape[1])]
     q, t = mag.copy(), np.empty_like(mag)
     for c in reversed(columns):
         np.floor_divide(q, 10, out=t)
         box[:, c] = q - t * 10
         q, t = t, q
-    for j, c in enumerate(columns[:d - n - 1]):
-        keep[:, c] = mag >= np.uint64(10 ** (d - 1 - j))
     box[:, 1:] += _ZERO
-    box[:, 0] = _MINUS
+    box[:, 0] = np.where(negative, _MINUS, _PAD[0])
+    for j, c in enumerate(columns[:d - n - 1]):
+        box[mag < np.uint64(10 ** (d - 1 - j)), c] = _PAD[0]
     if n:
         box[:, point] = _POINT
-    return box, keep
+    return box
 
 
-def _floats(spec: str, n: int, x: np.ndarray):
-    """``_per_value(spec, x)`` for ``spec == "%.{n}f"``, per value only
-    where ``rint`` cannot be shown to round as ``%`` does."""
+def _floats(spec: str, n: int, x: np.ndarray) -> np.ndarray:
+    """The padded box of ``spec % v`` for each of ``x``, ``spec == "%.{n}f"``:
+    per value only where ``rint`` cannot be shown to round as ``%`` does."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.abs(x) * 10.0 ** n
         q = np.rint(y)
         exact = (y < _EXACT) & (0.5 - np.abs(y - q) > np.spacing(y))
-    box, keep = _digits(np.where(exact, q, 0.0).astype(np.uint64), np.signbit(x), n)
+    box = _digits(np.where(exact, q, 0.0).astype(np.uint64), np.signbit(x), n)
     if exact.all():
-        return box, keep
+        return box
     rows = ~exact
-    other, other_keep = _per_value(spec, x[rows])
+    other = _per_value(spec, x[rows])
     width = max(box.shape[1], other.shape[1])
-    box, keep = _widened(box, width), _widened(keep, width)
-    box[rows], keep[rows] = _widened(other, width), _widened(other_keep, width)
-    return box, keep
+    box = _widened(box, width)
+    box[rows] = _widened(other, width)
+    return box
 
 
-def _widened(a: np.ndarray, width: int) -> np.ndarray:
-    """``a`` padded on the right with zeros to ``width`` columns."""
-    out = np.zeros((a.shape[0], width), a.dtype)
-    out[:, :a.shape[1]] = a
+def _widened(box: np.ndarray, width: int) -> np.ndarray:
+    """``box`` padded on the right to ``width`` columns."""
+    out = np.full((box.shape[0], width), _PAD[0], np.uint8)
+    out[:, :box.shape[1]] = box
     return out
 
 
-def _cells(spec: str, values: np.ndarray):
-    """The box and keep mask of ``spec % v`` for each of ``values``."""
+def _cells(spec: str, values: np.ndarray) -> np.ndarray:
+    """The padded box of ``spec % v`` for each of ``values``."""
     kind = values.dtype.kind
     fixed = _FIXED.fullmatch(spec)
     if fixed and kind == "f" and values.dtype.itemsize <= 8:
@@ -102,14 +102,13 @@ def _cells(spec: str, values: np.ndarray):
 
 def _column(spec: str, *data):
     """The row count of a column and a function of a row range ``(a, b)``
-    giving its box and keep mask."""
+    giving its padded box."""
     if len(data) == 1:
         values = np.asarray(data[0])
         return len(values), lambda a, b: _cells(spec, values[a:b])
-    box, keep = _cells(spec, np.asarray(data[0]))
+    box = _cells(spec, np.asarray(data[0]))
     index = np.asarray(data[1])
-    return len(index), lambda a, b: (np.take(box, index[a:b], axis=0),
-                                     np.take(keep, index[a:b], axis=0))
+    return len(index), lambda a, b: np.take(box, index[a:b], axis=0)
 
 
 def write_csv(path, *columns) -> None:
@@ -125,11 +124,8 @@ def write_csv(path, *columns) -> None:
         for a in range(0, n_rows[0], _BLOCK):
             b = min(a + _BLOCK, n_rows[0])
             comma = np.full((b - a, 1), _COMMA, np.uint8)
-            kept = np.ones(comma.shape, bool)
-            boxes, keeps = [], []
+            boxes = []  # frees the last block's boxes before this block's are built
             for cell in cells:
-                box, keep = cell(a, b)
-                boxes += [box, comma]
-                keeps += [keep, kept]
+                boxes += [cell(a, b), comma]
             boxes[-1] = np.full(comma.shape, _NEWLINE, np.uint8)
-            fh.write(np.concatenate(boxes, axis=1)[np.concatenate(keeps, axis=1)])
+            fh.write(np.concatenate(boxes, axis=1).tobytes().translate(None, _PAD))

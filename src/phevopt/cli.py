@@ -222,8 +222,9 @@ def _write_plot(path: Path, run: HybridRun) -> None:
     if run.roll is not None:
         idx = run.entry_index
         t0 = float(t[idx])
-        n = run.demand.n_intervals
-        t_end = np.minimum(np.arange(1, n + 1) * run.demand.dt_s, float(t[-1]) - t0) + t0
+        demand = run.policy.demand
+        n = demand.n_intervals
+        t_end = np.minimum(np.arange(1, n + 1) * demand.dt_s, float(t[-1]) - t0) + t0
         v = np.concatenate((v[: idx + 1], np.interp(t_end, t, v)))
         t = np.concatenate((t[: idx + 1], t_end))
         soc = np.concatenate((soc[: idx + 1], run.roll.soc_trajectory[1:]))
@@ -239,15 +240,16 @@ def cmd_simulate(args) -> int:
         rows.append(("genset_transitions",
                      str(len(run.trace.genset_transition_times()))))
     if run.roll is not None:
+        n = run.policy.demand.n_intervals
         rows += [
             ("dp_fuel_kwh", _fmt(run.roll.fuel_kwh)),
-            ("dp_intervals", str(run.demand.n_intervals)),
+            ("dp_intervals", str(n)),
             ("dp_null_intervals", str(run.roll.null_intervals)),
         ]
         write_policy(run.policy, out / "policy.csv")
-        labels = np.array([d.label for d in run.cfg.decisions], dtype=object)
+        labels = np.array([d.label for d in run.policy.cfg.decisions], dtype=object)
         write_csv(out / "dp_schedule.csv",
-                  ("k", "%d", np.arange(run.demand.n_intervals)),
+                  ("k", "%d", np.arange(n)),
                   ("soc_pct", "%.6f", run.roll.soc_trajectory[:-1]),
                   ("decision", "%s", labels, run.roll.decision_indices))
     _write_plot(out / "plot.csv", run)

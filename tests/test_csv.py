@@ -39,13 +39,17 @@ ROW_COUNTS = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 SPECIAL = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e300, -1e300, 0.0005, 2.5e-10)
 # the writer's working memory per row of ``wide_columns``, the widest file's
-# shape: each column's bytes and keep mask, their concatenation and the kept
-# bytes; measures 606
-CSV_BYTES_PER_ROW = 650
+# shape: each column's padded bytes, their concatenation, its copy as bytes
+# and the bytes left once the pads are deleted; measures 308
+CSV_BYTES_PER_ROW = 330
 # tracemalloc peak of write_policy on three_lap's policy (115 x 501 rows):
-# measures 0.92 MB, of which 0.17 MB are the k and soc_grid indices; with
+# measures 0.64 MB, of which 0.17 MB are the k and soc_grid indices; with
 # int64 indices it measured 1.67 MB
-POLICY_WRITE_PEAK = 1_000_000
+POLICY_WRITE_PEAK = 700_000
+# text whose UTF-8 sits next to the writer's pad byte 0xFF (C3 BF, EF BF BF,
+# F4 8F BF BF), bytes a row's own syntax uses, and the empty string, which is
+# all pad
+NEAR_PAD = ("\u00ff", "\uffff", "\U0010ffff", "\x00", ",", "\n", "")
 
 
 def reference_rows(columns) -> str:
@@ -89,7 +93,8 @@ def reference_policy(policy) -> str:
 
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats())
 signs = st.sampled_from((1.0, -1.0))
-words = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+words = st.text(st.one_of(st.sampled_from("".join(NEAR_PAD)),
+                          st.characters(blacklist_categories=("Cs",))), max_size=6)
 # what a backward sweep can store: non-negative fuel, or +inf when unreachable
 costs = st.one_of(st.sampled_from([x for x in SPECIAL if x >= 0]),
                   st.floats(min_value=0.0))
@@ -198,6 +203,25 @@ class TestWriteCsv:
                        ("x", "%.3f", [0.5, -2.0], index)) == (
             "s,x\n\u00e9\n,-2.000\na\x00,b,0.500\na\x00,b,0.500\n\u00e9\n,-2.000\n"
         ).encode()
+
+    def test_text_next_to_the_pad_byte_is_kept(self, tmp_path_factory):
+        labels = np.array(NEAR_PAD, dtype=object)
+        index = np.arange(len(labels))[::-1]
+        assert written(tmp_path_factory, ("plain", "%s", labels),
+                       ("coded", "%s", labels, index)) == reference_rows(
+            [("plain", "%s", labels), ("coded", "%s", labels[index])]).encode("utf-8")
+
+    @pytest.mark.parametrize("n", (0, 9, _BLOCK + 1))
+    @given(table=st.lists(words, min_size=1, max_size=8),
+           picks=st.lists(st.integers(0, 7), min_size=1, max_size=24))
+    @settings(max_examples=20, deadline=None)
+    def test_text_matches_row_loop(self, tmp_path_factory, n, table, picks):
+        labels = np.array(table, dtype=object)
+        index = np.resize(np.asarray(picks) % len(labels), n)
+        plain = labels[index]
+        assert written(tmp_path_factory, ("plain", "%s", plain),
+                       ("coded", "%s", labels, index)) == reference_rows(
+            [("plain", "%s", plain), ("coded", "%s", plain)]).encode("utf-8")
 
     def test_working_memory_is_bounded_per_row(self, tmp_path):
         columns = wide_columns(5 * _BLOCK + 7)
@@ -324,7 +348,7 @@ class TestWritersMatchRowLoops:
         n, m = run.policy.decision_idx.shape
         assert n > 1 and m > 1
         for name, entries in (("k", n), ("soc_grid", m),
-                              ("decision_label", len(run.cfg.decisions))):
+                              ("decision_label", len(run.policy.cfg.decisions))):
             spec, table, index = columns[name]
             assert len(table) == entries
             assert len(index) == n * m
@@ -356,5 +380,5 @@ class TestWritersMatchRowLoops:
         assert np.isinf(numbers).all()
         assert numbers.size == np.isinf(run.policy.cost_to_go[:n]).sum() > 0
         assert sorted(len(v) for spec, v in seen if spec == "%s") == [
-            2, len(run.cfg.decisions)]
+            2, len(run.policy.cfg.decisions)]
         assert ",inf\n" in (tmp_path / "policy.csv").read_text(encoding="utf-8")

@@ -1012,9 +1012,9 @@ class TestSweepMatchesReference:
         # the demand the CLI solves: the trip's charge-sustaining remainder,
         # which is the whole lap for obd_single_lap (it starts at the trigger)
         run = run_dp_hybrid(load_scenario(scenario_dir / name))
-        cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
+        cfg = replace(run.policy.cfg, grid_step=grid_step or run.policy.cfg.grid_step,
                       obd_enabled=obd)
-        assert_sweeps_equal(run.demand, cfg, cfg.terminal_rule.resolve(cfg))
+        assert_sweeps_equal(run.policy.demand, cfg, cfg.terminal_rule.resolve(cfg))
 
 
 #: Bytes of working memory the backward sweep may hold per cell of its block
@@ -1304,9 +1304,9 @@ class TestForwardMatchesReference:
     def test_shipped_fixtures(self, scenario_dir, name, grid_step, obd):
         sc = load_scenario(scenario_dir / name)
         run = run_dp_hybrid(sc)
-        cfg = replace(run.cfg, grid_step=grid_step or run.cfg.grid_step,
+        cfg = replace(run.policy.cfg, grid_step=grid_step or run.policy.cfg.grid_step,
                       obd_enabled=obd)
         start = cfg.initial_soc
-        assert_rollouts_equal(solve(run.demand, cfg), start)
-        assert_replays_equal(run.demand, cfg, start, sc.rule.cs_trigger,
+        assert_rollouts_equal(solve(run.policy.demand, cfg), start)
+        assert_replays_equal(run.policy.demand, cfg, start, sc.rule.cs_trigger,
                              sc.rule.soc_high)
