@@ -430,10 +430,12 @@ def check_demand_interval(d: DemandProfile, cfg: DpConfig) -> None:
             f"interval dt_s={cfg.dt_s:g} s")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpPolicy:
     """Backward-induction output with the problem it solves: on ``cfg``'s grid,
-    the optimal cost-to-go and minimizing decision for each ``demand`` interval.
+    the minimizing decision for each ``demand`` interval and the optimal
+    cost-to-go, either of every stage or of stage 0 alone (all a rollout
+    reads; ``solve(..., keep_costs=False)``).
 
     Raises ``ValueError`` when the tables' shapes or the demand's interval
     disagree with ``demand`` and ``cfg``, or when ``decision_idx`` holds
@@ -441,18 +443,21 @@ class DpPolicy:
 
     cfg: DpConfig
     demand: DemandProfile
-    cost_to_go: np.ndarray      # (N+1, M) kWh fuel
+    cost_to_go: np.ndarray      # (N+1, M) or stage 0's (1, M), kWh fuel
     decision_idx: np.ndarray    # (N, M) unsigned index into `cfg.decisions`
 
     def __post_init__(self) -> None:
         check_demand_interval(self.demand, self.cfg)
         n, m = self.demand.n_intervals, self.cfg.n_states
-        for name, table, shape in (("decision_idx", self.decision_idx, (n, m)),
-                                   ("cost_to_go", self.cost_to_go, (n + 1, m))):
-            if table.shape != shape:
-                raise ValueError(
-                    f"{name} has shape {table.shape}, but a demand of {n} "
-                    f"intervals on a grid of {m} states needs {shape}")
+        if self.decision_idx.shape != (n, m):
+            raise ValueError(
+                f"decision_idx has shape {self.decision_idx.shape}, but a demand of "
+                f"{n} intervals on a grid of {m} states needs {(n, m)}")
+        if self.cost_to_go.shape not in ((n + 1, m), (1, m)):
+            raise ValueError(
+                f"cost_to_go has shape {self.cost_to_go.shape}, but a demand of "
+                f"{n} intervals on a grid of {m} states needs {(n + 1, m)}, or "
+                f"{(1, m)} for stage 0 alone")
         if self.decision_idx.dtype.kind != "u":
             raise ValueError(f"decision_idx has dtype {self.decision_idx.dtype}, "
                              f"but indices into cfg.decisions are unsigned integers")

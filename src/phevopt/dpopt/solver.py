@@ -15,9 +15,12 @@ adds its stage cost and takes the minimum. The blocks share one workspace,
 allocated once per sweep: each block writes its transitions, indices,
 weights, stage costs and tie table into the workspace's leading slices, so
 that a block allocates only small temporaries and a cold process does not
-map and fault in fresh block arrays again and again. ``forward`` is the one
-per-interval loop over a demand: the policy rollout and the thermostat
-replay are two decision rules passed to it.
+map and fault in fresh block arrays again and again. A block's stages write
+their cost-to-go rows into the (N+1) x M table, or, in a solve whose policy
+is never exported (``keep_costs=False``), into a ring of one block's rows
+plus one, which returns the stage-0 row, the only one a rollout reads.
+``forward`` is the one per-interval loop over a demand: the policy rollout
+and the thermostat replay are two decision rules passed to it.
 """
 
 from __future__ import annotations
@@ -49,14 +52,16 @@ from .problem import (
 #: table). The moves of ``cs_moves`` (9 bytes per decision and state) live
 #: for the whole sweep. With them, the one-byte temporaries of each block's
 #: calls and the (decisions x states) ones of each stage, the sweep's
-#: working memory measures 47.0 bytes per cell at 2501 states. 2 ** 15
-#: cells swept 2-3% faster but raised the peak RSS of a CLI run by up to
-#: 0.9 MB (2%).
+#: working memory measures 47.0 bytes per cell at 2501 states. Without the
+#: cost table, the ring of B + 1 cost rows for a block of B stages is working
+#: memory too: 8 (B + 1) / (B x decisions) bytes per cell, 3 at 2501 states
+#: and 4 decisions. 2 ** 15 cells swept 2-3% faster but raised the peak RSS
+#: of a CLI run by up to 0.9 MB (2%).
 BLOCK_CELLS = 20_480
 
 
-def backward_sweep(d: DemandProfile, cfg: DpConfig,
-                   terminal_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def backward_sweep(d: DemandProfile, cfg: DpConfig, terminal_threshold: float, *,
+                   keep_costs: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Backward induction over the SOC grid under the ``cs_moves`` and
     ``cs_drain`` rule.
 
@@ -67,19 +72,30 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
     ties: counting down from the last decision, each decision before the
     first tie takes one off.
 
-    Returns (cost_to_go (N+1, M) float64, decision_idx (N, M) in
-    ``np.min_scalar_type`` of the last decision index).
+    Returns (cost_to_go, decision_idx (N, M) in ``np.min_scalar_type`` of the
+    last decision index). ``cost_to_go`` is float64: every stage's row,
+    (N+1, M), or with ``keep_costs=False`` the stage-0 row alone, (1, M), the
+    only row a rollout reads. Both modes give the same bits in what they
+    return.
     """
     grid = cfg.grid()
     n, m = d.n_intervals, grid.size
     fuel = cfg.fuel_array()[:, None]
     last = fuel.size - 1
-    cost_to_go = np.empty((n + 1, m))  # the stages fill rows 0..n-1
     decision_idx = np.empty((n, m), dtype=np.min_scalar_type(last))
-    cost_to_go[n] = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
+    terminal = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
+    per_block = max(1, BLOCK_CELLS // fuel.size // m)
+    if keep_costs:
+        cost_to_go = np.empty((n + 1, m))  # the stages fill rows 0..n-1
+        cost_to_go[n] = terminal
+    else:
+        # a ring of one block's rows: between blocks, row 0 holds the
+        # cost-to-go of the stage that ends the next block, whose row nb it
+        # becomes
+        ring = np.empty((min(per_block, n) + 1, m))
+        ring[0] = terminal
 
     moves = cs_moves(cfg, grid, cfg.delta_array()[:, None])  # the same in every block
-    per_block = max(1, BLOCK_CELLS // fuel.size // m)
     # the workspace (see BLOCK_CELLS): w holds the successors, then the
     # weights; ok the admissible moves, then the inadmissible ones, then the
     # tie table
@@ -92,29 +108,38 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig,
         nb = stop - start
         if nb < len(w):  # the last block, at the start of the demand
             w, js, jds, costs, ok = (a[:nb] for a in workspace)
+        # rows[b] is the cost-to-go of stage start + b, for b in 0..nb
+        if keep_costs:
+            rows = cost_to_go[start:stop + 1]
+        else:
+            rows = ring[:nb + 1]
+            rows[nb] = rows[0]
         cs_drain(cfg, *moves, d.d_pct[start:stop, None, None], out=(w, ok))
         interp_index(w, cfg.soc_min, cfg.grid_spacing, m, out=(js, jds, w))
         # inadmissible moves cost inf, and x + inf == inf for every x in [0, inf]
         np.copyto(costs, fuel)
         np.copyto(costs, np.inf, where=np.logical_not(ok, out=ok))
         for b in range(nb - 1, -1, -1):
-            k = start + b
             cost = costs[b]
-            cost += interp_apply(cost_to_go[k + 1], js[b], jds[b], w[b])
-            np.minimum.reduce(cost, axis=0, out=cost_to_go[k])
+            cost += interp_apply(rows[b + 1], js[b], jds[b], w[b])
+            np.minimum.reduce(cost, axis=0, out=rows[b])
         # all-inf states tie at 0, as inf == inf
-        tied = np.equal(costs, cost_to_go[start:stop, None], out=ok).view(np.uint8)
+        tied = np.equal(costs, rows[:nb, None], out=ok).view(np.uint8)
         best = decision_idx[start:stop]
         best[:] = last
         seen = np.zeros(best.shape, np.uint8)
         for a in range(last):
             seen |= tied[:, a]
             best -= seen
-    return cost_to_go, decision_idx
+    return (cost_to_go if keep_costs else ring[:1].copy()), decision_idx
 
 
-def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
+def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True) -> DpPolicy:
     """Backward induction over the quantized SOC grid.
+
+    The policy's tables are read-only. With ``keep_costs=False`` its
+    cost-to-go holds the stage-0 row alone: enough for ``rollout`` and
+    ``optimal_cost``, not for ``write_policy``.
 
     Raises
     ------
@@ -129,7 +154,9 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
     """
     check_demand_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
-    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
+    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold, keep_costs=keep_costs)
+    cost_to_go.setflags(write=False)
+    decision_idx.setflags(write=False)
     policy = DpPolicy(cfg, d, cost_to_go, decision_idx)
 
     if cfg.initial_soc is not None:
@@ -137,6 +164,8 @@ def solve(d: DemandProfile, cfg: DpConfig) -> DpPolicy:
     else:
         unreachable = not np.isfinite(cost_to_go[0]).any()
     if unreachable:
+        if not keep_costs:  # naming the stage reads every row: sweep again
+            cost_to_go = backward_sweep(d, cfg, threshold)[0]
         stage = None
         for k in range(d.n_intervals, -1, -1):
             if not np.isfinite(cost_to_go[k]).any():
@@ -232,8 +261,14 @@ def rollout(policy: DpPolicy, initial_soc: float) -> RolloutResult:
 
 
 def write_policy(policy: DpPolicy, path) -> None:
-    """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``."""
+    """Export a policy as CSV rows ``k,soc_grid,decision_label,cost_to_go_kwh``.
+
+    Raises ``ValueError``, and writes no file, when the policy holds only the
+    stage-0 cost-to-go row (``solve(..., keep_costs=False)``)."""
     n, m = policy.decision_idx.shape
+    if len(policy.cost_to_go) != n + 1:
+        raise ValueError("the policy's cost-to-go table was not kept (solved with "
+                         "keep_costs=False); policy.csv needs every stage's row")
     labels = np.array([d.label for d in policy.cfg.decisions], dtype=object)
     # the narrowest index type: these two indices live for the whole write
     k = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), m)

@@ -48,7 +48,10 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     results = {}
     for enabled in (False, True):
         branch_cfg = replace(cfg, obd_enabled=enabled)
-        results[enabled] = rollout(solve(demand, branch_cfg), cfg.initial_soc)
+        # the rollout reads the stage-0 costs alone, and the policy goes
+        # with it before the next solve
+        results[enabled] = rollout(solve(demand, branch_cfg, keep_costs=False),
+                                   cfg.initial_soc)
     off, on = results[False], results[True]
     increase = on.cs_ec_wh_per_km - off.cs_ec_wh_per_km
     pct = increase / off.cs_ec_wh_per_km * 100.0 if off.cs_ec_wh_per_km > 0 else 0.0

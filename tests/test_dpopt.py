@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phevopt import BatteryParams, DriveCycle, VehicleParams, build_demand
+from phevopt import BatteryParams, DriveCycle, VehicleParams, build_demand, repeat_cycle
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
     Decision,
@@ -413,6 +413,28 @@ class TestInfeasibility:
             replace(policy, demand=DemandProfile(np.zeros(4), 10.0, 1.0))
         with pytest.raises(ValueError, match=r"cost_to_go has shape \(3, 501\)"):
             replace(policy, cost_to_go=policy.cost_to_go[:-1])
+        # stage 0 alone is the one other shape
+        with pytest.raises(ValueError, match=r"cost_to_go has shape \(2, 501\), .* "
+                           r"needs \(4, 501\), or \(1, 501\) for stage 0 alone"):
+            replace(policy, cost_to_go=policy.cost_to_go[:2])
+        row = replace(policy, cost_to_go=policy.cost_to_go[:1])
+        assert row.optimal_cost(14.3) == policy.optimal_cost(14.3)
+
+    @pytest.mark.parametrize("keep_costs", [True, False])
+    def test_policy_is_frozen_and_its_tables_read_only(self, decisions, keep_costs):
+        # no field can be swapped past the shape checks, and no cell of
+        # solve's tables written
+        cfg = DpConfig(decisions=decisions, initial_soc=14.0)
+        policy = solve(DemandProfile(np.asarray([0.1, 0.05]), 10.0, 1.0), cfg,
+                       keep_costs=keep_costs)
+        with pytest.raises(FrozenInstanceError):
+            policy.cost_to_go = policy.cost_to_go[:1]
+        with pytest.raises(FrozenInstanceError):
+            policy.demand = one_interval(0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            policy.cost_to_go[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            policy.decision_idx[0, 0] = 1
 
     def test_policy_refuses_a_signed_table(self, decisions):
         # a -1 would read as the last label in write_policy and the last
@@ -748,6 +770,16 @@ class TestWritePolicy:
         write_policy(policy, path)
         assert ",inf" in path.read_text()
 
+    def test_refuses_a_policy_without_its_cost_table(self, tmp_path, decisions):
+        # the stage-0 row alone cannot fill the cost column
+        cfg = DpConfig(decisions=decisions, initial_soc=14.0)
+        policy = solve(DemandProfile(np.asarray([0.1, 0.05]), 10.0, 1.0), cfg,
+                       keep_costs=False)
+        path = tmp_path / "policy.csv"
+        with pytest.raises(ValueError, match="cost-to-go table was not kept"):
+            write_policy(policy, path)
+        assert not path.exists()
+
 
 # References: the CS transition rule and one backward-sweep stage as first
 # written, with a fresh array per step, both interpolation corners gathered,
@@ -849,6 +881,32 @@ class TestSweepMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_random_instances(self, inst):
         assert_sweeps_equal(*inst)
+
+    @given(inst=sweep_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stage_zero_row_without_the_table(self, inst, data):
+        # a ring of one block's rows gives the table's stage-0 row and the
+        # same decisions, bit for bit; at 2501 states a block holds 1-2
+        # stages, so the ring hands a row over between many blocks
+        d, cfg, threshold = inst
+        cost, idx = backward_sweep(d, cfg, threshold)
+        row, ring_idx = backward_sweep(d, cfg, threshold, keep_costs=False)
+        assert same_bits(row, cost[:1]) and same_bits(ring_idx, idx)
+        # solve names the same stage in both modes, from every grid state
+        # and from one designated initial state
+        initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
+        cfg = replace(cfg, initial_soc=initial,
+                      terminal_rule=TerminalRule.at(threshold))
+        try:
+            full = solve(d, cfg)
+        except InfeasibleProblemError as exc:
+            with pytest.raises(InfeasibleProblemError) as ring:
+                solve(d, cfg, keep_costs=False)
+            assert (str(ring.value), ring.value.stage) == (str(exc), exc.stage)
+        else:
+            ring = solve(d, cfg, keep_costs=False)
+            assert same_bits(ring.cost_to_go, full.cost_to_go[:1])
+            assert same_bits(ring.decision_idx, full.decision_idx)
 
     @given(inst=sweep_instances(), soc=st.floats(11.0, 18.0))
     @settings(max_examples=200, deadline=None)
@@ -1042,30 +1100,62 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions, obd):
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
 
 
-def test_consecutive_solves_share_no_memory(decisions):
+#: Bytes ``obd_study`` holds at its peak beyond one decision table and the
+#: sweep's block budget: the ring of cost rows (3 x 2501 float64, 60 kB), the
+#: stage-0 row it returns, the demand and the first branch's rollout.
+#: 414 x 2501 x 4 measures 76.7 kB; a whole cost table is 8.3 MB.
+OBD_STUDY_MARGIN = 80_000
+
+
+def test_obd_study_keeps_no_cost_table(scenario_dir):
+    # the cs_sweep size: three laps of obd_single_lap at a 0.002 grid step,
+    # each branch's policy dropped once it is rolled out
+    sc = load_scenario(scenario_dir / "obd_single_lap.ini")
+    cycle = repeat_cycle(sc.cycle, 3)
+    cfg = replace(sc.dp, grid_step=0.002)
+    tracemalloc.start()
+    try:
+        study = obd_study(cycle, sc.vp, sc.assembly, sc.bp, cfg,
+                          sc.calibration.energy_scale, sc.rule.regen_current_limit_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m = study.trajectory_with.size - 1, cfg.n_states
+    assert (n, m, len(cfg.decisions)) == (414, 2501, 4)
+    assert peak < n * m + BLOCK_CELLS * SWEEP_BYTES_PER_CELL + OBD_STUDY_MARGIN
+
+
+@pytest.mark.parametrize("keep_costs", [True, False])
+def test_consecutive_solves_share_no_memory(decisions, keep_costs):
     # obd_study's two solves, OBD off and then on: the second sweep must
     # leave the first one's tables as they were
     d = DemandProfile(np.random.default_rng(1).uniform(-0.3, 0.5, 21), 10.0, 1.0)
     cfgs = [DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd)
             for obd in (False, True)]
-    sweeps = [backward_sweep(d, cfg, 14.0) for cfg in cfgs]
+    sweeps = [backward_sweep(d, cfg, 14.0, keep_costs=keep_costs) for cfg in cfgs]
     for a in sweeps[0]:
         for b in sweeps[1]:
             assert not np.shares_memory(a, b)
     for (cost, idx), cfg in zip(sweeps, cfgs):
         expect_cost, expect_idx = reference_sweep(d, cfg, 14.0)
+        if not keep_costs:
+            expect_cost = expect_cost[:1]
         assert np.array_equal(cost, expect_cost) and np.array_equal(idx, expect_idx)
 
 
-def test_policy_tables_take_nine_bytes_per_cell(decisions):
-    # a float64 cost-to-go and one byte per decision cell for four decisions
+@pytest.mark.parametrize("keep_costs", [True, False])
+def test_policy_tables_take_nine_bytes_per_cell(decisions, keep_costs):
+    # a float64 cost-to-go and one byte per decision cell for four decisions;
+    # without the cost table, the stage-0 row alone
     cfg = DpConfig(decisions=decisions, grid_step=0.002)
     n, m = 7, cfg.n_states
     policy = solve(DemandProfile(np.full(n, 0.1), 10.0, 1.0),
-                   replace(cfg, terminal_rule=TerminalRule.at_soc_min()))
+                   replace(cfg, terminal_rule=TerminalRule.at_soc_min()),
+                   keep_costs=keep_costs)
     assert len(decisions) == 4
     assert policy.decision_idx.dtype == np.uint8
-    assert policy.cost_to_go.nbytes + policy.decision_idx.nbytes == (n + 1) * m * 8 + n * m
+    rows = n + 1 if keep_costs else 1
+    assert policy.cost_to_go.nbytes + policy.decision_idx.nbytes == rows * m * 8 + n * m
 
 
 class TestInterpShapes:
