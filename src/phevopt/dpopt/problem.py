@@ -281,23 +281,27 @@ def default_decisions(point: GenSetPoint,
     return tuple(decs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandProfile:
     """Per-interval SOC drain from the driving load, % per interval.
-    Negative entries are net-regeneration intervals."""
+    Negative entries are net-regeneration intervals. The profile holds its
+    own read-only copy of the drains, so the policies solved on it cannot
+    be moved under them."""
 
     d_pct: np.ndarray
     dt_s: float
     distance_km: float
 
     def __post_init__(self) -> None:
-        self.d_pct = np.asarray(self.d_pct, dtype=float)
-        if self.d_pct.ndim != 1 or self.d_pct.size < 1:
+        d_pct = np.array(self.d_pct, dtype=float)
+        if d_pct.ndim != 1 or d_pct.size < 1:
             raise ValueError("demand profile needs at least one interval")
-        if not np.all(np.isfinite(self.d_pct)):
+        if not np.all(np.isfinite(d_pct)):
             raise ValueError("demand entries must be finite")
         if self.dt_s <= 0 or self.distance_km < 0:
             raise ValueError("dt must be positive and distance nonnegative")
+        d_pct.setflags(write=False)
+        object.__setattr__(self, "d_pct", d_pct)
 
     @property
     def n_intervals(self) -> int:

@@ -2,31 +2,40 @@
 
 Each stage of the backward sweep evaluates every decision from every grid
 state at once, as one (decisions x states) array, and keeps the cheapest
-decision per state. What reads no drain (``cs_moves``: the moved SOC, the
-charge gate and the null mask, each (decisions x states)) is computed once
-per solve. What reads the drain but not the next stage's cost-to-go (the
-transitions, their interpolation indices and the stage costs) is computed
-once per block of stages, sized by a fixed cell budget, ``BLOCK_CELLS``;
-so is the tie pick, once the block's cost-to-go is known: one comparison
-of the block's costs with it, then byte arithmetic per decision into a
-table of the narrowest unsigned type (``uint8`` up to 256 decisions). A
-stage itself only reads its indices against the next stage's cost-to-go,
-adds its stage cost and takes the minimum. The blocks share one workspace,
-allocated once per sweep: each block writes its transitions, indices,
-weights, stage costs and tie table into the workspace's leading slices, so
-that a block allocates only small temporaries and a cold process does not
-map and fault in fresh block arrays again and again. A block's stages write
-their cost-to-go rows into the (N+1) x M table, or, in a solve whose policy
-is never exported (``keep_costs=False``), into a ring of one block's rows
-plus one, which returns the stage-0 row, the only one a rollout reads.
-``forward`` is the one per-interval loop over a demand: the policy rollout
-and the thermostat replay are two decision rules passed to it.
+decision per state. The sweep carries columns: problems on one demand,
+grid and decision table that differ at most in ``obd_enabled``. Their
+decisions are rows of one shared set. Columns of one OBD flag read the
+decisions' own rows; an OBD-off and an OBD-on column share rows laid out as
+``[null rows, OBD off | charging rows | null rows, OBD on]``, so each reads
+one contiguous slice of them and the charging rows serve both. What reads
+no drain (``cs_moves``: the moved SOC, the charge gate and the null mask,
+each (rows x states)) is computed once per solve. What reads the drain but
+not the next stage's cost-to-go (the transitions, their interpolation
+indices and the stage costs) is computed once per block of stages over the
+shared rows, sized by a fixed cell budget, ``BLOCK_CELLS``. Each column
+then runs its own stage loop and tie pick over its slice. A stage only
+reads its indices against the column's next cost-to-go row, adds its stage
+cost and takes the minimum. The tie pick, once the block's cost-to-go is
+known, is one comparison of the block's costs with it, then byte
+arithmetic per decision, read at its row of the slice, into a table of the
+narrowest unsigned type (``uint8`` up to 256 decisions). The blocks share
+one workspace, allocated once per sweep: each block writes its
+transitions, indices, weights, stage costs and tie tables into the
+workspace's leading slices, so that a block allocates only small
+temporaries and a cold process does not map and fault in fresh block
+arrays again and again. A column's stages write their cost-to-go rows into
+its (N+1) x M table, or, in a solve whose policy is never exported
+(``keep_costs=False``), into a ring of one block's rows plus one, which
+returns the stage-0 row, the only one a rollout reads. ``solve`` sweeps one
+column, or checks one column of a sweep already run. ``forward`` is the one
+per-interval loop over a demand: the policy rollout and the thermostat
+replay are two decision rules passed to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,15 +64,22 @@ from .problem import (
 #: working memory measures 47.0 bytes per cell at 2501 states. Without the
 #: cost table, the ring of B + 1 cost rows for a block of B stages is working
 #: memory too: 8 (B + 1) / (B x decisions) bytes per cell, 3 at 2501 states
-#: and 4 decisions. 2 ** 15 cells swept 2-3% faster but raised the peak RSS
-#: of a CLI run by up to 0.9 MB (2%).
+#: and 4 decisions. A sweep of an OBD-off and an OBD-on column keeps the
+#: stages per block, so its workspace holds one more row per null decision
+#: (5 rows for 4 decisions); the first column adds a copy of its stage
+#: costs (8 bytes per cell) and each column its table or ring. Without the cost tables its
+#: working memory measures 68.9 bytes per cell at 2501 states, against 49.9
+#: for one column.
+#: 2 ** 15 cells swept 2-3% faster but raised the peak RSS of a CLI run by up
+#: to 0.9 MB (2%).
 BLOCK_CELLS = 20_480
 
 
-def backward_sweep(d: DemandProfile, cfg: DpConfig, terminal_threshold: float, *,
-                   keep_costs: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], terminal_threshold: float,
+                  *, keep_costs: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backward induction over the SOC grid under the ``cs_moves`` and
-    ``cs_drain`` rule.
+    ``cs_drain`` rule, for columns of problems that share one demand, one
+    grid and one decision table and differ at most in ``obd_enabled``.
 
     The terminal cost is 0 at or above the threshold and infinite below;
     inadmissible moves cost infinity. Each state keeps the lowest decision
@@ -72,74 +88,122 @@ def backward_sweep(d: DemandProfile, cfg: DpConfig, terminal_threshold: float, *
     ties: counting down from the last decision, each decision before the
     first tie takes one off.
 
-    Returns (cost_to_go, decision_idx (N, M) in ``np.min_scalar_type`` of the
-    last decision index). ``cost_to_go`` is float64: every stage's row,
-    (N+1, M), or with ``keep_costs=False`` the stage-0 row alone, (1, M), the
-    only row a rollout reads. Both modes give the same bits in what they
-    return.
-    """
-    grid = cfg.grid()
-    n, m = d.n_intervals, grid.size
-    fuel = cfg.fuel_array()[:, None]
-    last = fuel.size - 1
-    decision_idx = np.empty((n, m), dtype=np.min_scalar_type(last))
-    terminal = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
-    per_block = max(1, BLOCK_CELLS // fuel.size // m)
-    if keep_costs:
-        cost_to_go = np.empty((n + 1, m))  # the stages fill rows 0..n-1
-        cost_to_go[n] = terminal
-    else:
-        # a ring of one block's rows: between blocks, row 0 holds the
-        # cost-to-go of the stage that ends the next block, whose row nb it
-        # becomes
-        ring = np.empty((min(per_block, n) + 1, m))
-        ring[0] = terminal
+    The columns share one set of rows, and each reads one contiguous slice
+    of it, a row per decision. Columns of one OBD flag read the decisions'
+    own rows in their order. An OBD-off and an OBD-on column share rows
+    laid out as ``[null rows, OBD off | charging rows | null rows, OBD
+    on]``, and only the OBD-on null rows pay the OBD drain. The transitions,
+    their indices and the stage costs are computed once per block over the
+    whole set. Each column runs its own stage loop and tie pick, which reads
+    each decision at its row of the column's slice. The column swept last
+    adds into the shared stage costs in place; the others add into a copy
+    of them.
 
-    moves = cs_moves(cfg, grid, cfg.delta_array()[:, None])  # the same in every block
+    Returns, per column, (cost_to_go, decision_idx (N, M) in
+    ``np.min_scalar_type`` of the last decision index). ``cost_to_go`` is
+    float64: every stage's row, (N+1, M), or with ``keep_costs=False`` the
+    stage-0 row alone, (1, M), the only row a rollout reads. Both modes, and
+    a column swept alone or beside another, give the same bits.
+    """
+    rule = max(cfgs, key=lambda c: c.obd_enabled)  # the OBD drain, if a column pays it
+    if any(replace(c, obd_enabled=rule.obd_enabled) != rule for c in cfgs if c is not rule):
+        raise ValueError("sweep columns may differ only in obd_enabled")
+    grid = rule.grid()
+    n, m = d.n_intervals, grid.size
+    deltas, fuel = rule.delta_array(), rule.fuel_array()
+    width = deltas.size  # a column reads one row per decision
+    last = width - 1
+    null = deltas == 0.0
+    order = np.arange(width)  # columns of one OBD flag read every row
+    if len({c.obd_enabled for c in cfgs}) == 2:
+        nulls = np.flatnonzero(null)
+        order = np.concatenate([nulls, np.flatnonzero(~null), nulls])
+    # each column's first row, the OBD-on column's being the last width rows,
+    # and the row of each decision from there
+    firsts = [order.size - width if c.obd_enabled else 0 for c in cfgs]
+    positions = [np.argsort(order[s:s + width]).tolist() for s in firsts]
+    drained = null[order, None]  # the null rows that pay the OBD drain
+    drained[:order.size - width] = False
+
+    per_block = max(1, BLOCK_CELLS // width // m)
+    terminal = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
+    tables = [np.empty((n, m), dtype=np.min_scalar_type(last)) for _ in cfgs]
+    # with the table, the stages fill rows 0..n-1 below the terminal row n;
+    # without it, a ring of one block's rows: between blocks, row 0 holds the
+    # cost-to-go of the stage that ends the next block, whose row nb it becomes
+    stores = [np.empty((n + 1 if keep_costs else min(per_block, n) + 1, m)) for _ in cfgs]
+    for store in stores:
+        store[n if keep_costs else 0] = terminal
+
+    moved, gate, _ = cs_moves(rule, grid, deltas[order, None])  # the same in every block
+    fuel = fuel[order, None]
     # the workspace (see BLOCK_CELLS): w holds the successors, then the
     # weights; ok the admissible moves, then the inadmissible ones, then the
-    # tie table
-    shape = (min(per_block, n), fuel.size, m)
+    # tie tables; spare the stage costs of every column but the last
+    shape = (min(per_block, n), order.size, m)
     workspace = (np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64),
-                 np.empty(shape), np.empty(shape, bool))
-    w, js, jds, costs, ok = workspace
+                 np.empty(shape), np.empty(shape, bool),
+                 np.empty((shape[0] if len(cfgs) > 1 else 0, width, m)))
+    w, js, jds, costs, ok, spare = workspace
+    # each column's slice of the stage costs, indices, weights and tie table
+    views = [tuple(a[:, s:s + width] for a in (costs, js, jds, w, ok)) for s in firsts]
     for stop in range(n, 0, -per_block):
         start = max(stop - per_block, 0)
         nb = stop - start
         if nb < len(w):  # the last block, at the start of the demand
-            w, js, jds, costs, ok = (a[:nb] for a in workspace)
-        # rows[b] is the cost-to-go of stage start + b, for b in 0..nb
-        if keep_costs:
-            rows = cost_to_go[start:stop + 1]
-        else:
-            rows = ring[:nb + 1]
-            rows[nb] = rows[0]
-        cs_drain(cfg, *moves, d.d_pct[start:stop, None, None], out=(w, ok))
-        interp_index(w, cfg.soc_min, cfg.grid_spacing, m, out=(js, jds, w))
+            w, js, jds, costs, ok, spare = (a[:nb] for a in workspace)
+            views = [tuple(a[:nb] for a in view) for view in views]
+        cs_drain(rule, moved, gate, drained, d.d_pct[start:stop, None, None], out=(w, ok))
+        interp_index(w, rule.soc_min, rule.grid_spacing, m, out=(js, jds, w))
         # inadmissible moves cost inf, and x + inf == inf for every x in [0, inf]
         np.copyto(costs, fuel)
         np.copyto(costs, np.inf, where=np.logical_not(ok, out=ok))
-        for b in range(nb - 1, -1, -1):
-            cost = costs[b]
-            cost += interp_apply(rows[b + 1], js[b], jds[b], w[b])
-            np.minimum.reduce(cost, axis=0, out=rows[b])
-        # all-inf states tie at 0, as inf == inf
-        tied = np.equal(costs, rows[:nb, None], out=ok).view(np.uint8)
-        best = decision_idx[start:stop]
-        best[:] = last
-        seen = np.zeros(best.shape, np.uint8)
-        for a in range(last):
-            seen |= tied[:, a]
-            best -= seen
-    return (cost_to_go if keep_costs else ring[:1].copy()), decision_idx
+        for c, ((cc, jc, jdc, wc, tie), position, store, table) in enumerate(
+                zip(views, positions, stores, tables)):
+            # the column swept last adds into the shared stage costs in
+            # place; the others into a copy of their own
+            sums = cc
+            if c < len(cfgs) - 1:
+                sums = spare
+                np.copyto(sums, cc)
+            # rows[b] is the cost-to-go of stage start + b, for b in 0..nb
+            if keep_costs:
+                rows = store[start:stop + 1]
+            else:
+                rows = store[:nb + 1]
+                rows[nb] = rows[0]
+            for b in range(nb - 1, -1, -1):
+                cost = sums[b]
+                cost += interp_apply(rows[b + 1], jc[b], jdc[b], wc[b])
+                np.minimum.reduce(cost, axis=0, out=rows[b])
+            # all-inf states tie at 0, as inf == inf
+            tied = np.equal(sums, rows[:nb, None], out=tie).view(np.uint8)
+            best = table[start:stop]
+            best[:] = last
+            seen = np.zeros(best.shape, np.uint8)
+            for a in range(last):
+                seen |= tied[:, position[a]]
+                best -= seen
+    return [((store if keep_costs else store[:1].copy()), table)
+            for store, table in zip(stores, tables)]
 
 
-def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True) -> DpPolicy:
+def backward_sweep(d: DemandProfile, cfg: DpConfig, terminal_threshold: float, *,
+                   keep_costs: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``sweep_columns`` for one problem: (cost_to_go, decision_idx)."""
+    return sweep_columns(d, (cfg,), terminal_threshold, keep_costs=keep_costs)[0]
+
+
+def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
+          swept: tuple[np.ndarray, np.ndarray] | None = None) -> DpPolicy:
     """Backward induction over the quantized SOC grid.
 
     The policy's tables are read-only. With ``keep_costs=False`` its
     cost-to-go holds the stage-0 row alone: enough for ``rollout`` and
-    ``optimal_cost``, not for ``write_policy``.
+    ``optimal_cost``, not for ``write_policy``. ``swept`` takes this
+    problem's (cost_to_go, decision_idx) from a ``sweep_columns`` already
+    run, in either mode, so that problems swept as columns of one sweep are
+    checked here one by one; ``keep_costs`` is then not read.
 
     Raises
     ------
@@ -154,7 +218,9 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True) -> DpPoli
     """
     check_demand_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
-    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold, keep_costs=keep_costs)
+    if swept is None:
+        swept = backward_sweep(d, cfg, threshold, keep_costs=keep_costs)
+    cost_to_go, decision_idx = swept
     cost_to_go.setflags(write=False)
     decision_idx.setflags(write=False)
     policy = DpPolicy(cfg, d, cost_to_go, decision_idx)
@@ -164,7 +230,7 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True) -> DpPoli
     else:
         unreachable = not np.isfinite(cost_to_go[0]).any()
     if unreachable:
-        if not keep_costs:  # naming the stage reads every row: sweep again
+        if len(cost_to_go) == 1:  # naming the stage reads every row: sweep again
             cost_to_go = backward_sweep(d, cfg, threshold)[0]
         stage = None
         for k in range(d.n_intervals, -1, -1):
@@ -184,9 +250,10 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True) -> DpPoli
     return policy
 
 
-@dataclass
+@dataclass(frozen=True)
 class RolloutResult:
-    """One forward pass over a demand from a concrete initial SOC."""
+    """One forward pass over a demand from a concrete initial SOC. Its
+    arrays are read-only."""
 
     soc_trajectory: np.ndarray   # (N+1,) interval-boundary SOC %
     fuel_kwh: float
@@ -223,7 +290,10 @@ def forward(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     ec = fuel * 1000.0 / d.distance_km if d.distance_km > 0 else 0.0
     chosen = np.array(chosen, dtype=np.int32)
     nulls = int(np.count_nonzero(cfg.delta_array()[chosen] == 0.0))
-    return RolloutResult(soc_trajectory=np.array(traj), fuel_kwh=fuel,
+    traj = np.array(traj)
+    traj.setflags(write=False)
+    chosen.setflags(write=False)
+    return RolloutResult(soc_trajectory=traj, fuel_kwh=fuel,
                          cs_ec_wh_per_km=ec, decision_indices=chosen,
                          null_intervals=nulls, feasible=feasible)
 

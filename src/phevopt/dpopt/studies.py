@@ -2,10 +2,13 @@
 
 ``obd_study`` quantifies the energy cost of on-board-diagnostics events
 (the gen-set spinning without producing charge in every non-generating
-interval). ``evaluate_rule_on_demand`` replays the thermostat rule on a
-demand profile through the rollout's own forward pass, as one more
-decision rule over the DP's decision table, so the rule trajectory is a
-valid decision sequence and the DP cost its lower bound.
+interval). Its OBD-off and OBD-on problems differ only in the null
+decision's successors, so one backward sweep solves both, as two columns
+that share every charging transition, and ``solve`` checks each column's
+tables in turn. ``evaluate_rule_on_demand`` replays
+the thermostat rule on a demand profile through the rollout's own forward
+pass, as one more decision rule over the DP's decision table, so the rule
+trajectory is a valid decision sequence and the DP cost its lower bound.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from ..dynamics import VehicleParams
 from ..ems import thermostat_state
 from ..powertrain import BatteryParams, PowertrainAssembly
 from .problem import DemandProfile, DpConfig, build_demand, cs_moves
-from .solver import RolloutResult, forward, rollout, solve
+from .solver import RolloutResult, forward, rollout, solve, sweep_columns
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObdStudy:
     """CS energy consumption with and without OBD events."""
 
@@ -39,20 +42,19 @@ class ObdStudy:
 def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly,
               bp: BatteryParams, cfg: DpConfig, calibration: float,
               regen_current_limit_a: float) -> ObdStudy:
-    """Solve and roll out the CS problem twice over one cycle, with OBD
-    penalties disabled and enabled, from ``cfg.initial_soc``."""
+    """Solve the CS problem over one cycle with OBD penalties disabled and
+    enabled, in one sweep of two columns, and roll out both policies from
+    ``cfg.initial_soc``."""
     if cfg.initial_soc is None:
         raise ValueError("obd_study needs cfg.initial_soc")
     demand = build_demand(cycle, vp, assembly.motor_map, assembly.drivetrain, bp,
                           calibration, cfg.dt_s, regen_current_limit_a)
-    results = {}
-    for enabled in (False, True):
-        branch_cfg = replace(cfg, obd_enabled=enabled)
-        # the rollout reads the stage-0 costs alone, and the policy goes
-        # with it before the next solve
-        results[enabled] = rollout(solve(demand, branch_cfg, keep_costs=False),
-                                   cfg.initial_soc)
-    off, on = results[False], results[True]
+    cfgs = [replace(cfg, obd_enabled=enabled) for enabled in (False, True)]
+    swept = sweep_columns(demand, cfgs, cfg.terminal_rule.resolve(cfg), keep_costs=False)
+    # each branch is checked and rolled out before the next one is checked,
+    # as in two separate solves
+    off, on = (rollout(solve(demand, c, swept=tables), cfg.initial_soc)
+               for c, tables in zip(cfgs, swept))
     increase = on.cs_ec_wh_per_km - off.cs_ec_wh_per_km
     pct = increase / off.cs_ec_wh_per_km * 100.0 if off.cs_ec_wh_per_km > 0 else 0.0
     return ObdStudy(

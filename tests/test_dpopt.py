@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ from phevopt.dpopt.problem import (
     interp_index,
     interp_inf,
 )
-from phevopt.dpopt.solver import BLOCK_CELLS, backward_sweep
+from phevopt.dpopt.solver import BLOCK_CELLS, backward_sweep, sweep_columns
 from phevopt.powertrain import DrivetrainParams
 from phevopt.scenario import load_scenario
 
@@ -225,6 +225,18 @@ class TestDemandProfileValidation:
             DemandProfile(np.asarray([0.1]), 0.0, 1.0)
         with pytest.raises(ValueError):
             DemandProfile(np.asarray([0.1]), 10.0, -1.0)
+
+    def test_holds_its_own_read_only_copy(self):
+        # the policies solved on a demand read its drains: neither the
+        # caller's array nor the profile's may move them
+        drains = np.asarray([0.1, 0.2])
+        d = DemandProfile(drains, 10.0, 1.0)
+        drains[0] = 9.0
+        assert d.d_pct.tolist() == [0.1, 0.2]
+        with pytest.raises(ValueError, match="read-only"):
+            d.d_pct[:] *= 0.5
+        with pytest.raises(FrozenInstanceError):
+            d.d_pct = drains
 
 
 def demand_of(cycle, vp, m, drv, bp, calibration=1.0):
@@ -719,6 +731,44 @@ class TestObdStudy:
         assert study.trajectory_without.size == n
 
 
+def reachable_arrays(obj):
+    """Every numpy array among the fields of a dataclass instance, of the
+    dataclasses and tuples it holds, and so on down."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from reachable_arrays(item)
+
+
+class TestResultsAreReadOnly:
+    @pytest.mark.parametrize("keep_costs", [True, False])
+    def test_every_reachable_array_refuses_writes(self, cycle, vp, assembly, battery,
+                                                  demand, dp_config, keep_costs):
+        policy = solve(demand, dp_config, keep_costs=keep_costs)
+        roll = rollout(policy, 14.0)
+        replay = evaluate_rule_on_demand(demand, dp_config, 14.0, 13.0, 17.0)
+        study = obd_study(cycle, vp, assembly, battery, dp_config,
+                          calibration=1.1584804, regen_current_limit_a=150.0)
+        found = {name: list(reachable_arrays(result)) for name, result in
+                 (("policy", policy), ("rollout", roll), ("replay", replay),
+                  ("study", study))}
+        # the cost and decision tables and the drains; a trajectory and its
+        # decisions; both branches' trajectories
+        assert {k: len(v) for k, v in found.items()} == {
+            "policy": 3, "rollout": 2, "replay": 2, "study": 2}
+        for arrays in found.values():
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = a.flat[0]
+        for result, name in ((roll, "soc_trajectory"), (study, "trajectory_with")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, np.zeros(3))
+
+
 class TestRuleOnDemand:
     def test_rule_is_admissible_and_within_window(self, demand, dp_config):
         out = evaluate_rule_on_demand(demand, dp_config, 14.0,
@@ -907,6 +957,44 @@ class TestSweepMatchesReference:
             ring = solve(d, cfg, keep_costs=False)
             assert same_bits(ring.cost_to_go, full.cost_to_go[:1])
             assert same_bits(ring.decision_idx, full.decision_idx)
+
+    @given(inst=sweep_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_two_columns_match_two_sweeps(self, inst, data):
+        # OBD off and on in one sweep give each problem's own sweep, bit for
+        # bit, with and without the cost tables; the paired rows reorder the
+        # decisions (duplicate nulls included), a lone column does not
+        d, cfg, threshold = inst
+        cfgs = [replace(cfg, obd_enabled=obd) for obd in (False, True)]
+        for keep_costs in (True, False):
+            pair = sweep_columns(d, cfgs, threshold, keep_costs=keep_costs)
+            for column, c in zip(pair, cfgs):
+                alone = backward_sweep(d, c, threshold, keep_costs=keep_costs)
+                assert all(same_bits(x, y) for x, y in zip(column, alone))
+        # solving the swept columns raises what the separate solves raise,
+        # from every grid state and from one designated initial state
+        initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
+        cfgs = [replace(c, initial_soc=initial, terminal_rule=TerminalRule.at(threshold))
+                for c in cfgs]
+        keep_costs = data.draw(st.booleans())
+        pair = sweep_columns(d, cfgs, threshold, keep_costs=keep_costs)
+        for c, swept in zip(cfgs, pair):
+            try:
+                alone = solve(d, c, keep_costs=keep_costs)
+            except InfeasibleProblemError as exc:
+                with pytest.raises(InfeasibleProblemError) as paired:
+                    solve(d, c, swept=swept)
+                assert (str(paired.value), paired.value.stage) == (str(exc), exc.stage)
+                continue
+            policy = solve(d, c, swept=swept)
+            assert policy.cfg == c
+            assert same_bits(policy.cost_to_go, alone.cost_to_go)
+            assert same_bits(policy.decision_idx, alone.decision_idx)
+
+    def test_columns_differ_only_in_obd(self, decisions):
+        cfg = DpConfig(decisions=decisions)
+        with pytest.raises(ValueError, match="differ only in obd_enabled"):
+            sweep_columns(one_interval(0.1), [cfg, replace(cfg, grid_step=0.02)], 14.0)
 
     @given(inst=sweep_instances(), soc=st.floats(11.0, 18.0))
     @settings(max_examples=200, deadline=None)
@@ -1100,16 +1188,23 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions, obd):
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
 
 
-#: Bytes ``obd_study`` holds at its peak beyond one decision table and the
-#: sweep's block budget: the ring of cost rows (3 x 2501 float64, 60 kB), the
-#: stage-0 row it returns, the demand and the first branch's rollout.
-#: 414 x 2501 x 4 measures 76.7 kB; a whole cost table is 8.3 MB.
-OBD_STUDY_MARGIN = 80_000
+#: Bytes of working memory a paired OBD-off/on sweep without cost tables may
+#: hold per cell of the block budget. The stages per block stay those of one
+#: column, but the workspace holds 5 rows per stage for 4 decisions (the
+#: null decision's twice), the first column adds its stage costs (8 bytes
+#: per cell of its 4 rows) and each column has its ring of cost rows.
+#: 414 x 2501 x 4 measures 68.9, against 49.9 for one column.
+PAIRED_BYTES_PER_CELL = 70
+#: Bytes ``obd_study`` holds at its peak beyond its two decision tables and
+#: the paired sweep's working memory: the stage-0 rows, the demand and the
+#: first branch's rollout. 414 x 2501 x 4 measures 45 to 52 kB; a whole
+#: cost table is 8.3 MB.
+OBD_STUDY_MARGIN = 60_000
 
 
 def test_obd_study_keeps_no_cost_table(scenario_dir):
     # the cs_sweep size: three laps of obd_single_lap at a 0.002 grid step,
-    # each branch's policy dropped once it is rolled out
+    # both branches in one sweep, whose rollouts both read a decision table
     sc = load_scenario(scenario_dir / "obd_single_lap.ini")
     cycle = repeat_cycle(sc.cycle, 3)
     cfg = replace(sc.dp, grid_step=0.002)
@@ -1122,25 +1217,26 @@ def test_obd_study_keeps_no_cost_table(scenario_dir):
         tracemalloc.stop()
     n, m = study.trajectory_with.size - 1, cfg.n_states
     assert (n, m, len(cfg.decisions)) == (414, 2501, 4)
-    assert peak < n * m + BLOCK_CELLS * SWEEP_BYTES_PER_CELL + OBD_STUDY_MARGIN
+    assert peak < 2 * n * m + BLOCK_CELLS * PAIRED_BYTES_PER_CELL + OBD_STUDY_MARGIN
 
 
 @pytest.mark.parametrize("keep_costs", [True, False])
 def test_consecutive_solves_share_no_memory(decisions, keep_costs):
-    # obd_study's two solves, OBD off and then on: the second sweep must
-    # leave the first one's tables as they were
+    # two solves in turn, and the two columns of one sweep (OBD off and on):
+    # no table of one shares memory with a table of the other
     d = DemandProfile(np.random.default_rng(1).uniform(-0.3, 0.5, 21), 10.0, 1.0)
     cfgs = [DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd)
             for obd in (False, True)]
-    sweeps = [backward_sweep(d, cfg, 14.0, keep_costs=keep_costs) for cfg in cfgs]
-    for a in sweeps[0]:
-        for b in sweeps[1]:
-            assert not np.shares_memory(a, b)
-    for (cost, idx), cfg in zip(sweeps, cfgs):
-        expect_cost, expect_idx = reference_sweep(d, cfg, 14.0)
-        if not keep_costs:
-            expect_cost = expect_cost[:1]
-        assert np.array_equal(cost, expect_cost) and np.array_equal(idx, expect_idx)
+    for sweeps in ([backward_sweep(d, cfg, 14.0, keep_costs=keep_costs) for cfg in cfgs],
+                   sweep_columns(d, cfgs, 14.0, keep_costs=keep_costs)):
+        for a in sweeps[0]:
+            for b in sweeps[1]:
+                assert not np.shares_memory(a, b)
+        for (cost, idx), cfg in zip(sweeps, cfgs):
+            expect_cost, expect_idx = reference_sweep(d, cfg, 14.0)
+            if not keep_costs:
+                expect_cost = expect_cost[:1]
+            assert np.array_equal(cost, expect_cost) and np.array_equal(idx, expect_idx)
 
 
 @pytest.mark.parametrize("keep_costs", [True, False])

@@ -3,7 +3,8 @@ module imports is used in it (package ``__init__`` files re-export theirs),
 every dataclass field is read somewhere in the package or its tests, every
 exported name is run by some module of the package, and so is every
 function, method and class a module defines. No module reaches the C
-allocator's process-wide settings."""
+allocator's process-wide settings, and one definition is the backward-sweep
+kernel."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,41 @@ def test_allocator_setting_is_found():
                      'getattr(libc, "mallopt")\nfrom glibc import mallopt as tune\n'
                      'print(os.environ.get("MALLOCS"), "no mallopt here")\n')
     assert allocator_settings(tree) == ["MALLOC_ARENA_MAX", "mallopt", "mallopt", "mallopt"]
+
+
+def sweep_kernels(tree: ast.Module) -> list[str]:
+    """Functions in ``tree`` that call both ``interp_index`` and
+    ``cs_drain`` with ``out=``: each writes a block's transitions and their
+    interpolation indices into a workspace, which is what a backward-sweep
+    kernel does."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                      for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and any(k.arg == "out" for k in call.keywords)}
+            if {"interp_index", "cs_drain"} <= called:
+                found.append(node.name)
+    return found
+
+
+def test_one_backward_sweep_kernel():
+    assert [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+            for name in sweep_kernels(ast.parse(p.read_text(encoding="utf-8")))] == [
+        "dpopt/solver.py: sweep_columns"]
+
+
+def test_second_sweep_kernel_is_found():
+    tree = ast.parse("def sweep(cfg, w, ok):\n"
+                     "    cs_drain(cfg, *moves, d, out=(w, ok))\n"
+                     "    interp_index(w, lo, step, m, out=(j, jd, w))\n"
+                     "class Paired:\n"
+                     "    def sweep(self, w):\n"
+                     "        problem.cs_drain(self.cfg, *m, d, out=(w, self.ok))\n"
+                     "        problem.interp_index(w, 12.0, 0.01, 501, out=self.idx)\n"
+                     "def allocating(cfg):\n"
+                     "    return interp_index(cs_drain(cfg, *m, d)[0], 12.0, 0.01, 501)\n"
+                     "def half(w):\n"
+                     "    cs_drain(cfg, *m, d, out=(w, ok))\n"
+                     "    interp_inf(v, w, 12.0, 0.01)\n")
+    assert sweep_kernels(tree) == ["sweep", "sweep"]
