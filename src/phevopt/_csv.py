@@ -1,21 +1,26 @@
 """The column writer behind the package's CSV data files.
 
 ``write_csv`` builds each block of rows as one ``(rows x width)`` byte
-matrix and writes it in one call. Every column fills a box of bytes, one
-row per cell, and pads each cell to the box's width with the byte 0xFF:
-in the sign column of a non-negative number, in place of its leading
-zeros, and past the end of a string's UTF-8. Strict UTF-8 never holds
-0xFF, so deleting every pad byte keeps exactly the cells' bytes, a NUL,
-comma or newline in a label included; what is left, read row by row, is
-the block's lines.
+matrix in a ``bytearray`` and writes it in one call. Every column fills a
+box of bytes, one row per cell, and pads each cell to the box's width
+with the byte 0xFF: in the sign column of a non-negative number, in place
+of its leading zeros, and past the end of a string's UTF-8. Strict UTF-8
+never holds 0xFF, so deleting every pad byte keeps exactly the cells'
+bytes, a NUL, comma or newline in a label included; what is left, read
+row by row, is the block's lines. The block's columns are concatenated
+straight into the buffer, whose pads ``bytearray.translate`` deletes.
 
 ``%.Nf`` of a float and ``%d`` of an integer are formatted with array
 arithmetic, from the digits of the integer ``rint(|x| * 10**N)``. For a
 scaled value below 2**49 and more than one ulp from a half-integer,
 ``rint`` provably rounds it the way CPython's correctly rounded ``%``
-does. Every other element (NaN, an infinity, a near-tie, a huge value,
-text, any other spec) goes through ``spec % v`` in ``_per_value``, the one
-place a value is formatted on its own.
+does. The digits come four at a time: the integers split into base-10**4
+chunks, and four ``uint16`` passes over every chunk at once each peel one
+digit per chunk into contiguous byte planes, one plane per column of the
+box; the box is the planes' transpose, which the block's concatenation
+copies anyway. Every other element (NaN, an infinity, a near-tie, a huge
+value, text, any other spec) goes through ``spec % v`` in ``_per_value``,
+the one place a value is formatted on its own.
 
 A column is ``(name, spec, values)``, or ``(name, spec, table, index)``
 for a coded column whose row ``i`` is ``table[index[i]]``: its table is
@@ -41,25 +46,49 @@ def _per_value(spec: str, values: np.ndarray) -> np.ndarray:
     return np.frombuffer(padded, np.uint8).reshape(len(encoded), width)
 
 
+def _chunks(mag: np.ndarray, d: int) -> np.ndarray:
+    """The base-10**4 digits of the ``d``-digit integers ``mag``, one row
+    per digit, the top one first."""
+    c = -(-d // 4)
+    m = mag.astype(np.uint32 if d <= 9 else np.uint64)  # 10**9 < 2**32
+    chunks = np.empty((c, mag.size), np.uint16)
+    q, r = np.empty_like(m), np.empty_like(m)
+    for j in range(c - 1, 0, -1):
+        np.floor_divide(m, 10_000, out=q)
+        np.multiply(q, 10_000, out=r)
+        chunks[j] = np.subtract(m, r, out=r)
+        m, q = q, m
+    chunks[0] = m
+    return chunks
+
+
 def _digits(mag: np.ndarray, negative: np.ndarray, n: int) -> np.ndarray:
     """The padded box of ``[-]i[.f]``: the unsigned integers ``mag`` over
-    ``10**n``, with ``n`` fraction digits and no leading zeros."""
+    ``10**n``, with ``n`` fraction digits and no leading zeros. It is the
+    transpose of ``(width, rows)`` planes, each written whole."""
     d = max(len(str(mag.max(initial=0))), n + 1)  # digits, at least one before the point
-    point = 1 + d - n  # column of the point, after the sign and the integer digits
-    box = np.empty((mag.size, 1 + d + (n > 0)), np.uint8)
-    columns = [*range(1, point), *range(point + 1, box.shape[1])]
-    q, t = mag.copy(), np.empty_like(mag)
-    for c in reversed(columns):
-        np.floor_divide(q, 10, out=t)
-        box[:, c] = q - t * 10
-        q, t = t, q
-    box[:, 1:] += _ZERO
-    box[:, 0] = np.where(negative, _MINUS, _PAD[0])
-    for j, c in enumerate(columns[:d - n - 1]):
-        box[mag < np.uint64(10 ** (d - 1 - j)), c] = _PAD[0]
+    chunks = _chunks(mag, d)
+    c = len(chunks)
+    digits = np.empty((c, 4, mag.size), np.uint8)  # all 4 * c digits, left to right
+    q, r = np.empty_like(chunks), np.empty_like(chunks)
+    for p in reversed(range(4)):  # one digit of every chunk per pass
+        np.floor_divide(chunks, 10, out=q)
+        np.multiply(q, 10, out=r)
+        digits[:, p] = np.subtract(chunks, r, out=r)
+        chunks, q = q, chunks
+    digits = digits.reshape(4 * c, mag.size)[4 * c - d:]
+    point = 1 + d - n  # plane of the point, after the sign and the integer digits
+    planes = np.empty((1 + d + (n > 0), mag.size), np.uint8)
+    np.add(digits[:d - n], _ZERO, out=planes[1:point])
+    np.add(digits[d - n:], _ZERO, out=planes[point + 1:])
     if n:
-        box[:, point] = _POINT
-    return box
+        planes[point] = _POINT
+    # 0xFF - 0xD2 is the minus sign: no masked store on a mixed-sign column
+    np.multiply(negative, np.uint8(_PAD[0] - _MINUS), out=planes[0])
+    np.subtract(_PAD[0], planes[0], out=planes[0])
+    for j in range(d - n - 1):  # a leading zero becomes a pad: 0xFF | byte == 0xFF
+        planes[1 + j] |= (mag < np.uint64(10 ** (d - 1 - j))) * np.uint8(_PAD[0])
+    return planes.T
 
 
 def _floats(spec: str, n: int, x: np.ndarray) -> np.ndarray:
@@ -74,9 +103,9 @@ def _floats(spec: str, n: int, x: np.ndarray) -> np.ndarray:
         return box
     rows = ~exact
     other = _per_value(spec, x[rows])
-    width = max(box.shape[1], other.shape[1])
-    box = _widened(box, width)
-    box[rows] = _widened(other, width)
+    if other.shape[1] > box.shape[1]:
+        box = _widened(box, other.shape[1])
+    box[rows] = _widened(other, box.shape[1])
     return box
 
 
@@ -106,7 +135,8 @@ def _column(spec: str, *data):
     if len(data) == 1:
         values = np.asarray(data[0])
         return len(values), lambda a, b: _cells(spec, values[a:b])
-    box = _cells(spec, np.asarray(data[0]))
+    # a digit box is a transpose, which np.take would copy for every block
+    box = np.ascontiguousarray(_cells(spec, np.asarray(data[0])))
     index = np.asarray(data[1])
     return len(index), lambda a, b: np.take(box, index[a:b], axis=0)
 
@@ -123,9 +153,17 @@ def write_csv(path, *columns) -> None:
         fh.write((",".join(names) + "\n").encode("utf-8"))
         for a in range(0, n_rows[0], _BLOCK):
             b = min(a + _BLOCK, n_rows[0])
-            comma = np.full((b - a, 1), _COMMA, np.uint8)
-            boxes = []  # frees the last block's boxes before this block's are built
-            for cell in cells:
-                boxes += [cell(a, b), comma]
-            boxes[-1] = np.full(comma.shape, _NEWLINE, np.uint8)
-            fh.write(np.concatenate(boxes, axis=1).tobytes().translate(None, _PAD))
+            # the boxes are freed once joined, the block once translated
+            fh.write(_block([cell(a, b) for cell in cells]).translate(None, _PAD))
+
+
+def _block(boxes) -> bytearray:
+    """One block's lines, still padded: its columns' boxes side by side,
+    comma-separated and newline-terminated, in one buffer."""
+    rows = len(boxes[0])
+    comma = np.full((rows, 1), _COMMA, np.uint8)
+    parts = [part for box in boxes for part in (box, comma)]
+    parts[-1] = np.full((rows, 1), _NEWLINE, np.uint8)
+    block = bytearray(rows * sum(part.shape[1] for part in parts))
+    np.concatenate(parts, axis=1, out=np.frombuffer(block, np.uint8).reshape(rows, -1))
+    return block

@@ -168,9 +168,11 @@ def run_rule(sc: Scenario) -> HybridRun:
     return HybridRun(trace, energy, None)
 
 
-def run_dp_hybrid(sc: Scenario) -> HybridRun:
+def run_dp_hybrid(sc: Scenario, *, keep_costs: bool = True) -> HybridRun:
     """Simulate the rule until CS entry, then solve the remainder as the
-    charge-sustaining optimization and roll the policy out."""
+    charge-sustaining optimization and roll the policy out. With
+    ``keep_costs=False`` the policy keeps its stage-0 cost row alone, which
+    the rollout needs and ``write_policy`` refuses."""
     rule = run_rule(sc)
     trace = rule.trace
     idx = trace.cs_entry_index()
@@ -190,7 +192,7 @@ def run_dp_hybrid(sc: Scenario) -> HybridRun:
                           calibration=sc.calibration.energy_scale,
                           dt_s=cfg.dt_s,
                           regen_current_limit_a=sc.rule.regen_current_limit_a)
-    policy = solve(demand, cfg)
+    policy = solve(demand, cfg, keep_costs=keep_costs)
     return HybridRun(trace, rule.rule_energy, idx, policy, rollout(policy, cfg.initial_soc))
 
 
@@ -267,7 +269,7 @@ COMPARED = ("strategy", "ec_cd_dc_wh_per_km", "ec_cd_ac_wh_per_km",
 
 def cmd_compare(args) -> int:
     sc, out = _prepare(args)
-    run = run_dp_hybrid(sc)
+    run = run_dp_hybrid(sc, keep_costs=False)  # compare writes no policy.csv
     table = []
     for strategy, r in (("rule", HybridRun(run.trace, run.rule_energy, None)), ("dp", run)):
         summary = dict(_summary_rows(sc, strategy, r))

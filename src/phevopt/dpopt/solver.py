@@ -61,15 +61,17 @@ from .problem import (
 #: table). The moves of ``cs_moves`` (9 bytes per decision and state) live
 #: for the whole sweep. With them, the one-byte temporaries of each block's
 #: calls and the (decisions x states) ones of each stage, the sweep's
-#: working memory measures 47.0 bytes per cell at 2501 states. Without the
-#: cost table, the ring of B + 1 cost rows for a block of B stages is working
-#: memory too: 8 (B + 1) / (B x decisions) bytes per cell, 3 at 2501 states
-#: and 4 decisions. A sweep of an OBD-off and an OBD-on column keeps the
-#: stages per block, so its workspace holds one more row per null decision
-#: (5 rows for 4 decisions); the first column adds a copy of its stage
-#: costs (8 bytes per cell) and each column its table or ring. Without the cost tables its
-#: working memory measures 68.9 bytes per cell at 2501 states, against 49.9
-#: for one column.
+#: working memory measures 47.9 bytes per cell at 2501 states, with or
+#: without OBD; a process's first sweep adds about 3 kB (48.1), the caches
+#: numpy fills on its first calls. Without the cost table, the ring of B + 1
+#: cost rows for a block of B stages is working memory too:
+#: 8 (B + 1) / (B x decisions) bytes per cell, 3 at 2501 states and 4
+#: decisions. A sweep of an OBD-off and an OBD-on column keeps the stages
+#: per block, so its workspace holds one more row per null decision (5 rows
+#: for 4 decisions); the first column adds a copy of its stage costs (8
+#: bytes per cell) and each column its table or ring. Without the cost
+#: tables its working memory measures 68.9 bytes per cell at 2501 states,
+#: against 49.9 for one column.
 #: 2 ** 15 cells swept 2-3% faster but raised the peak RSS of a CLI run by up
 #: to 0.9 MB (2%).
 BLOCK_CELLS = 20_480

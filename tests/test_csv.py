@@ -12,6 +12,7 @@ it coded, as a table and an index into it.
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,11 +40,12 @@ ROW_COUNTS = (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 SPECIAL = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324,
            2.2250738585072014e-308, 1e300, -1e300, 0.0005, 2.5e-10)
 # the writer's working memory per row of ``wide_columns``, the widest file's
-# shape: each column's padded bytes, their concatenation, its copy as bytes
-# and the bytes left once the pads are deleted; measures 308
+# shape: each column's padded bytes and the block buffer they are joined
+# into, then that buffer and the bytes left once the pads are deleted;
+# measures 214
 CSV_BYTES_PER_ROW = 330
 # tracemalloc peak of write_policy on three_lap's policy (115 x 501 rows):
-# measures 0.64 MB, of which 0.17 MB are the k and soc_grid indices; with
+# measures 0.58 MB, of which 0.17 MB are the k and soc_grid indices; with
 # int64 indices it measured 1.67 MB
 POLICY_WRITE_PEAK = 700_000
 # text whose UTF-8 sits next to the writer's pad byte 0xFF (C3 BF, EF BF BF,
@@ -239,6 +241,69 @@ class TestWriteCsv:
             write_csv(path, ("a", "%d", np.arange(_BLOCK + 1)),
                       ("b", "%d", np.arange(_BLOCK)))
         assert not path.exists()
+
+
+def with_digits(d: int, bound: int):
+    """Integers of exactly ``d`` decimal digits, at most ``bound``."""
+    return st.integers(10 ** (d - 1) if d > 1 else 0, min(10 ** d - 1, bound))
+
+
+class TestDigitChunks:
+    """The array path splits each integer into base-10**4 chunks and peels
+    their digits into byte planes; every value below reaches it, none is
+    formatted on its own, so a lost chunk or a misplaced plane shows."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_value(self):
+        with mock.patch.object(_csv, "_per_value", side_effect=AssertionError):
+            yield
+
+    @pytest.mark.parametrize("d", range(1, 21))  # d % 4 takes every value
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_ints_of_each_digit_count(self, tmp_path_factory, d, data):
+        # the column's widest value has d digits; the others mix fewer
+        top = data.draw(with_digits(d, 2 ** 64 - 1))
+        rest = data.draw(st.lists(st.integers(1, d).flatmap(
+            lambda k: with_digits(k, top)), max_size=12))
+        values = np.array([top, *rest], dtype=np.uint64)
+        columns = [("u", "%d", values)]
+        if top < 2 ** 63:
+            sign = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(values),
+                                      max_size=len(values)))
+            columns.append(("i", "%d", values.astype(np.int64) * np.array(sign)))
+        assert written(tmp_path_factory, *columns) == reference_rows(columns).encode()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_ints_at_the_extremes(self, tmp_path_factory, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([info.min, info.max, info.min + 1, info.max - 1, 0, 1], dtype)
+        assert written(tmp_path_factory, ("i", "%d", values)) == per_value(
+            "i", "%d", values)
+
+    @pytest.mark.parametrize("n", range(10))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_fixed_of_each_digit_count(self, tmp_path_factory, n, data):
+        # k / 10**n scales back to within an ulp of the integer k, far from
+        # a tie, for every k below 2**49, where the array path ends
+        ks = data.draw(st.lists(st.integers(1, 15).flatmap(
+            lambda d: with_digits(d, 2 ** 49 - 1)), min_size=1, max_size=16))
+        values = np.array([sign * k / 10.0 ** n for k, sign in zip(
+            ks, data.draw(st.lists(signs, min_size=len(ks), max_size=len(ks))))]
+            + [0.0, -0.0])
+        spec = f"%.{n}f"
+        assert written(tmp_path_factory, ("x", spec, values)) == per_value(
+            "x", spec, values)
+
+    def test_one_block_of_every_digit_count(self, tmp_path_factory):
+        ends = [v for d in range(1, 21) for v in (10 ** (d - 1), 10 ** d - 1)]
+        values = np.array([v for v in ends if v < 2 ** 64], dtype=np.uint64)
+        values = np.resize(values[np.random.default_rng(0).permutation(len(values))],
+                           _BLOCK)
+        fixed = np.array([v / 1e9 for v in ends if v < 2 ** 49] + [0.0, -0.0])
+        columns = [("u", "%d", values), ("x", "%.9f", np.resize(fixed, _BLOCK))]
+        assert written(tmp_path_factory, *columns) == reference_rows(columns).encode()
 
 
 def handed_columns(monkeypatch, module, write, *args) -> dict:

@@ -1169,7 +1169,8 @@ class TestSweepMatchesReference:
 #: holds the tie table; the moves of ``cs_moves`` (a float and a gate byte
 #: per decision and state) live for the whole sweep, each block's calls add
 #: a few one-byte temporaries and each stage a few (decisions x states)
-#: ones. 414 x 2501 x 4 measures 47.0 without OBD and 46.8 with it.
+#: ones. 414 x 2501 x 4 measures 47.9 with and without OBD; the first sweep
+#: of a process measures 48.1, as numpy fills its caches on its first calls.
 SWEEP_BYTES_PER_CELL = 48
 
 

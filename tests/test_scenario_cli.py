@@ -613,6 +613,24 @@ class TestCliSimulate:
         assert rc == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv", [["compare"], ["simulate", "--strategy", "dp"]],
+                             ids=lambda argv: argv[0])
+    def test_only_simulate_keeps_every_cost_row(self, tmp_path, scenario_dir,
+                                                monkeypatch, capsys, argv):
+        # compare writes no policy.csv, and its rollout reads stage 0 alone
+        policies, solve = [], cli.solve
+
+        def recorded(*args, **kwargs):
+            policies.append(solve(*args, **kwargs))
+            return policies[-1]
+
+        monkeypatch.setattr(cli, "solve", recorded)
+        assert main(argv + ["--scenario", str(scenario_dir / "three_lap.ini"),
+                            "--out", str(tmp_path / "out")]) == 0
+        [policy] = policies
+        n, m = policy.decision_idx.shape
+        assert policy.cost_to_go.shape == (1 if argv[0] == "compare" else n + 1, m)
+
     @pytest.mark.parametrize("name", ["single_lap.ini", "obd_single_lap.ini",
                                       "three_lap.ini"])
     def test_compare_is_the_two_simulations(self, tmp_path, scenario_dir, capsys,
