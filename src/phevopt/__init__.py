@@ -23,7 +23,6 @@ from .cycle import (
     compute_metrics,
     load_cycle,
     repeat_cycle,
-    synthetic_cycle,
 )
 from .dpopt import (
     Decision,
@@ -32,7 +31,6 @@ from .dpopt import (
     DpPolicy,
     RolloutResult,
     TerminalRule,
-    brute_force,
     build_demand,
     default_decisions,
     evaluate_rule_on_demand,
@@ -70,9 +68,9 @@ __all__ = [
     "Calibration", "UfReport", "ac_from_dc", "build_uf_report",
     "calibration_factor", "uf_weighted",
     "CycleMetrics", "DriveCycle", "compute_metrics", "load_cycle",
-    "repeat_cycle", "synthetic_cycle",
+    "repeat_cycle",
     "Decision", "DemandProfile", "DpConfig", "DpPolicy", "RolloutResult",
-    "TerminalRule", "brute_force", "build_demand", "default_decisions",
+    "TerminalRule", "build_demand", "default_decisions",
     "evaluate_rule_on_demand", "obd_study", "rollout", "solve",
     "VehicleParams", "accel_series", "tractive_force", "wheel_power_series",
     "EnergyResult", "RuleConfig", "SimTrace", "simulate_rule_based",

@@ -55,7 +55,8 @@ from .errors import (
     PhevOptError,
     ToleranceBreachError,
 )
-from .scenario import Scenario, load_scenario, parse_number
+from .powertrain import parse_number
+from .scenario import Scenario, load_scenario
 
 
 def _fmt(x: float) -> str:

@@ -296,36 +296,3 @@ def compute_metrics(t_s, p_wheel_kw, v_mps, distance_km: float) -> CycleMetrics:
         percent_idle=idle,
     )
 
-
-# Keypoints (t, v) of the bundled synthetic cycle: stop-and-go urban
-# section, two arterial humps, a sustained highway stretch with a speed
-# dip, and an urban return leg. Piecewise-linear, closed at rest, 1 Hz.
-_SYNTH_KEYPOINTS = (
-    (0.0, 0.0), (14.0, 0.0),
-    (26.0, 12.0), (55.0, 12.5), (67.0, 0.0), (76.0, 0.0),
-    (91.0, 14.0), (130.0, 13.5), (145.0, 0.0), (155.0, 0.0),
-    (167.0, 13.0), (200.0, 13.0), (210.0, 6.0), (222.0, 15.0),
-    (250.0, 14.5), (265.0, 0.0), (278.0, 0.0),
-    (295.0, 20.0), (350.0, 20.5), (370.0, 0.0), (380.0, 0.0),
-    (400.0, 22.0), (460.0, 21.5), (472.0, 8.0), (484.0, 20.0),
-    (520.0, 21.0), (540.0, 0.0), (552.0, 0.0),
-    (572.0, 20.0), (602.0, 30.0), (640.0, 33.5),
-    (780.0, 33.5), (800.0, 29.0), (830.0, 33.0), (980.0, 33.0),
-    (1010.0, 34.5), (1090.0, 34.5), (1140.0, 20.0), (1164.0, 0.0),
-    (1176.0, 0.0),
-    (1189.0, 13.0), (1240.0, 13.0), (1252.0, 8.0), (1266.0, 14.0),
-    (1300.0, 13.5), (1320.0, 0.0), (1380.0, 0.0),
-)
-
-
-def synthetic_cycle() -> DriveCycle:
-    """Deterministic mixed urban/highway cycle bundled with the package.
-
-    Roughly 20 km over 1380 s with about 10% idle time; accelerations stay
-    within the default powertrain envelope. Used by the shipped scenarios
-    and the test fixtures.
-    """
-    kp = np.asarray(_SYNTH_KEYPOINTS)
-    t = np.arange(0.0, kp[-1, 0] + 0.5, 1.0)
-    v = np.interp(t, kp[:, 0], kp[:, 1])
-    return DriveCycle(t_s=t, v_mps=v)

@@ -1,7 +1,6 @@
 """Charge-sustaining optimization: a backward-DP policy that carries its own
-problem, its rollout, a brute-force optimality oracle, and OBD-cost studies."""
+problem, its rollout, and OBD-cost studies."""
 
-from .oracle import brute_force
 from .problem import (
     DEFAULT_DELTAS,
     Decision,
@@ -32,7 +31,6 @@ __all__ = [
     "ObdStudy",
     "RolloutResult",
     "TerminalRule",
-    "brute_force",
     "build_demand",
     "default_decisions",
     "delta_to_electrical_kw",

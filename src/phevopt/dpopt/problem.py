@@ -56,7 +56,7 @@ class Decision:
     label: str
 
     def __post_init__(self) -> None:
-        if self.delta_soc < 0:
+        if not self.delta_soc >= 0:  # so NaN is refused too
             raise ValueError("decision delta must be nonnegative")
         if not (0.0 < self.efficiency_pct <= 100.0):
             raise ValueError("decision efficiency must lie in (0, 100]")
@@ -130,7 +130,7 @@ class DpConfig:
     initial_soc: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0:
+        if not self.dt_s > 0:  # so NaN is refused too
             raise ValueError("dt must be positive")
         if self.soc_min >= self.soc_max:
             raise ValueError("soc_min must be below soc_max")
@@ -142,6 +142,9 @@ class DpConfig:
             raise ValueError("OBD energy per event must be finite and nonnegative")
         if not self.c_batt_kwh > 0:
             raise ValueError("battery capacity must be positive")
+        # a NaN peak would make a NaN bound, which no decision exceeds
+        if not self.p_genset_max_kw > 0:
+            raise ValueError("gen-set peak power must be positive")
         if not self.decisions:
             raise ValueError("decision set must not be empty")
         if not any(dec.delta_soc == 0.0 for dec in self.decisions):

@@ -3,8 +3,9 @@
 Each stage of the backward sweep evaluates every decision from every grid
 state at once, as one (decisions x states) array, and keeps the cheapest
 decision per state. The sweep carries columns: problems on one demand,
-grid and decision table that differ at most in ``obd_enabled``. Their
-decisions are rows of one shared set. Columns of one OBD flag read the
+grid, decision table and terminal rule that differ at most in
+``obd_enabled``; the sweep reads the terminal threshold from their configs.
+Their decisions are rows of one shared set. Columns of one OBD flag read the
 decisions' own rows; an OBD-off and an OBD-on column share rows laid out as
 ``[null rows, OBD off | charging rows | null rows, OBD on]``, so each reads
 one contiguous slice of them and the charging rows serve both. What reads
@@ -26,10 +27,10 @@ temporaries and a cold process does not map and fault in fresh block
 arrays again and again. A column's stages write their cost-to-go rows into
 its (N+1) x M table, or, in a solve whose policy is never exported
 (``keep_costs=False``), into a ring of one block's rows plus one, which
-returns the stage-0 row, the only one a rollout reads. ``solve`` sweeps one
-column, or checks one column of a sweep already run. ``forward`` is the one
-per-interval loop over a demand: the policy rollout and the thermostat
-replay are two decision rules passed to it.
+returns the stage-0 row, the only one a rollout reads. ``solve`` sweeps its
+problem as a lone column, or checks one column of a sweep already run.
+``forward`` is the one per-interval loop over a demand: the policy rollout
+and the thermostat replay are two decision rules passed to it.
 """
 
 from __future__ import annotations
@@ -77,18 +78,19 @@ from .problem import (
 BLOCK_CELLS = 20_480
 
 
-def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], terminal_threshold: float,
-                  *, keep_costs: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
+                  keep_costs: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backward induction over the SOC grid under the ``cs_moves`` and
     ``cs_drain`` rule, for columns of problems that share one demand, one
-    grid and one decision table and differ at most in ``obd_enabled``.
+    grid, one decision table and one terminal rule and differ at most in
+    ``obd_enabled``.
 
-    The terminal cost is 0 at or above the threshold and infinite below;
-    inadmissible moves cost infinity. Each state keeps the lowest decision
-    index whose cost equals the stage minimum, and index 0 where every
-    decision is inadmissible. A block picks it from one ``uint8`` table of
-    ties: counting down from the last decision, each decision before the
-    first tie takes one off.
+    The terminal cost is 0 at or above the threshold the columns' terminal
+    rule resolves to and infinite below; inadmissible moves cost infinity.
+    Each state keeps the lowest decision index whose cost equals the stage
+    minimum, and index 0 where every decision is inadmissible. A block picks
+    it from one ``uint8`` table of ties: counting down from the last
+    decision, each decision before the first tie takes one off.
 
     The columns share one set of rows, and each reads one contiguous slice
     of it, a row per decision. Columns of one OBD flag read the decisions'
@@ -128,7 +130,8 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], terminal_threshold
     drained[:order.size - width] = False
 
     per_block = max(1, BLOCK_CELLS // width // m)
-    terminal = np.where(grid >= terminal_threshold - 1e-12, 0.0, np.inf)
+    threshold = rule.terminal_rule.resolve(rule)
+    terminal = np.where(grid >= threshold - 1e-12, 0.0, np.inf)
     tables = [np.empty((n, m), dtype=np.min_scalar_type(last)) for _ in cfgs]
     # with the table, the stages fill rows 0..n-1 below the terminal row n;
     # without it, a ring of one block's rows: between blocks, row 0 holds the
@@ -190,12 +193,6 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], terminal_threshold
             for store, table in zip(stores, tables)]
 
 
-def backward_sweep(d: DemandProfile, cfg: DpConfig, terminal_threshold: float, *,
-                   keep_costs: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """``sweep_columns`` for one problem: (cost_to_go, decision_idx)."""
-    return sweep_columns(d, (cfg,), terminal_threshold, keep_costs=keep_costs)[0]
-
-
 def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
           swept: tuple[np.ndarray, np.ndarray] | None = None) -> DpPolicy:
     """Backward induction over the quantized SOC grid.
@@ -221,7 +218,7 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
     check_demand_interval(d, cfg)
     threshold = cfg.terminal_rule.resolve(cfg)
     if swept is None:
-        swept = backward_sweep(d, cfg, threshold, keep_costs=keep_costs)
+        swept = sweep_columns(d, (cfg,), keep_costs=keep_costs)[0]
     cost_to_go, decision_idx = swept
     cost_to_go.setflags(write=False)
     decision_idx.setflags(write=False)
@@ -233,7 +230,7 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
         unreachable = not np.isfinite(cost_to_go[0]).any()
     if unreachable:
         if len(cost_to_go) == 1:  # naming the stage reads every row: sweep again
-            cost_to_go = backward_sweep(d, cfg, threshold)[0]
+            cost_to_go = sweep_columns(d, (cfg,))[0][0]
         stage = None
         for k in range(d.n_intervals, -1, -1):
             if not np.isfinite(cost_to_go[k]).any():

@@ -4,11 +4,12 @@
 (the gen-set spinning without producing charge in every non-generating
 interval). Its OBD-off and OBD-on problems differ only in the null
 decision's successors, so one backward sweep solves both, as two columns
-that share every charging transition, and ``solve`` checks each column's
-tables in turn. ``evaluate_rule_on_demand`` replays
-the thermostat rule on a demand profile through the rollout's own forward
-pass, as one more decision rule over the DP's decision table, so the rule
-trajectory is a valid decision sequence and the DP cost its lower bound.
+that share every charging transition and the config's terminal rule, and
+``solve`` checks each column's tables in turn. ``evaluate_rule_on_demand``
+replays the thermostat rule on a demand profile through the rollout's own
+forward pass, as one more decision rule over the DP's decision table, so
+the rule trajectory is a valid decision sequence and the DP cost its lower
+bound.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     demand = build_demand(cycle, vp, assembly.motor_map, assembly.drivetrain, bp,
                           calibration, cfg.dt_s, regen_current_limit_a)
     cfgs = [replace(cfg, obd_enabled=enabled) for enabled in (False, True)]
-    swept = sweep_columns(demand, cfgs, cfg.terminal_rule.resolve(cfg), keep_costs=False)
+    swept = sweep_columns(demand, cfgs, keep_costs=False)
     # each branch is checked and rolled out before the next one is checked,
     # as in two separate solves
     off, on = (rollout(solve(demand, c, swept=tables), cfg.initial_soc)

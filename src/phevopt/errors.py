@@ -37,10 +37,6 @@ class InfeasibleProblemError(PhevOptError):
         self.stage = stage
 
 
-class InstanceTooLargeError(PhevOptError):
-    """A brute-force enumeration would exceed the sequence cap."""
-
-
 class ToleranceBreachError(PhevOptError):
     """A rolled-out trajectory left the allowed SOC window by more than one
     grid quantum."""

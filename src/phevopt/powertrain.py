@@ -148,16 +148,20 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
 # ---------------------------------------------------------------------------
 # Map I/O
 
-def _map_number(field: str) -> float:
-    """One map number, as Python's ``float`` reads it but ASCII only,
-    without ``_`` and finite, so ``1_0``, a non-ASCII digit or blank,
-    ``inf`` or ``nan`` is refused: the empty cell is the one spelling of
-    an infeasible cell."""
-    if not field.isascii() or "_" in field:
-        raise ValueError(field)
-    value = float(field)
+def parse_number(raw: str) -> float:
+    """A finite number as Python's ``float`` reads it, but ASCII only and
+    without ``_``, so ``1_8.9``, an Arabic-Indic digit or blank, ``inf`` or
+    ``nan`` is not a number. Map files, scenario files and the CLI read
+    numbers with it. The ``ValueError`` it raises says "is not a number" or
+    "is not a finite number"."""
+    try:
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(raw)
+        value = float(raw)
+    except ValueError:
+        raise ValueError("is not a number") from None
     if not math.isfinite(value):
-        raise ValueError(field)
+        raise ValueError("is not a finite number")
     return value
 
 
@@ -182,7 +186,7 @@ def load_map(source) -> EfficiencyMap:
         parts = line.split(",")
         if torque_axis is None:
             try:
-                torque_axis = [_map_number(p) for p in parts[1:]]
+                torque_axis = [parse_number(p) for p in parts[1:]]
             except ValueError:
                 raise MapFormatError(f"line {lineno}: non-numeric torque axis") from None
             continue
@@ -190,8 +194,9 @@ def load_map(source) -> EfficiencyMap:
             raise MapFormatError(
                 f"line {lineno}: expected {len(torque_axis) + 1} fields, got {len(parts)}")
         try:
-            speeds.append(_map_number(parts[0]))
-            body.append([_map_number(p) if p.strip(" \t") else math.nan
+            speeds.append(parse_number(parts[0]))
+            # the empty cell is the one spelling of an infeasible cell
+            body.append([parse_number(p) if p.strip(" \t") else math.nan
                          for p in parts[1:]])
         except ValueError:
             raise MapFormatError(f"line {lineno}: non-numeric value") from None
@@ -207,45 +212,46 @@ def load_map(source) -> EfficiencyMap:
 # ---------------------------------------------------------------------------
 # Synthetic default maps
 
+def _bowl_map(label: str, speed: np.ndarray, torque: np.ndarray, peak_pct: float,
+              speed_bowl: tuple[float, float, float],
+              torque_bowl: tuple[float, float, float],
+              torque_max: float, power_w: float) -> EfficiencyMap:
+    """A quadratic bowl of efficiency, ``peak_pct * (1 - a_s s**2) * (1 -
+    a_t t**2)`` with each axis normalized as ``(x - centre) / half_width``
+    from its bowl ``(centre, half_width, a)``, and NaN above the torque
+    ceiling ``min(torque_max, power_w / omega)``, which standstill leaves at
+    ``torque_max``."""
+    (s_mid, s_half, a_s), (t_mid, t_half, a_t) = speed_bowl, torque_bowl
+    s_norm = (speed[:, None] - s_mid) / s_half
+    t_norm = (torque[None, :] - t_mid) / t_half
+    values = peak_pct * (1.0 - a_s * s_norm**2) * (1.0 - a_t * t_norm**2)
+    with np.errstate(divide="ignore"):  # power_w / 0 rpm is inf
+        envelope = np.minimum(torque_max, power_w / (speed * RAD_S_PER_RPM))[:, None]
+    values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
+    return EfficiencyMap(speed, torque, values, label)
+
+
 def synthetic_motor_map() -> EfficiencyMap:
     """Traction-motor map: 94% peak efficiency near mid speed and mid
     torque, 320 Nm up to base speed, a 120 kW constant-power envelope
     above. Synthetic stand-in for unmeasured hardware."""
-    speed = np.arange(0.0, 10000.1, 500.0)
-    torque = np.arange(0.0, 320.1, 20.0)
-    s_norm = (speed[:, None] - 5000.0) / 5000.0
-    t_norm = (torque[None, :] - 160.0) / 160.0
-    values = 94.0 * (1.0 - 0.18 * s_norm**2) * (1.0 - 0.12 * t_norm**2)
-    power_lim = np.full_like(speed, np.inf)
-    nz = speed > 0
-    power_lim[nz] = 120000.0 / (speed[nz] * RAD_S_PER_RPM)
-    envelope = np.minimum(320.0, power_lim[:, None])
-    values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
-    return EfficiencyMap(speed, torque, values, "synthetic-motor")
+    return _bowl_map("synthetic-motor", np.arange(0.0, 10000.1, 500.0),
+                     np.arange(0.0, 320.1, 20.0), 94.0, (5000.0, 5000.0, 0.18),
+                     (160.0, 160.0, 0.12), 320.0, 120000.0)
 
 
 def synthetic_engine_map() -> EfficiencyMap:
     """Diesel-engine map over 800-3600 rpm: 36% peak, 170 Nm, 52 kW."""
-    speed = np.arange(800.0, 3600.1, 200.0)
-    torque = np.arange(0.0, 180.1, 10.0)
-    s_norm = (speed[:, None] - 2200.0) / 1400.0
-    t_norm = (torque[None, :] - 120.0) / 120.0
-    values = 36.0 * (1.0 - 0.10 * s_norm**2) * (1.0 - 0.30 * t_norm**2)
-    envelope = np.minimum(170.0, 52000.0 / (speed * RAD_S_PER_RPM))[:, None]
-    values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
-    return EfficiencyMap(speed, torque, values, "synthetic-engine")
+    return _bowl_map("synthetic-engine", np.arange(800.0, 3600.1, 200.0),
+                     np.arange(0.0, 180.1, 10.0), 36.0, (2200.0, 1400.0, 0.10),
+                     (120.0, 120.0, 0.30), 170.0, 52000.0)
 
 
 def synthetic_generator_map() -> EfficiencyMap:
     """Generator map over 1000-10000 rpm (belt side): 92% peak, 120 Nm, 56 kW."""
-    speed = np.arange(1000.0, 10000.1, 500.0)
-    torque = np.arange(0.0, 120.1, 10.0)
-    s_norm = (speed[:, None] - 6000.0) / 4000.0
-    t_norm = (torque[None, :] - 60.0) / 60.0
-    values = 92.0 * (1.0 - 0.06 * s_norm**2) * (1.0 - 0.10 * t_norm**2)
-    envelope = np.minimum(120.0, 56000.0 / (speed * RAD_S_PER_RPM))[:, None]
-    values = np.where(torque[None, :] <= envelope + 1e-9, values, np.nan)
-    return EfficiencyMap(speed, torque, values, "synthetic-generator")
+    return _bowl_map("synthetic-generator", np.arange(1000.0, 10000.1, 500.0),
+                     np.arange(0.0, 120.1, 10.0), 92.0, (6000.0, 4000.0, 0.06),
+                     (60.0, 60.0, 0.10), 120.0, 56000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ refused once that setting is read.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .powertrain import (
     DrivetrainParams,
     PowertrainAssembly,
     load_map,
+    parse_number,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
@@ -102,22 +102,6 @@ def _get_float(sec, key: str, default: float | None = None) -> float:
             raise ScenarioError(f"[{sec.name}] is missing required key {key!r}")
         return default
     return _to_float(sec, key, raw)
-
-
-def parse_number(raw: str) -> float:
-    """A finite number as Python's ``float`` reads it, but ASCII only and
-    without ``_``, so ``1_8.9`` or an Arabic-Indic digit is not a number.
-    The ``ValueError`` it raises says "is not a number" or "is not a finite
-    number"."""
-    try:
-        if not raw.isascii() or "_" in raw:
-            raise ValueError(raw)
-        value = float(raw)
-    except ValueError:
-        raise ValueError("is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError("is not a finite number")
-    return value
 
 
 def _to_float(sec, key: str, raw: str) -> float:

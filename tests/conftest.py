@@ -9,12 +9,13 @@ from phevopt import (
     RuleConfig,
     VehicleParams,
     default_decisions,
-    synthetic_cycle,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
 )
 from phevopt.dpopt import DEFAULT_DELTAS, delta_to_electrical_kw
+
+from helpers import synthetic_cycle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,17 +4,20 @@ Enumerates every decision sequence with exact continuous-SOC transitions
 and the same admissibility rules as the DP (window, gate, regeneration
 curtailment, OBD drain), so small instances certify the solver's
 optimality. Deliberately independent of the DP solver: no value function,
-no grid, no interpolation.
+no grid, no interpolation. It lives with the tests, so that no refactor of
+the package reaches the reference the DP is judged by.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InfeasibleProblemError, InstanceTooLargeError
-from .problem import SOC_EPS, DemandProfile, DpConfig
+from phevopt.dpopt.problem import SOC_EPS, DemandProfile, DpConfig
+from phevopt.errors import InfeasibleProblemError
 
 SEQUENCE_CAP = 10_000_000
+
+
+class InstanceTooLargeError(Exception):
+    """A brute-force enumeration would exceed the sequence cap."""
 
 
 def brute_force(d: DemandProfile, cfg: DpConfig, initial_soc: float) -> float:

@@ -21,7 +21,6 @@ from phevopt.cycle import CycleMetrics, DriveCycle
 from phevopt.dpopt import (
     DemandProfile,
     DpConfig,
-    brute_force,
     build_demand,
     evaluate_rule_on_demand,
     obd_study,
@@ -34,6 +33,7 @@ from phevopt.powertrain import map_lookup, soc_drop_pct, terminal_power_kw
 from phevopt.scenario import load_scenario
 
 from helpers import grid_aligned_instance
+from oracle import brute_force
 
 SEED = 20240815
 

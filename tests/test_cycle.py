@@ -15,9 +15,10 @@ from phevopt.cycle import (
     compute_metrics,
     load_cycle,
     repeat_cycle,
-    synthetic_cycle,
 )
 from phevopt.errors import CycleFormatError
+
+from helpers import synthetic_cycle
 
 
 def make_cycle(t, v, grade=None):
@@ -406,3 +407,11 @@ class TestDriveCycleValidation:
 
     def test_synthetic_is_closed(self):
         assert synthetic_cycle().is_closed()
+
+    def test_synthetic_writes_the_shipped_cycle(self, scenario_dir):
+        # the generator's rows in the fixed-point format of the shipped file
+        c = synthetic_cycle()
+        rows = ["t_s,v_mps,grade_deg"] + [f"{t:.3f},{v:.4f},{g:.4f}"
+                                          for t, v, g in zip(c.t_s, c.v_mps, c.grade_deg)]
+        text = "\n".join(rows) + "\n"
+        assert text.encode("ascii") == (scenario_dir / "synthetic_cycle.csv").read_bytes()

@@ -15,7 +15,6 @@ from phevopt.dpopt import (
     DpConfig,
     DpPolicy,
     TerminalRule,
-    brute_force,
     delta_to_electrical_kw,
     evaluate_rule_on_demand,
     max_delta_bound,
@@ -28,7 +27,6 @@ from phevopt.dpopt import (
 from phevopt.errors import (
     EnvelopeError,
     InfeasibleProblemError,
-    InstanceTooLargeError,
     ToleranceBreachError,
 )
 from phevopt.dpopt.problem import (
@@ -40,11 +38,12 @@ from phevopt.dpopt.problem import (
     interp_index,
     interp_inf,
 )
-from phevopt.dpopt.solver import BLOCK_CELLS, backward_sweep, sweep_columns
+from phevopt.dpopt.solver import BLOCK_CELLS, sweep_columns
 from phevopt.powertrain import DrivetrainParams
 from phevopt.scenario import load_scenario
 
 from helpers import flat_map, grid_aligned_instance
+from oracle import InstanceTooLargeError, brute_force
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +66,12 @@ class TestDecisionValidation:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             Decision(-0.1, 30.0, "bad")
+
+    def test_nan_delta_rejected(self):
+        # a NaN increment would give NaN successors, whose interpolation
+        # indices the sweep cannot read
+        with pytest.raises(ValueError, match="nonnegative"):
+            Decision(math.nan, 30.0, "bad")
 
     def test_efficiency_bounds(self):
         with pytest.raises(ValueError):
@@ -139,6 +144,9 @@ class TestDpConfigValidation:
         dict(obd_energy_per_event_kwh=math.nan),
         dict(c_batt_kwh=0.0),
         dict(c_batt_kwh=math.nan),
+        dict(dt_s=math.nan),
+        dict(p_genset_max_kw=0.0),
+        dict(p_genset_max_kw=math.nan),  # would turn the gen-set bound off
     ])
     def test_invalid_rejected(self, decisions, kwargs):
         with pytest.raises(ValueError):
@@ -863,7 +871,7 @@ def reference_interp_inf(values, x, lo, step):
     return np.where(w > 1.0 - SOC_EPS, right, out)
 
 
-def reference_sweep(d, cfg, terminal_threshold):
+def reference_sweep(d, cfg):
     grid = cfg.grid()
     n, m = d.n_intervals, grid.size
     step = (cfg.soc_max - cfg.soc_min) / (m - 1)
@@ -872,7 +880,7 @@ def reference_sweep(d, cfg, terminal_threshold):
     states = np.arange(m)
     cost_to_go = np.full((n + 1, m), np.inf)
     decision_idx = np.empty((n, m), dtype=np.min_scalar_type(len(cfg.decisions) - 1))
-    cost_to_go[n, grid >= terminal_threshold - 1e-12] = 0.0
+    cost_to_go[n, grid >= cfg.terminal_rule.resolve(cfg) - 1e-12] = 0.0
     for k in range(n - 1, -1, -1):
         succ, _, ok = reference_cs_step(cfg, grid, d.d_pct[k], deltas)
         cost = np.where(
@@ -884,9 +892,9 @@ def reference_sweep(d, cfg, terminal_threshold):
     return cost_to_go, decision_idx
 
 
-def assert_sweeps_equal(d, cfg, threshold):
-    expect_cost, expect_idx = reference_sweep(d, cfg, threshold)
-    cost, idx = backward_sweep(d, cfg, threshold)
+def assert_sweeps_equal(d, cfg):
+    expect_cost, expect_idx = reference_sweep(d, cfg)
+    cost, idx = sweep_columns(d, [cfg])[0]
     assert cost.dtype == expect_cost.dtype and idx.dtype == expect_idx.dtype
     assert np.array_equal(cost, expect_cost)
     assert np.array_equal(idx, expect_idx)
@@ -918,12 +926,13 @@ def sweep_instances(draw):
         decs.insert(draw(st.integers(i + 1, len(decs))), replace(decs[i], label="dup"))
     obd_pct = draw(st.one_of(st.integers(1, 8).map(lambda i: i * g / 2.0),
                              st.floats(0.0, 0.05)))
-    cfg = DpConfig(decisions=tuple(decs), grid_step=g,
-                   obd_enabled=draw(st.booleans()),
-                   obd_energy_per_event_kwh=obd_pct / 100.0 * 18.9)
     threshold = draw(st.one_of(st.sampled_from([12.0, 17.0, 17.5]),
                                st.floats(12.0, 17.0), on_grid.map(lambda x: 14.0 + x)))
-    return DemandProfile(np.asarray(drains), 10.0, 1.0), cfg, threshold
+    cfg = DpConfig(decisions=tuple(decs), grid_step=g,
+                   terminal_rule=TerminalRule.at(threshold),
+                   obd_enabled=draw(st.booleans()),
+                   obd_energy_per_event_kwh=obd_pct / 100.0 * 18.9)
+    return DemandProfile(np.asarray(drains), 10.0, 1.0), cfg
 
 
 class TestSweepMatchesReference:
@@ -938,15 +947,14 @@ class TestSweepMatchesReference:
         # a ring of one block's rows gives the table's stage-0 row and the
         # same decisions, bit for bit; at 2501 states a block holds 1-2
         # stages, so the ring hands a row over between many blocks
-        d, cfg, threshold = inst
-        cost, idx = backward_sweep(d, cfg, threshold)
-        row, ring_idx = backward_sweep(d, cfg, threshold, keep_costs=False)
+        d, cfg = inst
+        cost, idx = sweep_columns(d, [cfg])[0]
+        row, ring_idx = sweep_columns(d, [cfg], keep_costs=False)[0]
         assert same_bits(row, cost[:1]) and same_bits(ring_idx, idx)
         # solve names the same stage in both modes, from every grid state
         # and from one designated initial state
         initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
-        cfg = replace(cfg, initial_soc=initial,
-                      terminal_rule=TerminalRule.at(threshold))
+        cfg = replace(cfg, initial_soc=initial)
         try:
             full = solve(d, cfg)
         except InfeasibleProblemError as exc:
@@ -964,20 +972,19 @@ class TestSweepMatchesReference:
         # OBD off and on in one sweep give each problem's own sweep, bit for
         # bit, with and without the cost tables; the paired rows reorder the
         # decisions (duplicate nulls included), a lone column does not
-        d, cfg, threshold = inst
+        d, cfg = inst
         cfgs = [replace(cfg, obd_enabled=obd) for obd in (False, True)]
         for keep_costs in (True, False):
-            pair = sweep_columns(d, cfgs, threshold, keep_costs=keep_costs)
+            pair = sweep_columns(d, cfgs, keep_costs=keep_costs)
             for column, c in zip(pair, cfgs):
-                alone = backward_sweep(d, c, threshold, keep_costs=keep_costs)
+                alone = sweep_columns(d, [c], keep_costs=keep_costs)[0]
                 assert all(same_bits(x, y) for x, y in zip(column, alone))
         # solving the swept columns raises what the separate solves raise,
         # from every grid state and from one designated initial state
         initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
-        cfgs = [replace(c, initial_soc=initial, terminal_rule=TerminalRule.at(threshold))
-                for c in cfgs]
+        cfgs = [replace(c, initial_soc=initial) for c in cfgs]
         keep_costs = data.draw(st.booleans())
-        pair = sweep_columns(d, cfgs, threshold, keep_costs=keep_costs)
+        pair = sweep_columns(d, cfgs, keep_costs=keep_costs)
         for c, swept in zip(cfgs, pair):
             try:
                 alone = solve(d, c, keep_costs=keep_costs)
@@ -994,12 +1001,16 @@ class TestSweepMatchesReference:
     def test_columns_differ_only_in_obd(self, decisions):
         cfg = DpConfig(decisions=decisions)
         with pytest.raises(ValueError, match="differ only in obd_enabled"):
-            sweep_columns(one_interval(0.1), [cfg, replace(cfg, grid_step=0.02)], 14.0)
+            sweep_columns(one_interval(0.1), [cfg, replace(cfg, grid_step=0.02)])
+        # the sweep reads one terminal from its columns' configs
+        with pytest.raises(ValueError, match="differ only in obd_enabled"):
+            sweep_columns(one_interval(0.1), [cfg, replace(
+                cfg, obd_enabled=True, terminal_rule=TerminalRule.at(16.0))])
 
     @given(inst=sweep_instances(), soc=st.floats(11.0, 18.0))
     @settings(max_examples=200, deadline=None)
     def test_cs_step(self, inst, soc):
-        d, cfg, _ = inst
+        d, cfg = inst
         deltas = cfg.delta_array()
         for d_k in d.d_pct[:3]:
             for args in ((soc, d_k, 0.0), (soc, d_k, deltas[-1]), (soc, d_k, deltas),
@@ -1013,7 +1024,7 @@ class TestSweepMatchesReference:
     def test_cs_step_on_floats(self, inst, data):
         # the forward pass steps on Python floats: each call returns a float
         # and two bools with the bits of its element of the array call
-        d, cfg, _ = inst
+        d, cfg = inst
         deltas = cfg.delta_array()
         gate = cfg.soc_max + SOC_EPS - cfg.max_positive_delta
         edges = [gate, math.nextafter(gate, 0.0), math.nextafter(gate, 99.0),
@@ -1036,7 +1047,7 @@ class TestSweepMatchesReference:
     @settings(max_examples=100, deadline=None)
     def test_cs_step_on_a_drain_column(self, inst):
         # B intervals at once give each interval's (decisions x states) move
-        d, cfg, _ = inst
+        d, cfg = inst
         grid, deltas = cfg.grid(), cfg.delta_array()[:, None]
         block = cs_step(cfg, grid, d.d_pct[:, None, None], deltas)
         for k, d_k in enumerate(d.d_pct):
@@ -1050,7 +1061,7 @@ class TestSweepMatchesReference:
         # on floats, on (decisions x states) and on a (B, 1, 1) column of
         # drains, with net regeneration on every instance and states on the
         # gate's edges
-        d, cfg, _ = inst
+        d, cfg = inst
         deltas = cfg.delta_array()
         gate = cfg.soc_max + SOC_EPS - cfg.max_positive_delta
         edges = [gate, math.nextafter(gate, 0.0), math.nextafter(gate, 99.0),
@@ -1083,7 +1094,7 @@ class TestSweepMatchesReference:
         # it, with the bits and shape of the allocating call; the out arrays
         # start as the negation (or NaN) of the result, so every cell is
         # written. The moves are left as they were, as every block reads them.
-        d, cfg, _ = inst
+        d, cfg = inst
         grid, m = cfg.grid(), cfg.n_states
         moves = cs_moves(cfg, grid, cfg.delta_array()[:, None])
         before = [x.copy() for x in moves]
@@ -1120,7 +1131,7 @@ class TestSweepMatchesReference:
                           rng.uniform(-0.4, 0.8, n))
         d = DemandProfile(drains, 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):
-            assert_sweeps_equal(d, cfg, threshold)
+            assert_sweeps_equal(d, replace(cfg, terminal_rule=TerminalRule.at(threshold)))
 
     @pytest.mark.parametrize("obd", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1132,7 +1143,7 @@ class TestSweepMatchesReference:
         assert len(decisions) * cfg.n_states > BLOCK_CELLS
         d = DemandProfile(np.array([-0.3, 0.45, 0.20025])[:n], 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):
-            assert_sweeps_equal(d, cfg, threshold)
+            assert_sweeps_equal(d, replace(cfg, terminal_rule=TerminalRule.at(threshold)))
 
     @pytest.mark.parametrize("obd", [False, True])
     def test_more_decisions_than_a_byte_holds(self, obd):
@@ -1147,8 +1158,9 @@ class TestSweepMatchesReference:
                        obd_enabled=obd)
         d = DemandProfile(rng.uniform(-0.2, 0.6, 6), 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):
-            assert backward_sweep(d, cfg, threshold)[1].dtype == np.uint16
-            assert_sweeps_equal(d, cfg, threshold)
+            at = replace(cfg, terminal_rule=TerminalRule.at(threshold))
+            assert sweep_columns(d, [at])[0][1].dtype == np.uint16
+            assert_sweeps_equal(d, at)
 
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
                                       "obd_single_lap.ini"])
@@ -1160,7 +1172,7 @@ class TestSweepMatchesReference:
         run = run_dp_hybrid(load_scenario(scenario_dir / name))
         cfg = replace(run.policy.cfg, grid_step=grid_step or run.policy.cfg.grid_step,
                       obd_enabled=obd)
-        assert_sweeps_equal(run.policy.demand, cfg, cfg.terminal_rule.resolve(cfg))
+        assert_sweeps_equal(run.policy.demand, cfg)
 
 
 #: Bytes of working memory the backward sweep may hold per cell of its block
@@ -1169,18 +1181,23 @@ class TestSweepMatchesReference:
 #: holds the tie table; the moves of ``cs_moves`` (a float and a gate byte
 #: per decision and state) live for the whole sweep, each block's calls add
 #: a few one-byte temporaries and each stage a few (decisions x states)
-#: ones. 414 x 2501 x 4 measures 47.9 with and without OBD; the first sweep
-#: of a process measures 48.1, as numpy fills its caches on its first calls.
+#: ones. 414 x 2501 x 4 measures 47.93 with and without OBD. The first sweep
+#: of a process measures 48.09, as numpy fills its caches on its first calls,
+#: and a first sweep of a few stages leaves some unfilled: after 2 stages the
+#: next reads 48.02, after 20 47.97, after 40 or more 47.93. So the test
+#: sweeps 64 stages before it measures.
 SWEEP_BYTES_PER_CELL = 48
 
 
 @pytest.mark.parametrize("obd", [False, True])
 def test_sweep_memory_is_bounded_by_the_block_budget(decisions, obd):
-    cfg = DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd)
+    cfg = DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd,
+                   terminal_rule=TerminalRule.at(14.0))
     d = DemandProfile(np.random.default_rng(0).uniform(-0.3, 0.5, 414), 10.0, 1.0)
+    sweep_columns(DemandProfile(d.d_pct[:64], 10.0, 1.0), [cfg])  # numpy's first calls
     tracemalloc.start()
     try:
-        cost_to_go, decision_idx = backward_sweep(d, cfg, 14.0)
+        cost_to_go, decision_idx = sweep_columns(d, [cfg])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1226,15 +1243,15 @@ def test_consecutive_solves_share_no_memory(decisions, keep_costs):
     # two solves in turn, and the two columns of one sweep (OBD off and on):
     # no table of one shares memory with a table of the other
     d = DemandProfile(np.random.default_rng(1).uniform(-0.3, 0.5, 21), 10.0, 1.0)
-    cfgs = [DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd)
-            for obd in (False, True)]
-    for sweeps in ([backward_sweep(d, cfg, 14.0, keep_costs=keep_costs) for cfg in cfgs],
-                   sweep_columns(d, cfgs, 14.0, keep_costs=keep_costs)):
+    cfgs = [DpConfig(decisions=decisions, grid_step=0.002, obd_enabled=obd,
+                     terminal_rule=TerminalRule.at(14.0)) for obd in (False, True)]
+    for sweeps in ([sweep_columns(d, [cfg], keep_costs=keep_costs)[0] for cfg in cfgs],
+                   sweep_columns(d, cfgs, keep_costs=keep_costs)):
         for a in sweeps[0]:
             for b in sweeps[1]:
                 assert not np.shares_memory(a, b)
         for (cost, idx), cfg in zip(sweeps, cfgs):
-            expect_cost, expect_idx = reference_sweep(d, cfg, 14.0)
+            expect_cost, expect_idx = reference_sweep(d, cfg)
             if not keep_costs:
                 expect_cost = expect_cost[:1]
             assert np.array_equal(cost, expect_cost) and np.array_equal(idx, expect_idx)
@@ -1443,8 +1460,8 @@ def forward_instances(draw):
     """A sweep instance with its policy, a demand to roll it out on (the
     solved one, or a heavier one that breaches the window), an off-grid
     initial SOC inside or outside the window, and thermostat thresholds."""
-    d, cfg, threshold = draw(sweep_instances())
-    cost_to_go, decision_idx = backward_sweep(d, cfg, threshold)
+    d, cfg = draw(sweep_instances())
+    cost_to_go, decision_idx = sweep_columns(d, [cfg])[0]
     scale = draw(st.sampled_from([1.0, 1.0, 3.0, -2.0]))
     replay = DemandProfile(d.d_pct * scale, d.dt_s, draw(st.sampled_from([0.0, 1.0, 2.7])))
     policy = DpPolicy(cfg, replay, cost_to_go, decision_idx)

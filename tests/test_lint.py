@@ -73,9 +73,7 @@ def test_unread_field_is_found():
 
 #: Exports that nothing in the package calls, kept as entry points.
 ENTRY_POINTS = {
-    "brute_force": "the exhaustive oracle acceptance criterion 5 judges the DP by",
     "evaluate_rule_on_demand": "criterion 6 and the benchmark gate replay the rule with it",
-    "synthetic_cycle": "generates the shipped drive-cycle fixture",
 }
 #: Exports that are not code to run.
 NOT_CODE = {"__version__", "errors"}
@@ -109,8 +107,8 @@ def test_every_export_is_run():
 
 
 def test_unrun_export_is_found():
-    init = ast.parse('__version__ = "1"\nfrom .m import a, b, c, brute_force\n'
-                     '__all__ = ["__version__", "a", "b", "c", "brute_force"]\n')
+    init = ast.parse('__version__ = "1"\nfrom .m import a, b, c, evaluate_rule_on_demand\n'
+                     '__all__ = ["__version__", "a", "b", "c", "evaluate_rule_on_demand"]\n')
     module = ast.parse("def a():\n    return 1\nprint(b(), x.c)\n")
     assert unrun_exports([init], [module]) == ["a"]
 
@@ -137,7 +135,7 @@ def test_unnamed_definition_is_found():
                        "    def n(self):\n        pass\n"
                        "def f():\n    return A().n\n"
                        "def g():\n    pass\n"
-                       "def brute_force():\n    pass\n"
+                       "def evaluate_rule_on_demand():\n    pass\n"
                        "print(f())\n")
     assert unnamed_definitions([module]) == ["g", "m"]
 
