@@ -79,7 +79,7 @@ class Calibration:
     test: CycleMetrics | None = None
 
     def __post_init__(self) -> None:
-        if self.energy_scale <= 0:
+        if not self.energy_scale > 0:  # so NaN is refused too
             raise ValueError("energy scale must be positive")
 
     @property

@@ -301,7 +301,7 @@ class DemandProfile:
             raise ValueError("demand profile needs at least one interval")
         if not np.all(np.isfinite(d_pct)):
             raise ValueError("demand entries must be finite")
-        if self.dt_s <= 0 or self.distance_km < 0:
+        if not (self.dt_s > 0 and self.distance_km >= 0):  # so NaN is refused too
             raise ValueError("dt must be positive and distance nonnegative")
         d_pct.setflags(write=False)
         object.__setattr__(self, "d_pct", d_pct)
@@ -429,20 +429,13 @@ def interp_inf(values: np.ndarray, x, lo: float, step: float) -> np.ndarray:
     return np.asarray(interp_apply(values, *interp_index(x, lo, step, values.size)))
 
 
-def check_demand_interval(d: DemandProfile, cfg: DpConfig) -> None:
-    """Raise ``ValueError`` when the demand's interval differs from ``cfg.dt_s``."""
-    if d.dt_s != cfg.dt_s:
-        raise ValueError(
-            f"demand intervals of {d.dt_s:g} s do not match the decision "
-            f"interval dt_s={cfg.dt_s:g} s")
-
-
 @dataclass(frozen=True)
 class DpPolicy:
     """Backward-induction output with the problem it solves: on ``cfg``'s grid,
     the minimizing decision for each ``demand`` interval and the optimal
     cost-to-go, either of every stage or of stage 0 alone (all a rollout
-    reads; ``solve(..., keep_costs=False)``).
+    reads; ``keep_costs=False``). ``sweep_columns`` builds one per column,
+    from that column's config, with read-only tables.
 
     Raises ``ValueError`` when the tables' shapes or the demand's interval
     disagree with ``demand`` and ``cfg``, or when ``decision_idx`` holds
@@ -454,7 +447,10 @@ class DpPolicy:
     decision_idx: np.ndarray    # (N, M) unsigned index into `cfg.decisions`
 
     def __post_init__(self) -> None:
-        check_demand_interval(self.demand, self.cfg)
+        if self.demand.dt_s != self.cfg.dt_s:
+            raise ValueError(
+                f"demand intervals of {self.demand.dt_s:g} s do not match the decision "
+                f"interval dt_s={self.cfg.dt_s:g} s")
         n, m = self.demand.n_intervals, self.cfg.n_states
         if self.decision_idx.shape != (n, m):
             raise ValueError(
@@ -479,6 +475,10 @@ class DpPolicy:
 
     def optimal_cost(self, initial_soc: float) -> float:
         """Cost-to-go at stage 0 and an off-grid SOC (inf-aware linear
-        interpolation)."""
+        interpolation); a SOC outside the grid reads its end node.
+
+        Raises ``ValueError`` for a NaN SOC, which has no node to read."""
+        if math.isnan(initial_soc):
+            raise ValueError("initial SOC must not be NaN")
         return float(interp_inf(self.cost_to_go[0], initial_soc, self.cfg.soc_min,
                                 self.cfg.grid_spacing))

@@ -27,14 +27,16 @@ temporaries and a cold process does not map and fault in fresh block
 arrays again and again. A column's stages write their cost-to-go rows into
 its (N+1) x M table, or, in a solve whose policy is never exported
 (``keep_costs=False``), into a ring of one block's rows plus one, which
-returns the stage-0 row, the only one a rollout reads. ``solve`` sweeps its
-problem as a lone column, or checks one column of a sweep already run.
+returns the stage-0 row, the only one a rollout reads. ``solve`` checks
+with ``reachable`` the policy swept for its problem: one column of a sweep
+already run, or its problem swept as a lone column.
 ``forward`` is the one per-interval loop over a demand: the policy rollout
 and the thermostat replay are two decision rules passed to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -46,7 +48,6 @@ from .problem import (
     DemandProfile,
     DpConfig,
     DpPolicy,
-    check_demand_interval,
     cs_drain,
     cs_moves,
     cs_step,
@@ -79,7 +80,7 @@ BLOCK_CELLS = 20_480
 
 
 def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
-                  keep_costs: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+                  keep_costs: bool = True) -> list[DpPolicy]:
     """Backward induction over the SOC grid under the ``cs_moves`` and
     ``cs_drain`` rule, for columns of problems that share one demand, one
     grid, one decision table and one terminal rule and differ at most in
@@ -103,11 +104,11 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
     adds into the shared stage costs in place; the others add into a copy
     of them.
 
-    Returns, per column, (cost_to_go, decision_idx (N, M) in
-    ``np.min_scalar_type`` of the last decision index). ``cost_to_go`` is
-    float64: every stage's row, (N+1, M), or with ``keep_costs=False`` the
-    stage-0 row alone, (1, M), the only row a rollout reads. Both modes, and
-    a column swept alone or beside another, give the same bits.
+    Returns, per column, its config's ``DpPolicy`` on ``d``, with read-only
+    tables: ``decision_idx`` (N, M) in ``np.min_scalar_type`` of the last
+    decision index, and the float64 ``cost_to_go`` of every stage, (N+1, M),
+    or with ``keep_costs=False`` of stage 0 alone, (1, M). Both modes, and a
+    column swept alone or beside another, give the same bits.
     """
     rule = max(cfgs, key=lambda c: c.obd_enabled)  # the OBD drain, if a column pays it
     if any(replace(c, obd_enabled=rule.obd_enabled) != rule for c in cfgs if c is not rule):
@@ -189,48 +190,34 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
             for a in range(last):
                 seen |= tied[:, position[a]]
                 best -= seen
-    return [((store if keep_costs else store[:1].copy()), table)
-            for store, table in zip(stores, tables)]
+    if not keep_costs:  # the stage-0 rows, which free the rings
+        stores = [store[:1].copy() for store in stores]
+    for a in (*stores, *tables):
+        a.setflags(write=False)
+    return [DpPolicy(c, d, store, table) for c, store, table in zip(cfgs, stores, tables)]
 
 
-def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
-          swept: tuple[np.ndarray, np.ndarray] | None = None) -> DpPolicy:
-    """Backward induction over the quantized SOC grid.
-
-    The policy's tables are read-only. With ``keep_costs=False`` its
-    cost-to-go holds the stage-0 row alone: enough for ``rollout`` and
-    ``optimal_cost``, not for ``write_policy``. ``swept`` takes this
-    problem's (cost_to_go, decision_idx) from a ``sweep_columns`` already
-    run, in either mode, so that problems swept as columns of one sweep are
-    checked here one by one; ``keep_costs`` is then not read.
+def reachable(policy: DpPolicy) -> DpPolicy:
+    """Return ``policy`` when an admissible decision sequence reaches its
+    terminal set: from some grid state when ``cfg.initial_soc`` is unset,
+    or from that initial state when it is set.
 
     Raises
     ------
-    ValueError
-        When the demand's interval differs from ``cfg.dt_s``.
     InfeasibleProblemError
-        When no admissible decision sequence reaches the terminal set: from
-        every grid state when ``cfg.initial_soc`` is unset, or from that
-        initial state when it is set. The error names the first interval at
-        which the whole grid is unreachable, when one exists, or says that
-        no grid state meets the terminal SOC.
+        When none does. The error names the first interval at which the
+        whole grid is unreachable, when one exists, or says that no grid
+        state meets the terminal SOC. A policy that holds the stage-0 row
+        alone is swept again to name it.
     """
-    check_demand_interval(d, cfg)
-    threshold = cfg.terminal_rule.resolve(cfg)
-    if swept is None:
-        swept = sweep_columns(d, (cfg,), keep_costs=keep_costs)[0]
-    cost_to_go, decision_idx = swept
-    cost_to_go.setflags(write=False)
-    decision_idx.setflags(write=False)
-    policy = DpPolicy(cfg, d, cost_to_go, decision_idx)
-
+    cfg, d, cost_to_go = policy.cfg, policy.demand, policy.cost_to_go
     if cfg.initial_soc is not None:
         unreachable = not np.isfinite(policy.optimal_cost(cfg.initial_soc))
     else:
         unreachable = not np.isfinite(cost_to_go[0]).any()
     if unreachable:
         if len(cost_to_go) == 1:  # naming the stage reads every row: sweep again
-            cost_to_go = sweep_columns(d, (cfg,))[0][0]
+            cost_to_go = sweep_columns(d, (cfg,))[0].cost_to_go
         stage = None
         for k in range(d.n_intervals, -1, -1):
             if not np.isfinite(cost_to_go[k]).any():
@@ -243,10 +230,28 @@ def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
             where = f"interval {stage} blocks every state"
         else:
             where = "the designated initial state"
+        threshold = cfg.terminal_rule.resolve(cfg)
         raise InfeasibleProblemError(
             f"no admissible decision sequence reaches SOC >= {threshold:.4f}%: "
             f"{where}", stage=stage)
     return policy
+
+
+def solve(d: DemandProfile, cfg: DpConfig, *, keep_costs: bool = True,
+          swept: Sequence[DpPolicy] = ()) -> DpPolicy:
+    """Backward induction over the quantized SOC grid, checked by
+    ``reachable``. The policy checked is the one in ``swept``, the policies
+    of a ``sweep_columns`` already run, that was swept for ``d`` and
+    ``cfg``; without one, ``cfg`` is swept as a lone column. The policy's
+    tables are read-only. With ``keep_costs=False`` a lone column's
+    cost-to-go holds the stage-0 row alone: enough for ``rollout`` and
+    ``optimal_cost``, not for ``write_policy``. Raises ``ValueError`` when
+    the demand's interval differs from ``cfg.dt_s``, and
+    ``InfeasibleProblemError`` as ``reachable`` does."""
+    for policy in swept:
+        if policy.demand is d and policy.cfg == cfg:
+            return reachable(policy)
+    return reachable(sweep_columns(d, (cfg,), keep_costs=keep_costs)[0])
 
 
 @dataclass(frozen=True)
@@ -271,10 +276,12 @@ def forward(d: DemandProfile, cfg: DpConfig, initial_soc: float,
     """Run a decision rule forward over a demand with exact continuous-SOC
     ``cs_step`` transitions, stepped on Python floats. ``pick(k, soc)``
     returns the index into ``cfg.decisions`` taken in interval ``k`` from
-    boundary SOC ``soc``."""
+    boundary SOC ``soc``. Raises ``ValueError`` for a NaN initial SOC."""
+    soc = float(initial_soc)
+    if math.isnan(soc):
+        raise ValueError("initial SOC must not be NaN")
     deltas = cfg.delta_array().tolist()
     fuels = cfg.fuel_array().tolist()
-    soc = float(initial_soc)
     traj = [soc]
     chosen = []
     fuel = 0.0
@@ -303,6 +310,8 @@ def rollout(policy: DpPolicy, initial_soc: float) -> RolloutResult:
 
     Raises
     ------
+    ValueError
+        If the initial SOC is NaN.
     InfeasibleProblemError
         If the initial state has no finite cost-to-go.
     ToleranceBreachError

@@ -5,7 +5,7 @@
 interval). Its OBD-off and OBD-on problems differ only in the null
 decision's successors, so one backward sweep solves both, as two columns
 that share every charging transition and the config's terminal rule, and
-``solve`` checks each column's tables in turn. ``evaluate_rule_on_demand``
+``solve`` checks each column's policy in turn. ``evaluate_rule_on_demand``
 replays the thermostat rule on a demand profile through the rollout's own
 forward pass, as one more decision rule over the DP's decision table, so
 the rule trajectory is a valid decision sequence and the DP cost its lower
@@ -54,8 +54,7 @@ def obd_study(cycle: DriveCycle, vp: VehicleParams, assembly: PowertrainAssembly
     swept = sweep_columns(demand, cfgs, keep_costs=False)
     # each branch is checked and rolled out before the next one is checked,
     # as in two separate solves
-    off, on = (rollout(solve(demand, c, swept=tables), cfg.initial_soc)
-               for c, tables in zip(cfgs, swept))
+    off, on = (rollout(solve(demand, c, swept=swept), cfg.initial_soc) for c in cfgs)
     increase = on.cs_ec_wh_per_km - off.cs_ec_wh_per_km
     pct = increase / off.cs_ec_wh_per_km * 100.0 if off.cs_ec_wh_per_km > 0 else 0.0
     return ObdStudy(

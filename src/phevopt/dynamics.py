@@ -36,15 +36,15 @@ class VehicleParams:
     g: float = 9.81          # N/kg
 
     def __post_init__(self) -> None:
-        if self.m_t <= 0:
+        if not self.m_t > 0:  # so NaN is refused too, as below
             raise ValueError("test mass must be positive")
-        if self.i < 1.0:
+        if not self.i >= 1.0:
             raise ValueError("rotating-inertia factor must be >= 1")
-        if self.cdaf < 0:
+        if not self.cdaf >= 0:
             raise ValueError("CdAf must be nonnegative")
         if not (0.0 <= self.crr < 0.1):
             raise ValueError("Crr must lie in [0, 0.1)")
-        if self.rho <= 0 or self.g <= 0:
+        if not (self.rho > 0 and self.g > 0):
             raise ValueError("rho and g must be positive")
 
 

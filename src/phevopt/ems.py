@@ -61,9 +61,10 @@ class RuleConfig:
     def __post_init__(self) -> None:
         if not (self.soc_low < self.cs_trigger < self.soc_high):
             raise ValueError("need soc_low < cs_trigger < soc_high")
-        if self.min_dwell_s < 0 or self.warmup_s < 0 or self.crank_power_kw < 0:
+        # written so that NaN is refused too
+        if not (self.min_dwell_s >= 0 and self.warmup_s >= 0 and self.crank_power_kw >= 0):
             raise ValueError("dwell, warmup, and crank power must be nonnegative")
-        if self.regen_current_limit_a <= 0:
+        if not self.regen_current_limit_a > 0:
             raise ValueError("regen current limit must be positive")
         if not (0.0 < self.initial_soc <= 100.0):
             raise ValueError("initial_soc must lie in (0, 100]")

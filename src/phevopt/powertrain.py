@@ -265,7 +265,7 @@ class DrivetrainParams:
     wheel_radius_m: float = 0.3348
 
     def __post_init__(self) -> None:
-        if self.gear_ratio <= 0 or self.wheel_radius_m <= 0:
+        if not (self.gear_ratio > 0 and self.wheel_radius_m > 0):  # so NaN is refused too
             raise ValueError("gear ratio and wheel radius must be positive")
 
     @property
@@ -324,9 +324,9 @@ class BatteryParams:
     v_oc: float = 340.0
 
     def __post_init__(self) -> None:
-        if self.c_batt_kwh <= 0:
+        if not self.c_batt_kwh > 0:  # so NaN is refused too, as below
             raise ValueError("battery capacity must be positive")
-        if self.r_in_ohm < 0:
+        if not self.r_in_ohm >= 0:
             raise ValueError("internal resistance must be nonnegative")
         if not (math.isfinite(self.v_oc) and self.v_oc > 0):
             raise ValueError("open-circuit voltage must be finite and positive")
@@ -388,7 +388,7 @@ class GenSetPoint:
     def __post_init__(self) -> None:
         if not (0.0 < self.combined_efficiency_pct <= 100.0):
             raise ValueError("combined efficiency must lie in (0, 100]")
-        if self.electrical_power_kw < 0:
+        if not self.electrical_power_kw >= 0:  # so NaN is refused too
             raise ValueError("electrical power must be nonnegative")
 
 
@@ -487,7 +487,7 @@ class PowertrainAssembly:
     drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
 
     def __post_init__(self) -> None:
-        if self.belt_ratio <= 0:
+        if not self.belt_ratio > 0:  # so NaN is refused too
             raise ValueError("belt ratio must be positive")
         if not (0 < self.belt_efficiency <= 1):
             raise ValueError("belt efficiency must lie in (0, 1]")

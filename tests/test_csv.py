@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phevopt import _csv, cli, ems
+from phevopt import _csv, ems
 from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
@@ -29,9 +29,8 @@ from phevopt.dpopt import (
     DpPolicy,
     obd_study,
     solver,
-    studies,
 )
-from phevopt.dpopt.solver import solve, write_policy
+from phevopt.dpopt.solver import reachable, write_policy
 from phevopt.ems import MODE_CS, write_trace
 from phevopt.scenario import load_scenario
 
@@ -357,12 +356,12 @@ class TestWritePolicy:
         # "%.9f" and the old isfinite branch print these two differently
         policies = []
 
-        def recorded(*args, **kwargs):
-            policies.append(solve(*args, **kwargs))
+        def recorded(policy):
+            policies.append(reachable(policy))
             return policies[-1]
 
-        monkeypatch.setattr(cli, "solve", recorded)
-        monkeypatch.setattr(studies, "solve", recorded)
+        # every solve, obd_study's two included, checks its policy here
+        monkeypatch.setattr(solver, "reachable", recorded)
         sc = load_scenario(scenario_dir / f"{name}.ini")
         run_dp_hybrid(sc)
         obd_study(sc.cycle, sc.vp, sc.assembly, sc.bp, sc.dp,

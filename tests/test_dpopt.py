@@ -38,7 +38,7 @@ from phevopt.dpopt.problem import (
     interp_index,
     interp_inf,
 )
-from phevopt.dpopt.solver import BLOCK_CELLS, sweep_columns
+from phevopt.dpopt.solver import BLOCK_CELLS, reachable, sweep_columns
 from phevopt.powertrain import DrivetrainParams
 from phevopt.scenario import load_scenario
 
@@ -578,12 +578,22 @@ class TestPolicyCostSurface:
         assert policy.optimal_cost(11.0) == policy.cost_to_go[0, 0]
         assert policy.optimal_cost(18.0) == policy.cost_to_go[0, -1]
 
+    def test_nan_soc_rejected(self, staircase):
+        # NaN cast to the node index -2**63, on which interp_apply spun
+        policy, _ = staircase
+        with pytest.raises(ValueError, match="initial SOC must not be NaN"):
+            policy.optimal_cost(math.nan)
+
 
 class TestCycleDemandSolution:
     def test_rollout_consistent_with_cost_to_go(self, solved, demand, dp_config):
         out = rollout(solved, 14.0)
         j0 = solved.optimal_cost(14.0)
         assert abs(out.fuel_kwh - j0) / j0 < 0.005
+
+    def test_rollout_refuses_a_nan_soc(self, solved):
+        with pytest.raises(ValueError, match="initial SOC must not be NaN"):
+            rollout(solved, math.nan)
 
     def test_trajectory_respects_window(self, solved, demand, dp_config):
         out = rollout(solved, 14.0)
@@ -761,13 +771,15 @@ class TestResultsAreReadOnly:
         replay = evaluate_rule_on_demand(demand, dp_config, 14.0, 13.0, 17.0)
         study = obd_study(cycle, vp, assembly, battery, dp_config,
                           calibration=1.1584804, regen_current_limit_a=150.0)
+        columns = tuple(sweep_columns(demand, [dp_config, replace(
+            dp_config, obd_enabled=True)], keep_costs=keep_costs))
         found = {name: list(reachable_arrays(result)) for name, result in
                  (("policy", policy), ("rollout", roll), ("replay", replay),
-                  ("study", study))}
+                  ("study", study), ("columns", columns))}
         # the cost and decision tables and the drains; a trajectory and its
-        # decisions; both branches' trajectories
+        # decisions; both branches' trajectories; each column's policy
         assert {k: len(v) for k, v in found.items()} == {
-            "policy": 3, "rollout": 2, "replay": 2, "study": 2}
+            "policy": 3, "rollout": 2, "replay": 2, "study": 2, "columns": 6}
         for arrays in found.values():
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
@@ -778,6 +790,11 @@ class TestResultsAreReadOnly:
 
 
 class TestRuleOnDemand:
+    def test_nan_soc_rejected(self, demand, dp_config):
+        # the replay ended at SOC NaN, infeasible, without an error
+        with pytest.raises(ValueError, match="initial SOC must not be NaN"):
+            evaluate_rule_on_demand(demand, dp_config, math.nan, 14.0, 17.0)
+
     def test_rule_is_admissible_and_within_window(self, demand, dp_config):
         out = evaluate_rule_on_demand(demand, dp_config, 14.0,
                                       trigger_soc=14.0, high_soc=17.0)
@@ -894,7 +911,8 @@ def reference_sweep(d, cfg):
 
 def assert_sweeps_equal(d, cfg):
     expect_cost, expect_idx = reference_sweep(d, cfg)
-    cost, idx = sweep_columns(d, [cfg])[0]
+    policy = sweep_columns(d, [cfg])[0]
+    cost, idx = policy.cost_to_go, policy.decision_idx
     assert cost.dtype == expect_cost.dtype and idx.dtype == expect_idx.dtype
     assert np.array_equal(cost, expect_cost)
     assert np.array_equal(idx, expect_idx)
@@ -948,9 +966,10 @@ class TestSweepMatchesReference:
         # same decisions, bit for bit; at 2501 states a block holds 1-2
         # stages, so the ring hands a row over between many blocks
         d, cfg = inst
-        cost, idx = sweep_columns(d, [cfg])[0]
-        row, ring_idx = sweep_columns(d, [cfg], keep_costs=False)[0]
-        assert same_bits(row, cost[:1]) and same_bits(ring_idx, idx)
+        kept = sweep_columns(d, [cfg])[0]
+        row = sweep_columns(d, [cfg], keep_costs=False)[0]
+        assert same_bits(row.cost_to_go, kept.cost_to_go[:1])
+        assert same_bits(row.decision_idx, kept.decision_idx)
         # solve names the same stage in both modes, from every grid state
         # and from one designated initial state
         initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
@@ -976,10 +995,12 @@ class TestSweepMatchesReference:
         cfgs = [replace(cfg, obd_enabled=obd) for obd in (False, True)]
         for keep_costs in (True, False):
             pair = sweep_columns(d, cfgs, keep_costs=keep_costs)
+            assert [p.cfg for p in pair] == cfgs
             for column, c in zip(pair, cfgs):
                 alone = sweep_columns(d, [c], keep_costs=keep_costs)[0]
-                assert all(same_bits(x, y) for x, y in zip(column, alone))
-        # solving the swept columns raises what the separate solves raise,
+                assert same_bits(column.cost_to_go, alone.cost_to_go)
+                assert same_bits(column.decision_idx, alone.decision_idx)
+        # checking the swept columns raises what the separate solves raise,
         # from every grid state and from one designated initial state
         initial = data.draw(st.one_of(st.none(), st.floats(cfg.soc_min, cfg.soc_max)))
         cfgs = [replace(c, initial_soc=initial) for c in cfgs]
@@ -990,11 +1011,11 @@ class TestSweepMatchesReference:
                 alone = solve(d, c, keep_costs=keep_costs)
             except InfeasibleProblemError as exc:
                 with pytest.raises(InfeasibleProblemError) as paired:
-                    solve(d, c, swept=swept)
+                    solve(d, c, swept=pair)
                 assert (str(paired.value), paired.value.stage) == (str(exc), exc.stage)
                 continue
-            policy = solve(d, c, swept=swept)
-            assert policy.cfg == c
+            policy = solve(d, c, swept=pair)
+            assert policy is swept
             assert same_bits(policy.cost_to_go, alone.cost_to_go)
             assert same_bits(policy.decision_idx, alone.decision_idx)
 
@@ -1159,7 +1180,7 @@ class TestSweepMatchesReference:
         d = DemandProfile(rng.uniform(-0.2, 0.6, 6), 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):
             at = replace(cfg, terminal_rule=TerminalRule.at(threshold))
-            assert sweep_columns(d, [at])[0][1].dtype == np.uint16
+            assert sweep_columns(d, [at])[0].decision_idx.dtype == np.uint16
             assert_sweeps_equal(d, at)
 
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
@@ -1197,12 +1218,12 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions, obd):
     sweep_columns(DemandProfile(d.d_pct[:64], 10.0, 1.0), [cfg])  # numpy's first calls
     tracemalloc.start()
     try:
-        cost_to_go, decision_idx = sweep_columns(d, [cfg])[0]
+        policy = sweep_columns(d, [cfg])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(cost_to_go[0]).any()
-    working = peak - cost_to_go.nbytes - decision_idx.nbytes
+    assert np.isfinite(policy.cost_to_go[0]).any()
+    working = peak - policy.cost_to_go.nbytes - policy.decision_idx.nbytes
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
 
 
@@ -1238,6 +1259,26 @@ def test_obd_study_keeps_no_cost_table(scenario_dir):
     assert peak < 2 * n * m + BLOCK_CELLS * PAIRED_BYTES_PER_CELL + OBD_STUDY_MARGIN
 
 
+def test_solve_takes_only_its_own_column(scenario_dir):
+    # handed the OBD-on column, or its own config's column on another
+    # demand, solve sweeps the OBD-off problem itself and returns its policy
+    sc = load_scenario(scenario_dir / "obd_single_lap.ini")
+    d = build_demand(sc.cycle, sc.vp, sc.assembly.motor_map, sc.assembly.drivetrain,
+                     sc.bp, sc.calibration.energy_scale, sc.dp.dt_s,
+                     sc.rule.regen_current_limit_a)
+    off, on = (replace(sc.dp, obd_enabled=obd) for obd in (False, True))
+    twin = DemandProfile(d.d_pct, d.dt_s, d.distance_km)
+    others = [sweep_columns(d, [off, on], keep_costs=False)[1], sweep_columns(twin, [off])[0]]
+    policy = solve(d, off, swept=others)
+    assert policy.cfg == off and policy.demand is d
+    assert all(policy is not p for p in others)
+    alone = reachable(sweep_columns(d, [off])[0])
+    assert same_bits(policy.cost_to_go, alone.cost_to_go)
+    assert same_bits(policy.decision_idx, alone.decision_idx)
+    assert round(policy.optimal_cost(14.0), 6) == 21.329727
+    assert round(others[0].optimal_cost(14.0), 6) == 21.340501
+
+
 @pytest.mark.parametrize("keep_costs", [True, False])
 def test_consecutive_solves_share_no_memory(decisions, keep_costs):
     # two solves in turn, and the two columns of one sweep (OBD off and on):
@@ -1247,10 +1288,11 @@ def test_consecutive_solves_share_no_memory(decisions, keep_costs):
                      terminal_rule=TerminalRule.at(14.0)) for obd in (False, True)]
     for sweeps in ([sweep_columns(d, [cfg], keep_costs=keep_costs)[0] for cfg in cfgs],
                    sweep_columns(d, cfgs, keep_costs=keep_costs)):
-        for a in sweeps[0]:
-            for b in sweeps[1]:
+        tables = [(p.cost_to_go, p.decision_idx) for p in sweeps]
+        for a in tables[0]:
+            for b in tables[1]:
                 assert not np.shares_memory(a, b)
-        for (cost, idx), cfg in zip(sweeps, cfgs):
+        for (cost, idx), cfg in zip(tables, cfgs):
             expect_cost, expect_idx = reference_sweep(d, cfg)
             if not keep_costs:
                 expect_cost = expect_cost[:1]
@@ -1461,11 +1503,11 @@ def forward_instances(draw):
     solved one, or a heavier one that breaches the window), an off-grid
     initial SOC inside or outside the window, and thermostat thresholds."""
     d, cfg = draw(sweep_instances())
-    cost_to_go, decision_idx = sweep_columns(d, [cfg])[0]
+    swept = sweep_columns(d, [cfg])[0]
     scale = draw(st.sampled_from([1.0, 1.0, 3.0, -2.0]))
     replay = DemandProfile(d.d_pct * scale, d.dt_s, draw(st.sampled_from([0.0, 1.0, 2.7])))
-    policy = DpPolicy(cfg, replay, cost_to_go, decision_idx)
-    finite = np.flatnonzero(np.isfinite(cost_to_go[0])).tolist()
+    policy = DpPolicy(cfg, replay, swept.cost_to_go, swept.decision_idx)
+    finite = np.flatnonzero(np.isfinite(policy.cost_to_go[0])).tolist()
     if finite and draw(st.integers(0, 3)):  # mostly near a node the policy can start from
         soc = float(policy.grid[draw(st.sampled_from(finite))])
         soc += draw(st.floats(-0.49, 0.49)) * cfg.grid_step

@@ -3,8 +3,8 @@ module imports is used in it (package ``__init__`` files re-export theirs),
 every dataclass field is read somewhere in the package or its tests, every
 exported name is run by some module of the package, and so is every
 function, method and class a module defines. No module reaches the C
-allocator's process-wide settings, and one definition is the backward-sweep
-kernel."""
+allocator's process-wide settings, one definition is the backward-sweep
+kernel, and it alone builds a policy."""
 
 import ast
 from pathlib import Path
@@ -211,3 +211,42 @@ def test_second_sweep_kernel_is_found():
                      "    cs_drain(cfg, *m, d, out=(w, ok))\n"
                      "    interp_inf(v, w, 12.0, 0.01)\n")
     assert sweep_kernels(tree) == ["sweep", "sweep"]
+
+
+def policy_builders(tree: ast.Module) -> list[str]:
+    """The innermost function around each call of ``DpPolicy`` in ``tree``,
+    by name or attribute (``<module>`` outside any function): each builds a
+    policy from tables it holds."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "DpPolicy" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, owner)
+    visit(tree, "<module>")
+    return found
+
+
+def test_policies_are_built_by_the_sweep():
+    # so a policy's tables come from a sweep of its own config
+    assert [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+            for name in policy_builders(ast.parse(p.read_text(encoding="utf-8")))] == [
+        "dpopt/solver.py: sweep_columns"]
+
+
+def test_second_policy_builder_is_found():
+    tree = ast.parse("def sweep_columns(d, cfgs):\n"
+                     "    return [DpPolicy(c, d, *t) for c, t in zip(cfgs, tables)]\n"
+                     "def solve(d, cfg, swept):\n"
+                     "    return problem.DpPolicy(cfg, d, *swept)\n"
+                     "def check(policy):\n"
+                     "    def rebuilt():\n"
+                     "        return DpPolicy(policy.cfg, d, c, t)\n"
+                     "    return isinstance(policy, DpPolicy)\n"
+                     "cached = DpPolicy(cfg, d, c, t)\n")
+    assert policy_builders(tree) == ["sweep_columns", "solve", "rebuilt", "<module>"]
