@@ -12,13 +12,16 @@ straight into the buffer, whose pads ``bytearray.translate`` deletes.
 
 ``%.Nf`` of a float and ``%d`` of an integer are formatted with array
 arithmetic, from the digits of the integer ``rint(|x| * 10**N)``. For a
-scaled value below 2**49 and more than one ulp from a half-integer,
-``rint`` provably rounds it the way CPython's correctly rounded ``%``
-does. The digits come four at a time: the integers split into base-10**4
-chunks, and four ``uint16`` passes over every chunk at once each peel one
-digit per chunk into contiguous byte planes, one plane per column of the
-box; the box is the planes' transpose, which the block's concatenation
-copies anyway. Every other element (NaN, an infinity, a near-tie, a huge
+scaled value ``y`` below 2**49 and more than ``y * 2**-52`` (at least one
+ulp) from a half-integer, ``rint`` provably rounds it the way CPython's
+correctly rounded ``%`` does. The digits come four at a time: the integers
+split into base-10**4 chunks, and four ``uint16`` passes over every chunk
+at once each peel one digit per chunk into contiguous byte planes, one
+plane per column of the box; the box is the planes' transpose, which the
+block's concatenation copies anyway. A block has a sign plane only if one
+of its values has its sign bit set, ``-0.0`` included. NaN and the
+infinities get the constant cells ``nan``, ``inf`` and ``-inf``, which
+``%.Nf`` prints for every N. Every other element (a near-tie, a huge
 value, text, any other spec) goes through ``spec % v`` in ``_per_value``,
 the one place a value is formatted on its own.
 
@@ -34,6 +37,7 @@ import numpy as np
 _BLOCK = 4096  # rows per write: bounds the byte matrices held at once
 _FIXED = re.compile(r"%\.(\d)f")  # 10.0**N is exact for these N
 _EXACT = 2.0 ** 49  # below it rint(y) is exact and y - rint(y) has no rounding
+_ULP = 2.0 ** -52  # y * _ULP is at least one ulp of a normal y
 _COMMA, _NEWLINE, _MINUS, _POINT, _ZERO = b",\n-.0"
 _PAD = b"\xff"  # no UTF-8 encoding holds it: write_csv deletes every one
 
@@ -62,11 +66,12 @@ def _chunks(mag: np.ndarray, d: int) -> np.ndarray:
     return chunks
 
 
-def _digits(mag: np.ndarray, negative: np.ndarray, n: int) -> np.ndarray:
-    """The padded box of ``[-]i[.f]``: the unsigned integers ``mag`` over
-    ``10**n``, with ``n`` fraction digits and no leading zeros. It is the
-    transpose of ``(width, rows)`` planes, each written whole."""
-    d = max(len(str(mag.max(initial=0))), n + 1)  # digits, at least one before the point
+def _digits(mag: np.ndarray, negative: np.ndarray, n: int, width: int = 0) -> np.ndarray:
+    """The ``(planes, rows)`` byte planes of ``[-]i[.f]``: the unsigned
+    integers ``mag`` over ``10**n``, with ``n`` fraction digits, no leading
+    zeros and at least ``width`` planes after the sign's. The sign has a
+    plane only if a value is ``negative``; each plane is written whole."""
+    d = max(len(str(mag.max(initial=0))), n + 1, width - (n > 0))  # digits
     chunks = _chunks(mag, d)
     c = len(chunks)
     digits = np.empty((c, 4, mag.size), np.uint8)  # all 4 * c digits, left to right
@@ -77,35 +82,47 @@ def _digits(mag: np.ndarray, negative: np.ndarray, n: int) -> np.ndarray:
         digits[:, p] = np.subtract(chunks, r, out=r)
         chunks, q = q, chunks
     digits = digits.reshape(4 * c, mag.size)[4 * c - d:]
-    point = 1 + d - n  # plane of the point, after the sign and the integer digits
-    planes = np.empty((1 + d + (n > 0), mag.size), np.uint8)
-    np.add(digits[:d - n], _ZERO, out=planes[1:point])
+    s = int(negative.any())  # planes of the sign: one, or none
+    point = s + d - n  # plane of the point, after the integer digits
+    planes = np.empty((s + d + (n > 0), mag.size), np.uint8)
+    np.add(digits[:d - n], _ZERO, out=planes[s:point])
     np.add(digits[d - n:], _ZERO, out=planes[point + 1:])
     if n:
         planes[point] = _POINT
-    # 0xFF - 0xD2 is the minus sign: no masked store on a mixed-sign column
-    np.multiply(negative, np.uint8(_PAD[0] - _MINUS), out=planes[0])
-    np.subtract(_PAD[0], planes[0], out=planes[0])
+    if s:  # 0xFF - 0xD2 is the minus sign: no masked store on a mixed-sign column
+        np.multiply(negative, np.uint8(_PAD[0] - _MINUS), out=planes[0])
+        np.subtract(_PAD[0], planes[0], out=planes[0])
     for j in range(d - n - 1):  # a leading zero becomes a pad: 0xFF | byte == 0xFF
-        planes[1 + j] |= (mag < np.uint64(10 ** (d - 1 - j))) * np.uint8(_PAD[0])
-    return planes.T
+        planes[s + j] |= (mag < np.uint64(10 ** (d - 1 - j))) * np.uint8(_PAD[0])
+    return planes
 
 
 def _floats(spec: str, n: int, x: np.ndarray) -> np.ndarray:
     """The padded box of ``spec % v`` for each of ``x``, ``spec == "%.{n}f"``:
-    per value only where ``rint`` cannot be shown to round as ``%`` does."""
+    a constant cell for NaN and the infinities, and per value only for
+    the finite values ``rint`` cannot be shown to round as ``%`` does."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.abs(x) * 10.0 ** n
         q = np.rint(y)
-        exact = (y < _EXACT) & (0.5 - np.abs(y - q) > np.spacing(y))
-    box = _digits(np.where(exact, q, 0.0).astype(np.uint64), np.signbit(x), n)
+        # y * 2**-52 >= spacing(y) for a normal y; for a subnormal one q is 0
+        exact = (y < _EXACT) & (0.5 - np.abs(y - q) > y * _ULP)
     if exact.all():
-        return box
-    rows = ~exact
-    other = _per_value(spec, x[rows])
-    if other.shape[1] > box.shape[1]:
-        box = _widened(box, other.shape[1])
-    box[rows] = _widened(other, box.shape[1])
+        return _digits(q.astype(np.uint64), np.signbit(x), n).T
+    odd = np.flatnonzero(~exact)
+    q[odd] = 0.0
+    v = x[odd]
+    named = [(text, odd[mask]) for text, mask in ((b"nan", np.isnan(v)),
+             (b"inf", v == np.inf), (b"-inf", v == -np.inf)) if mask.any()]
+    planes = _digits(q.astype(np.uint64), np.signbit(x), n, 3 if named else 0)
+    for text, at in named:  # the whole cell, the sign plane's byte included
+        planes[:, at] = np.frombuffer(text.rjust(len(planes), _PAD), np.uint8)[:, None]
+    box = planes.T
+    rows = odd[np.isfinite(v)]
+    if rows.size:
+        other = _per_value(spec, x[rows])
+        if other.shape[1] > box.shape[1]:
+            box = _widened(box, other.shape[1])
+        box[rows] = _widened(other, box.shape[1])
     return box
 
 
@@ -125,7 +142,7 @@ def _cells(spec: str, values: np.ndarray) -> np.ndarray:
     if spec == "%d" and kind in "biu":
         u = values.astype(np.uint64)
         negative = values < 0
-        return _digits(np.where(negative, np.negative(u), u), negative, 0)
+        return _digits(np.where(negative, np.negative(u), u), negative, 0).T
     return _per_value(spec, values)
 
 

@@ -18,6 +18,8 @@ def ac_from_dc(dc_energy: float, charging_efficiency: float) -> float:
     """Charger-side (AC) energy for a DC quantity, same unit in and out."""
     if not (0.0 < charging_efficiency <= 1.0):
         raise ValueError("charging efficiency must lie in (0, 1]")
+    if not dc_energy >= 0:  # so NaN is refused too
+        raise ValueError("energy consumptions must be nonnegative")
     return dc_energy / charging_efficiency
 
 
@@ -25,7 +27,7 @@ def uf_weighted(ec_cd: float, ec_cs: float, uf: float) -> float:
     """Utility-factor blend EC_CD*UF + EC_CS*(1-UF), one channel at a time."""
     if not (0.0 <= uf <= 1.0):
         raise ValueError("utility factor must lie in [0, 1]")
-    if ec_cd < 0 or ec_cs < 0:
+    if not (ec_cd >= 0 and ec_cs >= 0):  # so NaN is refused too
         raise ValueError("energy consumptions must be nonnegative")
     return ec_cd * uf + ec_cs * (1.0 - uf)
 

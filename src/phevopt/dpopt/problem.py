@@ -74,6 +74,10 @@ class TerminalRule:
     kind: str  # "threshold" | "initial" | "soc_min"
     value: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.value is not None and math.isnan(self.value):
+            raise ValueError("terminal SOC threshold must not be NaN")
+
     @classmethod
     def at(cls, soc: float) -> "TerminalRule":
         return cls("threshold", float(soc))
@@ -132,6 +136,8 @@ class DpConfig:
     def __post_init__(self) -> None:
         if not self.dt_s > 0:  # so NaN is refused too
             raise ValueError("dt must be positive")
+        if math.isnan(self.soc_min) or math.isnan(self.soc_max):
+            raise ValueError("SOC window bounds must not be NaN")
         if self.soc_min >= self.soc_max:
             raise ValueError("soc_min must be below soc_max")
         n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0

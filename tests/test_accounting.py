@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from phevopt.accounting import (
@@ -36,6 +38,12 @@ class TestAcFromDc:
             ac_from_dc(100.0, eta)
 
 
+    @pytest.mark.parametrize("dc", [math.nan, -1.0])
+    def test_energy_validated(self, dc):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ac_from_dc(dc, 0.83)
+
+
 class TestUfWeighted:
     def test_all_electric(self):
         assert uf_weighted(250.0, 800.0, 1.0) == 250.0
@@ -64,6 +72,11 @@ class TestUfWeighted:
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             uf_weighted(-1.0, 800.0, 0.5)
+
+    @pytest.mark.parametrize("ec", [(math.nan, 800.0), (200.0, math.nan)])
+    def test_nan_energy_rejected(self, ec):
+        with pytest.raises(ValueError, match="nonnegative"):
+            uf_weighted(*ec, 0.5)
 
 
 class TestUfReport:

@@ -5,8 +5,9 @@ its CSV files with; every CLI data file now goes through the block-wise
 column writer, which must produce the same bytes. The writer formats
 ``%.Nf`` and ``%d`` with array arithmetic, so its bytes are also checked
 against ``spec % v`` value by value, on the cases that arithmetic must hand
-to ``%`` (near-ties, NaN, infinities, huge values). Repeated columns reach
-it coded, as a table and an index into it.
+to ``%`` (near-ties, huge values) or write as constant cells (NaN,
+infinities). Repeated columns reach it coded, as a table and an index
+into it.
 """
 
 import math
@@ -174,6 +175,23 @@ class TestWriteCsv:
         values = np.array(data.draw(st.lists(scaled_floats(2), max_size=40)))
         assert written(tmp_path_factory, ("x", "%.2e", values)) == per_value(
             "x", "%.2e", values)
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_blocks_by_sign_and_kind_match_row_loop(self, tmp_path_factory, data):
+        # a block holds a sign plane only if a value has its sign bit set,
+        # and NaN and the infinities are written as constant cells
+        n = data.draw(st.integers(0, 9))
+        plus = st.one_of(st.floats(0.0, allow_infinity=False),
+                         scaled_floats(n).map(abs).filter(math.isfinite))
+        no_negatives = data.draw(st.lists(plus, max_size=12)) + [0.0]
+        only_minus_zero = data.draw(st.lists(plus, max_size=12)) + [-0.0]
+        mixed = data.draw(st.lists(scaled_floats(n), max_size=24)) + [
+            math.inf, -math.inf, math.nan]
+        x = np.concatenate([np.resize(np.array(pool), size) for pool, size in (
+            (no_negatives, _BLOCK), (only_minus_zero, _BLOCK), (mixed, _BLOCK + 7))])
+        columns = [("x", f"%.{n}f", x)]
+        assert written(tmp_path_factory, *columns) == reference_rows(columns).encode()
 
     @given(ints=st.lists(st.integers(-2**63, 2**63 - 1), max_size=40),
            flags=st.lists(st.booleans(), max_size=40))
@@ -429,6 +447,7 @@ class TestWritersMatchRowLoops:
 
     def test_finite_values_are_never_formatted_one_by_one(self, run, tmp_path,
                                                           monkeypatch):
+        # nor are the infinities: only the two text tables reach ``%``
         seen = []
 
         def recorded(spec, values):
@@ -439,10 +458,8 @@ class TestWritersMatchRowLoops:
         monkeypatch.setattr(_csv, "_per_value", recorded)
         write_policy(run.policy, tmp_path / "policy.csv")
         write_trace(run.trace, tmp_path / "trace.csv")
-        numbers = np.concatenate([v for spec, v in seen if spec != "%s"])
+        assert [spec for spec, v in seen] == ["%s", "%s"]
+        assert sorted(len(v) for spec, v in seen) == [2, len(run.policy.cfg.decisions)]
         n = run.policy.decision_idx.shape[0]
-        assert np.isinf(numbers).all()
-        assert numbers.size == np.isinf(run.policy.cost_to_go[:n]).sum() > 0
-        assert sorted(len(v) for spec, v in seen if spec == "%s") == [
-            2, len(run.policy.cfg.decisions)]
+        assert np.isinf(run.policy.cost_to_go[:n]).any()
         assert ",inf\n" in (tmp_path / "policy.csv").read_text(encoding="utf-8")

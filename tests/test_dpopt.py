@@ -152,6 +152,13 @@ class TestDpConfigValidation:
         with pytest.raises(ValueError):
             DpConfig(decisions=decisions, **kwargs)
 
+    @pytest.mark.parametrize("bound", ["soc_min", "soc_max"])
+    def test_nan_window_has_its_own_message(self, decisions, bound):
+        with pytest.raises(ValueError, match="SOC window bounds must not be NaN"):
+            DpConfig(decisions=decisions, **{bound: math.nan})
+        with pytest.raises(ValueError, match="soc_min must be below soc_max"):
+            DpConfig(decisions=decisions, **{bound: 17.0 if bound == "soc_min" else 12.0})
+
     def test_grid_step_must_divide_window(self, decisions):
         for step in (0.03, 1e-320):
             with pytest.raises(ValueError, match="does not divide"):
@@ -177,6 +184,14 @@ class TestTerminalRule:
     def test_soc_min(self, decisions):
         cfg = DpConfig(decisions=decisions)
         assert TerminalRule.at_soc_min().resolve(cfg) == 12.0
+
+    def test_nan_threshold_rejected(self):
+        # solve would sweep an all-infinite terminal row and report the
+        # problem infeasible for SOC >= nan%
+        for build in (lambda: TerminalRule.at(math.nan),
+                      lambda: TerminalRule("threshold", math.nan)):
+            with pytest.raises(ValueError, match="threshold must not be NaN"):
+                build()
 
     def test_unknown_kind(self, decisions):
         cfg = DpConfig(decisions=decisions)

@@ -213,16 +213,14 @@ def test_second_sweep_kernel_is_found():
     assert sweep_kernels(tree) == ["sweep", "sweep"]
 
 
-def policy_builders(tree: ast.Module) -> list[str]:
-    """The innermost function around each call of ``DpPolicy`` in ``tree``,
-    by name or attribute (``<module>`` outside any function): each builds a
-    policy from tables it holds."""
+def owners(tree: ast.Module, match) -> list[str]:
+    """The innermost function around each node of ``tree`` that ``match``
+    accepts, by name (``<module>`` outside any function)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "DpPolicy" in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if match(child):
                 found.append(owner)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
@@ -230,6 +228,13 @@ def policy_builders(tree: ast.Module) -> list[str]:
                 visit(child, owner)
     visit(tree, "<module>")
     return found
+
+
+def policy_builders(tree: ast.Module) -> list[str]:
+    """Where ``tree`` calls ``DpPolicy``, by name or attribute: each place
+    builds a policy from tables it holds."""
+    return owners(tree, lambda node: isinstance(node, ast.Call) and "DpPolicy" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_policies_are_built_by_the_sweep():
@@ -250,3 +255,29 @@ def test_second_policy_builder_is_found():
                      "    return isinstance(policy, DpPolicy)\n"
                      "cached = DpPolicy(cfg, d, c, t)\n")
     assert policy_builders(tree) == ["sweep_columns", "solve", "rebuilt", "<module>"]
+
+
+def per_value_formatters(tree: ast.Module) -> list[str]:
+    """Where ``tree`` applies ``%``, as an operator or in ``%=``: each place
+    formats a value on its own."""
+    return owners(tree, lambda node: isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Mod))
+
+
+def test_one_per_value_formatter():
+    # every other cell of a CSV file comes from array arithmetic or a constant
+    assert per_value_formatters(ast.parse((SRC / "_csv.py").read_text(
+        encoding="utf-8"))) == ["_per_value"]
+
+
+def test_second_per_value_formatter_is_found():
+    tree = ast.parse("def _per_value(spec, values):\n"
+                     "    return [spec % v for v in values]\n"
+                     "def _floats(spec, n, x):\n"
+                     "    def cell(v):\n"
+                     "        text = spec\n"
+                     "        text %= v\n"
+                     "        return text\n"
+                     "    return [cell(v) for v in x] + ['%.3f' % x[0]]\n"
+                     "HEADER = '%s,%s' % ('k', 'v')\n")
+    assert per_value_formatters(tree) == ["_per_value", "cell", "_floats", "<module>"]
