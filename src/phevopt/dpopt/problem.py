@@ -39,6 +39,7 @@ from ..powertrain import (
 )
 
 SOC_EPS = 1e-9  # admissibility slack on SOC-window comparisons
+_MAX = np.finfo(float).max  # interp_apply's cap on a left node
 
 #: Quantized charge increments of the default decision set, % SOC per
 #: 10-s interval.
@@ -402,22 +403,20 @@ def interp_apply(values: np.ndarray, j, jd, w):
     """Value half of ``interp_inf``: ``steps[jd] * w + values[j]`` for the
     ``(j, jd, w)`` of ``interp_index`` on a grid of ``values.size`` nodes.
 
-    ``steps`` holds ``values[i+1] - values[i]`` at slot ``i``, infinity
-    where either node is infinite, and a zero step in the last two slots.
-    So a point inside a cell that touches an infinite node is infinite
-    (the weight of an unsnapped point is at least ``SOC_EPS``), and never
-    NaN. A snapped point gives ``values[j] + 0.0``, which is its node value
-    bit for bit because ``values`` holds no -0.0 (costs lie in [0, inf]).
-    Returns an array shaped like the indices (a numpy scalar for 0-d ones).
+    ``steps`` holds ``values[i+1] - min(values[i], MAX)`` at slot ``i``
+    (``MAX`` the largest finite float) and a zero step in the last two
+    slots. Out of an infinite node the step is finite or inf, never -inf or
+    NaN, and only an unsnapped point on that node reads it, as ``step * w +
+    inf``, which is inf. So a point inside a cell that touches an infinite
+    node is infinite (the weight of an unsnapped point is at least
+    ``SOC_EPS``), and never NaN. A snapped point gives ``values[j] + 0.0``,
+    which is its node value bit for bit because ``values`` holds no -0.0
+    (costs lie in [0, inf]). Returns an array shaped like the indices (a
+    numpy scalar for 0-d ones).
     """
     m = values.size
     steps = np.zeros(m + 1)
-    cell = steps[:m - 1]
-    # a step into an infinite node is inf - x == inf; one out of it would be
-    # x - inf, -inf or NaN, so it is set to inf instead
-    left = values[:-1]
-    np.subtract(values[1:], left, out=cell, where=left < np.inf)
-    np.copyto(cell, np.inf, where=left == np.inf)
+    np.subtract(values[1:], np.minimum(values[:-1], _MAX), out=steps[:m - 1])
     # j and jd lie in range, so "wrap" never wraps; it spares take's range error
     out = steps.take(jd, mode="wrap")
     out *= w

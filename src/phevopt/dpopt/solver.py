@@ -74,8 +74,9 @@ from .problem import (
 #: bytes per cell) and each column its table or ring. Without the cost
 #: tables its working memory measures 68.9 bytes per cell at 2501 states,
 #: against 49.9 for one column.
-#: 2 ** 15 cells swept 2-3% faster but raised the peak RSS of a CLI run by up
-#: to 0.9 MB (2%).
+#: Blocks of 2 ** 15 and 40960 cells swept 1-2% and 1-4% faster (in process,
+#: 2-vCPU VM), but moved a whole CLI run by -2.3% to +1.9% and raised its
+#: peak RSS by up to 0.6 MB (1.4%).
 BLOCK_CELLS = 20_480
 
 

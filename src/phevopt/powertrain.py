@@ -386,6 +386,8 @@ class GenSetPoint:
     electrical_power_kw: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.engine_speed_rpm) or math.isnan(self.engine_torque_nm):
+            raise ValueError("engine operating point must not be NaN")
         if not (0.0 < self.combined_efficiency_pct <= 100.0):
             raise ValueError("combined efficiency must lie in (0, 100]")
         if not self.electrical_power_kw >= 0:  # so NaN is refused too

@@ -1381,6 +1381,52 @@ class TestInterpShapes:
         assert np.array_equal(x, before)
 
 
+@st.composite
+def rows_with_infinite_runs(draw):
+    """A cost row in [0, inf] with infinite runs: a prefix, a suffix,
+    single interior nodes, all nodes, all nodes but one, or any nodes."""
+    m = draw(st.integers(2, 12))
+    finite = st.floats(min_value=0.0, allow_infinity=False)
+    values = np.array(draw(st.lists(finite, min_size=m, max_size=m)))
+    nodes = np.arange(m)
+    run = draw(st.integers(1, m))
+    kind = draw(st.sampled_from(["prefix", "suffix", "interior", "all", "one finite", "any"]))
+    if kind == "prefix":
+        values[nodes < run] = np.inf
+    elif kind == "suffix":
+        values[nodes >= m - run] = np.inf
+    elif kind == "interior":
+        picked = draw(st.lists(st.integers(0, m - 1), max_size=3))
+        values[[i for i in picked if 0 < i < m - 1]] = np.inf
+    elif kind == "all":
+        values[:] = np.inf
+    elif kind == "one finite":
+        values[nodes != run - 1] = np.inf
+    else:
+        values[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = np.inf
+    return values
+
+
+class TestInterpMatchesReference:
+    @given(values=rows_with_infinite_runs(), step=st.sampled_from([0.002, 0.01, 0.5]),
+           fractions=st.lists(st.floats(-0.5, 1.5), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_and_never_nan(self, values, step, fractions):
+        # points on nodes, 1e-10 either side of them (a snap at step 0.5, an
+        # unsnapped point at 0.002), at cell midpoints, outside the grid, and
+        # anywhere from half a grid below it to half a grid above it
+        lo, m = 12.0, values.size
+        nodes = lo + step * np.arange(m)
+        x = np.concatenate([nodes, nodes - 1e-10, nodes + 1e-10, nodes[:-1] + step / 2,
+                            [lo - step, nodes[-1] + step / 3],
+                            lo + (m - 1) * step * np.asarray(fractions)])
+        expect = reference_interp_inf(values, x, lo, step)
+        for out in (interp_inf(values, x, lo, step),
+                    interp_apply(values, *interp_index(x, lo, step, m))):
+            assert out.dtype == expect.dtype and out.tobytes() == expect.tobytes()
+            assert not np.isnan(out).any()
+
+
 # References: the policy rollout and the thermostat replay as first written,
 # two separate per-interval loops, each with its own trajectory, fuel and
 # count bookkeeping, and the replay over a two-entry (null, charge) table.

@@ -581,6 +581,11 @@ class TestGenSetPointSearch:
         with pytest.raises(ValueError):
             GenSetPoint(2600.0, 150.0, 32.0, -1.0)
 
+    @pytest.mark.parametrize("speed, torque", [(math.nan, 150.0), (2600.0, math.nan)])
+    def test_genset_point_refuses_nan_operating_point(self, speed, torque):
+        with pytest.raises(ValueError, match="operating point must not be NaN"):
+            GenSetPoint(speed, torque, 32.0, 38.0)
+
     def test_electrical_output_formula(self):
         gen = flat_map(90.0)
         eng = flat_map(35.0)
