@@ -121,27 +121,18 @@ def map_lookup(m: EfficiencyMap, speed_rpm: float, torque_nm: float) -> float:
 
 
 def max_feasible_torque(m: EfficiencyMap, speed_rpm):
-    """Largest torque on the axis for which map_lookup succeeds at this
-    speed; 0 if none (never negative). For an array of speeds the result is
-    NaN where a speed lies outside the map; a scalar speed there raises
-    MapDomainError."""
+    """Largest torque node up to which map_lookup succeeds on every node at
+    this speed; 0 if none (never negative). For an array of speeds the
+    result is NaN where a speed lies outside the map; a scalar speed there
+    raises MapDomainError."""
     i, u, inside = _cells(m.speed_axis, speed_rpm)
     if inside.ndim == 0 and not inside:
         raise MapDomainError(f"speed {speed_rpm:g} rpm outside map {m.label!r}")
-    # the limit depends only on which speed rows carry weight, so look it up
-    # at the nodes and cell midpoints the speeds select: probe 2i + 1 stands
-    # for cell i
-    s = m.speed_axis
-    probes = np.empty(2 * s.size - 1)
-    probes[::2] = s
-    probes[1::2] = 0.5 * (s[:-1] + s[1:])
-    probe = 2 * i + (u > 0.0) + (u == 1.0)
-    used = np.flatnonzero(np.bincount(np.ravel(probe), minlength=probes.size))
-    ok = ~np.isnan(_bilinear(m, probes[used, None], m.torque_axis))
-    n_ok = np.cumprod(ok, axis=1).sum(axis=1)  # leading feasible torques
-    limits = np.empty(probes.size)
-    limits[used] = np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0)
-    limit = np.where(inside, limits[probe], np.nan)
+    # leading finite torque nodes of each speed row; a speed on a node reads
+    # its own row, one inside a cell the fewer of the cell's two rows
+    lead = np.cumprod(np.isfinite(m.values), axis=1).sum(axis=1)
+    n_ok = np.minimum(lead[i + (u == 1.0)], lead[i + (u > 0.0)])
+    limit = np.where(inside, np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0), np.nan)
     return float(limit) if limit.ndim == 0 else limit
 
 
@@ -304,9 +295,7 @@ def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
     p_elec = np.where((v < MOTOR_V_MIN_MPS) | (p == 0.0), 0.0, p_elec)
     if np.ndim(v_mps) or np.ndim(p_wheel_kw):
         return p_elec
-    if np.isnan(p_elec[0]):  # let the scalar faces raise the reason
-        if not drive[0]:
-            max_feasible_torque(motor_map, float(omega_rpm[0]))
+    if np.isnan(p_elec[0]):  # let the scalar face raise the reason
         map_lookup(motor_map, float(omega_rpm[0]), float(t_map[0]))
     return float(p_elec[0])
 
@@ -355,13 +344,11 @@ def current_from_power(b: BatteryParams, p_terminal_kw):
     if b.r_in_ohm == 0.0:
         return p_w / v
     disc = v * v - 4.0 * b.r_in_ohm * p_w
-    if np.ndim(disc):
-        return (v - np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * b.r_in_ohm)
-    if disc < 0:
+    if not np.ndim(disc) and disc < 0:
         raise EnvelopeError(
             f"terminal demand {p_terminal_kw:.2f} kW exceeds battery capability "
             f"({v * v / (4000.0 * b.r_in_ohm):.2f} kW at V_oc = {v:.0f} V)")
-    return (v - math.sqrt(disc)) / (2.0 * b.r_in_ohm)
+    return (v - np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * b.r_in_ohm)
 
 
 def soc_drop_pct(b: BatteryParams, i_amps, dt_s):

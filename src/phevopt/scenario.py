@@ -16,9 +16,9 @@ SOC default to ``[rule]`` values instead. Numbers are read with Python's
 checks the file against it before it reads any value or file, so a
 misspelled key cannot leave its default in place unseen, and is named even
 where that default would fail another check. A key that depends on another
-setting (``[calibration] scale`` without ``mode = explicit``, a
-``<prefix>_*`` metric without its ``<prefix>_positive_wh_per_km``) is
-refused once that setting is read.
+setting (``[calibration] scale`` without ``mode = explicit``, a ``sim_*``
+metric without ``mode = metrics``, a ``<prefix>_*`` metric without its
+``<prefix>_positive_wh_per_km``) is refused once that setting is read.
 """
 
 from __future__ import annotations
@@ -236,6 +236,10 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError("[dp] efficiencies must match deltas in length")
         decisions = (null_decision(),) + tuple(
             Decision(d, e, f"b{d:g}") for d, e in sorted(zip(deltas, effs)))
+    labels = [dec.label for dec in decisions]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ScenarioError(f"[dp] deltas give two decisions the label {label!r}")
 
     try:
         obd_enabled = sec.getboolean("obd_enabled", fallback=False)
@@ -282,21 +286,23 @@ def load_scenario(path) -> Scenario:
 
     sec = cp["calibration"]
     mode = sec.get("mode", "none").strip()
+    if mode not in ("none", "explicit", "metrics"):
+        raise ScenarioError(f"[calibration] unknown mode {mode!r}")
+    for key in sec:
+        if ((key == "scale" and mode != "explicit")
+                or (key.startswith("sim_") and mode != "metrics")):
+            raise _never_read("calibration", key)
     sim = _metrics_from(sec, "sim")
     test_metrics = _metrics_from(sec, "test")
     if mode == "none":
         calibration = Calibration(energy_scale=1.0)
     elif mode == "explicit":
         calibration = Calibration(energy_scale=_get_float(sec, "scale"))
-    elif mode == "metrics":
+    else:
         if sim is None or test_metrics is None:
             raise ScenarioError(
                 "[calibration] mode = metrics needs sim_* and test_* entries")
         calibration = calibration_factor(sim, test_metrics)
-    else:
-        raise ScenarioError(f"[calibration] unknown mode {mode!r}")
-    if mode != "explicit" and "scale" in sec:
-        raise _never_read("calibration", "scale")
     return Scenario(
         laps=int(laps), cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule,
         dp=dp, uf=uf, charging_efficiency=charging_eff, calibration=calibration,

@@ -514,11 +514,11 @@ class TestGenSetPointSearch:
 
         monkeypatch.setattr(powertrain, "_bilinear", counted)
         genset_point_at(*args)
-        # two capability lookups, the power at the top, one lookup per
-        # TREE_LEVELS steps and the two efficiencies: 14 against 57 one step
-        # at a time
+        # the power at the top, one lookup per TREE_LEVELS steps and the two
+        # efficiencies (the capability limits read the maps' node patterns):
+        # 12 against 55 one step at a time
         assert steps == 52
-        assert len(calls) == 5 + math.ceil(steps / powertrain.TREE_LEVELS)
+        assert len(calls) == 3 + math.ceil(steps / powertrain.TREE_LEVELS)
 
     def test_point_meets_requested_power(self, assembly, genset_point):
         p = genset_point
@@ -786,6 +786,11 @@ _MAPS = {
                           np.asarray([[90.0, 90.0, np.inf, np.nan],
                                       [88.0, 88.0, 86.0, np.nan],
                                       [85.0, 85.0, 84.0, 83.0]]), "ramp"),
+    # a finite node after an infeasible one, and a row infeasible at 0 Nm
+    "gap": EfficiencyMap(np.asarray([0.0, 1.0, 2.0]), np.asarray([0.0, 1.0, 2.0, 3.0]),
+                         np.asarray([[90.0, np.nan, 85.0, 80.0],
+                                     [np.nan, 88.0, 86.0, np.nan],
+                                     [85.0, 84.0, 83.0, 82.0]]), "gap"),
 }
 
 # offsets in cell widths: inside and just outside the 1e-12 node snap
@@ -844,7 +849,7 @@ class TestArrayModelsMatchScalarReference:
             _assert_face_matches(max_feasible_torque, _ref_max_feasible_torque, (m, s))
 
     @given(data=st.data(),
-           name=st.sampled_from(["motor", "half", "stairs", "ramp"]))
+           name=st.sampled_from(["motor", "half", "stairs", "ramp", "gap"]))
     @settings(max_examples=200, deadline=None)
     def test_motor_model(self, data, name):
         m = _MAPS[name]

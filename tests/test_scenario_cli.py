@@ -1,5 +1,7 @@
 import configparser
 import filecmp
+import hashlib
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -213,7 +215,8 @@ class TestLoadScenario:
         ("dp", "terminal", ""),
         pytest.param("calibration", "scale", "mode = explicit\n",
                      id="calibration-scale"),
-        ("calibration", "sim_positive_wh_per_km", ""),
+        pytest.param("calibration", "sim_positive_wh_per_km", "mode = metrics\n",
+                     id="calibration-sim_positive_wh_per_km-"),
     ])
     def test_non_finite_number_rejected(self, tmp_path, scenario_dir, section,
                                         key, extra, raw):
@@ -454,6 +457,12 @@ class TestCliExitCodes:
                      id="default-section"),
         pytest.param("[calibration]\nscale = 1.2\n", "[calibration] scale is never read",
                      id="scale-without-explicit-mode"),
+        pytest.param("[calibration]\nsim_positive_wh_per_km = 223.75\n",
+                     "[calibration] sim_positive_wh_per_km is never read",
+                     id="sim-metric-without-mode"),
+        pytest.param("[calibration]\nmode = explicit\nscale = 1.2\nsim_percent_idle = 9\n",
+                     "[calibration] sim_percent_idle is never read",
+                     id="sim-metric-with-explicit-mode"),
         pytest.param("[dp]\nc_batt_kwh = 20\n", "[dp] c_batt_kwh is never read",
                      id="field-taken-from-another-section"),
         pytest.param("[vehicle]\nm = 2100\n", "[vehicle] m is never read",
@@ -465,6 +474,21 @@ class TestCliExitCodes:
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dp", [
+        pytest.param("deltas = 0.294, 0.2940001, 0.567", id="near-deltas"),
+        pytest.param("deltas = 0.294, 0.294, 0.567\nefficiencies = 20, 35, 31",
+                     id="repeated-delta"),
+    ])
+    def test_repeated_decision_label_exits_2(self, tmp_path, scenario_dir, capsys, dp):
+        # labels print deltas with %g, so both tables hold two decisions b0.294
+        p = write_scenario(tmp_path, scenario_dir, f"[accounting]\nuf = 0.8\n[dp]\n{dp}\n")
+        rc = main(["simulate", "--strategy", "dp", "--scenario", str(p),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("[dp] deltas give two decisions the label 'b0.294'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "dp_schedule.csv").exists()
 
     def test_misspelt_key_named_before_the_default_it_leaves(self, tmp_path,
                                                              scenario_dir, capsys):
@@ -519,7 +543,8 @@ class TestCliExitCodes:
         assert "line 3: non-numeric value in '1,1_0'" in capsys.readouterr().err
 
     def test_peak_below_average_exits_2(self, tmp_path, scenario_dir, capsys):
-        body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
+        body = ("[accounting]\nuf = 0.8\n[calibration]\nmode = metrics\n"
+                "sim_positive_wh_per_km = 223.75\n"
                 "sim_peak_power_kw = 5\nsim_avg_positive_power_kw = 14.04\n")
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
@@ -536,8 +561,8 @@ class TestCliExitCodes:
     ])
     def test_bad_calibration_metric_named(self, tmp_path, scenario_dir, capsys,
                                           entry, named):
-        body = ("[accounting]\nuf = 0.8\n[calibration]\nsim_positive_wh_per_km = 223.75\n"
-                f"{entry}\n")
+        body = ("[accounting]\nuf = 0.8\n[calibration]\nmode = metrics\n"
+                f"sim_positive_wh_per_km = 223.75\n{entry}\n")
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -664,7 +689,25 @@ class TestCliSimulate:
         assert (out / "obd_trajectories.csv").exists()
 
 
+#: The digests layerbench's gate checks: SHA-256 of every data file the five
+#: commands write on the three shipped scenarios, keyed by command and scenario.
+SHIPPED_DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "layerbench"
+                              / "golden.json").read_text(encoding="utf-8"))["shipped"]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("key", sorted(SHIPPED_DIGESTS))
+    def test_shipped_outputs_match_golden_digests(self, tmp_path, scenario_dir, capsys,
+                                                  key):
+        *command, scenario = key.split()
+        out = tmp_path / "o"
+        rc = main([*command, "--scenario", str(scenario_dir / scenario), "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in out.iterdir() if p.name != "run.log"}
+        assert found == SHIPPED_DIGESTS[key]
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, scenario_dir, capsys):
         outs = []
         for name in ("a", "b"):
