@@ -32,7 +32,7 @@ from .dpopt import (
     RolloutResult,
     TerminalRule,
     build_demand,
-    default_decisions,
+    decision_table,
     evaluate_rule_on_demand,
     obd_study,
     rollout,
@@ -70,7 +70,7 @@ __all__ = [
     "CycleMetrics", "DriveCycle", "compute_metrics", "load_cycle",
     "repeat_cycle",
     "Decision", "DemandProfile", "DpConfig", "DpPolicy", "RolloutResult",
-    "TerminalRule", "build_demand", "default_decisions",
+    "TerminalRule", "build_demand", "decision_table",
     "evaluate_rule_on_demand", "obd_study", "rollout", "solve",
     "VehicleParams", "accel_series", "tractive_force", "wheel_power_series",
     "EnergyResult", "RuleConfig", "SimTrace", "simulate_rule_based",

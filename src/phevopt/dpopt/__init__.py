@@ -9,10 +9,9 @@ from .problem import (
     DpPolicy,
     TerminalRule,
     build_demand,
-    default_decisions,
+    decision_table,
     delta_to_electrical_kw,
     max_delta_bound,
-    null_decision,
 )
 from .solver import (
     RolloutResult,
@@ -32,11 +31,10 @@ __all__ = [
     "RolloutResult",
     "TerminalRule",
     "build_demand",
-    "default_decisions",
+    "decision_table",
     "delta_to_electrical_kw",
     "evaluate_rule_on_demand",
     "max_delta_bound",
-    "null_decision",
     "obd_study",
     "rollout",
     "solve",

@@ -33,7 +33,6 @@ from ..powertrain import (
     BatteryParams,
     DrivetrainParams,
     EfficiencyMap,
-    GenSetPoint,
     current_from_power,
     motor_electrical_power,
 )
@@ -54,7 +53,6 @@ class Decision:
 
     delta_soc: float        # % per interval
     efficiency_pct: float
-    label: str
 
     def __post_init__(self) -> None:
         if not self.delta_soc >= 0:  # so NaN is refused too
@@ -62,9 +60,25 @@ class Decision:
         if not (0.0 < self.efficiency_pct <= 100.0):
             raise ValueError("decision efficiency must lie in (0, 100]")
 
+    @property
+    def label(self) -> str:
+        """The name the CSV files give the decision: ``null`` for the zero
+        increment, else ``b`` and the increment printed with ``%g``."""
+        return f"b{self.delta_soc:g}" if self.delta_soc else "null"
 
-def null_decision() -> Decision:
-    return Decision(0.0, 100.0, "null")
+
+def decision_table(deltas: Sequence[float],
+                   efficiencies: Sequence[float]) -> tuple[Decision, ...]:
+    """The null decision, then each charge increment at its efficiency in
+    ascending order. Raises ``ValueError`` when two decisions print the same
+    label (``0.294`` and ``0.2940001``) or the sequences differ in length."""
+    table = (Decision(0.0, 100.0), *(
+        Decision(d, e) for d, e in sorted(zip(deltas, efficiencies, strict=True))))
+    labels = [dec.label for dec in table]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"deltas give two decisions the label {label!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,12 @@ class TerminalRule:
     value: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in ("threshold", "initial", "soc_min"):
+            raise ValueError(f"unknown terminal rule kind {self.kind!r}")
+        if self.kind == "threshold" and self.value is None:
+            raise ValueError("terminal rule 'threshold' needs a value")
+        if self.kind != "threshold" and self.value is not None:
+            raise ValueError(f"terminal rule {self.kind!r} takes no value")
         if self.value is not None and math.isnan(self.value):
             raise ValueError("terminal SOC threshold must not be NaN")
 
@@ -94,16 +114,13 @@ class TerminalRule:
 
     def resolve(self, cfg: "DpConfig") -> float:
         if self.kind == "threshold":
-            assert self.value is not None
             return self.value
         if self.kind == "initial":
             if cfg.initial_soc is None:
                 raise ValueError(
                     "terminal rule 'initial' needs cfg.initial_soc to be set")
             return cfg.initial_soc
-        if self.kind == "soc_min":
-            return cfg.soc_min
-        raise ValueError(f"unknown terminal rule kind {self.kind!r}")
+        return cfg.soc_min
 
 
 def max_delta_bound(p_genset_max_kw: float, dt_s: float, c_batt_kwh: float) -> float:
@@ -180,8 +197,7 @@ class DpConfig:
 
     @cached_property  # the forward pass reads it once per interval
     def max_positive_delta(self) -> float:
-        positives = [dec.delta_soc for dec in self.decisions if dec.delta_soc > 0]
-        return max(positives) if positives else 0.0
+        return max(dec.delta_soc for dec in self.decisions)  # the null's 0.0 at least
 
     @property
     def obd_drain_pct(self) -> float:
@@ -193,15 +209,9 @@ class DpConfig:
 
     def fuel_array(self) -> np.ndarray:
         """Stage cost of each decision in kWh fuel: charged energy divided
-        by the decision's fuel-to-electricity efficiency; 0 for null."""
-        out = []
-        for dec in self.decisions:
-            if dec.delta_soc == 0.0:
-                out.append(0.0)
-            else:
-                out.append((dec.delta_soc / 100.0 * self.c_batt_kwh)
-                           / (dec.efficiency_pct / 100.0))
-        return np.asarray(out, dtype=float)
+        by the decision's fuel-to-electricity efficiency, so 0.0 for null."""
+        return np.asarray([(dec.delta_soc / 100.0 * self.c_batt_kwh)
+                           / (dec.efficiency_pct / 100.0) for dec in self.decisions])
 
 
 def cs_moves(cfg: DpConfig, soc, delta):
@@ -277,18 +287,6 @@ def cs_step(cfg: DpConfig, soc, d_k, delta):
     moved, gate, null = cs_moves(cfg, soc, delta)
     succ, ok = cs_drain(cfg, moved, gate, null, d_k)
     return succ, gate, ok
-
-
-def default_decisions(point: GenSetPoint,
-                      deltas: Sequence[float]) -> tuple[Decision, ...]:
-    """Default decision table: the null decision plus the quantized charge
-    increments, all at the efficiency of ``point``, the single gen-set
-    operating point sized for the largest increment (smaller increments
-    duty-cycle that same point within the interval)."""
-    decs = [null_decision()]
-    for delta in sorted(deltas):
-        decs.append(Decision(delta, point.combined_efficiency_pct, f"b{delta:g}"))
-    return tuple(decs)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .accounting import Calibration, calibration_factor
 from .cycle import CycleMetrics, DriveCycle, load_cycle, repeat_cycle
-from .dpopt import Decision, DpConfig, TerminalRule, default_decisions, null_decision
+from .dpopt import DpConfig, TerminalRule, decision_table
 from .dpopt.problem import DEFAULT_DELTAS, delta_to_electrical_kw
 from .dynamics import VehicleParams
 from .ems import RuleConfig
@@ -226,20 +226,19 @@ def load_scenario(path) -> Scenario:
     rule = _fill(RuleConfig, sec_rule, genset_point=genset_point)
 
     if sec.get("efficiencies", "auto").strip() == "auto":
-        # the decisions run the point sized for the largest increment
+        # every increment runs the point sized for the largest one; the
+        # smaller ones duty-cycle it within the interval
         sized = (genset_point if genset_kw == sized_kw
                  else assembly.genset_point(genset_speed, sized_kw))
-        decisions = default_decisions(sized, deltas)
+        effs = (sized.combined_efficiency_pct,) * len(deltas)
     else:
         effs = _get_floats(sec, "efficiencies")
         if len(effs) != len(deltas):
             raise ScenarioError("[dp] efficiencies must match deltas in length")
-        decisions = (null_decision(),) + tuple(
-            Decision(d, e, f"b{d:g}") for d, e in sorted(zip(deltas, effs)))
-    labels = [dec.label for dec in decisions]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ScenarioError(f"[dp] deltas give two decisions the label {label!r}")
+    try:
+        decisions = decision_table(deltas, effs)
+    except ValueError as exc:
+        raise ScenarioError(f"[dp] {exc}") from None
 
     try:
         obd_enabled = sec.getboolean("obd_enabled", fallback=False)

@@ -8,7 +8,7 @@ from phevopt import (
     PowertrainAssembly,
     RuleConfig,
     VehicleParams,
-    default_decisions,
+    decision_table,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
@@ -53,9 +53,9 @@ def rule_config(genset_point):
 
 @pytest.fixture(scope="session")
 def decisions(assembly):
-    return default_decisions(
-        assembly.genset_point(2600.0, delta_to_electrical_kw(0.567, 10.0, 18.9)),
-        DEFAULT_DELTAS)
+    point = assembly.genset_point(2600.0, delta_to_electrical_kw(0.567, 10.0, 18.9))
+    return decision_table(DEFAULT_DELTAS,
+                          [point.combined_efficiency_pct] * len(DEFAULT_DELTAS))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from phevopt.cycle import DriveCycle
-from phevopt.dpopt import Decision, DemandProfile, DpConfig, null_decision
+from phevopt.dpopt import DemandProfile, DpConfig, decision_table
 from phevopt.powertrain import EfficiencyMap
 
 # Keypoints (t, v) of the synthetic cycle: stop-and-go urban section, two
@@ -63,9 +63,8 @@ def grid_aligned_instance(rng, obd: bool = False) -> tuple[DemandProfile, DpConf
     while len(deltas) < 3:
         deltas.append(deltas[-1] + 0.005)
     effs = rng.uniform(20.0, 40.0, 3)
-    decs = tuple([null_decision()] + [
-        Decision(dl, e, f"b{dl:g}") for dl, e in zip(deltas, effs)])
-    cfg = DpConfig(decisions=decs, initial_soc=14.0, grid_step=0.005)
+    cfg = DpConfig(decisions=decision_table(deltas, effs), initial_soc=14.0,
+                   grid_step=0.005)
     if obd:
         drain_pct = int(rng.integers(1, 5)) * 0.005
         cfg = replace(cfg, obd_enabled=True,

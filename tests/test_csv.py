@@ -24,10 +24,10 @@ from phevopt import _csv, ems
 from phevopt._csv import _BLOCK, write_csv
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
-    Decision,
     DemandProfile,
     DpConfig,
     DpPolicy,
+    decision_table,
     obd_study,
     solver,
 )
@@ -338,20 +338,20 @@ class TestWritePolicy:
     @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
            pool=st.lists(costs, min_size=1, max_size=24),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
-           labels=st.lists(words, min_size=1, max_size=4))
+           count=st.integers(1, 4))
     @settings(max_examples=8, deadline=None)
     def test_matches_row_loop(self, tmp_path_factory, n, lo, width, pool, picks,
-                              labels):
+                              count):
         shape = (n + 1, POLICY_STATES)
         hi = lo + width
         cfg = DpConfig(soc_min=lo, soc_max=hi,
                        grid_step=(hi - lo) / (POLICY_STATES - 1),
-                       decisions=tuple(Decision(0.1 * j, 30.0, label)
-                                       for j, label in enumerate(labels)))
+                       decisions=decision_table([0.1 * j for j in range(1, count)],
+                                                [30.0] * (count - 1)))
         policy = DpPolicy(
             cfg=cfg, demand=DemandProfile(np.zeros(n), cfg.dt_s, 1.0),
             cost_to_go=np.resize(np.asarray(pool), shape),
-            decision_idx=np.resize(np.asarray(picks, dtype=np.uint8) % len(labels),
+            decision_idx=np.resize(np.asarray(picks, dtype=np.uint8) % count,
                                    shape)[:n])
         path = tmp_path_factory.mktemp("policy") / "policy.csv"
         write_policy(policy, path)

@@ -15,10 +15,10 @@ from phevopt.dpopt import (
     DpConfig,
     DpPolicy,
     TerminalRule,
+    decision_table,
     delta_to_electrical_kw,
     evaluate_rule_on_demand,
     max_delta_bound,
-    null_decision,
     obd_study,
     rollout,
     solve,
@@ -65,23 +65,51 @@ def one_interval(d0, km=1.0):
 class TestDecisionValidation:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            Decision(-0.1, 30.0, "bad")
+            Decision(-0.1, 30.0)
 
     def test_nan_delta_rejected(self):
         # a NaN increment would give NaN successors, whose interpolation
         # indices the sweep cannot read
         with pytest.raises(ValueError, match="nonnegative"):
-            Decision(math.nan, 30.0, "bad")
+            Decision(math.nan, 30.0)
 
     def test_efficiency_bounds(self):
         with pytest.raises(ValueError):
-            Decision(0.1, 0.0, "bad")
+            Decision(0.1, 0.0)
         with pytest.raises(ValueError):
-            Decision(0.1, 120.0, "bad")
+            Decision(0.1, 120.0)
 
-    def test_null_decision(self):
-        d = null_decision()
-        assert d.delta_soc == 0.0 and d.label == "null"
+    def test_label_prints_the_increment(self):
+        assert Decision(0.0, 100.0).label == "null"
+        assert Decision(0.294, 31.0).label == "b0.294"
+        assert Decision(0.1 + 0.2, 31.0).label == "b0.3"  # %g: six significant digits
+
+    def test_label_is_not_a_field(self):
+        assert [f.name for f in fields(Decision)] == ["delta_soc", "efficiency_pct"]
+        with pytest.raises(FrozenInstanceError):
+            Decision(0.294, 31.0).label = "b0.567"
+
+
+class TestDecisionTable:
+    def test_null_first_then_ascending_increments(self):
+        table = decision_table([0.567, 0.051], [31.0, 24.0])
+        assert [d.label for d in table] == ["null", "b0.051", "b0.567"]
+        assert table == (Decision(0.0, 100.0), Decision(0.051, 24.0),
+                         Decision(0.567, 31.0))
+
+    @pytest.mark.parametrize("deltas", [(0.294, 0.2940001), (0.294, 0.294)])
+    def test_repeated_label_rejected(self, deltas):
+        with pytest.raises(ValueError,
+                           match="deltas give two decisions the label 'b0.294'"):
+            decision_table([*deltas, 0.567], [31.0, 35.0, 31.0])
+
+    def test_zero_increment_repeats_the_null_label(self):
+        with pytest.raises(ValueError, match="label 'null'"):
+            decision_table([0.0, 0.294], [31.0, 31.0])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            decision_table([0.051, 0.294], [31.0])
 
 
 class TestDpConfigValidation:
@@ -112,21 +140,26 @@ class TestDpConfigValidation:
     def test_fuel_array_formula(self, decisions):
         cfg = DpConfig(decisions=decisions)
         fuel = cfg.fuel_array()
-        assert fuel[0] == 0.0
+        assert fuel[0] == 0.0 and math.copysign(1.0, fuel[0]) == 1.0  # +0.0
         for dec, f in zip(decisions[1:], fuel[1:]):
             expect = dec.delta_soc / 100.0 * 18.9 / (dec.efficiency_pct / 100.0)
             assert f == pytest.approx(expect, rel=1e-12)
 
+    def test_null_only_table_has_no_positive_delta(self):
+        cfg = DpConfig(decisions=decision_table([], []))
+        assert cfg.max_positive_delta == 0.0
+        assert cfg.fuel_array().tolist() == [0.0]
+
     def test_null_decision_required(self):
         with pytest.raises(ValueError, match="null"):
-            DpConfig(decisions=(Decision(0.1, 30.0, "only"),))
+            DpConfig(decisions=(Decision(0.1, 30.0),))
 
     def test_empty_decisions_rejected(self):
         with pytest.raises(ValueError):
             DpConfig(decisions=())
 
     def test_delta_beyond_genset_bound_rejected(self):
-        decs = (null_decision(), Decision(0.60, 30.0, "big"))
+        decs = (Decision(0.0, 100.0), Decision(0.60, 30.0))
         with pytest.raises(ValueError, match="beyond the gen-set peak"):
             DpConfig(decisions=decs, p_genset_max_kw=40.0)
 
@@ -197,6 +230,20 @@ class TestTerminalRule:
         cfg = DpConfig(decisions=decisions)
         with pytest.raises(ValueError, match="unknown"):
             TerminalRule("whenever").resolve(cfg)
+
+    def test_unknown_kind_refused_where_built(self):
+        with pytest.raises(ValueError, match="unknown terminal rule kind 'whenever'"):
+            TerminalRule("whenever")
+
+    def test_threshold_needs_a_value(self):
+        # it failed inside solve, on an assert (a TypeError under python -O)
+        with pytest.raises(ValueError, match="'threshold' needs a value"):
+            TerminalRule("threshold")
+
+    @pytest.mark.parametrize("kind", ["initial", "soc_min"])
+    def test_value_refused_where_unread(self, kind):
+        with pytest.raises(ValueError, match=f"'{kind}' takes no value"):
+            TerminalRule(kind, 99.0)
 
 
 class TestDeltaConversions:
@@ -531,10 +578,10 @@ class TestTieBreaking:
         assert np.all(policy.decision_idx == 0)
 
     def test_equal_cost_keeps_lowest_index(self):
-        decs = (null_decision(),
-                Decision(0.294, 31.0, "first"),
-                Decision(0.294, 31.0, "second"),
-                Decision(0.567, 31.0, "big"))
+        decs = (Decision(0.0, 100.0),
+                Decision(0.294, 31.0),
+                Decision(0.294, 31.0),
+                Decision(0.567, 31.0))
         cfg = DpConfig(decisions=decs, initial_soc=14.0)
         d = one_interval(0.294)
         out = rollout(solve(d, cfg), 14.0)
@@ -832,7 +879,7 @@ class TestRuleOnDemand:
         assert dp.fuel_kwh <= rule.fuel_kwh * 1.005
 
     def test_noncharging_decision_rejected(self, demand):
-        cfg = DpConfig(decisions=(null_decision(),), initial_soc=14.0)
+        cfg = DpConfig(decisions=(Decision(0.0, 100.0),), initial_soc=14.0)
         with pytest.raises(ValueError, match="must charge"):
             evaluate_rule_on_demand(demand, cfg, 14.0, 14.0, 17.0)
 
@@ -952,11 +999,10 @@ def sweep_instances(draw):
     on_grid_delta = st.integers(1, int(bound / g * 2)).map(lambda i: i * g / 2.0)
     positives = draw(st.lists(st.one_of(on_grid_delta, st.floats(0.001, bound)),
                               max_size=4))
-    decs = [null_decision()] + [
-        Decision(dl, draw(st.sampled_from([25.0, 31.0, 38.5])), f"b{i}")
-        for i, dl in enumerate(positives)]
+    decs = [Decision(0.0, 100.0)] + [
+        Decision(dl, draw(st.sampled_from([25.0, 31.0, 38.5]))) for dl in positives]
     for i in draw(st.lists(st.integers(0, len(decs) - 1), max_size=2)):
-        decs.insert(draw(st.integers(i + 1, len(decs))), replace(decs[i], label="dup"))
+        decs.insert(draw(st.integers(i + 1, len(decs))), decs[i])
     obd_pct = draw(st.one_of(st.integers(1, 8).map(lambda i: i * g / 2.0),
                              st.floats(0.0, 0.05)))
     threshold = draw(st.one_of(st.sampled_from([12.0, 17.0, 17.5]),
@@ -1187,10 +1233,10 @@ class TestSweepMatchesReference:
         # charge level listed four times, sit past index 255, so the lowest
         # tied index is picked above the range of one byte.
         rng = np.random.default_rng(300)
-        slow = [Decision(round(x, 1), 25.0, "slow")
+        slow = [Decision(round(x, 1), 25.0)
                 for x in rng.choice([0.1, 0.2, 0.3, 0.4, 0.5], 279)]
-        fast = [Decision(0.1 * (i % 10 // 2 + 1), 38.5, f"fast{i}") for i in range(20)]
-        cfg = DpConfig(decisions=(null_decision(), *slow, *fast), grid_step=0.1,
+        fast = [Decision(0.1 * (i % 10 // 2 + 1), 38.5) for i in range(20)]
+        cfg = DpConfig(decisions=(Decision(0.0, 100.0), *slow, *fast), grid_step=0.1,
                        obd_enabled=obd)
         d = DemandProfile(rng.uniform(-0.2, 0.6, 6), 10.0, 1.0)
         for threshold in (12.0, 14.0, 16.9):

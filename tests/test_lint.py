@@ -3,8 +3,8 @@ module imports is used in it (package ``__init__`` files re-export theirs),
 every dataclass field is read somewhere in the package or its tests, every
 exported name is run by some module of the package, and so is every
 function, method and class a module defines. No module reaches the C
-allocator's process-wide settings, one definition is the backward-sweep
-kernel, and it alone builds a policy."""
+allocator's process-wide settings. One definition is the backward-sweep
+kernel, and it alone builds a policy; one function builds every decision."""
 
 import ast
 from pathlib import Path
@@ -255,6 +255,32 @@ def test_second_policy_builder_is_found():
                      "    return isinstance(policy, DpPolicy)\n"
                      "cached = DpPolicy(cfg, d, c, t)\n")
     assert policy_builders(tree) == ["sweep_columns", "solve", "rebuilt", "<module>"]
+
+
+def decision_builders(tree: ast.Module) -> list[str]:
+    """Where ``tree`` calls ``Decision``, by name or attribute: each place
+    makes a decision table entry."""
+    return owners(tree, lambda node: isinstance(node, ast.Call) and "Decision" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_decisions_are_built_by_the_table_builder():
+    # so every table holds the null first and refuses two decisions one label
+    assert [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.rglob("*.py"))
+            for name in decision_builders(ast.parse(p.read_text(encoding="utf-8")))] == [
+        "dpopt/problem.py: decision_table", "dpopt/problem.py: decision_table"]
+
+
+def test_second_decision_builder_is_found():
+    tree = ast.parse("def decision_table(deltas, effs):\n"
+                     "    return (Decision(0.0, 100.0), *(Decision(d, e) for d, e in z))\n"
+                     "def load(sec):\n"
+                     "    return [problem.Decision(d, 31.0) for d in deltas]\n"
+                     "def check(dec):\n"
+                     "    return isinstance(dec, Decision)\n"
+                     "NULL = Decision(0.0, 100.0)\n")
+    assert decision_builders(tree) == [
+        "decision_table", "decision_table", "load", "<module>"]
 
 
 def per_value_formatters(tree: ast.Module) -> list[str]:

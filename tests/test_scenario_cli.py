@@ -400,6 +400,9 @@ class TestCliExitCodes:
         pytest.param("[dp]\ndeltas = nan, 0.2\n", "[dp] deltas", id="nan-delta"),
         pytest.param("[dp]\ndeltas = -0.1\n", "[dp] deltas", id="negative-delta"),
         pytest.param("[dp]\ndeltas = 0.2, 0, 0.3\n", "[dp] deltas", id="zero-delta"),
+        pytest.param("[dp]\ndeltas = 0.1, 0.3\nefficiencies = 30, 101\n",
+                     "error: [dp] decision efficiency must lie in (0, 100]",
+                     id="efficiency-above-100"),
         pytest.param("[dp]\nterminal = 20\n", "[dp] terminal",
                      id="terminal-above-window"),
         pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
@@ -558,11 +561,28 @@ class TestCliExitCodes:
         pytest.param("sim_percent_idle = 150",
                      "[calibration] sim_percent_idle = 150 lies outside [0, 100]",
                      id="idle-beyond-100"),
+        # an unset average defaults to 0, which a peak of 1 does not lie below
+        pytest.param("test_avg_positive_power_kw = 16.37\ntest_peak_power_kw = 1",
+                     "[calibration] test_peak_power_kw = 1 lies below "
+                     "test_avg_positive_power_kw = 16.37", id="test-peak-below-average"),
+        pytest.param("test_avg_positive_power_kw = -1",
+                     "[calibration] test_avg_positive_power_kw = -1 is negative",
+                     id="test-negative-average"),
+        pytest.param("test_percent_idle = 101",
+                     "[calibration] test_percent_idle = 101 lies outside [0, 100]",
+                     id="test-idle-beyond-100"),
+        *(pytest.param(f"test_{key} = abc",
+                       f"[calibration] test_{key} = 'abc' is not a number",
+                       id=f"test-{key}-not-a-number")
+          for key in ("peak_power_kw", "avg_positive_power_kw", "percent_idle")),
     ])
     def test_bad_calibration_metric_named(self, tmp_path, scenario_dir, capsys,
                                           entry, named):
-        body = ("[accounting]\nuf = 0.8\n[calibration]\nmode = metrics\n"
-                f"sim_positive_wh_per_km = 223.75\n{entry}\n")
+        # test_* metrics are read under every mode, sim_* only under metrics
+        prefix = entry.partition("_")[0]
+        mode = "mode = metrics\n" if prefix == "sim" else ""
+        body = (f"[accounting]\nuf = 0.8\n[calibration]\n{mode}"
+                f"{prefix}_positive_wh_per_km = 223.75\n{entry}\n")
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
