@@ -52,10 +52,12 @@ from .powertrain import (
     EfficiencyMap,
     GenSetPoint,
     PowertrainAssembly,
+    check_capability,
     current_from_power,
     load_map,
     map_lookup,
     motor_electrical_power,
+    motor_operating_point,
     synthetic_engine_map,
     synthetic_generator_map,
     synthetic_motor_map,
@@ -76,8 +78,8 @@ __all__ = [
     "EnergyResult", "RuleConfig", "SimTrace", "simulate_rule_based",
     "write_trace",
     "BatteryParams", "DrivetrainParams", "EfficiencyMap", "GenSetPoint",
-    "PowertrainAssembly", "current_from_power", "load_map", "map_lookup",
-    "motor_electrical_power",
+    "PowertrainAssembly", "check_capability", "current_from_power", "load_map",
+    "map_lookup", "motor_electrical_power", "motor_operating_point",
     "synthetic_engine_map", "synthetic_generator_map", "synthetic_motor_map",
     "Scenario", "load_scenario",
 ]

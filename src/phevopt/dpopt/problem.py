@@ -39,6 +39,12 @@ from ..powertrain import (
 
 SOC_EPS = 1e-9  # admissibility slack on SOC-window comparisons
 _MAX = np.finfo(float).max  # interp_apply's cap on a left node
+#: Most cells (columns x intervals x states) the tables of one sweep may
+#: hold, and so the most states a grid may have. A kept cell holds a float64
+#: cost-to-go and a one-byte decision, 9 bytes, so 128 MiB of tables hold
+#: 14.9 M cells: 7 times the two 414 x 2501 columns of an OBD study on
+#: three laps at grid step 0.002.
+MAX_CELLS = 2**27 // 9
 
 #: Quantized charge increments of the default decision set, % SOC per
 #: 10-s interval.
@@ -161,6 +167,9 @@ class DpConfig:
         n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0
         if not (1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
             raise ValueError(f"grid_step {self.grid_step:g} does not divide the window")
+        if n + 1 > MAX_CELLS:
+            raise ValueError(f"grid_step {self.grid_step:g} gives {round(n) + 1} SOC "
+                             f"states, above the limit of {MAX_CELLS}")
         # so the OBD drain is finite: cs_drain multiplies it by the null mask
         if not 0.0 <= self.obd_energy_per_event_kwh < math.inf:
             raise ValueError("OBD energy per event must be finite and nonnegative")
@@ -341,7 +350,7 @@ def build_demand(cycle: DriveCycle, vp: VehicleParams, motor_map: EfficiencyMap,
     p_wheel = wheel_power_series(vp, cycle) * calibration
     p_motor = motor_electrical_power(motor_map, drv, cycle.v_mps, p_wheel)
     i_amps = current_from_power(bp, p_motor)
-    if np.isnan(i_amps).any():  # the scalar calls name the first bad sample
+    if np.isnan(i_amps).any():  # name the first bad sample
         k = np.flatnonzero(np.isnan(i_amps))[0]
         raise_step_error(k, t[k], motor_map, drv, bp, cycle.v_mps[k], p_wheel[k],
                          p_motor[k], 0.0, 0.0)

@@ -45,6 +45,7 @@ import numpy as np
 from .._csv import write_csv
 from ..errors import InfeasibleProblemError, ToleranceBreachError
 from .problem import (
+    MAX_CELLS,
     DemandProfile,
     DpConfig,
     DpPolicy,
@@ -109,13 +110,18 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
     tables: ``decision_idx`` (N, M) in ``np.min_scalar_type`` of the last
     decision index, and the float64 ``cost_to_go`` of every stage, (N+1, M),
     or with ``keep_costs=False`` of stage 0 alone, (1, M). Both modes, and a
-    column swept alone or beside another, give the same bits.
+    column swept alone or beside another, give the same bits. Raises
+    ``ValueError``, before any table is built, when the columns' tables
+    would hold more than ``MAX_CELLS`` cells.
     """
     rule = max(cfgs, key=lambda c: c.obd_enabled)  # the OBD drain, if a column pays it
     if any(replace(c, obd_enabled=rule.obd_enabled) != rule for c in cfgs if c is not rule):
         raise ValueError("sweep columns may differ only in obd_enabled")
+    n, m = d.n_intervals, rule.n_states
+    if len(cfgs) * n * m > MAX_CELLS:  # before any table is built
+        raise ValueError(f"a sweep of {len(cfgs)} x {n} x {m} (columns x intervals x "
+                         f"states) table cells exceeds the limit of {MAX_CELLS}")
     grid = rule.grid()
-    n, m = d.n_intervals, grid.size
     deltas, fuel = rule.delta_array(), rule.fuel_array()
     width = deltas.size  # a column reads one row per decision
     last = width - 1

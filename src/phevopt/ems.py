@@ -29,8 +29,11 @@ from .powertrain import (
     DrivetrainParams,
     EfficiencyMap,
     GenSetPoint,
+    check_capability,
     current_from_power,
+    map_lookup,
     motor_electrical_power,
+    motor_operating_point,
     soc_drop_pct,
     terminal_power_kw,
 )
@@ -298,14 +301,14 @@ def simulate_rule_based(cycle: DriveCycle, vp: VehicleParams,
 
 
 def raise_step_error(k, t_k, motor_map, drv, bp, v_k, p_wheel_k, p_motor, crank, p_gen):
-    """Explain sample ``k``'s NaN battery current: the scalar motor (when
-    ``p_motor`` is NaN) and battery functions raise the reason, as an
-    ``EnvelopeError`` naming the step. The bus power is
-    ``p_motor + crank - p_gen``."""
+    """Explain sample ``k``'s NaN battery current: ``map_lookup`` at the
+    motor's operating point (when ``p_motor`` is NaN), then
+    ``check_capability``, raise the reason, as an ``EnvelopeError`` naming
+    the step. The bus power is ``p_motor + crank - p_gen``."""
     try:
         if math.isnan(p_motor):
-            motor_electrical_power(motor_map, drv, v_k, p_wheel_k)
-        current_from_power(bp, p_motor + crank - p_gen)
+            map_lookup(motor_map, *motor_operating_point(motor_map, drv, v_k, p_wheel_k))
+        check_capability(bp, p_motor + crank - p_gen)
     except (EnvelopeError, MapDomainError) as exc:
         raise EnvelopeError(f"step {k} (t = {t_k:g} s): {exc}") from None
 

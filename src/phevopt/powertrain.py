@@ -10,6 +10,10 @@ fixed stand-ins and are labeled as such).
 The battery is an internal-resistance model with one constant open-circuit
 voltage: terminal power V_oc*I - R*I^2, and SOC stepped by the chemistry
 energy V_oc*I*dt (``soc_drop_pct``). Current is discharge-positive.
+
+The models take and return arrays, NaN where a point fails. One function
+names each fault: ``map_lookup`` a map point, ``check_capability`` a
+battery demand.
 """
 
 from __future__ import annotations
@@ -122,18 +126,14 @@ def map_lookup(m: EfficiencyMap, speed_rpm: float, torque_nm: float) -> float:
 
 def max_feasible_torque(m: EfficiencyMap, speed_rpm):
     """Largest torque node up to which map_lookup succeeds on every node at
-    this speed; 0 if none (never negative). For an array of speeds the
-    result is NaN where a speed lies outside the map; a scalar speed there
-    raises MapDomainError."""
+    each speed; 0 if none (never negative), NaN where a speed lies outside
+    the map."""
     i, u, inside = _cells(m.speed_axis, speed_rpm)
-    if inside.ndim == 0 and not inside:
-        raise MapDomainError(f"speed {speed_rpm:g} rpm outside map {m.label!r}")
     # leading finite torque nodes of each speed row; a speed on a node reads
     # its own row, one inside a cell the fewer of the cell's two rows
     lead = np.cumprod(np.isfinite(m.values), axis=1).sum(axis=1)
     n_ok = np.minimum(lead[i + (u == 1.0)], lead[i + (u > 0.0)])
-    limit = np.where(inside, np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0), np.nan)
-    return float(limit) if limit.ndim == 0 else limit
+    return np.where(inside, np.where(n_ok > 0, m.torque_axis[n_ok - 1], 0.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -264,40 +264,33 @@ class DrivetrainParams:
         return self.gear_ratio * 60.0 / (2.0 * math.pi * self.wheel_radius_m)
 
 
+def motor_operating_point(motor_map: EfficiencyMap, drv: DrivetrainParams,
+                          v_mps, p_wheel_kw):
+    """Motor speed (rpm) and map torque (Nm) at wheel operating points: the
+    torque a positive wheel power asks for, else the braking torque clamped
+    to the map envelope (the rest is friction braking); NaN off the map."""
+    with np.errstate(all="ignore"):  # standstill divides by zero
+        omega_rpm = v_mps * drv.rpm_per_mps
+        torque = p_wheel_kw * 1000.0 / (omega_rpm * RAD_S_PER_RPM)
+        return omega_rpm, np.where(p_wheel_kw > 0, torque, np.minimum(
+            -torque, max_feasible_torque(motor_map, omega_rpm)))
+
+
 def motor_electrical_power(motor_map: EfficiencyMap, drv: DrivetrainParams,
                            v_mps, p_wheel_kw):
-    """Electrical power at the motor terminals for wheel operating points.
-
-    Positive wheel power divides by map efficiency; negative wheel power
-    (regeneration) multiplies by it, with braking torque clamped to the map
-    envelope (the remainder is friction braking). Below ``MOTOR_V_MIN_MPS``
-    the motor is treated as off. ``v_mps`` and ``p_wheel_kw`` may be arrays
-    (broadcast); the result is then NaN wherever the scalar call would raise.
-
-    Raises
-    ------
-    EnvelopeError
-        When a positive demand exceeds the feasible torque at this speed.
-    MapDomainError
-        When the operating point lies outside the map's axes.
-    """
-    v = np.atleast_1d(np.asarray(v_mps, dtype=float))
-    p = np.atleast_1d(np.asarray(p_wheel_kw, dtype=float))
-    drive = p > 0
+    """Electrical power at the motor terminals for wheel operating points
+    (broadcast arrays): positive wheel power divides by the map efficiency
+    at the ``motor_operating_point``, negative wheel power multiplies by it.
+    Below ``MOTOR_V_MIN_MPS`` the motor is off. NaN where the motor is on
+    and ``map_lookup`` raises at the operating point."""
+    v = np.asarray(v_mps, dtype=float)
+    p = np.asarray(p_wheel_kw, dtype=float)
+    omega_rpm, t_map = motor_operating_point(motor_map, drv, v, p)
     with np.errstate(all="ignore"):  # points off the map come out NaN
-        omega_rpm = v * drv.rpm_per_mps
-        torque = p * 1000.0 / (omega_rpm * RAD_S_PER_RPM)
-        t_map = np.where(drive, torque,
-                         np.minimum(-torque, max_feasible_torque(motor_map, omega_rpm)))
         eta = _bilinear(motor_map, omega_rpm, t_map) / 100.0
         p_regen_kw = t_map * omega_rpm * RAD_S_PER_RPM / 1000.0
-        p_elec = np.where(drive, p / eta, np.where(t_map <= 0, 0.0, -p_regen_kw * eta))
-    p_elec = np.where((v < MOTOR_V_MIN_MPS) | (p == 0.0), 0.0, p_elec)
-    if np.ndim(v_mps) or np.ndim(p_wheel_kw):
-        return p_elec
-    if np.isnan(p_elec[0]):  # let the scalar face raise the reason
-        map_lookup(motor_map, float(omega_rpm[0]), float(t_map[0]))
-    return float(p_elec[0])
+        p_elec = np.where(p > 0, p / eta, np.where(t_map <= 0, 0.0, -p_regen_kw * eta))
+    return np.where((v < MOTOR_V_MIN_MPS) | (p == 0.0), 0.0, p_elec)
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +320,27 @@ def terminal_power_kw(b: BatteryParams, i_amps: float) -> float:
 
 
 def current_from_power(b: BatteryParams, p_terminal_kw):
-    """Invert the terminal-power relation for current.
-
-    Solves V_oc*I - R_in*I^2 = P for the root with smaller magnitude.
-    ``p_terminal_kw`` may be an array; the result is then NaN wherever the
-    scalar call would raise.
-
-    Raises
-    ------
-    EnvelopeError
-        When the demand exceeds the maximum deliverable power
-        (discriminant < 0).
-    """
+    """Invert the terminal-power relation for current at terminal demands
+    (an array): the root of V_oc*I - R_in*I^2 = P with smaller magnitude.
+    NaN where the demand exceeds the maximum deliverable power
+    (discriminant < 0), where ``check_capability`` raises."""
     v = b.v_oc
     p_w = p_terminal_kw * 1000.0
     if b.r_in_ohm == 0.0:
         return p_w / v
     disc = v * v - 4.0 * b.r_in_ohm * p_w
-    if not np.ndim(disc) and disc < 0:
+    return (v - np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * b.r_in_ohm)
+
+
+def check_capability(b: BatteryParams, p_terminal_kw: float) -> None:
+    """Raise ``EnvelopeError`` when one terminal demand exceeds the maximum
+    deliverable power V_oc**2 / (4 R_in), where ``current_from_power`` gives
+    NaN."""
+    v = b.v_oc
+    if v * v - 4.0 * b.r_in_ohm * (p_terminal_kw * 1000.0) < 0:
         raise EnvelopeError(
             f"terminal demand {p_terminal_kw:.2f} kW exceeds battery capability "
             f"({v * v / (4000.0 * b.r_in_ohm):.2f} kW at V_oc = {v:.0f} V)")
-    return (v - np.sqrt(np.where(disc < 0, np.nan, disc))) / (2.0 * b.r_in_ohm)
 
 
 def soc_drop_pct(b: BatteryParams, i_amps, dt_s):
@@ -384,13 +376,10 @@ class GenSetPoint:
 def genset_electrical_kw(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                          belt_ratio: float, speed_rpm: float, torque_nm,
                          belt_efficiency: float):
-    """Electrical output of the gen-set at an engine operating point.
-    ``torque_nm`` may be an array; the result is then NaN wherever the
-    scalar call would raise."""
-    if np.ndim(torque_nm):
-        eta_gen = _bilinear(gen_map, speed_rpm * belt_ratio, torque_nm / belt_ratio)
-    else:
-        eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque_nm / belt_ratio)
+    """Electrical output of the gen-set at engine torques ``torque_nm`` (an
+    array) and one speed; NaN where ``map_lookup`` raises at the generator
+    point ``(speed_rpm * belt_ratio, torque_nm / belt_ratio)``."""
+    eta_gen = _bilinear(gen_map, speed_rpm * belt_ratio, torque_nm / belt_ratio)
     p_mech_kw = torque_nm * speed_rpm * RAD_S_PER_RPM / 1000.0
     return p_mech_kw * belt_efficiency * eta_gen / 100.0
 
@@ -407,16 +396,21 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
     the next levels of the bisection tree can visit comes from the same
     ``0.5 * (lo + hi)`` as the step-by-step walk, all of them go through one
     array lookup, and the walk then reads the ones it visits, so the torque
-    is the same bit for bit. A visited midpoint off the map goes through
-    the scalar ``genset_electrical_kw``, which raises its error."""
+    is the same bit for bit. A visited torque off the generator map goes
+    through ``map_lookup``, which raises its error."""
     if electrical_kw < 0:
         raise ValueError("electrical power must be nonnegative")
-    t_hi = max_feasible_torque(engine_map, speed_rpm)
-    t_hi = min(t_hi, max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio)
+    for emap, speed in ((engine_map, speed_rpm), (gen_map, speed_rpm * belt_ratio)):
+        if not emap.speed_axis[0] <= speed <= emap.speed_axis[-1]:
+            raise MapDomainError(f"speed {speed:g} rpm outside map {emap.label!r}")
+    t_hi = float(min(max_feasible_torque(engine_map, speed_rpm),
+                     max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio))
     if t_hi <= 0:
         raise EnvelopeError(f"gen-set has no feasible torque at {speed_rpm:g} rpm")
-    p_hi = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi,
-                                belt_efficiency)
+    p_hi = float(genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi,
+                                      belt_efficiency))
+    if math.isnan(p_hi):  # off the map: map_lookup raises the reason
+        map_lookup(gen_map, speed_rpm * belt_ratio, t_hi / belt_ratio)
     if electrical_kw > p_hi + 1e-12:
         raise EnvelopeError(
             f"{electrical_kw:.2f} kW exceeds the gen-set's {p_hi:.2f} kW "
@@ -445,9 +439,8 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
             if converged:
                 break
             p_mid = power[m]
-            if math.isnan(p_mid):  # off the map: the scalar face raises the reason
-                p_mid = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm,
-                                             mid, belt_efficiency)
+            if math.isnan(p_mid):  # off the map: map_lookup raises the reason
+                map_lookup(gen_map, speed_rpm * belt_ratio, mid / belt_ratio)
             if p_mid < electrical_kw:
                 lo, a = mid, m
             else:

@@ -62,6 +62,13 @@ class Scenario:
     calibration: Calibration
     test_metrics: CycleMetrics | None
 
+    def __post_init__(self) -> None:
+        # written so that NaN is refused too; load_scenario names the keys first
+        if not 0.0 <= self.uf <= 1.0:
+            raise ValueError("utility factor must lie in [0, 1]")
+        if not 0.0 < self.charging_efficiency <= 1.0:
+            raise ValueError("charging efficiency must lie in (0, 1]")
+
 
 def _float_defaults(cls) -> dict[str, float]:
     """The fields of ``cls`` that a scenario key named after them fills,
@@ -109,6 +116,13 @@ def _to_float(sec, key: str, raw: str) -> float:
         return parse_number(raw)
     except ValueError as exc:
         raise ScenarioError(f"[{sec.name}] {key} = {raw!r} {exc}") from None
+
+
+def _percent(sec, key: str, value: float) -> float:
+    """An SOC setting, refused unless it lies in [0, 100]."""
+    if not 0.0 <= value <= 100.0:
+        raise ScenarioError(f"[{sec.name}] {key} = {value:g} lies outside [0, 100]")
+    return value
 
 
 def _get_floats(sec, key: str) -> tuple[float, ...]:
@@ -224,6 +238,8 @@ def load_scenario(path) -> Scenario:
         genset_kw = _get_float(sec_rule, "genset_electrical_kw")
     genset_point = assembly.genset_point(genset_speed, genset_kw)
     rule = _fill(RuleConfig, sec_rule, genset_point=genset_point)
+    for key in ("soc_low", "cs_trigger", "soc_high"):
+        _percent(sec_rule, key, getattr(rule, key))
 
     if sec.get("efficiencies", "auto").strip() == "auto":
         # every increment runs the point sized for the largest one; the
@@ -254,8 +270,8 @@ def load_scenario(path) -> Scenario:
     else:
         terminal = TerminalRule.at(_get_float(sec, "terminal"))
 
-    soc_min = _get_float(sec, "soc_min", rule.soc_low)
-    soc_max = _get_float(sec, "soc_max", rule.soc_high)
+    soc_min = _percent(sec, "soc_min", _get_float(sec, "soc_min", rule.soc_low))
+    soc_max = _percent(sec, "soc_max", _get_float(sec, "soc_max", rule.soc_high))
     initial_soc = _get_float(sec, "initial_soc", rule.cs_trigger)
     if not soc_min <= initial_soc <= soc_max:
         named = (f"[dp] initial_soc = {initial_soc:g}"

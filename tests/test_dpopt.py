@@ -30,6 +30,7 @@ from phevopt.errors import (
     ToleranceBreachError,
 )
 from phevopt.dpopt.problem import (
+    MAX_CELLS,
     SOC_EPS,
     cs_drain,
     cs_moves,
@@ -198,6 +199,16 @@ class TestDpConfigValidation:
                 DpConfig(decisions=decisions, grid_step=step)
         for step in (0.5, 0.05, 0.02, 0.01, 0.005, 0.002):
             assert DpConfig(decisions=decisions, grid_step=step).grid_step == step
+
+    def test_state_count_is_bounded(self, decisions):
+        # a grid of 5e9 states once ended in a MemoryError, not a ValueError
+        with pytest.raises(ValueError, match=f"grid_step 1e-09 gives 5000000001 SOC "
+                                             f"states, above the limit of {MAX_CELLS}"):
+            DpConfig(decisions=decisions, grid_step=1e-9)
+        edge = dict(decisions=decisions, soc_min=0.0, grid_step=1.0)
+        assert DpConfig(**edge, soc_max=MAX_CELLS - 1.0).n_states == MAX_CELLS
+        with pytest.raises(ValueError, match=f"gives {MAX_CELLS + 1} SOC states"):
+            DpConfig(**edge, soc_max=float(MAX_CELLS))
 
 
 class TestTerminalRule:
@@ -1286,6 +1297,23 @@ def test_sweep_memory_is_bounded_by_the_block_budget(decisions, obd):
     assert np.isfinite(policy.cost_to_go[0]).any()
     working = peak - policy.cost_to_go.nbytes - policy.decision_idx.nbytes
     assert working < BLOCK_CELLS * SWEEP_BYTES_PER_CELL
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_sweep_refuses_tables_past_the_cell_bound(dp_config, columns):
+    # a zero demand one interval longer than the bound allows on 501 states
+    cfgs = [dp_config, replace(dp_config, obd_enabled=True)][:columns]
+    n = MAX_CELLS // (columns * dp_config.n_states) + 1
+    d = DemandProfile(np.zeros(n), 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"a sweep of {columns} x {n} x 501 "):
+            sweep_columns(d, cfgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # its tables would take 128 MiB; the refusal takes a few kB of checks
+    assert peak < 2**16
 
 
 #: Bytes of working memory a paired OBD-off/on sweep without cost tables may

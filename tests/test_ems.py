@@ -22,8 +22,12 @@ from phevopt.ems import (
 )
 from phevopt.errors import EnvelopeError, InfeasibleVehicleError, MapDomainError
 from phevopt.powertrain import (
+    RAD_S_PER_RPM,
     BatteryParams,
+    check_capability,
     current_from_power,
+    map_lookup,
+    max_feasible_torque,
     motor_electrical_power,
     soc_drop_pct,
     terminal_power_kw,
@@ -381,7 +385,9 @@ class TestTraceExport:
 
 def reference_simulate_rule_based(cycle, vp, motor_map, drv, bp, cfg, calibration):
     """The thermostat loop as it stood before the per-regime current series:
-    one scalar terminal-power inversion per sample."""
+    one terminal-power inversion per sample. A NaN motor power or current
+    is explained by ``map_lookup`` at the motor's operating point, then by
+    ``check_capability``."""
     if calibration <= 0:
         raise ValueError("calibration must be positive")
     n = cycle.n_samples
@@ -429,7 +435,12 @@ def reference_simulate_rule_based(cycle, vp, motor_map, drv, bp, cfg, calibratio
             p_motor = 0.0  # regen lockout at the window top: friction only
         try:
             if math.isnan(p_motor):  # outside the motor envelope: raise the reason
-                motor_electrical_power(motor_map, drv, cycle.v_mps[k], p_wheel[k])
+                omega = cycle.v_mps[k] * drv.rpm_per_mps
+                torque = p_wheel[k] * 1000.0 / (omega * RAD_S_PER_RPM)
+                if torque < 0:  # braking torque, clamped to the envelope
+                    torque = min(-torque, max_feasible_torque(motor_map, omega))
+                map_lookup(motor_map, omega, torque)
+            check_capability(bp, p_motor + crank - p_gen)
             i_batt = current_from_power(bp, p_motor + crank - p_gen)
         except (EnvelopeError, MapDomainError) as exc:
             raise EnvelopeError(f"step {k} (t = {now:g} s): {exc}") from None

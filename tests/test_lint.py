@@ -4,9 +4,11 @@ every dataclass field is read somewhere in the package or its tests, every
 exported name is run by some module of the package, and so is every
 function, method and class a module defines. No module reaches the C
 allocator's process-wide settings. One definition is the backward-sweep
-kernel, and it alone builds a policy; one function builds every decision."""
+kernel, and it alone builds a policy; one function builds every decision.
+The component models take and return arrays, with no scalar branch."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -307,3 +309,23 @@ def test_second_per_value_formatter_is_found():
                      "    return [cell(v) for v in x] + ['%.3f' % x[0]]\n"
                      "HEADER = '%s,%s' % ('k', 'v')\n")
     assert per_value_formatters(tree) == ["_per_value", "cell", "_floats", "<module>"]
+
+
+def dimension_branches(text: str) -> list[str]:
+    """Lines of ``text`` that ask whether an input is a scalar (``np.ndim(``
+    or ``.ndim == 0``): each gives a model a second face."""
+    return [line.strip() for line in text.splitlines()
+            if re.search(r"np\.ndim\(|\.ndim == 0", line)]
+
+
+def test_models_have_one_face():
+    # a model's NaN is explained by map_lookup or check_capability instead
+    assert dimension_branches((SRC / "powertrain.py").read_text(encoding="utf-8")) == []
+
+
+def test_dimension_branch_is_found():
+    text = ("if np.ndim(torque_nm):\n    eta = lookup(t)\n"
+            "return float(x) if x.ndim == 0 else x\n"
+            "if axis.ndim != 1 or axis.size < 2:\n    raise ValueError\n")
+    assert dimension_branches(text) == [
+        "if np.ndim(torque_nm):", "return float(x) if x.ndim == 0 else x"]

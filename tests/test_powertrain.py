@@ -13,6 +13,7 @@ from phevopt.errors import (
     MapFormatError,
 )
 from phevopt.powertrain import (
+    MOTOR_V_MIN_MPS,
     RAD_S_PER_RPM,
     BatteryParams,
     DrivetrainParams,
@@ -20,6 +21,7 @@ from phevopt.powertrain import (
     GenSetPoint,
     PowertrainAssembly,
     _bilinear,
+    check_capability,
     current_from_power,
     genset_electrical_kw,
     genset_point_at,
@@ -27,6 +29,7 @@ from phevopt.powertrain import (
     map_lookup,
     max_feasible_torque,
     motor_electrical_power,
+    motor_operating_point,
     soc_drop_pct,
     synthetic_engine_map,
     synthetic_generator_map,
@@ -166,10 +169,11 @@ class TestMaxFeasibleTorque:
                           np.asarray([[np.nan, np.nan], [90.0, 90.0]]))
         assert max_feasible_torque(m, 1000.0) == 0.0
 
-    def test_out_of_range_speed_raises(self):
+    def test_out_of_range_speed_is_nan(self):
         m = flat_map(90.0)
-        with pytest.raises(MapDomainError):
-            max_feasible_torque(m, 30000.0)
+        assert np.isnan(max_feasible_torque(m, 30000.0))
+        with pytest.raises(MapDomainError, match="speed 30000 rpm"):
+            map_lookup(m, 30000.0, m.torque_axis[0])
 
 
 class TestPowertrainAssembly:
@@ -343,8 +347,10 @@ class TestCurrentFromPower:
         limit = 340.0 * 340.0 / (4.0 * 0.08) / 1000.0
         assert current_from_power(battery, limit) == pytest.approx(
             340.0 / (2.0 * 0.08), rel=1e-9)
+        check_capability(battery, limit)
+        assert np.isnan(current_from_power(battery, limit + 0.01))
         with pytest.raises(EnvelopeError, match="361.25"):
-            current_from_power(battery, limit + 0.01)
+            check_capability(battery, limit + 0.01)
 
     def test_zero_resistance_is_linear(self):
         b = BatteryParams(c_batt_kwh=18.9, r_in_ohm=0.0, v_oc=350.0)
@@ -398,15 +404,23 @@ def reference_genset_torque(engine_map, gen_map, belt_ratio, speed_rpm,
 def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
                             electrical_kw, belt_efficiency):
     """``genset_point_at`` as it stood before the tree walk, one scalar power
-    lookup per bisection step; returns the point and the step count."""
+    lookup per bisection step, each through ``map_lookup``, which raises off
+    the map; returns the point and the step count."""
+    def power(torque):
+        eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque / belt_ratio)
+        p_mech_kw = torque * speed_rpm * RAD_S_PER_RPM / 1000.0
+        return p_mech_kw * belt_efficiency * eta_gen / 100.0
+
     if electrical_kw < 0:
         raise ValueError("electrical power must be nonnegative")
-    t_hi = max_feasible_torque(engine_map, speed_rpm)
-    t_hi = min(t_hi, max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio)
+    for m, speed in ((engine_map, speed_rpm), (gen_map, speed_rpm * belt_ratio)):
+        if not m.speed_axis[0] <= speed <= m.speed_axis[-1]:
+            raise MapDomainError(f"speed {speed:g} rpm outside map {m.label!r}")
+    t_hi = float(max_feasible_torque(engine_map, speed_rpm))
+    t_hi = min(t_hi, float(max_feasible_torque(gen_map, speed_rpm * belt_ratio)) * belt_ratio)
     if t_hi <= 0:
         raise EnvelopeError(f"gen-set has no feasible torque at {speed_rpm:g} rpm")
-    p_hi = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi,
-                                belt_efficiency)
+    p_hi = power(t_hi)
     if electrical_kw > p_hi + 1e-12:
         raise EnvelopeError(
             f"{electrical_kw:.2f} kW exceeds the gen-set's {p_hi:.2f} kW "
@@ -418,9 +432,7 @@ def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
         if mid == lo or mid == hi:
             break
         steps += 1
-        p_mid = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, mid,
-                                     belt_efficiency)
-        if p_mid < electrical_kw:
+        if power(mid) < electrical_kw:
             lo = mid
         else:
             hi = mid
@@ -480,12 +492,11 @@ class TestGenSetPointSearch:
     def test_tree_matches_step_by_step_walk(self, data, name, speed, belt_ratio,
                                             belt_efficiency):
         args = (synthetic_engine_map(), _GEN_MAPS[name], belt_ratio, speed)
-        try:
-            t_hi = min(max_feasible_torque(args[0], speed),
-                       max_feasible_torque(args[1], speed * belt_ratio) * belt_ratio)
-            p_hi = genset_electrical_kw(*args, t_hi, belt_efficiency)
-        except (MapDomainError, EnvelopeError):
-            p_hi = 40.0  # both walks raise before the bisection
+        t_hi = min(max_feasible_torque(args[0], speed),
+                   max_feasible_torque(args[1], speed * belt_ratio) * belt_ratio)
+        p_hi = float(genset_electrical_kw(*args, t_hi, belt_efficiency))
+        if math.isnan(p_hi):
+            p_hi = 40.0  # off the map: both walks raise before the bisection
         kw = data.draw(st.one_of(
             st.sampled_from([0.0, 5e-324, p_hi, float(np.nextafter(p_hi, 0.0)),
                              p_hi * 1.001]),
@@ -651,8 +662,9 @@ class TestMotorElectricalPower:
         d = self.drv()
         v = 6000.0 / d.rpm_per_mps
         p = 250.0 * 6000.0 * RAD_S_PER_RPM / 1000.0
-        with pytest.raises(EnvelopeError):
-            motor_electrical_power(m, d, v, p)
+        assert np.isnan(motor_electrical_power(m, d, v, p))
+        with pytest.raises(EnvelopeError, match="infeasible region"):
+            map_lookup(m, *motor_operating_point(m, d, v, p))
 
     def test_motoring_and_regen_bracket_wheel_power(self):
         m = flat_map(85.0)
@@ -818,13 +830,15 @@ def map_queries(draw):
     return m, np.asarray(speeds), np.asarray(torques)
 
 
-def _assert_face_matches(face, ref, args):
+def _assert_face_matches(face, ref, args, explain):
+    """The array face called on one point gives the reference's value, or
+    NaN where the reference raises; there ``explain`` raises the same
+    error type."""
     expect, err = _ref_or_nan(ref, *args)
-    if err is None:
-        assert face(*args) == expect
-    else:
+    assert np.array_equal(face(*args), expect, equal_nan=True)
+    if err is not None:
         with pytest.raises(err):
-            face(*args)
+            explain()
 
 
 class TestArrayModelsMatchScalarReference:
@@ -836,7 +850,12 @@ class TestArrayModelsMatchScalarReference:
         assert np.array_equal(_bilinear(m, speeds, torques), np.asarray(ref),
                               equal_nan=True)
         for s, t in zip(speeds, torques):
-            _assert_face_matches(map_lookup, _ref_map_lookup, (m, s, t))
+            expect, err = _ref_or_nan(_ref_map_lookup, m, s, t)
+            if err is None:
+                assert map_lookup(m, s, t) == expect
+            else:
+                with pytest.raises(err):
+                    map_lookup(m, s, t)
 
     @given(q=map_queries())
     @settings(max_examples=200, deadline=None)
@@ -846,7 +865,8 @@ class TestArrayModelsMatchScalarReference:
         assert np.array_equal(max_feasible_torque(m, speeds), np.asarray(ref),
                               equal_nan=True)
         for s in speeds:
-            _assert_face_matches(max_feasible_torque, _ref_max_feasible_torque, (m, s))
+            _assert_face_matches(max_feasible_torque, _ref_max_feasible_torque, (m, s),
+                                 lambda: map_lookup(m, s, m.torque_axis[0]))
 
     @given(data=st.data(),
            name=st.sampled_from(["motor", "half", "stairs", "ramp", "gap"]))
@@ -873,18 +893,74 @@ class TestArrayModelsMatchScalarReference:
         assert np.array_equal(out, np.asarray(ref), equal_nan=True)
         for a, b in zip(v, p):
             _assert_face_matches(motor_electrical_power, _ref_motor_electrical_power,
-                                 (m, drv, a, b))
+                                 (m, drv, a, b),
+                                 lambda: map_lookup(m, *motor_operating_point(m, drv, a, b)))
 
     @given(p=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=12),
            volts=st.floats(300.0, 400.0))
     @settings(max_examples=100, deadline=None)
     def test_battery_current(self, p, volts):
         b = BatteryParams(v_oc=volts)
-        expect = []
-        for x in p:
-            try:
-                expect.append(current_from_power(b, x))
-            except EnvelopeError:
-                expect.append(math.nan)
+        expect = [current_from_power(b, x) for x in p]
         assert np.array_equal(current_from_power(b, np.asarray(p)),
                               np.asarray(expect), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Each array face is NaN exactly where its explainer raises
+
+
+def _raises(explain, *args):
+    try:
+        explain(*args)
+    except (MapDomainError, EnvelopeError):
+        return True
+    return False
+
+
+class TestEveryNanIsExplained:
+    @given(q=map_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_map_lookup_explains_bilinear(self, q):
+        m, speeds, torques = q
+        assert np.isnan(_bilinear(m, speeds, torques)).tolist() == [
+            _raises(map_lookup, m, s, t) for s, t in zip(speeds, torques)]
+
+    @given(data=st.data(), r=st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+           volts=st.floats(200.0, 420.0))
+    @settings(max_examples=200, deadline=None)
+    def test_check_capability_explains_current(self, data, r, volts):
+        b = BatteryParams(r_in_ohm=r, v_oc=volts)
+        limit = volts * volts / (4000.0 * r) if r else 1e4
+        # around the capability, on both sides of it to the last ulp, and far off
+        near = st.sampled_from([0.0, -1.0, 1.0, float(np.nextafter(1.0, 2.0)), 1.001])
+        p = data.draw(st.lists(st.one_of(near.map(lambda f: f * limit),
+                                         st.floats(-2.0 * limit, 2.0 * limit)),
+                               min_size=1, max_size=12))
+        assert np.isnan(current_from_power(b, np.asarray(p))).tolist() == [
+            _raises(check_capability, b, x) for x in p]
+
+    @given(data=st.data(),
+           name=st.sampled_from(["motor", "half", "stairs", "ramp", "gap"]))
+    @settings(max_examples=200, deadline=None)
+    def test_map_lookup_explains_motor_power(self, data, name):
+        m = _MAPS[name]
+        drv = DrivetrainParams(gear_ratio=1.0) if name != "motor" else DrivetrainParams()
+        top = float(m.speed_axis[-1]) / drv.rpm_per_mps
+        n = data.draw(st.integers(1, 12))
+        v = np.asarray(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 2 * MOTOR_V_MIN_MPS), st.floats(0.0, 1.2 * top),
+                      axis_points(m.speed_axis).map(lambda s: s / drv.rpm_per_mps)
+                      .filter(lambda x: x >= 0)),
+            min_size=n, max_size=n)))
+        p = np.asarray(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-60.0, 60.0), st.floats(-600.0, 600.0)),
+            min_size=n, max_size=n)))
+        out = motor_electrical_power(m, drv, v, p)
+        _, t_map = motor_operating_point(m, drv, v, p)
+        # off below the cut-in speed, at zero power, and braking without torque
+        on = (v >= MOTOR_V_MIN_MPS) & (p != 0.0) & ~(t_map <= 0.0)
+        assert not np.isnan(out[~on]).any()
+        assert np.isnan(out[on]).tolist() == [
+            _raises(map_lookup, m, *motor_operating_point(m, drv, a, b))
+            for a, b in zip(v[on], p[on])]

@@ -32,6 +32,11 @@ def calibration():
     return phevopt.Calibration(1.0)
 
 
+@pytest.fixture
+def scenario(scenario_dir):
+    return phevopt.load_scenario(scenario_dir / "single_lap.ini")
+
+
 #: Each field of a public parameter record whose check once let NaN through
 #: (every comparison with NaN is false), with the message that refuses it.
 #: The record to vary is the fixture named first.
@@ -53,7 +58,11 @@ NAN_CHECKED = [
     *[("demand_profile", name, "dt must be positive and distance nonnegative")
       for name in ("dt_s", "distance_km")],
     ("calibration", "energy_scale", "energy scale must be positive"),
+    ("scenario", "uf", "utility factor must lie in"),
+    ("scenario", "charging_efficiency", "charging efficiency must lie in"),
 ]
+#: The fields above with an upper bound, which refuse infinity too.
+BOUNDED = {"uf", "charging_efficiency"}
 
 
 @pytest.mark.parametrize("record, name, message", NAN_CHECKED,
@@ -64,4 +73,8 @@ def test_nan_parameter_rejected(request, record, name, message):
     record = request.getfixturevalue(record)
     with pytest.raises(ValueError, match=message):
         replace(record, **{name: math.nan})
-    replace(record, **{name: math.inf})  # infinity is accepted, as before
+    if name in BOUNDED:
+        with pytest.raises(ValueError, match=message):
+            replace(record, **{name: math.inf})
+    else:
+        replace(record, **{name: math.inf})  # infinity is accepted, as before

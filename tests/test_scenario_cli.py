@@ -420,6 +420,18 @@ class TestCliExitCodes:
                      id="zero-belt-ratio"),
         pytest.param("[maps]\nbelt_efficiency = 1.5\n",
                      "error: belt efficiency must lie in (0, 1]", id="belt-efficiency"),
+        # SOC settings are percentages; each of these once ran to exit 0
+        pytest.param("[rule]\nsoc_high = 150\n",
+                     "error: [rule] soc_high = 150 lies outside [0, 100]", id="soc-high-150"),
+        pytest.param("[rule]\nsoc_low = -5\n",
+                     "error: [rule] soc_low = -5 lies outside [0, 100]", id="soc-low-negative"),
+        pytest.param("[dp]\nsoc_max = 150\n",
+                     "error: [dp] soc_max = 150 lies outside [0, 100]", id="soc-max-150"),
+        pytest.param("[dp]\nsoc_min = -1\n",
+                     "error: [dp] soc_min = -1 lies outside [0, 100]", id="soc-min-negative"),
+        pytest.param("[dp]\ngrid_step = 1e-9\n",
+                     "error: grid_step 1e-09 gives 5000000001 SOC states, above the limit",
+                     id="grid-beyond-the-state-limit"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
@@ -595,6 +607,15 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "o"), "--grid-step", "0.03"])
         assert rc == 2
         assert "does not divide" in capsys.readouterr().err
+
+    def test_grid_step_beyond_the_state_limit_exits_2(self, tmp_path, scenario_dir,
+                                                      capsys):
+        # numpy once refused 37.3 GiB for this grid, in an uncaught MemoryError
+        rc = main(["simulate", "--strategy", "dp",
+                   "--scenario", str(scenario_dir / "single_lap.ini"),
+                   "--out", str(tmp_path / "o"), "--grid-step", "1e-9"])
+        assert rc == 2
+        assert "gives 5000000001 SOC states, above the limit" in capsys.readouterr().err
 
 
 class TestCliSimulate:
