@@ -39,12 +39,15 @@ from ..powertrain import (
 
 SOC_EPS = 1e-9  # admissibility slack on SOC-window comparisons
 _MAX = np.finfo(float).max  # interp_apply's cap on a left node
-#: Most cells (columns x intervals x states) the tables of one sweep may
-#: hold, and so the most states a grid may have. A kept cell holds a float64
-#: cost-to-go and a one-byte decision, 9 bytes, so 128 MiB of tables hold
-#: 14.9 M cells: 7 times the two 414 x 2501 columns of an OBD study on
-#: three laps at grid step 0.002.
-MAX_CELLS = 2**27 // 9
+#: Most bytes one backward sweep may allocate: its tables and its
+#: workspace, counted before any of them is built (``sweep_columns``).
+SWEEP_BYTES = 2**27
+#: Most states a grid may have: the cells (columns x intervals x states)
+#: whose tables fill ``SWEEP_BYTES``. A kept cell holds a float64 cost-to-go
+#: and a one-byte decision, 9 bytes, so 128 MiB hold 14.9 M cells: 7 times
+#: the two 414 x 2501 columns of an OBD study on three laps at grid step
+#: 0.002.
+MAX_CELLS = SWEEP_BYTES // 9
 
 #: Quantized charge increments of the default decision set, % SOC per
 #: 10-s interval.
@@ -92,11 +95,11 @@ class TerminalRule:
     """Final-SOC requirement: the terminal cost is 0 at or above the
     resolved threshold and infinite below it."""
 
-    kind: str  # "threshold" | "initial" | "soc_min"
+    kind: str  # "threshold" | "initial"
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("threshold", "initial", "soc_min"):
+        if self.kind not in ("threshold", "initial"):
             raise ValueError(f"unknown terminal rule kind {self.kind!r}")
         if self.kind == "threshold" and self.value is None:
             raise ValueError("terminal rule 'threshold' needs a value")
@@ -114,19 +117,12 @@ class TerminalRule:
         """Charge-sustaining neutrality: end at or above the starting SOC."""
         return cls("initial")
 
-    @classmethod
-    def at_soc_min(cls) -> "TerminalRule":
-        return cls("soc_min")
-
     def resolve(self, cfg: "DpConfig") -> float:
         if self.kind == "threshold":
             return self.value
-        if self.kind == "initial":
-            if cfg.initial_soc is None:
-                raise ValueError(
-                    "terminal rule 'initial' needs cfg.initial_soc to be set")
-            return cfg.initial_soc
-        return cfg.soc_min
+        if cfg.initial_soc is None:
+            raise ValueError("terminal rule 'initial' needs cfg.initial_soc to be set")
+        return cfg.initial_soc
 
 
 def max_delta_bound(p_genset_max_kw: float, dt_s: float, c_batt_kwh: float) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 from .._csv import write_csv
 from ..errors import InfeasibleProblemError, ToleranceBreachError
 from .problem import (
-    MAX_CELLS,
+    SWEEP_BYTES,
     DemandProfile,
     DpConfig,
     DpPolicy,
@@ -78,6 +78,13 @@ from .problem import (
 #: Blocks of 2 ** 15 and 40960 cells swept 1-2% and 1-4% faster (in process,
 #: 2-vCPU VM), but moved a whole CLI run by -2.3% to +1.9% and raised its
 #: peak RSS by up to 0.6 MB (1.4%).
+#: A sweep counts its bytes against ``SWEEP_BYTES`` before it allocates: its
+#: tables as if every cost row were kept (9 bytes a cell), its terminal row
+#: or ring, and per state 40 bytes per row of each block stage (workspace and
+#: temporaries), 8 per decision of each block stage of a pair (spare costs),
+#: 9 per row (moves), 16 per decision (a stage's gathers) and 24 (grid,
+#: terminal row, steps). That bounds what 1 to 50 stages per block of 2 to 5
+#: rows measured: 256-265 bytes per state at one stage of 4 decisions.
 BLOCK_CELLS = 20_480
 
 
@@ -111,17 +118,13 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
     decision index, and the float64 ``cost_to_go`` of every stage, (N+1, M),
     or with ``keep_costs=False`` of stage 0 alone, (1, M). Both modes, and a
     column swept alone or beside another, give the same bits. Raises
-    ``ValueError``, before any table is built, when the columns' tables
-    would hold more than ``MAX_CELLS`` cells.
+    ``ValueError``, before the grid or any table is built, when its tables
+    and workspace would take more than ``SWEEP_BYTES`` bytes.
     """
     rule = max(cfgs, key=lambda c: c.obd_enabled)  # the OBD drain, if a column pays it
     if any(replace(c, obd_enabled=rule.obd_enabled) != rule for c in cfgs if c is not rule):
         raise ValueError("sweep columns may differ only in obd_enabled")
     n, m = d.n_intervals, rule.n_states
-    if len(cfgs) * n * m > MAX_CELLS:  # before any table is built
-        raise ValueError(f"a sweep of {len(cfgs)} x {n} x {m} (columns x intervals x "
-                         f"states) table cells exceeds the limit of {MAX_CELLS}")
-    grid = rule.grid()
     deltas, fuel = rule.delta_array(), rule.fuel_array()
     width = deltas.size  # a column reads one row per decision
     last = width - 1
@@ -138,13 +141,22 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
     drained[:order.size - width] = False
 
     per_block = max(1, BLOCK_CELLS // width // m)
+    block = min(per_block, n)  # the stages of the first block
+    size = m * (len(cfgs) * (9 * n + 8 * (block + 1))  # see BLOCK_CELLS
+                + block * (40 * order.size + 8 * width * (len(cfgs) > 1))
+                + 9 * order.size + 16 * width + 24)
+    if size > SWEEP_BYTES:
+        raise ValueError(f"a sweep of {len(cfgs)} x {n} x {m} (columns x intervals x "
+                         f"states) needs {size} bytes of tables and workspace, above "
+                         f"the limit of {SWEEP_BYTES}")
+    grid = rule.grid()
     threshold = rule.terminal_rule.resolve(rule)
     terminal = np.where(grid >= threshold - 1e-12, 0.0, np.inf)
     tables = [np.empty((n, m), dtype=np.min_scalar_type(last)) for _ in cfgs]
     # with the table, the stages fill rows 0..n-1 below the terminal row n;
     # without it, a ring of one block's rows: between blocks, row 0 holds the
     # cost-to-go of the stage that ends the next block, whose row nb it becomes
-    stores = [np.empty((n + 1 if keep_costs else min(per_block, n) + 1, m)) for _ in cfgs]
+    stores = [np.empty((n + 1 if keep_costs else block + 1, m)) for _ in cfgs]
     for store in stores:
         store[n if keep_costs else 0] = terminal
 
@@ -153,7 +165,7 @@ def sweep_columns(d: DemandProfile, cfgs: Sequence[DpConfig], *,
     # the workspace (see BLOCK_CELLS): w holds the successors, then the
     # weights; ok the admissible moves, then the inadmissible ones, then the
     # tie tables; spare the stage costs of every column but the last
-    shape = (min(per_block, n), order.size, m)
+    shape = (block, order.size, m)
     workspace = (np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int64),
                  np.empty(shape), np.empty(shape, bool),
                  np.empty((shape[0] if len(cfgs) > 1 else 0, width, m)))

@@ -17,6 +17,8 @@ import numpy as np
 
 from .cycle import V_IDLE_MPS, DriveCycle
 
+G = 9.81  # N/kg, standard gravity
+
 
 @dataclass
 class VehicleParams:
@@ -33,7 +35,6 @@ class VehicleParams:
     cdaf: float = 0.75       # m^2, drag coefficient * frontal area
     crr: float = 0.009       # rolling-resistance coefficient
     rho: float = 1.20        # kg/m^3 air density
-    g: float = 9.81          # N/kg
 
     def __post_init__(self) -> None:
         if not self.m_t > 0:  # so NaN is refused too, as below
@@ -44,8 +45,8 @@ class VehicleParams:
             raise ValueError("CdAf must be nonnegative")
         if not (0.0 <= self.crr < 0.1):
             raise ValueError("Crr must lie in [0, 0.1)")
-        if not (self.rho > 0 and self.g > 0):
-            raise ValueError("rho and g must be positive")
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
 
 
 def tractive_force(p: VehicleParams, v, accel, grade_deg):
@@ -68,9 +69,9 @@ def tractive_force(p: VehicleParams, v, accel, grade_deg):
     accel = np.asarray(accel, dtype=float)
     grade = np.deg2rad(np.asarray(grade_deg, dtype=float))
     f = (p.m_t * p.i * accel
-         + p.m_t * p.g * np.sin(grade)
+         + p.m_t * G * np.sin(grade)
          + 0.5 * p.rho * p.cdaf * v * v
-         + p.m_t * p.g * p.crr * (v > V_IDLE_MPS))
+         + p.m_t * G * p.crr * (v > V_IDLE_MPS))
     return float(f) if f.ndim == 0 else f
 
 

@@ -34,6 +34,10 @@ RAD_S_PER_RPM = 2.0 * math.pi / 60.0
 MOTOR_V_MIN_MPS = 0.05  # below this speed the traction motor is off
 
 _W_SNAP = 1e-12  # interpolation weights below this snap onto the node
+#: Magnitudes a nonzero number read from a file or the command line may have:
+#: no product or quotient of a few of them overflows, as a test mass of
+#: 1.8e308 kg or a charging efficiency of 5e-324 once did.
+NUMBER_RANGE = (1e-9, 1e9)
 # bisection steps of genset_point_at per array lookup (2**6 - 1 midpoints);
 # on the shipped point (52 steps) a call took, best of 7, 1.84 / 1.71 / 1.72 /
 # 2.08 / 2.46 ms at 5 / 6 / 8 / 10 / 11 levels
@@ -142,9 +146,10 @@ def max_feasible_torque(m: EfficiencyMap, speed_rpm):
 def parse_number(raw: str) -> float:
     """A finite number as Python's ``float`` reads it, but ASCII only and
     without ``_``, so ``1_8.9``, an Arabic-Indic digit or blank, ``inf`` or
-    ``nan`` is not a number. Map files, scenario files and the CLI read
-    numbers with it. The ``ValueError`` it raises says "is not a number" or
-    "is not a finite number"."""
+    ``nan`` is not a number; and 0 or of a magnitude in ``NUMBER_RANGE``.
+    Map files, scenario files and the CLI read numbers with it. The
+    ``ValueError`` it raises says "is not a number", "is not a finite
+    number" or "lies outside"."""
     try:
         if not raw.isascii() or "_" in raw:
             raise ValueError(raw)
@@ -153,6 +158,10 @@ def parse_number(raw: str) -> float:
         raise ValueError("is not a number") from None
     if not math.isfinite(value):
         raise ValueError("is not a finite number")
+    lo, hi = NUMBER_RANGE
+    if value and not lo <= abs(value) <= hi:
+        raise ValueError(f"lies outside the magnitudes [{lo:g}, {hi:g}] "
+                         "of a nonzero number")
     return value
 
 
@@ -374,19 +383,18 @@ class GenSetPoint:
 
 
 def genset_electrical_kw(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
-                         belt_ratio: float, speed_rpm: float, torque_nm,
-                         belt_efficiency: float):
+                         belt_ratio: float, speed_rpm: float, torque_nm):
     """Electrical output of the gen-set at engine torques ``torque_nm`` (an
     array) and one speed; NaN where ``map_lookup`` raises at the generator
     point ``(speed_rpm * belt_ratio, torque_nm / belt_ratio)``."""
     eta_gen = _bilinear(gen_map, speed_rpm * belt_ratio, torque_nm / belt_ratio)
     p_mech_kw = torque_nm * speed_rpm * RAD_S_PER_RPM / 1000.0
-    return p_mech_kw * belt_efficiency * eta_gen / 100.0
+    return p_mech_kw * eta_gen / 100.0
 
 
 def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
-                    belt_ratio: float, speed_rpm: float, electrical_kw: float,
-                    belt_efficiency: float) -> GenSetPoint:
+                    belt_ratio: float, speed_rpm: float,
+                    electrical_kw: float) -> GenSetPoint:
     """Find the engine torque at a fixed speed that produces the requested
     electrical power, by bisection over the feasible torque range. The
     bisection stops once the bracket holds adjacent doubles, where further
@@ -407,8 +415,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                      max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio))
     if t_hi <= 0:
         raise EnvelopeError(f"gen-set has no feasible torque at {speed_rpm:g} rpm")
-    p_hi = float(genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi,
-                                      belt_efficiency))
+    p_hi = float(genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi))
     if math.isnan(p_hi):  # off the map: map_lookup raises the reason
         map_lookup(gen_map, speed_rpm * belt_ratio, t_hi / belt_ratio)
     if electrical_kw > p_hi + 1e-12:
@@ -429,7 +436,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
             finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
             edges = finer
         power = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm,
-                                     edges, belt_efficiency).tolist()
+                                     edges).tolist()
         edges = edges.tolist()
         a, b = 0, len(edges) - 1
         for _ in range(levels):
@@ -448,7 +455,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
     torque = 0.5 * (lo + hi)
     eta_eng = map_lookup(engine_map, speed_rpm, torque)
     eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque / belt_ratio)
-    combined = eta_eng * eta_gen / 100.0 * belt_efficiency
+    combined = eta_eng * eta_gen / 100.0
     return GenSetPoint(speed_rpm, torque, combined, electrical_kw)
 
 
@@ -457,23 +464,20 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
 
 @dataclass
 class PowertrainAssembly:
-    """All component maps of the series powertrain and the belt between
-    engine and generator, kept together so scenario code passes one object
-    around."""
+    """All component maps of the series powertrain and the lossless belt
+    between engine and generator, kept together so scenario code passes one
+    object around."""
 
     motor_map: EfficiencyMap
     engine_map: EfficiencyMap
     generator_map: EfficiencyMap
     belt_ratio: float = 2.7        # generator speed / engine speed
-    belt_efficiency: float = 1.0
     drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
 
     def __post_init__(self) -> None:
         if not self.belt_ratio > 0:  # so NaN is refused too
             raise ValueError("belt ratio must be positive")
-        if not (0 < self.belt_efficiency <= 1):
-            raise ValueError("belt efficiency must lie in (0, 1]")
 
     def genset_point(self, speed_rpm: float, electrical_kw: float) -> GenSetPoint:
         return genset_point_at(self.engine_map, self.generator_map, self.belt_ratio,
-                               speed_rpm, electrical_kw, self.belt_efficiency)
+                               speed_rpm, electrical_kw)

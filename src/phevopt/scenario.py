@@ -9,16 +9,17 @@ Each number in ``[vehicle]``, ``[drivetrain]``, ``[maps]``, ``[battery]``,
 ``[rule]`` and ``[dp]`` is read from the key named after the dataclass
 field it fills and defaults to that field's default, so every default is
 stated once, on its dataclass; only the ``[dp]`` SOC window and initial
-SOC default to ``[rule]`` values instead. Numbers are read with Python's
-``float`` but must be ASCII without ``_``.
+SOC default to ``[rule]`` values instead. Numbers are read with
+``parse_number``: Python's ``float``, but ASCII without ``_``, finite, and
+0 or of a magnitude in ``NUMBER_RANGE``.
 
 ``SCHEMA`` below lists every key each section accepts. ``load_scenario``
 checks the file against it before it reads any value or file, so a
 misspelled key cannot leave its default in place unseen, and is named even
 where that default would fail another check. A key that depends on another
-setting (``[calibration] scale`` without ``mode = explicit``, a ``sim_*``
-metric without ``mode = metrics``, a ``<prefix>_*`` metric without its
-``<prefix>_positive_wh_per_km``) is refused once that setting is read.
+setting (a ``sim_*`` metric without ``mode = metrics``, a ``<prefix>_*``
+metric without its ``<prefix>_positive_wh_per_km``) is refused once that
+setting is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from .accounting import Calibration, calibration_factor
 from .cycle import CycleMetrics, DriveCycle, load_cycle, repeat_cycle
-from .dpopt import DpConfig, TerminalRule, decision_table
+from .dpopt import DpConfig, decision_table
 from .dpopt.problem import DEFAULT_DELTAS, delta_to_electrical_kw
 from .dynamics import VehicleParams
 from .ems import RuleConfig
@@ -79,6 +80,11 @@ def _float_defaults(cls) -> dict[str, float]:
 # read only where <prefix>_positive_wh_per_km is set
 _OPTIONAL_METRICS = ("peak_power_kw", "avg_positive_power_kw", "percent_idle")
 
+#: Most samples a trip may have: a run's per-sample series (trace, wheel and
+#: motor power, CSV rows) take about 240 bytes a sample, and 128 MiB of them
+#: hold 2**19 samples, 380 laps of the shipped cycle.
+MAX_SAMPLES = 2**27 // 256
+
 #: Every key each section accepts. ``load_scenario`` refuses any other
 #: section or key before it reads a value or a file.
 SCHEMA: dict[str, set[str]] = {
@@ -87,11 +93,11 @@ SCHEMA: dict[str, set[str]] = {
     "drivetrain": {*_float_defaults(DrivetrainParams)},
     "maps": {*_float_defaults(PowertrainAssembly), "motor", "engine", "generator"},
     "battery": {*_float_defaults(BatteryParams)},
-    "rule": {*_float_defaults(RuleConfig), "genset_speed_rpm", "genset_electrical_kw"},
-    "dp": {*_float_defaults(DpConfig), "initial_soc", "deltas", "efficiencies",
-           "obd_enabled", "terminal"} - {"c_batt_kwh"},
+    "rule": {*_float_defaults(RuleConfig), "genset_speed_rpm"},
+    "dp": ({*_float_defaults(DpConfig), "initial_soc", "deltas", "efficiencies"}
+           - {"c_batt_kwh"}),
     "accounting": {"uf", "charging_efficiency"},
-    "calibration": {"mode", "scale", *(
+    "calibration": {"mode", *(
         f"{prefix}_{m}" for prefix in ("sim", "test")
         for m in ("positive_wh_per_km", *_OPTIONAL_METRICS))},
 }
@@ -204,9 +210,13 @@ def load_scenario(path) -> Scenario:
     if not cycle_path:
         raise ScenarioError("[cycle] is missing required key 'path'")
     laps = _get_float(sec, "laps", 1.0)
-    if not laps.is_integer():
-        raise ScenarioError(f"[cycle] laps = {laps:g} is not a whole number")
-    cycle = repeat_cycle(load_cycle(base / cycle_path), int(laps))
+    if not (laps.is_integer() and laps >= 1):
+        raise ScenarioError(f"[cycle] laps = {laps:g} is not a positive whole number")
+    lap = load_cycle(base / cycle_path)
+    if laps > (MAX_SAMPLES - 1) // (lap.n_samples - 1):  # laps share an end sample
+        raise ScenarioError(f"[cycle] laps = {laps:g} gives a trip of more than "
+                            f"{MAX_SAMPLES} samples, the limit")
+    cycle = repeat_cycle(lap, int(laps))
 
     vp = _fill(VehicleParams, cp["vehicle"])
     drv = _fill(DrivetrainParams, cp["drivetrain"])
@@ -230,23 +240,18 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"[dp] deltas entry {min(deltas):g} must be positive")
 
     sec_rule = cp["rule"]
-    genset_speed = _get_float(sec_rule, "genset_speed_rpm", 2600.0)
-    sized_kw = delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh)
-    if sec_rule.get("genset_electrical_kw", "auto").strip() == "auto":
-        genset_kw = sized_kw
-    else:
-        genset_kw = _get_float(sec_rule, "genset_electrical_kw")
-    genset_point = assembly.genset_point(genset_speed, genset_kw)
+    # the rule's point is sized for the largest increment
+    genset_point = assembly.genset_point(
+        _get_float(sec_rule, "genset_speed_rpm", 2600.0),
+        delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh))
     rule = _fill(RuleConfig, sec_rule, genset_point=genset_point)
     for key in ("soc_low", "cs_trigger", "soc_high"):
         _percent(sec_rule, key, getattr(rule, key))
 
     if sec.get("efficiencies", "auto").strip() == "auto":
-        # every increment runs the point sized for the largest one; the
-        # smaller ones duty-cycle it within the interval
-        sized = (genset_point if genset_kw == sized_kw
-                 else assembly.genset_point(genset_speed, sized_kw))
-        effs = (sized.combined_efficiency_pct,) * len(deltas)
+        # every increment runs the rule's point; the smaller ones duty-cycle
+        # it within the interval
+        effs = (genset_point.combined_efficiency_pct,) * len(deltas)
     else:
         effs = _get_floats(sec, "efficiencies")
         if len(effs) != len(deltas):
@@ -255,20 +260,6 @@ def load_scenario(path) -> Scenario:
         decisions = decision_table(deltas, effs)
     except ValueError as exc:
         raise ScenarioError(f"[dp] {exc}") from None
-
-    try:
-        obd_enabled = sec.getboolean("obd_enabled", fallback=False)
-    except ValueError:
-        raise ScenarioError(f"[dp] obd_enabled = {sec['obd_enabled']!r} "
-                            "is not a boolean") from None
-
-    terminal_raw = sec.get("terminal", "initial").strip()
-    if terminal_raw == "initial":
-        terminal = TerminalRule.initial()
-    elif terminal_raw == "soc_min":
-        terminal = TerminalRule.at_soc_min()
-    else:
-        terminal = TerminalRule.at(_get_float(sec, "terminal"))
 
     soc_min = _percent(sec, "soc_min", _get_float(sec, "soc_min", rule.soc_low))
     soc_max = _percent(sec, "soc_max", _get_float(sec, "soc_max", rule.soc_high))
@@ -281,11 +272,7 @@ def load_scenario(path) -> Scenario:
                             f"[{soc_min:g}, {soc_max:g}]")
 
     dp = _fill(DpConfig, sec, dt_s=dt_s, soc_min=soc_min, soc_max=soc_max,
-               decisions=decisions, terminal_rule=terminal, obd_enabled=obd_enabled,
-               c_batt_kwh=bp.c_batt_kwh, initial_soc=initial_soc)
-    if terminal.kind == "threshold" and terminal.value > dp.soc_max:
-        raise ScenarioError(f"[dp] terminal = {terminal.value:g} lies above "
-                            f"soc_max = {dp.soc_max:g} and can never be met")
+               decisions=decisions, c_batt_kwh=bp.c_batt_kwh, initial_soc=initial_soc)
 
     sec = cp["accounting"]
     if "uf" not in sec or not sec.get("uf", "").strip():
@@ -301,18 +288,15 @@ def load_scenario(path) -> Scenario:
 
     sec = cp["calibration"]
     mode = sec.get("mode", "none").strip()
-    if mode not in ("none", "explicit", "metrics"):
+    if mode not in ("none", "metrics"):
         raise ScenarioError(f"[calibration] unknown mode {mode!r}")
     for key in sec:
-        if ((key == "scale" and mode != "explicit")
-                or (key.startswith("sim_") and mode != "metrics")):
+        if key.startswith("sim_") and mode != "metrics":
             raise _never_read("calibration", key)
     sim = _metrics_from(sec, "sim")
     test_metrics = _metrics_from(sec, "test")
     if mode == "none":
         calibration = Calibration(energy_scale=1.0)
-    elif mode == "explicit":
-        calibration = Calibration(energy_scale=_get_float(sec, "scale"))
     else:
         if sim is None or test_metrics is None:
             raise ScenarioError(

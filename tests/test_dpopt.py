@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phevopt.dpopt.solver as solver
 from phevopt import BatteryParams, DriveCycle, VehicleParams, build_demand, repeat_cycle
 from phevopt.cli import run_dp_hybrid
 from phevopt.dpopt import (
@@ -225,10 +226,6 @@ class TestTerminalRule:
         with pytest.raises(ValueError, match="initial_soc"):
             TerminalRule.initial().resolve(cfg)
 
-    def test_soc_min(self, decisions):
-        cfg = DpConfig(decisions=decisions)
-        assert TerminalRule.at_soc_min().resolve(cfg) == 12.0
-
     def test_nan_threshold_rejected(self):
         # solve would sweep an all-infinite terminal row and report the
         # problem infeasible for SOC >= nan%
@@ -246,15 +243,19 @@ class TestTerminalRule:
         with pytest.raises(ValueError, match="unknown terminal rule kind 'whenever'"):
             TerminalRule("whenever")
 
+    def test_soc_min_kind_refused(self):
+        # a terminal at the window's bottom is TerminalRule.at(soc_min)
+        with pytest.raises(ValueError, match="unknown terminal rule kind 'soc_min'"):
+            TerminalRule("soc_min")
+
     def test_threshold_needs_a_value(self):
         # it failed inside solve, on an assert (a TypeError under python -O)
         with pytest.raises(ValueError, match="'threshold' needs a value"):
             TerminalRule("threshold")
 
-    @pytest.mark.parametrize("kind", ["initial", "soc_min"])
-    def test_value_refused_where_unread(self, kind):
-        with pytest.raises(ValueError, match=f"'{kind}' takes no value"):
-            TerminalRule(kind, 99.0)
+    def test_value_refused_where_unread(self):
+        with pytest.raises(ValueError, match="'initial' takes no value"):
+            TerminalRule("initial", 99.0)
 
 
 class TestDeltaConversions:
@@ -452,7 +453,7 @@ class TestChargeGateAndCurtailment:
 
     def test_positive_drain_not_curtailed(self, decisions):
         cfg = DpConfig(decisions=decisions, initial_soc=16.8,
-                       terminal_rule=TerminalRule.at_soc_min())
+                       terminal_rule=TerminalRule.at(12.0))
         d = one_interval(0.5)
         out = rollout(solve(d, cfg), 16.8)
         assert out.final_soc == pytest.approx(16.3, abs=1e-9)
@@ -462,7 +463,7 @@ class TestChargeGateAndCurtailment:
 class TestInfeasibility:
     def test_blocking_interval_reported(self, decisions):
         cfg = DpConfig(decisions=decisions,
-                       terminal_rule=TerminalRule.at_soc_min())
+                       terminal_rule=TerminalRule.at(12.0))
         d = DemandProfile(np.asarray([0.1, 6.0]), 10.0, 1.0)
         with pytest.raises(InfeasibleProblemError) as exc:
             solve(d, cfg)
@@ -499,7 +500,7 @@ class TestInfeasibility:
             solve(coarse, cfg)
 
     def test_policy_refuses_demand_of_other_length(self, decisions):
-        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(12.0))
         policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
         with pytest.raises(ValueError, match=r"decision_idx has shape \(3, 501\), but "
                            r"a demand of 4 intervals .* needs \(4, 501\)"):
@@ -532,7 +533,7 @@ class TestInfeasibility:
     def test_policy_refuses_a_signed_table(self, decisions):
         # a -1 would read as the last label in write_policy and the last
         # decision in rollout
-        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(12.0))
         policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
         signed = policy.decision_idx.astype(np.int32)
         signed[1, 7] = -1
@@ -542,7 +543,7 @@ class TestInfeasibility:
                 replace(policy, decision_idx=table)
 
     def test_policy_refuses_an_index_past_the_decisions(self, decisions):
-        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(12.0))
         policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
         table = policy.decision_idx.copy()
         table[2, -1] = len(decisions)
@@ -553,7 +554,7 @@ class TestInfeasibility:
         assert replace(policy, decision_idx=table).decision_idx.dtype == np.uint8
 
     def test_terminal_above_the_grid_is_named(self, decisions):
-        # the scenario loader refuses this terminal; the API reaches it
+        # no scenario sets a terminal; the API reaches this one
         cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(17.5))
         with pytest.raises(InfeasibleProblemError) as exc:
             solve(DemandProfile(np.zeros(5), 10.0, 1.0), cfg)
@@ -562,7 +563,7 @@ class TestInfeasibility:
         assert "interval" not in str(exc.value)
 
     def test_policy_refuses_demand_of_other_interval(self, decisions):
-        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(12.0))
         policy = solve(DemandProfile(np.zeros(3), 10.0, 1.0), cfg)
         coarse = DemandProfile(np.zeros(3), 5.0, 1.0)
         with pytest.raises(ValueError) as from_solve:
@@ -575,7 +576,7 @@ class TestInfeasibility:
     def test_rollout_breach_guard(self, decisions):
         # replaying a policy on a much heavier demand trips the window guard
         cfg = DpConfig(decisions=decisions,
-                       terminal_rule=TerminalRule.at_soc_min())
+                       terminal_rule=TerminalRule.at(12.0))
         policy = replace(solve(one_interval(0.0), cfg), demand=one_interval(2.0))
         with pytest.raises(ToleranceBreachError, match="leaves"):
             rollout(policy, 12.5)
@@ -584,7 +585,7 @@ class TestInfeasibility:
 class TestTieBreaking:
     def test_null_preferred_when_free(self, decisions):
         cfg = DpConfig(decisions=decisions,
-                       terminal_rule=TerminalRule.at_soc_min())
+                       terminal_rule=TerminalRule.at(12.0))
         policy = solve(DemandProfile(np.zeros(2), 10.0, 1.0), cfg)
         assert np.all(policy.decision_idx == 0)
 
@@ -1316,6 +1317,43 @@ def test_sweep_refuses_tables_past_the_cell_bound(dp_config, columns):
     assert peak < 2**16
 
 
+@pytest.mark.parametrize("columns,n,keep_costs", [
+    (1, 1, True), (2, 1, False), (2, 3, True), (1, 400, True), (2, 400, False)])
+def test_sweep_admitted_by_the_byte_budget_stays_within_it(decisions, monkeypatch,
+                                                           columns, n, keep_costs):
+    # on a budget of 4 MiB, the grid one state short of the first refused
+    # one sweeps within the budget: one stage per block for the short
+    # demands, where the workspace outweighs the tables, and 5 to 10 for
+    # the long ones
+    budget = 2**22
+    monkeypatch.setattr(solver, "SWEEP_BYTES", budget)
+    d = DemandProfile(np.full(n, 0.05), 10.0, 1.0)
+
+    def sweep(m):
+        cfg = DpConfig(decisions=decisions, soc_max=12.0 + (m - 1) * 0.001,
+                       grid_step=0.001, terminal_rule=TerminalRule.at(12.0))
+        assert cfg.n_states == m
+        return sweep_columns(d, [cfg, replace(cfg, obd_enabled=True)][:columns],
+                             keep_costs=keep_costs)
+
+    lo, hi = 2, budget // 9  # admitted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            sweep(mid)
+            lo = mid
+        except ValueError as exc:
+            assert f"x {n} x {mid} (columns x intervals x states) needs" in str(exc)
+            hi = mid
+    tracemalloc.start()
+    try:
+        sweep(lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 #: Bytes of working memory a paired OBD-off/on sweep without cost tables may
 #: hold per cell of the block budget. The stages per block stay those of one
 #: column, but the workspace holds 5 rows per stage for 4 decisions (the
@@ -1395,7 +1433,7 @@ def test_policy_tables_take_nine_bytes_per_cell(decisions, keep_costs):
     cfg = DpConfig(decisions=decisions, grid_step=0.002)
     n, m = 7, cfg.n_states
     policy = solve(DemandProfile(np.full(n, 0.1), 10.0, 1.0),
-                   replace(cfg, terminal_rule=TerminalRule.at_soc_min()),
+                   replace(cfg, terminal_rule=TerminalRule.at(12.0)),
                    keep_costs=keep_costs)
     assert len(decisions) == 4
     assert policy.decision_idx.dtype == np.uint8
@@ -1667,7 +1705,7 @@ class TestForwardMatchesReference:
         assert_replays_equal(policy.demand, policy.cfg, soc, trigger, high)
 
     def test_rollout_breach_and_interval_errors(self, decisions):
-        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at_soc_min())
+        cfg = DpConfig(decisions=decisions, terminal_rule=TerminalRule.at(12.0))
         policy = solve(one_interval(0.0), cfg)
         for d, soc in ((one_interval(2.0), 12.5), (one_interval(-3.0), 16.9)):
             assert_rollouts_equal(replace(policy, demand=d), soc)

@@ -114,7 +114,6 @@ class TestVehicleParams:
         {"crr": 0.2},
         {"cdaf": -1.0},
         {"rho": 0.0},
-        {"g": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,15 +5,20 @@ exported name is run by some module of the package, and so is every
 function, method and class a module defines. No module reaches the C
 allocator's process-wide settings. One definition is the backward-sweep
 kernel, and it alone builds a policy; one function builds every decision.
-The component models take and return arrays, with no scalar branch."""
+The component models take and return arrays, with no scalar branch. Every
+key the scenario schema accepts is set by some shipped scenario."""
 
 import ast
+import configparser
 import re
 from pathlib import Path
 
 import pytest
 
+from phevopt.scenario import SCHEMA
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "phevopt"
+SCENARIOS = SRC.parents[1] / "scenarios"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -329,3 +334,28 @@ def test_dimension_branch_is_found():
             "if axis.ndim != 1 or axis.size < 2:\n    raise ValueError\n")
     assert dimension_branches(text) == [
         "if np.ndim(torque_nm):", "return float(x) if x.ndim == 0 else x"]
+
+
+def keys_never_set(schema: dict[str, set[str]], texts: list[str]) -> list[str]:
+    """``[section] key`` for each key of ``schema`` that none of the
+    scenario ``texts`` sets: a setting no caller uses."""
+    given = set()
+    for text in texts:
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.read_string(text)
+        given |= {(name, key) for name in cp.sections() for key in cp[name]}
+    return sorted(f"[{name}] {key}" for name, keys in schema.items() for key in keys
+                  if (name, key) not in given)
+
+
+def test_every_schema_key_is_set_by_a_scenario():
+    texts = [p.read_text(encoding="utf-8") for p in sorted(SCENARIOS.glob("*.ini"))]
+    assert len(texts) == 3
+    assert keys_never_set(SCHEMA, texts) == []
+
+
+def test_unset_schema_key_is_found():
+    schema = {"cycle": {"path", "laps"}, "vehicle": {"m_t", "g"}, "maps": {"motor"}}
+    texts = ["[cycle]\npath = a.csv\n[vehicle]\nm_t = 2800\n",
+             "[cycle]\nlaps = 3  # a comment\n[maps]\nmotor = synthetic\n"]
+    assert keys_never_set(schema, texts) == ["[vehicle] g"]

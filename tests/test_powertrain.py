@@ -30,6 +30,7 @@ from phevopt.powertrain import (
     max_feasible_torque,
     motor_electrical_power,
     motor_operating_point,
+    parse_number,
     soc_drop_pct,
     synthetic_engine_map,
     synthetic_generator_map,
@@ -181,10 +182,6 @@ class TestPowertrainAssembly:
         motor, eng, gen = flat_map(94.0), flat_map(35.0), flat_map(90.0)
         with pytest.raises(ValueError, match="belt ratio must be positive"):
             PowertrainAssembly(motor, eng, gen, belt_ratio=0.0)
-        with pytest.raises(ValueError, match=r"belt efficiency must lie in \(0, 1\]"):
-            PowertrainAssembly(motor, eng, gen, belt_efficiency=1.5)
-        with pytest.raises(ValueError, match="belt efficiency"):
-            PowertrainAssembly(motor, eng, gen, belt_efficiency=0.0)
 
     def test_disjoint_envelopes_raise(self):
         # through the belt the engine's 800-1000 rpm reach 2160-2700 rpm,
@@ -266,6 +263,10 @@ class TestMapIO:
                      "line 1: non-numeric torque axis", id="inf-torque-node"),
         pytest.param(",0,100\n1000,80,85\nNaN,80,80\n", "line 3: non-numeric value",
                      id="nan-speed-node"),
+        pytest.param(",0,100\n1000,80,85\n1e10,80,80\n", "line 3: non-numeric value",
+                     id="speed-node-beyond-the-magnitudes"),
+        pytest.param(",0,100\n1000,80,5e-324\n2000,80,80\n",
+                     "line 2: non-numeric value", id="cell-below-the-magnitudes"),
     ])
     def test_outside_the_grammar_names_the_line(self, tmp_path, text, named):
         path = tmp_path / "map.csv"
@@ -274,6 +275,18 @@ class TestMapIO:
             with pytest.raises(MapFormatError) as exc:
                 load_map(source)
             assert str(exc.value) == named
+
+    @pytest.mark.parametrize("raw", ["0", "-0.0", "1e-9", "-1e-9", "1e9", "-1e9"])
+    def test_magnitude_edges_are_numbers(self, raw):
+        assert parse_number(raw) == float(raw)
+
+    @pytest.mark.parametrize("value", [
+        5e-324, math.nextafter(1e-9, 0.0), -math.nextafter(1e9, math.inf), 1e308])
+    def test_magnitude_beyond_the_edges_refused(self, value):
+        # such a setting overflowed the road load or the AC energy to inf
+        with pytest.raises(ValueError, match=r"^lies outside the magnitudes "
+                                             r"\[1e-09, 1e\+09\] of a nonzero number$"):
+            parse_number(repr(value))
 
     def test_crlf_line_ends(self, tmp_path):
         text = ",0,100\n1000,80,85\n2000,82,\n"
@@ -386,15 +399,15 @@ class TestBatteryParamsValidation:
 
 
 def reference_genset_torque(engine_map, gen_map, belt_ratio, speed_rpm,
-                            electrical_kw, belt_efficiency=1.0):
+                            electrical_kw):
     """The fixed 80-step bisection that the early stop replaced."""
     lo = 0.0
     hi = min(max_feasible_torque(engine_map, speed_rpm),
              max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, mid,
-                                belt_efficiency) < electrical_kw:
+        if genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm,
+                                mid) < electrical_kw:
             lo = mid
         else:
             hi = mid
@@ -402,14 +415,14 @@ def reference_genset_torque(engine_map, gen_map, belt_ratio, speed_rpm,
 
 
 def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
-                            electrical_kw, belt_efficiency):
+                            electrical_kw):
     """``genset_point_at`` as it stood before the tree walk, one scalar power
     lookup per bisection step, each through ``map_lookup``, which raises off
     the map; returns the point and the step count."""
     def power(torque):
         eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque / belt_ratio)
         p_mech_kw = torque * speed_rpm * RAD_S_PER_RPM / 1000.0
-        return p_mech_kw * belt_efficiency * eta_gen / 100.0
+        return p_mech_kw * eta_gen / 100.0
 
     if electrical_kw < 0:
         raise ValueError("electrical power must be nonnegative")
@@ -439,7 +452,7 @@ def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
     torque = 0.5 * (lo + hi)
     eta_eng = map_lookup(engine_map, speed_rpm, torque)
     eta_gen = map_lookup(gen_map, speed_rpm * belt_ratio, torque / belt_ratio)
-    combined = eta_eng * eta_gen / 100.0 * belt_efficiency
+    combined = eta_eng * eta_gen / 100.0
     return GenSetPoint(speed_rpm, torque, combined, electrical_kw), steps
 
 
@@ -456,21 +469,19 @@ _GEN_MAPS = {
 
 class TestGenSetPointSearch:
     @pytest.mark.parametrize("speed", [1000.0, 1800.0, 2600.0, 3400.0])
-    @pytest.mark.parametrize("belt_efficiency", [1.0, 0.97])
-    def test_early_stop_matches_fixed_bisection(self, assembly, speed,
-                                                belt_efficiency):
+    def test_early_stop_matches_fixed_bisection(self, assembly, speed):
         args = (assembly.engine_map, assembly.generator_map, assembly.belt_ratio,
                 speed)
         t_hi = min(max_feasible_torque(assembly.engine_map, speed),
                    max_feasible_torque(assembly.generator_map,
                                        speed * assembly.belt_ratio)
                    * assembly.belt_ratio)
-        p_hi = genset_electrical_kw(*args, t_hi, belt_efficiency)
+        p_hi = genset_electrical_kw(*args, t_hi)
         targets = [0.0, 5e-324, 1e-300, 1e-9, p_hi, np.nextafter(p_hi, 0.0)]
         targets += list(np.linspace(0.0, p_hi, 41)[1:-1])
         for kw in targets:
-            got = genset_point_at(*args, kw, belt_efficiency).engine_torque_nm
-            assert got == reference_genset_torque(*args, kw, belt_efficiency), kw
+            got = genset_point_at(*args, kw).engine_torque_nm
+            assert got == reference_genset_torque(*args, kw), kw
 
     def test_early_stop_saves_lookups(self, assembly, monkeypatch):
         calls = []
@@ -486,15 +497,13 @@ class TestGenSetPointSearch:
         assert len(calls) < 81
 
     @given(data=st.data(), name=st.sampled_from(sorted(_GEN_MAPS)),
-           speed=st.floats(700.0, 3700.0), belt_ratio=st.floats(1.0, 4.0),
-           belt_efficiency=st.floats(0.5, 1.0))
+           speed=st.floats(700.0, 3700.0), belt_ratio=st.floats(1.0, 4.0))
     @settings(max_examples=200, deadline=None)
-    def test_tree_matches_step_by_step_walk(self, data, name, speed, belt_ratio,
-                                            belt_efficiency):
+    def test_tree_matches_step_by_step_walk(self, data, name, speed, belt_ratio):
         args = (synthetic_engine_map(), _GEN_MAPS[name], belt_ratio, speed)
         t_hi = min(max_feasible_torque(args[0], speed),
                    max_feasible_torque(args[1], speed * belt_ratio) * belt_ratio)
-        p_hi = float(genset_electrical_kw(*args, t_hi, belt_efficiency))
+        p_hi = float(genset_electrical_kw(*args, t_hi))
         if math.isnan(p_hi):
             p_hi = 40.0  # off the map: both walks raise before the bisection
         kw = data.draw(st.one_of(
@@ -502,19 +511,19 @@ class TestGenSetPointSearch:
                              p_hi * 1.001]),
             st.floats(0.0, p_hi)))
         try:
-            expect = early_stop_genset_point(*args, kw, belt_efficiency)[0]
+            expect = early_stop_genset_point(*args, kw)[0]
         except (MapDomainError, EnvelopeError) as exc:
             with pytest.raises(type(exc)) as got:
-                genset_point_at(*args, kw, belt_efficiency)
+                genset_point_at(*args, kw)
             assert str(got.value) == str(exc)
             return
-        got = genset_point_at(*args, kw, belt_efficiency)
+        got = genset_point_at(*args, kw)
         assert got == expect
-        assert got.engine_torque_nm == reference_genset_torque(*args, kw, belt_efficiency)
+        assert got.engine_torque_nm == reference_genset_torque(*args, kw)
 
     def test_tree_bounds_lookups(self, assembly, monkeypatch):
         args = (assembly.engine_map, assembly.generator_map, assembly.belt_ratio,
-                2600.0, 38.57868, assembly.belt_efficiency)
+                2600.0, 38.57868)
         steps = early_stop_genset_point(*args)[1]
         calls = []
         real = powertrain._bilinear
@@ -537,8 +546,7 @@ class TestGenSetPointSearch:
         realized = genset_electrical_kw(assembly.engine_map,
                                         assembly.generator_map,
                                         assembly.belt_ratio,
-                                        p.engine_speed_rpm, p.engine_torque_nm,
-                                        assembly.belt_efficiency)
+                                        p.engine_speed_rpm, p.engine_torque_nm)
         assert realized == pytest.approx(38.57868, abs=1e-6)
 
     def test_combined_efficiency_consistent(self, assembly, genset_point):
@@ -555,19 +563,10 @@ class TestGenSetPointSearch:
         eng = flat_map(35.0)
         gen = flat_map(90.0)
         # request 10 kW at 2000 rpm: torque = P / (eta_gen * omega)
-        p = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, 1.0)
+        p = genset_point_at(eng, gen, 2.7, 2000.0, 10.0)
         expect = 10.0e3 / 0.90 / (2000.0 * RAD_S_PER_RPM)
         assert p.engine_torque_nm == pytest.approx(expect, rel=1e-9)
         assert p.combined_efficiency_pct == pytest.approx(31.5, rel=1e-12)
-
-    def test_belt_efficiency_raises_torque(self):
-        eng = flat_map(35.0)
-        gen = flat_map(90.0)
-        base = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, 1.0)
-        lossy = genset_point_at(eng, gen, 2.7, 2000.0, 10.0, belt_efficiency=0.9)
-        assert lossy.engine_torque_nm == pytest.approx(
-            base.engine_torque_nm / 0.9, rel=1e-9)
-        assert lossy.combined_efficiency_pct == pytest.approx(31.5 * 0.9, rel=1e-9)
 
     def test_beyond_capability_raises(self, assembly):
         with pytest.raises(EnvelopeError, match="exceeds"):
@@ -582,7 +581,7 @@ class TestGenSetPointSearch:
                             np.asarray([[np.nan, np.nan], [35.0, 35.0]]))
         gen = flat_map(90.0)
         with pytest.raises(EnvelopeError, match="no feasible"):
-            genset_point_at(eng, gen, 2.7, 1000.0, 5.0, 1.0)
+            genset_point_at(eng, gen, 2.7, 1000.0, 5.0)
 
     def test_genset_point_validation(self):
         with pytest.raises(ValueError):
@@ -601,11 +600,8 @@ class TestGenSetPointSearch:
         gen = flat_map(90.0)
         eng = flat_map(35.0)
         # 100 Nm at 2000 rpm is 20.944 kW mechanical
-        out = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0, 1.0)
+        out = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0)
         assert out == pytest.approx(20.94395102 * 0.90, rel=1e-8)
-        lossy = genset_electrical_kw(eng, gen, 2.7, 2000.0, 100.0,
-                                     belt_efficiency=0.9)
-        assert lossy == pytest.approx(20.94395102 * 0.90 * 0.9, rel=1e-8)
 
 
 class TestDrivetrainParams:

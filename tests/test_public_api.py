@@ -47,8 +47,7 @@ NAN_CHECKED = [
     ("vp", "m_t", "test mass must be positive"),
     ("vp", "i", "rotating-inertia factor must be >= 1"),
     ("vp", "cdaf", "CdAf must be nonnegative"),
-    ("vp", "rho", "rho and g must be positive"),
-    ("vp", "g", "rho and g must be positive"),
+    ("vp", "rho", "rho must be positive"),
     *[("drivetrain", name, "gear ratio and wheel radius must be positive")
       for name in ("gear_ratio", "wheel_radius_m")],
     ("battery", "c_batt_kwh", "battery capacity must be positive"),

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 import phevopt.cli as cli
 import phevopt.powertrain as powertrain
+import phevopt.scenario as scenario
 from phevopt.cli import build_parser, main, run_dp_hybrid
 from phevopt.cycle import load_cycle
 from phevopt.dpopt import DpConfig
@@ -109,11 +111,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"\[accounting\] charging_efficiency"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
-    def test_bad_boolean_names_key(self, tmp_path, scenario_dir):
-        body = "[accounting]\nuf = 0.8\n[dp]\nobd_enabled = maybe\n"
-        with pytest.raises(ScenarioError, match=r"\[dp\] obd_enabled"):
-            load_scenario(write_scenario(tmp_path, scenario_dir, body))
-
     @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
                                       "obd_single_lap.ini"])
     def test_genset_point_searched_once(self, scenario_dir, monkeypatch, name):
@@ -127,15 +124,6 @@ class TestLoadScenario:
         monkeypatch.setattr(powertrain, "genset_point_at", counted)
         load_scenario(scenario_dir / name)
         assert len(calls) == 1
-
-    def test_explicit_genset_power_keeps_decisions_sized(self, tmp_path,
-                                                         scenario_dir):
-        body = "[accounting]\nuf = 0.8\n[rule]\ngenset_electrical_kw = 30\n"
-        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
-        auto = load_scenario(write_scenario(tmp_path, scenario_dir,
-                                            "[accounting]\nuf = 0.8\n"))
-        assert sc.rule.genset_point.electrical_power_kw == 30.0
-        assert sc.dp.decisions == auto.dp.decisions
 
     def test_missing_cycle_file(self, tmp_path):
         p = tmp_path / "case.ini"
@@ -163,13 +151,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="sim_.* and test_"):
             load_scenario(p)
 
-    def test_explicit_scale(self, tmp_path, scenario_dir):
-        body = ("[accounting]\nuf = 0.8\n[calibration]\nmode = explicit\n"
-                "scale = 1.25\n")
-        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
-        assert sc.calibration.energy_scale == 1.25
-        assert sc.calibration.avg_power_ratio is None
-
     def test_default_calibration_is_unity(self, tmp_path, scenario_dir):
         sc = load_scenario(write_scenario(tmp_path, scenario_dir,
                                           "[accounting]\nuf = 0.8\n"))
@@ -188,33 +169,31 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="match deltas"):
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
-    def test_terminal_variants(self, tmp_path, scenario_dir):
-        for raw, kind in (("initial", "initial"), ("soc_min", "soc_min"),
-                          ("14.5", "threshold")):
-            body = f"[accounting]\nuf = 0.8\n[dp]\nterminal = {raw}\n"
-            sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
-            assert sc.dp.terminal_rule.kind == kind
+    @pytest.mark.parametrize("laps", [3, 4])
+    def test_sample_limit_counts_the_shared_samples(self, tmp_path, scenario_dir,
+                                                    monkeypatch, laps):
+        # three laps of 1381 samples share two of them: 4141 samples
+        monkeypatch.setattr(scenario, "MAX_SAMPLES", 4141)
+        body = f"laps = {laps}\n[accounting]\nuf = 0.8\n"
+        p = write_scenario(tmp_path, scenario_dir, body)
+        if laps == 3:
+            assert load_scenario(p).cycle.n_samples == 4141
+        else:
+            with pytest.raises(ScenarioError, match=r"^\[cycle\] laps = 4 gives a trip "
+                                                    r"of more than 4141 samples"):
+                load_scenario(p)
 
     def test_non_integer_laps_rejected(self, tmp_path, scenario_dir):
         p = write_scenario(tmp_path, scenario_dir, "laps = 2.5\n[accounting]\nuf = 0.8\n")
         with pytest.raises(ScenarioError, match="laps"):
             load_scenario(p)
 
-    def test_bad_terminal(self, tmp_path, scenario_dir):
-        body = "[accounting]\nuf = 0.8\n[dp]\nterminal = sometimes\n"
-        with pytest.raises(ScenarioError, match="terminal"):
-            load_scenario(write_scenario(tmp_path, scenario_dir, body))
-
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section,key,extra", [
         ("battery", "r_in_ohm", ""),
         ("rule", "regen_current_limit_a", ""),
         ("rule", "min_dwell_s", ""),
-        ("rule", "genset_electrical_kw", ""),
         ("dp", "initial_soc", ""),
-        ("dp", "terminal", ""),
-        pytest.param("calibration", "scale", "mode = explicit\n",
-                     id="calibration-scale"),
         pytest.param("calibration", "sim_positive_wh_per_km", "mode = metrics\n",
                      id="calibration-sim_positive_wh_per_km-"),
     ])
@@ -226,9 +205,7 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
     @pytest.mark.parametrize("section,key", [
-        ("rule", "genset_electrical_kw"),
         ("dp", "initial_soc"),
-        ("dp", "terminal"),
         ("calibration", "test_positive_wh_per_km"),
         *FIELD_KEYS,
     ])
@@ -266,11 +243,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as exc:
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
         assert str(exc.value) == f"{named} is not a number"
-
-    def test_terminal_at_window_top_accepted(self, tmp_path, scenario_dir):
-        body = "[accounting]\nuf = 0.8\n[dp]\nsoc_max = 17\nterminal = 17\n"
-        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
-        assert sc.dp.terminal_rule.resolve(sc.dp) == 17.0
 
     def test_minimal_scenario_takes_field_defaults(self, tmp_path, scenario_dir):
         sc = load_scenario(write_scenario(tmp_path, scenario_dir,
@@ -384,8 +356,10 @@ class TestCliExitCodes:
         assert "io error:" in capsys.readouterr().err
 
     def test_overloaded_vehicle_exits_3(self, tmp_path, scenario_dir, capsys):
+        # test and simulated wheel energy in a ratio of 20 scale the loads by 20
         body = ("[accounting]\nuf = 0.8\n[rule]\ninitial_soc = 15.0\n"
-                "[calibration]\nmode = explicit\nscale = 20.0\n")
+                "[calibration]\nmode = metrics\nsim_positive_wh_per_km = 10\n"
+                "test_positive_wh_per_km = 200\n")
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["simulate", "--strategy", "rule", "--scenario", str(p),
                    "--out", str(tmp_path / "o")])
@@ -403,8 +377,6 @@ class TestCliExitCodes:
         pytest.param("[dp]\ndeltas = 0.1, 0.3\nefficiencies = 30, 101\n",
                      "error: [dp] decision efficiency must lie in (0, 100]",
                      id="efficiency-above-100"),
-        pytest.param("[dp]\nterminal = 20\n", "[dp] terminal",
-                     id="terminal-above-window"),
         pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
                      id="charging-efficiency"),
         pytest.param("[dp]\ninitial_soc = 11\n", "[dp] initial_soc = 11 lies outside",
@@ -418,8 +390,6 @@ class TestCliExitCodes:
                      id="no-interpolation"),
         pytest.param("[maps]\nbelt_ratio = 0\n", "error: belt ratio must be positive",
                      id="zero-belt-ratio"),
-        pytest.param("[maps]\nbelt_efficiency = 1.5\n",
-                     "error: belt efficiency must lie in (0, 1]", id="belt-efficiency"),
         # SOC settings are percentages; each of these once ran to exit 0
         pytest.param("[rule]\nsoc_high = 150\n",
                      "error: [rule] soc_high = 150 lies outside [0, 100]", id="soc-high-150"),
@@ -432,20 +402,45 @@ class TestCliExitCodes:
         pytest.param("[dp]\ngrid_step = 1e-9\n",
                      "error: grid_step 1e-09 gives 5000000001 SOC states, above the limit",
                      id="grid-beyond-the-state-limit"),
+        # repeating the lap 1e9 times would take an 8 GB time axis alone
+        pytest.param("[cycle]\nlaps = 1e9\n",
+                     "error: [cycle] laps = 1e+09 gives a trip of more than 524288 "
+                     "samples", id="laps-beyond-the-sample-limit"),
+        pytest.param("[cycle]\nlaps = 0\n",
+                     "error: [cycle] laps = 0 is not a positive whole number",
+                     id="no-laps"),
+        # each made a quotient or a product of settings overflow
+        pytest.param("[battery]\nc_batt_kwh = 5e-324\n",
+                     "error: [battery] c_batt_kwh = '5e-324' lies outside the magnitudes "
+                     "[1e-09, 1e+09] of a nonzero number", id="denormal-capacity"),
+        pytest.param("[vehicle]\nm_t = 1.7976931348623157e308\n",
+                     "error: [vehicle] m_t = '1.7976931348623157e308' lies outside",
+                     id="largest-float-mass"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
-        p = write_scenario(tmp_path, scenario_dir, "[accounting]\nuf = 0.8\n" + body)
-        rc = main(["simulate", "--strategy", "dp", "--scenario", str(p),
-                   "--out", str(tmp_path / "o")])
+        # entries under [cycle] join the section write_scenario opens
+        rest, _, cycle = body.partition("[cycle]\n")
+        p = write_scenario(tmp_path, scenario_dir, f"{cycle}[accounting]\nuf = 0.8\n{rest}")
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "--strategy", "dp", "--scenario", str(p),
+                       "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert rc == 2
         assert named in capsys.readouterr().err
+        # refused before any array of the run's size is built
+        assert peak < 2**20
 
     @pytest.mark.parametrize("raw,named", [
         pytest.param("0.0_1", "'0.0_1' is not a number", id="underscore"),
         pytest.param("\u0660.\u0660\u0661", "'\u0660.\u0660\u0661' is not a number",
                      id="arabic-indic-digits"),
         pytest.param("nan", "'nan' is not a finite number", id="nan"),
+        pytest.param("1e-10", "'1e-10' lies outside the magnitudes [1e-09, 1e+09]",
+                     id="below-the-magnitudes"),
     ])
     def test_grid_step_outside_the_scenario_grammar_exits_2(self, tmp_path, scenario_dir,
                                                             capsys, raw, named):
@@ -470,14 +465,23 @@ class TestCliExitCodes:
                      id="unknown-section"),
         pytest.param("[DEFAULT]\nsoc_high = 16\n", "[DEFAULT] soc_high is never read",
                      id="default-section"),
-        pytest.param("[calibration]\nscale = 1.2\n", "[calibration] scale is never read",
-                     id="scale-without-explicit-mode"),
         pytest.param("[calibration]\nsim_positive_wh_per_km = 223.75\n",
                      "[calibration] sim_positive_wh_per_km is never read",
                      id="sim-metric-without-mode"),
-        pytest.param("[calibration]\nmode = explicit\nscale = 1.2\nsim_percent_idle = 9\n",
+        pytest.param("[calibration]\nmode = none\nsim_percent_idle = 9\n",
                      "[calibration] sim_percent_idle is never read",
-                     id="sim-metric-with-explicit-mode"),
+                     id="sim-metric-with-mode-none"),
+        # settings no caller used; each restates what a run does without it
+        *(pytest.param(f"[{section}]\n{entry}\n", f"[{section}] {entry.split()[0]} "
+                       "is never read", id=f"removed-{section}-{entry.split()[0]}")
+          for section, entry in (("vehicle", "g = 9.81"),
+                                 ("maps", "belt_efficiency = 1.0"),
+                                 ("calibration", "scale = 1.0"),
+                                 ("rule", "genset_electrical_kw = auto"),
+                                 ("dp", "terminal = initial"),
+                                 ("dp", "obd_enabled = false"))),
+        pytest.param("[calibration]\nmode = explicit\n",
+                     "[calibration] unknown mode 'explicit'", id="removed-explicit-mode"),
         pytest.param("[dp]\nc_batt_kwh = 20\n", "[dp] c_batt_kwh is never read",
                      id="field-taken-from-another-section"),
         pytest.param("[vehicle]\nm = 2100\n", "[vehicle] m is never read",
@@ -616,6 +620,25 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "o"), "--grid-step", "1e-9"])
         assert rc == 2
         assert "gives 5000000001 SOC states, above the limit" in capsys.readouterr().err
+
+    def test_sweep_beyond_the_byte_budget_exits_2(self, tmp_path, capsys):
+        # one 10-s interval on 5000001 states: the two columns' table cells
+        # pass the cell bound, but their workspace would take over 1 GB
+        (tmp_path / "cycle.csv").write_text("t_s,v_mps\n0,0\n10,0\n", encoding="utf-8")
+        p = tmp_path / "case.ini"
+        p.write_text("[cycle]\npath = cycle.csv\n[accounting]\nuf = 0.8\n",
+                     encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rc = main(["obd", "--scenario", str(p), "--out", str(tmp_path / "o"),
+                       "--grid-step", "1e-6"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert ("error: a sweep of 2 x 1 x 5000001 (columns x intervals x states) needs "
+                in capsys.readouterr().err)
+        assert peak < 2**20
 
 
 class TestCliSimulate:
