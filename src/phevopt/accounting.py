@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycle import CycleMetrics
+from .errors import exact, require
 
 
 def ac_from_dc(dc_energy: float, charging_efficiency: float) -> float:
@@ -44,11 +45,13 @@ class UfReport:
     ec_uf_weighted_total: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.uf <= 1.0):
-            raise ValueError("utility factor must lie in [0, 1]")
+        for name in ("ec_cd_ac_wh_per_km", "ec_cs_fuel_wh_per_km",
+                     "ec_uf_weighted_electric", "ec_uf_weighted_fuel"):
+            require(getattr(self, name) >= 0, self, name, "must be nonnegative")
+        require(0.0 <= self.uf <= 1.0, self, "uf", "must lie in [0, 1]")
         expected = self.ec_uf_weighted_electric + self.ec_uf_weighted_fuel
-        if abs(self.ec_uf_weighted_total - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError("weighted total must equal the channel sum")
+        require(abs(self.ec_uf_weighted_total - expected) <= 1e-9 * max(1.0, expected),
+                self, "ec_uf_weighted_total", f"must equal the channel sum {expected:g}")
 
 
 def build_uf_report(ec_cd_dc_wh_per_km: float, ec_cs_fuel_wh_per_km: float,
@@ -81,8 +84,7 @@ class Calibration:
     test: CycleMetrics | None = None
 
     def __post_init__(self) -> None:
-        if not self.energy_scale > 0:  # so NaN is refused too
-            raise ValueError("energy scale must be positive")
+        require(self.energy_scale > 0, self, "energy_scale", "must be positive")
 
     @property
     def energy_delta_pct(self) -> float:
@@ -106,8 +108,11 @@ class Calibration:
 
 def calibration_factor(sim: CycleMetrics, test: CycleMetrics) -> Calibration:
     """Energy-based calibration: measured positive propulsion energy over
-    the simulated value."""
-    if sim.positive_propulsion_wh_per_km <= 0:
-        raise ValueError("simulated propulsion energy must be positive")
+    the simulated value. Raises ``ValueError`` unless both are positive."""
+    for side, energy in (("sim", sim.positive_propulsion_wh_per_km),
+                         ("test", test.positive_propulsion_wh_per_km)):
+        if not energy > 0:
+            raise ValueError(f"{side}.positive_propulsion_wh_per_km = {exact(energy)} "
+                             "must be positive")
     scale = test.positive_propulsion_wh_per_km / sim.positive_propulsion_wh_per_km
     return Calibration(energy_scale=scale, sim=sim, test=test)

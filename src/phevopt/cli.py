@@ -53,6 +53,7 @@ from .errors import (
     InfeasibleProblemError,
     InfeasibleVehicleError,
     PhevOptError,
+    ScenarioError,
     ToleranceBreachError,
 )
 from .powertrain import parse_number
@@ -89,7 +90,10 @@ def _write_log(out: Path, args, extra: dict) -> None:
 def _prepare(args) -> tuple[Scenario, Path]:
     sc = load_scenario(args.scenario)
     if args.grid_step is not None:
-        sc.dp = replace(sc.dp, grid_step=args.grid_step)
+        try:
+            sc.dp = replace(sc.dp, grid_step=args.grid_step)
+        except ValueError as exc:  # named as load_scenario names a section
+            raise ScenarioError(f"--grid-step: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return sc, out
@@ -173,7 +177,9 @@ def run_dp_hybrid(sc: Scenario, *, keep_costs: bool = True) -> HybridRun:
     """Simulate the rule until CS entry, then solve the remainder as the
     charge-sustaining optimization and roll the policy out. With
     ``keep_costs=False`` the policy keeps its stage-0 cost row alone, which
-    the rollout needs and ``write_policy`` refuses."""
+    the rollout needs and ``write_policy`` refuses. Raises
+    ``InfeasibleProblemError`` when CS begins at a SOC outside the DP window,
+    where no optimization can start."""
     rule = run_rule(sc)
     trace = rule.trace
     idx = trace.cs_entry_index()
@@ -187,7 +193,11 @@ def run_dp_hybrid(sc: Scenario, *, keep_costs: bool = True) -> HybridRun:
     )
     if sub.duration_s < sc.dp.dt_s:
         return HybridRun(trace, rule.rule_energy, idx)
-    cfg = replace(sc.dp, initial_soc=float(trace.soc_pct[idx]))
+    try:  # sc.dp holds, so only the entry's window rule can refuse
+        cfg = replace(sc.dp, initial_soc=float(trace.soc_pct[idx]))
+    except ValueError as exc:
+        raise InfeasibleProblemError(
+            f"CS begins outside [dp] soc_min to soc_max: {exc}") from None
     demand = build_demand(sub, sc.vp, sc.assembly.motor_map,
                           sc.assembly.drivetrain, sc.bp,
                           calibration=sc.calibration.energy_scale,

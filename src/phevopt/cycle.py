@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CycleFormatError
+from .errors import CycleFormatError, exact, require
 
 V_IDLE_MPS = 0.1  # below this speed the vehicle counts as stopped
 
@@ -103,10 +103,15 @@ class CycleMetrics:
     percent_idle: float
 
     def __post_init__(self) -> None:
-        if not (self.peak_power_kw >= self.avg_positive_power_kw >= 0.0):
-            raise ValueError("peak power must be >= average positive power >= 0")
-        if not (0.0 <= self.percent_idle <= 100.0):
-            raise ValueError("percent_idle must lie in [0, 100]")
+        # 0 is an idle cycle's energy
+        require(self.positive_propulsion_wh_per_km >= 0, self,
+                "positive_propulsion_wh_per_km", "must be nonnegative")
+        require(self.avg_positive_power_kw >= 0, self, "avg_positive_power_kw",
+                "is negative")
+        require(self.peak_power_kw >= self.avg_positive_power_kw, self, "peak_power_kw",
+                f"lies below avg_positive_power_kw = {exact(self.avg_positive_power_kw)}")
+        require(0.0 <= self.percent_idle <= 100.0, self, "percent_idle",
+                "lies outside [0, 100]")
 
 
 def load_cycle(source) -> DriveCycle:

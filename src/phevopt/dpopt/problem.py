@@ -29,7 +29,9 @@ import numpy as np
 from ..cycle import DriveCycle
 from ..dynamics import VehicleParams, wheel_power_series
 from ..ems import RuleConfig, raise_step_error
+from ..errors import exact, require
 from ..powertrain import (
+    NUMBER_RANGE,
     BatteryParams,
     DrivetrainParams,
     EfficiencyMap,
@@ -64,10 +66,11 @@ class Decision:
     efficiency_pct: float
 
     def __post_init__(self) -> None:
-        if not self.delta_soc >= 0:  # so NaN is refused too
-            raise ValueError("decision delta must be nonnegative")
-        if not (0.0 < self.efficiency_pct <= 100.0):
-            raise ValueError("decision efficiency must lie in (0, 100]")
+        require(self.delta_soc >= 0, self, "delta_soc", "must be nonnegative")
+        # the fuel is the charge over the efficiency: finite above this floor
+        lo = NUMBER_RANGE[0]
+        require(lo <= self.efficiency_pct <= 100.0, self, "efficiency_pct",
+                f"must lie in [{lo:g}, 100]")
 
     @property
     def label(self) -> str:
@@ -105,8 +108,8 @@ class TerminalRule:
             raise ValueError("terminal rule 'threshold' needs a value")
         if self.kind != "threshold" and self.value is not None:
             raise ValueError(f"terminal rule {self.kind!r} takes no value")
-        if self.value is not None and math.isnan(self.value):
-            raise ValueError("terminal SOC threshold must not be NaN")
+        if self.value is not None:
+            require(not math.isnan(self.value), self, "value", "must not be NaN")
 
     @classmethod
     def at(cls, soc: float) -> "TerminalRule":
@@ -154,39 +157,35 @@ class DpConfig:
     initial_soc: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.dt_s > 0:  # so NaN is refused too
-            raise ValueError("dt must be positive")
-        if math.isnan(self.soc_min) or math.isnan(self.soc_max):
-            raise ValueError("SOC window bounds must not be NaN")
-        if self.soc_min >= self.soc_max:
-            raise ValueError("soc_min must be below soc_max")
+        require(self.dt_s > 0, self, "dt_s", "must be positive")
+        for name in ("soc_min", "soc_max"):
+            require(0.0 <= getattr(self, name) <= 100.0, self, name,
+                    "lies outside [0, 100]")
+        require(self.soc_min < self.soc_max, self, "soc_min",
+                f"must lie below soc_max = {exact(self.soc_max)}")
+        window = f"the SOC window [{exact(self.soc_min)}, {exact(self.soc_max)}]"
         n = (self.soc_max - self.soc_min) / self.grid_step if self.grid_step > 0 else 0
-        if not (1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9)):
-            raise ValueError(f"grid_step {self.grid_step:g} does not divide the window")
-        if n + 1 > MAX_CELLS:
-            raise ValueError(f"grid_step {self.grid_step:g} gives {round(n) + 1} SOC "
-                             f"states, above the limit of {MAX_CELLS}")
+        require(1 <= n < math.inf and math.isclose(n, round(n), rel_tol=1e-9), self,
+                "grid_step", f"does not divide {window}")
+        require(n + 1 <= MAX_CELLS, self, "grid_step",
+                f"gives {round(n) + 1} SOC states, above the limit of {MAX_CELLS}")
         # so the OBD drain is finite: cs_drain multiplies it by the null mask
-        if not 0.0 <= self.obd_energy_per_event_kwh < math.inf:
-            raise ValueError("OBD energy per event must be finite and nonnegative")
-        if not self.c_batt_kwh > 0:
-            raise ValueError("battery capacity must be positive")
+        require(0.0 <= self.obd_energy_per_event_kwh < math.inf, self,
+                "obd_energy_per_event_kwh", "must be finite and nonnegative")
+        require(self.c_batt_kwh > 0, self, "c_batt_kwh", "must be positive")
         # a NaN peak would make a NaN bound, which no decision exceeds
-        if not self.p_genset_max_kw > 0:
-            raise ValueError("gen-set peak power must be positive")
-        if not self.decisions:
-            raise ValueError("decision set must not be empty")
+        require(self.p_genset_max_kw > 0, self, "p_genset_max_kw", "must be positive")
         if not any(dec.delta_soc == 0.0 for dec in self.decisions):
-            raise ValueError("decision set must include the null decision")
+            raise ValueError("decisions must include the null decision")
         bound = max_delta_bound(self.p_genset_max_kw, self.dt_s, self.c_batt_kwh)
-        for dec in self.decisions:
-            if dec.delta_soc > bound + SOC_EPS:
-                raise ValueError(
-                    f"decision {dec.label!r} charges {dec.delta_soc:.4f}%/interval, "
-                    f"beyond the gen-set peak bound {bound:.4f}%")
-        if self.initial_soc is not None and not (
-                self.soc_min <= self.initial_soc <= self.soc_max):
-            raise ValueError("initial_soc must lie inside the SOC window")
+        top = max(self.decisions, key=lambda dec: dec.delta_soc)
+        require(top.delta_soc <= bound + SOC_EPS, self, "p_genset_max_kw",
+                f"bounds a charge increment at dt_s = {exact(self.dt_s)} and c_batt_kwh = "
+                f"{exact(self.c_batt_kwh)} to {bound:.4f} %, so decision {top.label!r} "
+                "lies beyond the gen-set peak")
+        if self.initial_soc is not None:
+            require(self.soc_min <= self.initial_soc <= self.soc_max, self,
+                    "initial_soc", f"lies outside {window}")
 
     @property
     def n_states(self) -> int:
@@ -311,8 +310,8 @@ class DemandProfile:
             raise ValueError("demand profile needs at least one interval")
         if not np.all(np.isfinite(d_pct)):
             raise ValueError("demand entries must be finite")
-        if not (self.dt_s > 0 and self.distance_km >= 0):  # so NaN is refused too
-            raise ValueError("dt must be positive and distance nonnegative")
+        require(self.dt_s > 0, self, "dt_s", "must be positive")
+        require(self.distance_km >= 0, self, "distance_km", "must be nonnegative")
         d_pct.setflags(write=False)
         object.__setattr__(self, "d_pct", d_pct)
 

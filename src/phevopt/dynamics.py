@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import V_IDLE_MPS, DriveCycle
+from .errors import require
 
 G = 9.81  # N/kg, standard gravity
 
@@ -37,16 +38,11 @@ class VehicleParams:
     rho: float = 1.20        # kg/m^3 air density
 
     def __post_init__(self) -> None:
-        if not self.m_t > 0:  # so NaN is refused too, as below
-            raise ValueError("test mass must be positive")
-        if not self.i >= 1.0:
-            raise ValueError("rotating-inertia factor must be >= 1")
-        if not self.cdaf >= 0:
-            raise ValueError("CdAf must be nonnegative")
-        if not (0.0 <= self.crr < 0.1):
-            raise ValueError("Crr must lie in [0, 0.1)")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        require(self.m_t > 0, self, "m_t", "must be positive")
+        require(self.i >= 1.0, self, "i", "must be at least 1")
+        require(self.cdaf >= 0, self, "cdaf", "must be nonnegative")
+        require(0.0 <= self.crr < 0.1, self, "crr", "must lie in [0, 0.1)")
+        require(self.rho > 0, self, "rho", "must be positive")
 
 
 def tractive_force(p: VehicleParams, v, accel, grade_deg):

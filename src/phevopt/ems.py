@@ -23,7 +23,8 @@ import numpy as np
 from ._csv import write_csv
 from .cycle import DriveCycle
 from .dynamics import VehicleParams, wheel_power_series
-from .errors import EnvelopeError, InfeasibleVehicleError, MapDomainError
+from .errors import (EnvelopeError, InfeasibleVehicleError, MapDomainError, exact,
+                     require)
 from .powertrain import (
     BatteryParams,
     DrivetrainParams,
@@ -62,15 +63,18 @@ class RuleConfig:
     initial_soc: float = 70.0     # %
 
     def __post_init__(self) -> None:
-        if not (self.soc_low < self.cs_trigger < self.soc_high):
-            raise ValueError("need soc_low < cs_trigger < soc_high")
-        # written so that NaN is refused too
-        if not (self.min_dwell_s >= 0 and self.warmup_s >= 0 and self.crank_power_kw >= 0):
-            raise ValueError("dwell, warmup, and crank power must be nonnegative")
-        if not self.regen_current_limit_a > 0:
-            raise ValueError("regen current limit must be positive")
-        if not (0.0 < self.initial_soc <= 100.0):
-            raise ValueError("initial_soc must lie in (0, 100]")
+        for name in ("soc_low", "cs_trigger", "soc_high"):
+            require(0.0 <= getattr(self, name) <= 100.0, self, name,
+                    "lies outside [0, 100]")
+        require(self.soc_low < self.cs_trigger < self.soc_high, self, "cs_trigger",
+                f"must lie above soc_low = {exact(self.soc_low)} and below "
+                f"soc_high = {exact(self.soc_high)}")
+        for name in ("min_dwell_s", "warmup_s", "crank_power_kw"):
+            require(getattr(self, name) >= 0, self, name, "must be nonnegative")
+        require(self.regen_current_limit_a > 0, self, "regen_current_limit_a",
+                "must be positive")
+        require(0.0 < self.initial_soc <= 100.0, self, "initial_soc",
+                "must lie in (0, 100]")
 
 
 @dataclass
@@ -118,8 +122,13 @@ class EnergyResult:
     final_soc: float
 
     def __post_init__(self) -> None:
-        if self.cd_distance_km < 0 or self.cs_distance_km < 0:
-            raise ValueError("distances must be nonnegative")
+        for name in ("ec_cs_fuel_wh_per_km", "cd_distance_km", "cs_distance_km"):
+            require(getattr(self, name) >= 0, self, name, "must be nonnegative")
+        # regeneration may outweigh a CD portion's draw
+        require(math.isfinite(self.ec_cd_dc_wh_per_km), self, "ec_cd_dc_wh_per_km",
+                "must be finite")
+        require(0.0 <= self.final_soc <= 100.0, self, "final_soc",
+                "lies outside [0, 100]")
 
 
 def thermostat_state(on: bool, soc, trigger: float, high: float):

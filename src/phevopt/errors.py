@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``require``, the one form
+of a record's refusal."""
 
 from __future__ import annotations
 
@@ -44,3 +45,20 @@ class ToleranceBreachError(PhevOptError):
 
 class ScenarioError(PhevOptError):
     """A scenario file is missing, malformed, or references missing inputs."""
+
+
+def exact(v: float) -> str:
+    """The shorter of ``v``'s ``:g`` and ``repr`` forms that reads back as
+    ``v``, so that a value one ulp past a bound does not print as the bound
+    itself (``:g`` keeps six digits)."""
+    forms = (f"{v:g}", repr(float(v)).removesuffix(".0"))
+    return min((s for s in forms if v != v or float(s) == v), key=len)
+
+
+def require(ok: bool, record, name: str, rule: str) -> None:
+    """Raise ``ValueError("<name> = <value> <rule>")`` unless ``ok``, where
+    ``<value>`` is ``record``'s field ``name``, printed ``exact``. Write
+    ``ok`` as the rule holding (``x > 0``, not ``not x <= 0``), so that NaN,
+    which fails every comparison, is refused too."""
+    if not ok:
+        raise ValueError(f"{name} = {exact(getattr(record, name))} {rule}")

@@ -24,11 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EnvelopeError,
-    MapDomainError,
-    MapFormatError,
-)
+from .errors import EnvelopeError, MapDomainError, MapFormatError, require
 
 RAD_S_PER_RPM = 2.0 * math.pi / 60.0
 MOTOR_V_MIN_MPS = 0.05  # below this speed the traction motor is off
@@ -180,26 +176,27 @@ def load_map(source) -> EfficiencyMap:
     torque_axis: list[float] | None = None
     speeds: list[float] = []
     body: list[list[float]] = []
+
+    def number(raw: str, lineno: int) -> float:
+        try:
+            return parse_number(raw)
+        except ValueError as exc:  # its reason, after the line and the entry
+            raise MapFormatError(f"line {lineno}: {raw!r} {exc}") from None
+
     for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split(",")
         if torque_axis is None:
-            try:
-                torque_axis = [parse_number(p) for p in parts[1:]]
-            except ValueError:
-                raise MapFormatError(f"line {lineno}: non-numeric torque axis") from None
+            torque_axis = [number(p, lineno) for p in parts[1:]]
             continue
         if len(parts) != len(torque_axis) + 1:
             raise MapFormatError(
                 f"line {lineno}: expected {len(torque_axis) + 1} fields, got {len(parts)}")
-        try:
-            speeds.append(parse_number(parts[0]))
-            # the empty cell is the one spelling of an infeasible cell
-            body.append([parse_number(p) if p.strip(" \t") else math.nan
-                         for p in parts[1:]])
-        except ValueError:
-            raise MapFormatError(f"line {lineno}: non-numeric value") from None
+        speeds.append(number(parts[0], lineno))
+        # the empty cell is the one spelling of an infeasible cell
+        body.append([number(p, lineno) if p.strip(" \t") else math.nan
+                     for p in parts[1:]])
     if torque_axis is None or not body:
         raise MapFormatError("map file has no header row or no body rows")
     try:
@@ -265,8 +262,8 @@ class DrivetrainParams:
     wheel_radius_m: float = 0.3348
 
     def __post_init__(self) -> None:
-        if not (self.gear_ratio > 0 and self.wheel_radius_m > 0):  # so NaN is refused too
-            raise ValueError("gear ratio and wheel radius must be positive")
+        for name in ("gear_ratio", "wheel_radius_m"):
+            require(getattr(self, name) > 0, self, name, "must be positive")
 
     @property
     def rpm_per_mps(self) -> float:
@@ -315,12 +312,9 @@ class BatteryParams:
     v_oc: float = 340.0
 
     def __post_init__(self) -> None:
-        if not self.c_batt_kwh > 0:  # so NaN is refused too, as below
-            raise ValueError("battery capacity must be positive")
-        if not self.r_in_ohm >= 0:
-            raise ValueError("internal resistance must be nonnegative")
-        if not (math.isfinite(self.v_oc) and self.v_oc > 0):
-            raise ValueError("open-circuit voltage must be finite and positive")
+        require(self.c_batt_kwh > 0, self, "c_batt_kwh", "must be positive")
+        require(self.r_in_ohm >= 0, self, "r_in_ohm", "must be nonnegative")
+        require(0 < self.v_oc < math.inf, self, "v_oc", "must be finite and positive")
 
 
 def terminal_power_kw(b: BatteryParams, i_amps: float) -> float:
@@ -374,16 +368,16 @@ class GenSetPoint:
     electrical_power_kw: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.engine_speed_rpm) or math.isnan(self.engine_torque_nm):
-            raise ValueError("engine operating point must not be NaN")
-        if not (0.0 < self.combined_efficiency_pct <= 100.0):
-            raise ValueError("combined efficiency must lie in (0, 100]")
-        if not self.electrical_power_kw >= 0:  # so NaN is refused too
-            raise ValueError("electrical power must be nonnegative")
+        for name in ("engine_speed_rpm", "engine_torque_nm"):
+            require(not math.isnan(getattr(self, name)), self, name, "must not be NaN")
+        require(0.0 < self.combined_efficiency_pct <= 100.0, self,
+                "combined_efficiency_pct", "must lie in (0, 100]")
+        require(self.electrical_power_kw >= 0, self, "electrical_power_kw",
+                "must be nonnegative")
 
 
-def genset_electrical_kw(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
-                         belt_ratio: float, speed_rpm: float, torque_nm):
+def genset_electrical_kw(gen_map: EfficiencyMap, belt_ratio: float, speed_rpm: float,
+                         torque_nm):
     """Electrical output of the gen-set at engine torques ``torque_nm`` (an
     array) and one speed; NaN where ``map_lookup`` raises at the generator
     point ``(speed_rpm * belt_ratio, torque_nm / belt_ratio)``."""
@@ -415,7 +409,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
                      max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio))
     if t_hi <= 0:
         raise EnvelopeError(f"gen-set has no feasible torque at {speed_rpm:g} rpm")
-    p_hi = float(genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm, t_hi))
+    p_hi = float(genset_electrical_kw(gen_map, belt_ratio, speed_rpm, t_hi))
     if math.isnan(p_hi):  # off the map: map_lookup raises the reason
         map_lookup(gen_map, speed_rpm * belt_ratio, t_hi / belt_ratio)
     if electrical_kw > p_hi + 1e-12:
@@ -435,8 +429,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
             finer[::2] = edges
             finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
             edges = finer
-        power = genset_electrical_kw(engine_map, gen_map, belt_ratio, speed_rpm,
-                                     edges).tolist()
+        power = genset_electrical_kw(gen_map, belt_ratio, speed_rpm, edges).tolist()
         edges = edges.tolist()
         a, b = 0, len(edges) - 1
         for _ in range(levels):
@@ -475,8 +468,7 @@ class PowertrainAssembly:
     drivetrain: DrivetrainParams = field(default_factory=DrivetrainParams)
 
     def __post_init__(self) -> None:
-        if not self.belt_ratio > 0:  # so NaN is refused too
-            raise ValueError("belt ratio must be positive")
+        require(self.belt_ratio > 0, self, "belt_ratio", "must be positive")
 
     def genset_point(self, speed_rpm: float, electrical_kw: float) -> GenSetPoint:
         return genset_point_at(self.engine_map, self.generator_map, self.belt_ratio,

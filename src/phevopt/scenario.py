@@ -20,12 +20,18 @@ where that default would fail another check. A key that depends on another
 setting (a ``sim_*`` metric without ``mode = metrics``, a ``<prefix>_*``
 metric without its ``<prefix>_positive_wh_per_km``) is refused once that
 setting is read.
+
+Every other rule on a value is stated once, by the record that holds it,
+and its refusal begins with the field and its value. ``_build`` puts the
+section first, so a refusal reads ``[section] key = value`` and the rule,
+or ``[maps] engine = bad.csv: line 2: ...`` for a file a key names.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .accounting import Calibration, calibration_factor
@@ -34,7 +40,7 @@ from .dpopt import DpConfig, decision_table
 from .dpopt.problem import DEFAULT_DELTAS, delta_to_electrical_kw
 from .dynamics import VehicleParams
 from .ems import RuleConfig
-from .errors import ScenarioError
+from .errors import CycleFormatError, MapDomainError, MapFormatError, ScenarioError, exact, require
 from .powertrain import (
     BatteryParams,
     DrivetrainParams,
@@ -64,11 +70,9 @@ class Scenario:
     test_metrics: CycleMetrics | None
 
     def __post_init__(self) -> None:
-        # written so that NaN is refused too; load_scenario names the keys first
-        if not 0.0 <= self.uf <= 1.0:
-            raise ValueError("utility factor must lie in [0, 1]")
-        if not 0.0 < self.charging_efficiency <= 1.0:
-            raise ValueError("charging efficiency must lie in (0, 1]")
+        require(0.0 <= self.uf <= 1.0, self, "uf", "must lie in [0, 1]")
+        require(0.0 < self.charging_efficiency <= 1.0, self, "charging_efficiency",
+                "must lie in (0, 1]")
 
 
 def _float_defaults(cls) -> dict[str, float]:
@@ -124,59 +128,49 @@ def _to_float(sec, key: str, raw: str) -> float:
         raise ScenarioError(f"[{sec.name}] {key} = {raw!r} {exc}") from None
 
 
-def _percent(sec, key: str, value: float) -> float:
-    """An SOC setting, refused unless it lies in [0, 100]."""
-    if not 0.0 <= value <= 100.0:
-        raise ScenarioError(f"[{sec.name}] {key} = {value:g} lies outside [0, 100]")
-    return value
-
-
 def _get_floats(sec, key: str) -> tuple[float, ...]:
     # only ASCII blanks are stripped, so a no-break space stays in its entry
     entries = (x.strip(" \t\n") for x in sec[key].split(","))
     return tuple(_to_float(sec, key, x) for x in entries if x)
 
 
-def _fill(cls, sec, **given):
-    """``cls(**given)``, where every field with a float default that is not
-    given is read from the key named after it, defaulting to that default."""
+def _build(section: str, make, *args, named: str = "",
+           keys: dict[str, str] | None = None, **kwargs):
+    """``make(*args, **kwargs)``, with a refusal re-raised as a ``ScenarioError``
+    that begins ``[section]``, then ``named``, the setting a file's format or
+    a map's domain error is about (``engine = bad.csv``); a record's
+    ``ValueError`` names its fields, each in ``keys`` as the key that sets it."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, CycleFormatError, MapFormatError, MapDomainError) as exc:
+        text = re.sub(r"[\w.]+", lambda m: (keys or {}).get(m[0], m[0]), str(exc))
+        raise ScenarioError(f"[{section}] {named + ': ' if named else ''}{text}") from None
+
+
+def _fill(cls, sec, keys: dict[str, str] | None = None, **given):
+    """``cls(**given)`` through ``_build``, where every field with a float
+    default not given is read from the key named after it, or defaults."""
     for name, default in _float_defaults(cls).items():
         if name not in given:
             given[name] = _get_float(sec, name, default)
-    return cls(**given)
-
-
-def _load_map_entry(sec, key: str, base: Path, synth_factory):
-    raw = sec.get(key, "synthetic").strip()
-    if raw == "synthetic":
-        return synth_factory()
-    return load_map(base / raw)
+    return _build(sec.name, cls, keys=keys, **given)
 
 
 def _metrics_from(sec, prefix: str) -> CycleMetrics | None:
-    if not sec.get(f"{prefix}_positive_wh_per_km", "").strip():
+    energy = f"{prefix}_positive_wh_per_km"
+    keys = {"positive_propulsion_wh_per_km": energy,
+            **{m: f"{prefix}_{m}" for m in _OPTIONAL_METRICS}}
+    if not sec.get(energy, "").strip():
         for m in _OPTIONAL_METRICS:
-            if f"{prefix}_{m}" in sec:
-                raise _never_read(sec.name, f"{prefix}_{m}")
+            if keys[m] in sec:
+                raise _never_read(sec.name, keys[m])
         return None
-    avg = _get_float(sec, f"{prefix}_avg_positive_power_kw", 0.0)
-    if avg < 0:
-        raise ScenarioError(
-            f"[calibration] {prefix}_avg_positive_power_kw = {avg:g} is negative")
-    peak = _get_float(sec, f"{prefix}_peak_power_kw", avg)
-    if peak < avg:
-        raise ScenarioError(f"[calibration] {prefix}_peak_power_kw = {peak:g} lies "
-                            f"below {prefix}_avg_positive_power_kw = {avg:g}")
-    idle = _get_float(sec, f"{prefix}_percent_idle", 0.0)
-    if not 0.0 <= idle <= 100.0:
-        raise ScenarioError(
-            f"[calibration] {prefix}_percent_idle = {idle:g} lies outside [0, 100]")
-    return CycleMetrics(
-        positive_propulsion_wh_per_km=_get_float(sec, f"{prefix}_positive_wh_per_km"),
-        peak_power_kw=peak,
-        avg_positive_power_kw=avg,
-        percent_idle=idle,
-    )
+    avg = _get_float(sec, keys["avg_positive_power_kw"], 0.0)
+    return _build(sec.name, CycleMetrics, keys=keys,
+                  positive_propulsion_wh_per_km=_get_float(sec, energy),
+                  peak_power_kw=_get_float(sec, keys["peak_power_kw"], avg),
+                  avg_positive_power_kw=avg,
+                  percent_idle=_get_float(sec, keys["percent_idle"], 0.0))
 
 
 def load_scenario(path) -> Scenario:
@@ -187,8 +181,11 @@ def load_scenario(path) -> Scenario:
     FileNotFoundError
         When the scenario or a referenced file does not exist.
     ScenarioError
-        When a section or key is never read, checked first, or a required
-        key is missing or malformed.
+        When a section or key is never read, checked first, a required key
+        is missing, or a value, a file a key names or the gen-set sizing is
+        refused; the message begins with the section.
+    EnvelopeError
+        When the gen-set cannot deliver the largest increment's power.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -211,42 +208,44 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("[cycle] is missing required key 'path'")
     laps = _get_float(sec, "laps", 1.0)
     if not (laps.is_integer() and laps >= 1):
-        raise ScenarioError(f"[cycle] laps = {laps:g} is not a positive whole number")
-    lap = load_cycle(base / cycle_path)
+        raise ScenarioError(f"[cycle] laps = {exact(laps)} is not a positive whole number")
+    lap = _build("cycle", load_cycle, base / cycle_path, named=f"path = {cycle_path}")
     if laps > (MAX_SAMPLES - 1) // (lap.n_samples - 1):  # laps share an end sample
-        raise ScenarioError(f"[cycle] laps = {laps:g} gives a trip of more than "
+        raise ScenarioError(f"[cycle] laps = {exact(laps)} gives a trip of more than "
                             f"{MAX_SAMPLES} samples, the limit")
     cycle = repeat_cycle(lap, int(laps))
 
     vp = _fill(VehicleParams, cp["vehicle"])
     drv = _fill(DrivetrainParams, cp["drivetrain"])
-    sec = cp["maps"]
-    assembly = _fill(
-        PowertrainAssembly, sec,
-        motor_map=_load_map_entry(sec, "motor", base, synthetic_motor_map),
-        engine_map=_load_map_entry(sec, "engine", base, synthetic_engine_map),
-        generator_map=_load_map_entry(sec, "generator", base, synthetic_generator_map),
-        drivetrain=drv)
+    sec, maps = cp["maps"], {}
+    for key, synthetic in (("motor", synthetic_motor_map), ("engine", synthetic_engine_map),
+                           ("generator", synthetic_generator_map)):
+        raw = sec.get(key, "synthetic").strip()
+        maps[f"{key}_map"] = synthetic() if raw == "synthetic" else _build(
+            "maps", load_map, base / raw, named=f"{key} = {raw}")
+    assembly = _fill(PowertrainAssembly, sec, drivetrain=drv, **maps)
     bp = _fill(BatteryParams, cp["battery"])
 
     sec = cp["dp"]
     dt_s = _get_float(sec, "dt_s", DpConfig.dt_s)
-    if dt_s <= 0:
-        raise ScenarioError(f"[dp] dt_s = {dt_s:g} must be positive")
+    # the gen-set sizing divides by it, and a run needs one whole interval
+    if not 0 < dt_s <= cycle.duration_s:
+        raise ScenarioError(f"[dp] dt_s = {exact(dt_s)} must be positive and at most the "
+                            f"trip's {exact(cycle.duration_s)} s")
     deltas = _get_floats(sec, "deltas") if "deltas" in sec else DEFAULT_DELTAS
     if not deltas:
         raise ScenarioError("[dp] deltas must list at least one charge increment")
     if min(deltas) <= 0:
-        raise ScenarioError(f"[dp] deltas entry {min(deltas):g} must be positive")
+        raise ScenarioError(f"[dp] deltas entry {exact(min(deltas))} must be positive")
 
-    sec_rule = cp["rule"]
+    speed = _get_float(cp["rule"], "genset_speed_rpm", 2600.0)
     # the rule's point is sized for the largest increment
-    genset_point = assembly.genset_point(
-        _get_float(sec_rule, "genset_speed_rpm", 2600.0),
-        delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh))
-    rule = _fill(RuleConfig, sec_rule, genset_point=genset_point)
-    for key in ("soc_low", "cs_trigger", "soc_high"):
-        _percent(sec_rule, key, getattr(rule, key))
+    genset_point = _build(
+        "rule", assembly.genset_point, speed,
+        delta_to_electrical_kw(max(deltas), dt_s, bp.c_batt_kwh),
+        named=f"genset_speed_rpm = {exact(speed)} through [maps] belt_ratio = "
+              f"{exact(assembly.belt_ratio)}")
+    rule = _fill(RuleConfig, cp["rule"], genset_point=genset_point)
 
     if sec.get("efficiencies", "auto").strip() == "auto":
         # every increment runs the rule's point; the smaller ones duty-cycle
@@ -256,35 +255,28 @@ def load_scenario(path) -> Scenario:
         effs = _get_floats(sec, "efficiencies")
         if len(effs) != len(deltas):
             raise ScenarioError("[dp] efficiencies must match deltas in length")
-    try:
-        decisions = decision_table(deltas, effs)
-    except ValueError as exc:
-        raise ScenarioError(f"[dp] {exc}") from None
+    decisions = _build("dp", decision_table, deltas, effs,
+                       keys={"efficiency_pct": "efficiencies"})
 
-    soc_min = _percent(sec, "soc_min", _get_float(sec, "soc_min", rule.soc_low))
-    soc_max = _percent(sec, "soc_max", _get_float(sec, "soc_max", rule.soc_high))
-    initial_soc = _get_float(sec, "initial_soc", rule.cs_trigger)
-    if not soc_min <= initial_soc <= soc_max:
-        named = (f"[dp] initial_soc = {initial_soc:g}"
-                 if sec.get("initial_soc", "").strip() else
-                 f"[rule] cs_trigger = {initial_soc:g}, the default [dp] initial_soc,")
-        raise ScenarioError(f"{named} lies outside the SOC window "
-                            f"[{soc_min:g}, {soc_max:g}]")
-
-    dp = _fill(DpConfig, sec, dt_s=dt_s, soc_min=soc_min, soc_max=soc_max,
-               decisions=decisions, c_batt_kwh=bp.c_batt_kwh, initial_soc=initial_soc)
+    # the window's own rules come first, then the initial SOC's
+    dp = _fill(DpConfig, sec, keys={"c_batt_kwh": "[battery] c_batt_kwh"}, dt_s=dt_s,
+               soc_min=_get_float(sec, "soc_min", rule.soc_low),
+               soc_max=_get_float(sec, "soc_max", rule.soc_high),
+               decisions=decisions, c_batt_kwh=bp.c_batt_kwh)
+    if not sec.get("initial_soc", "").strip() and not (
+            dp.soc_min <= rule.cs_trigger <= dp.soc_max):
+        raise ScenarioError(f"[rule] cs_trigger = {exact(rule.cs_trigger)}, the default [dp] "
+                            f"initial_soc, lies outside the SOC window "
+                            f"[{exact(dp.soc_min)}, {exact(dp.soc_max)}]")
+    dp = _build("dp", replace, dp,
+                initial_soc=_get_float(sec, "initial_soc", rule.cs_trigger))
 
     sec = cp["accounting"]
-    if "uf" not in sec or not sec.get("uf", "").strip():
+    if not sec.get("uf", "").strip():
         raise ScenarioError(
             "[accounting] must set 'uf': the utility factor has no default")
     uf = _get_float(sec, "uf")
-    if not (0.0 <= uf <= 1.0):
-        raise ScenarioError("[accounting] uf must lie in [0, 1]")
     charging_eff = _get_float(sec, "charging_efficiency", 0.83)
-    if not (0.0 < charging_eff <= 1.0):
-        raise ScenarioError(
-            f"[accounting] charging_efficiency = {charging_eff:g} must lie in (0, 1]")
 
     sec = cp["calibration"]
     mode = sec.get("mode", "none").strip()
@@ -301,9 +293,10 @@ def load_scenario(path) -> Scenario:
         if sim is None or test_metrics is None:
             raise ScenarioError(
                 "[calibration] mode = metrics needs sim_* and test_* entries")
-        calibration = calibration_factor(sim, test_metrics)
-    return Scenario(
-        laps=int(laps), cycle=cycle, vp=vp, assembly=assembly, bp=bp, rule=rule,
-        dp=dp, uf=uf, charging_efficiency=charging_eff, calibration=calibration,
-        test_metrics=test_metrics,
-    )
+        calibration = _build("calibration", calibration_factor, sim, test_metrics, keys={
+            f"{p}.positive_propulsion_wh_per_km": f"{p}_positive_wh_per_km"
+            for p in ("sim", "test")})
+    return _build(
+        "accounting", Scenario, laps=int(laps), cycle=cycle, vp=vp, assembly=assembly,
+        bp=bp, rule=rule, dp=dp, uf=uf, charging_efficiency=charging_eff,
+        calibration=calibration, test_metrics=test_metrics)

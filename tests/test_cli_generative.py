@@ -2,12 +2,13 @@
 set to an edge value, and ``compare`` and ``obd`` run on it twice.
 
 Each run must end in exit 0, 2 or 3, never in a traceback; a run that
-succeeds must write no ``nan`` or ``inf`` into its summary, and its second
-run the same bytes as its first. The values are the ones that break checks
-written with the wrong comparison or overflow the arithmetic: zero, the
-smallest and largest floats of each sign, the bounds that the checks use
-(the number reader's magnitudes of either sign, 0, 1 and 100) and the
-fixture's SOC window edges, each also one ulp to either side.
+exits 2 must name the section at fault (its last line starts ``error: [``),
+a run that succeeds must write no ``nan`` or ``inf`` into its summary, and
+its second run the same bytes as its first. The values are the ones that
+break checks written with the wrong comparison or overflow the arithmetic:
+zero, the smallest and largest floats of each sign, the bounds that the
+checks use (the number reader's magnitudes of either sign, 0, 1 and 100)
+and the fixture's SOC window edges, each also one ulp to either side.
 """
 
 import configparser
@@ -18,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phevopt.scenario as scenario
@@ -68,14 +69,16 @@ def run_twice(ini: Path, command: str, directory: Path) -> int:
     codes, files = [], []
     for name in ("a", "b"):
         out = directory / f"{command}-{name}"
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             codes.append(main([command, "--scenario", str(ini), "--out", str(out)]))
         files.append({p.name: p.read_bytes() for p in sorted(out.glob("*"))
                       if p.name != "run.log"} if out.exists() else {})
     assert codes[0] in (0, 2, 3), codes
     assert codes[0] == codes[1]
     assert files[0] == files[1]
+    if codes[0] == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: ["), err.getvalue()
     if codes[0] == 0:
         summary = files[0][SUMMARIES[command]].decode("ascii").lower()
         assert "nan" not in summary and "inf" not in summary, summary
@@ -98,10 +101,30 @@ def test_values_hold_each_edge_and_its_neighbours():
             999999999.9999999, 1e9, 1000000000.0000001} <= set(VALUES)
 
 
+#: Runs once refused late, after loading, with no section named, and the
+#: exit codes they have now that each is refused where its value comes in.
+LATE_REFUSALS = [
+    # an interval longer than the trip: once refused by build_demand in obd,
+    # and in compare a gen-set sized for ~0 kW that emptied the battery
+    (("dp", "dt_s"), 1e9, {"compare": 2, "obd": 2}),
+    # the thermostat enters CS below the DP window: a valid input whose
+    # optimization cannot start (obd starts at [dp] initial_soc instead)
+    (("rule", "cs_trigger"), 12.000000000000002, {"compare": 3, "obd": 0}),
+]
+
+
 @given(entry=st.sampled_from(NUMERIC_KEYS), value=st.sampled_from(VALUES))
+@example(entry=LATE_REFUSALS[0][0], value=LATE_REFUSALS[0][1])
+@example(entry=LATE_REFUSALS[1][0], value=LATE_REFUSALS[1][1])
 @settings(max_examples=150, deadline=None)
 def test_edge_number_exits_0_2_or_3(entry, value):
     check_cli(*entry, value)
+
+
+@pytest.mark.parametrize("entry,value,codes", LATE_REFUSALS,
+                         ids=["dt-beyond-the-trip", "cs-entry-below-the-window"])
+def test_late_refusal_exits_where_its_value_comes_in(entry, value, codes):
+    assert check_cli(*entry, value) == codes
 
 
 def test_uncaught_error_fails_the_property(monkeypatch):

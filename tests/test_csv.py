@@ -335,7 +335,8 @@ def handed_columns(monkeypatch, module, write, *args) -> dict:
 
 class TestWritePolicy:
     @pytest.mark.parametrize("n", (1, _BLOCK // POLICY_STATES + 1))
-    @given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6),
+    # an SOC window lies in [0, 100]
+    @given(lo=st.floats(0.0, 99.0), width=st.floats(1e-6, 100.0),
            pool=st.lists(costs, min_size=1, max_size=24),
            picks=st.lists(st.integers(0, 3), min_size=1, max_size=16),
            count=st.integers(1, 4))
@@ -343,7 +344,7 @@ class TestWritePolicy:
     def test_matches_row_loop(self, tmp_path_factory, n, lo, width, pool, picks,
                               count):
         shape = (n + 1, POLICY_STATES)
-        hi = lo + width
+        hi = min(lo + width, 100.0)
         cfg = DpConfig(soc_min=lo, soc_max=hi,
                        grid_step=(hi - lo) / (POLICY_STATES - 1),
                        decisions=decision_table([0.1 * j for j in range(1, count)],

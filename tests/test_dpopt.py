@@ -81,6 +81,15 @@ class TestDecisionValidation:
         with pytest.raises(ValueError):
             Decision(0.1, 120.0)
 
+    def test_efficiency_below_the_number_floor_rejected(self):
+        # 5e-324 / 100 is 0.0, and fuel_array once divided by it, in a
+        # ZeroDivisionError that the command line did not catch
+        with pytest.raises(ValueError, match=r"^efficiency_pct = 5e-324 must lie "
+                                             r"in \[1e-09, 100\]$"):
+            DpConfig(decisions=decision_table((0.294,), (5e-324,))).fuel_array()
+        floor = DpConfig(decisions=decision_table((0.294,), (1e-9,))).fuel_array()
+        assert np.isfinite(floor).all()
+
     def test_label_prints_the_increment(self):
         assert Decision(0.0, 100.0).label == "null"
         assert Decision(0.294, 31.0).label == "b0.294"
@@ -189,9 +198,9 @@ class TestDpConfigValidation:
 
     @pytest.mark.parametrize("bound", ["soc_min", "soc_max"])
     def test_nan_window_has_its_own_message(self, decisions, bound):
-        with pytest.raises(ValueError, match="SOC window bounds must not be NaN"):
+        with pytest.raises(ValueError, match=rf"^{bound} = nan lies outside \[0, 100\]$"):
             DpConfig(decisions=decisions, **{bound: math.nan})
-        with pytest.raises(ValueError, match="soc_min must be below soc_max"):
+        with pytest.raises(ValueError, match="^soc_min = .* must lie below soc_max = "):
             DpConfig(decisions=decisions, **{bound: 17.0 if bound == "soc_min" else 12.0})
 
     def test_grid_step_must_divide_window(self, decisions):
@@ -203,13 +212,13 @@ class TestDpConfigValidation:
 
     def test_state_count_is_bounded(self, decisions):
         # a grid of 5e9 states once ended in a MemoryError, not a ValueError
-        with pytest.raises(ValueError, match=f"grid_step 1e-09 gives 5000000001 SOC "
+        with pytest.raises(ValueError, match=f"grid_step = 1e-09 gives 5000000001 SOC "
                                              f"states, above the limit of {MAX_CELLS}"):
             DpConfig(decisions=decisions, grid_step=1e-9)
-        edge = dict(decisions=decisions, soc_min=0.0, grid_step=1.0)
-        assert DpConfig(**edge, soc_max=MAX_CELLS - 1.0).n_states == MAX_CELLS
+        edge = dict(decisions=decisions, soc_min=0.0, soc_max=100.0)
+        assert DpConfig(**edge, grid_step=100.0 / (MAX_CELLS - 1)).n_states == MAX_CELLS
         with pytest.raises(ValueError, match=f"gives {MAX_CELLS + 1} SOC states"):
-            DpConfig(**edge, soc_max=float(MAX_CELLS))
+            DpConfig(**edge, grid_step=100.0 / MAX_CELLS)
 
 
 class TestTerminalRule:
@@ -231,7 +240,7 @@ class TestTerminalRule:
         # problem infeasible for SOC >= nan%
         for build in (lambda: TerminalRule.at(math.nan),
                       lambda: TerminalRule("threshold", math.nan)):
-            with pytest.raises(ValueError, match="threshold must not be NaN"):
+            with pytest.raises(ValueError, match="^value = nan must not be NaN$"):
                 build()
 
     def test_unknown_kind(self, decisions):
@@ -1330,8 +1339,9 @@ def test_sweep_admitted_by_the_byte_budget_stays_within_it(decisions, monkeypatc
     d = DemandProfile(np.full(n, 0.05), 10.0, 1.0)
 
     def sweep(m):
-        cfg = DpConfig(decisions=decisions, soc_max=12.0 + (m - 1) * 0.001,
-                       grid_step=0.001, terminal_rule=TerminalRule.at(12.0))
+        # a window in [0, 100] holds the 466033 states of the budget at this step
+        cfg = DpConfig(decisions=decisions, soc_min=0.0, soc_max=(m - 1) * 1e-4,
+                       grid_step=1e-4, terminal_rule=TerminalRule.at(0.0))
         assert cfg.n_states == m
         return sweep_columns(d, [cfg, replace(cfg, obd_enabled=True)][:columns],
                              keep_costs=keep_costs)

@@ -375,11 +375,13 @@ class TestCliExitCodes:
         pytest.param("[dp]\ndeltas = -0.1\n", "[dp] deltas", id="negative-delta"),
         pytest.param("[dp]\ndeltas = 0.2, 0, 0.3\n", "[dp] deltas", id="zero-delta"),
         pytest.param("[dp]\ndeltas = 0.1, 0.3\nefficiencies = 30, 101\n",
-                     "error: [dp] decision efficiency must lie in (0, 100]",
+                     "error: [dp] efficiencies = 101 must lie in [1e-09, 100]",
                      id="efficiency-above-100"),
-        pytest.param("charging_efficiency = 1.5\n", "[accounting] charging_efficiency",
+        pytest.param("charging_efficiency = 1.5\n",
+                     "error: [accounting] charging_efficiency = 1.5 must lie in (0, 1]\n",
                      id="charging-efficiency"),
-        pytest.param("[dp]\ninitial_soc = 11\n", "[dp] initial_soc = 11 lies outside",
+        pytest.param("[dp]\ninitial_soc = 11\n",
+                     "error: [dp] initial_soc = 11 lies outside the SOC window [12, 17]\n",
                      id="initial-soc-outside-window"),
         pytest.param("[dp]\nsoc_min = 15\n", "[rule] cs_trigger = 14, the default",
                      id="default-initial-soc-outside-window"),
@@ -388,7 +390,8 @@ class TestCliExitCodes:
         pytest.param("[rule]\nsoc_low = 12\nsoc_high = %(soc_low)s\n",
                      "[rule] soc_high = '%(soc_low)s' is not a number",
                      id="no-interpolation"),
-        pytest.param("[maps]\nbelt_ratio = 0\n", "error: belt ratio must be positive",
+        pytest.param("[maps]\nbelt_ratio = 0\n",
+                     "error: [maps] belt_ratio = 0 must be positive",
                      id="zero-belt-ratio"),
         # SOC settings are percentages; each of these once ran to exit 0
         pytest.param("[rule]\nsoc_high = 150\n",
@@ -399,8 +402,16 @@ class TestCliExitCodes:
                      "error: [dp] soc_max = 150 lies outside [0, 100]", id="soc-max-150"),
         pytest.param("[dp]\nsoc_min = -1\n",
                      "error: [dp] soc_min = -1 lies outside [0, 100]", id="soc-min-negative"),
+        # a value one ulp past a bound prints in full, not as the bound
+        pytest.param("[dp]\nsoc_max = 100.00000000000001\n",
+                     "error: [dp] soc_max = 100.00000000000001 lies outside [0, 100]\n",
+                     id="soc-max-one-ulp-above-100"),
+        pytest.param("[dp]\ninitial_soc = 11.999999999999998\n",
+                     "error: [dp] initial_soc = 11.999999999999998 lies outside the SOC "
+                     "window [12, 17]\n", id="initial-soc-one-ulp-below-the-window"),
         pytest.param("[dp]\ngrid_step = 1e-9\n",
-                     "error: grid_step 1e-09 gives 5000000001 SOC states, above the limit",
+                     "error: [dp] grid_step = 1e-09 gives 5000000001 SOC states, above the "
+                     "limit",
                      id="grid-beyond-the-state-limit"),
         # repeating the lap 1e9 times would take an 8 GB time axis alone
         pytest.param("[cycle]\nlaps = 1e9\n",
@@ -416,12 +427,98 @@ class TestCliExitCodes:
         pytest.param("[vehicle]\nm_t = 1.7976931348623157e308\n",
                      "error: [vehicle] m_t = '1.7976931348623157e308' lies outside",
                      id="largest-float-mass"),
+        # one refusing value for each other record rule that a key reaches,
+        # named by the record as [section] key = value
+        pytest.param("[vehicle]\nm_t = -5\n",
+                     "error: [vehicle] m_t = -5 must be positive\n",
+                     id="mass"),
+        pytest.param("[vehicle]\ni = 0.5\n",
+                     "error: [vehicle] i = 0.5 must be at least 1\n",
+                     id="inertia"),
+        pytest.param("[vehicle]\ncdaf = -1\n",
+                     "error: [vehicle] cdaf = -1 must be nonnegative\n",
+                     id="drag"),
+        pytest.param("[vehicle]\ncrr = 0.1\n",
+                     "error: [vehicle] crr = 0.1 must lie in [0, 0.1)\n",
+                     id="rolling"),
+        pytest.param("[vehicle]\nrho = 0\n",
+                     "error: [vehicle] rho = 0 must be positive\n",
+                     id="air-density"),
+        pytest.param("[drivetrain]\ngear_ratio = 0\n",
+                     "error: [drivetrain] gear_ratio = 0 must be positive\n",
+                     id="gear-ratio"),
+        pytest.param("[drivetrain]\nwheel_radius_m = -0.3\n",
+                     "error: [drivetrain] wheel_radius_m = -0.3 must be positive\n",
+                     id="wheel-radius"),
+        pytest.param("[battery]\nc_batt_kwh = 0\n",
+                     "error: [battery] c_batt_kwh = 0 must be positive\n",
+                     id="capacity"),
+        pytest.param("[battery]\nr_in_ohm = -0.1\n",
+                     "error: [battery] r_in_ohm = -0.1 must be nonnegative\n",
+                     id="resistance"),
+        pytest.param("[battery]\nv_oc = -340\n",
+                     "error: [battery] v_oc = -340 must be finite and positive\n",
+                     id="voltage"),
+        pytest.param("[rule]\ncs_trigger = 18\n",
+                     "error: [rule] cs_trigger = 18 must lie above soc_low = 12 and below "
+                     "soc_high = 17\n",
+                     id="trigger-outside-the-window"),
+        pytest.param("[rule]\nmin_dwell_s = -1\n",
+                     "error: [rule] min_dwell_s = -1 must be nonnegative\n",
+                     id="dwell"),
+        pytest.param("[rule]\nwarmup_s = -1\n",
+                     "error: [rule] warmup_s = -1 must be nonnegative\n",
+                     id="warmup"),
+        pytest.param("[rule]\ncrank_power_kw = -2\n",
+                     "error: [rule] crank_power_kw = -2 must be nonnegative\n",
+                     id="crank"),
+        pytest.param("[rule]\nregen_current_limit_a = 0\n",
+                     "error: [rule] regen_current_limit_a = 0 must be positive\n",
+                     id="regen-limit"),
+        pytest.param("[rule]\ninitial_soc = 0\n",
+                     "error: [rule] initial_soc = 0 must lie in (0, 100]\n",
+                     id="rule-initial-soc"),
+        pytest.param("[rule]\ngenset_speed_rpm = 100\n",
+                     "error: [rule] genset_speed_rpm = 100 through [maps] belt_ratio = 2.7: "
+                     "speed 100 rpm outside map 'synthetic-engine'\n",
+                     id="genset-speed"),
+        pytest.param("[dp]\nsoc_min = 17\ninitial_soc = 17\n",
+                     "error: [dp] soc_min = 17 must lie below soc_max = 17\n",
+                     id="empty-window"),
+        pytest.param("[dp]\ngrid_step = 0.03\n",
+                     "error: [dp] grid_step = 0.03 does not divide the SOC window [12, 17]\n",
+                     id="grid-step"),
+        pytest.param("[dp]\nobd_energy_per_event_kwh = -1\n",
+                     "error: [dp] obd_energy_per_event_kwh = -1 must be finite and "
+                     "nonnegative\n",
+                     id="obd-energy"),
+        pytest.param("[dp]\np_genset_max_kw = 10\n",
+                     "error: [dp] p_genset_max_kw = 10 bounds a charge increment at dt_s = "
+                     "10 and [battery] c_batt_kwh = 18.9 to 0.1470 %, so decision 'b0.567' "
+                     "lies beyond the gen-set peak\n",
+                     id="genset-peak"),
+        pytest.param("uf = 1.5\n",
+                     "error: [accounting] uf = 1.5 must lie in [0, 1]\n",
+                     id="uf"),
+        pytest.param("[calibration]\ntest_positive_wh_per_km = -1\n",
+                     "error: [calibration] test_positive_wh_per_km = -1 must be nonnegative\n",
+                     id="test-energy"),
+        pytest.param("[calibration]\nmode = metrics\nsim_positive_wh_per_km = 0\n"
+                     "test_positive_wh_per_km = 259.21\n",
+                     "error: [calibration] sim_positive_wh_per_km = 0 must be positive\n",
+                     id="zero-sim-energy"),
+        pytest.param("[calibration]\nmode = metrics\nsim_positive_wh_per_km = 223.75\n"
+                     "test_positive_wh_per_km = 0\n",
+                     "error: [calibration] test_positive_wh_per_km = 0 must be positive\n",
+                     id="zero-test-energy"),
     ])
     def test_unusable_scenario_number_exits_2(self, tmp_path, scenario_dir, capsys,
                                               body, named):
         # entries under [cycle] join the section write_scenario opens
         rest, _, cycle = body.partition("[cycle]\n")
-        p = write_scenario(tmp_path, scenario_dir, f"{cycle}[accounting]\nuf = 0.8\n{rest}")
+        # a body that sets uf opens with it, in the [accounting] section opened here
+        uf = "" if rest.startswith("uf = ") else "uf = 0.8\n"
+        p = write_scenario(tmp_path, scenario_dir, f"{cycle}[accounting]\n{uf}{rest}")
         tracemalloc.start()
         try:
             rc = main(["simulate", "--strategy", "dp", "--scenario", str(p),
@@ -540,7 +637,8 @@ class TestCliExitCodes:
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "error: speed 2600 rpm outside map 'eng'" in capsys.readouterr().err
+        assert ("error: [rule] genset_speed_rpm = 2600 through [maps] belt_ratio = 2.7: "
+                "speed 2600 rpm outside map 'eng'" in capsys.readouterr().err)
 
     def test_non_finite_map_cell_exits_2(self, tmp_path, scenario_dir, capsys):
         # an efficiency of inf is no number a map may hold
@@ -550,7 +648,8 @@ class TestCliExitCodes:
         p = write_scenario(tmp_path, scenario_dir, body)
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "line 2: non-numeric value" in capsys.readouterr().err
+        assert ("error: [maps] generator = gen.csv: line 2: 'inf' is not a finite number"
+                in capsys.readouterr().err)
 
     def test_cycle_outside_the_grammar_exits_2(self, tmp_path, capsys):
         (tmp_path / "cycle.csv").write_text("t_s,v_mps\n0,0\n1,1_0\n", encoding="utf-8")
@@ -610,7 +709,9 @@ class TestCliExitCodes:
                    "--scenario", str(scenario_dir / "single_lap.ini"),
                    "--out", str(tmp_path / "o"), "--grid-step", "0.03"])
         assert rc == 2
-        assert "does not divide" in capsys.readouterr().err
+        # named as a scenario key is named, after the option that set it
+        assert capsys.readouterr().err == ("error: --grid-step: grid_step = 0.03 does not "
+                                           "divide the SOC window [12, 17]\n")
 
     def test_grid_step_beyond_the_state_limit_exits_2(self, tmp_path, scenario_dir,
                                                       capsys):
