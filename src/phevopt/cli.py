@@ -197,7 +197,7 @@ def run_dp_hybrid(sc: Scenario, *, keep_costs: bool = True) -> HybridRun:
         cfg = replace(sc.dp, initial_soc=float(trace.soc_pct[idx]))
     except ValueError as exc:
         raise InfeasibleProblemError(
-            f"CS begins outside [dp] soc_min to soc_max: {exc}") from None
+            f"CS begins outside [rule] soc_low to soc_high: {exc}") from None
     demand = build_demand(sub, sc.vp, sc.assembly.motor_map,
                           sc.assembly.drivetrain, sc.bp,
                           calibration=sc.calibration.energy_scale,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CycleFormatError, exact, require
+from .powertrain import NUMBER_RANGE, parse_number
 
 V_IDLE_MPS = 0.1  # below this speed the vehicle counts as stopped
 
@@ -127,7 +128,9 @@ def load_cycle(source) -> DriveCycle:
     - the first other line is the header ``t_s,v_mps`` or
       ``t_s,v_mps,grade_deg``, with blanks allowed around the names;
     - every later line is one sample with one field per name, each a
-      number as ``np.loadtxt`` reads it (blanks around it allowed).
+      number as ``np.loadtxt`` reads it (blanks around it allowed) that
+      ``parse_number`` would take: 0, or finite with a magnitude in
+      ``NUMBER_RANGE``.
 
     Parameters
     ----------
@@ -172,6 +175,14 @@ def _read_rows(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
 
 
+def _in_number_range(data: np.ndarray) -> np.ndarray:
+    """Where ``data`` holds a number ``parse_number`` takes: 0, or of a
+    magnitude in ``NUMBER_RANGE``, which NaN and the infinities are not."""
+    lo, hi = NUMBER_RANGE
+    mag = np.abs(data)
+    return (data == 0) | ((lo <= mag) & (mag <= hi))
+
+
 def _parse_samples(text: str) -> np.ndarray:
     """The (samples x columns) table of a cycle CSV, parsed in one C pass.
     A text this pass refuses is outside the grammar, and ``_first_fault``
@@ -194,7 +205,8 @@ def _parse_samples(text: str) -> np.ndarray:
         except ValueError:
             pass
         else:
-            if data.shape[0] >= 2 and data.shape[1] == len(names):
+            if (data.shape[0] >= 2 and data.shape[1] == len(names)
+                    and _in_number_range(data).all()):
                 return data
     raise _first_fault(text)
 
@@ -202,8 +214,9 @@ def _parse_samples(text: str) -> np.ndarray:
 def _first_fault(text: str) -> CycleFormatError:
     """The error for a text that ``_parse_samples`` refuses, with ``\r\n``
     already ``\n``: it names the first line outside the grammar, checking
-    each sample line with the same ``np.loadtxt`` call, or else says there
-    are fewer than two samples."""
+    each sample line with the same ``np.loadtxt`` call and number range,
+    and a number out of the range with ``parse_number``'s reason; or else
+    it says there are fewer than two samples."""
     width = None
     n_rows = 0
     for lineno, line in enumerate(text.split("\n"), 1):
@@ -224,9 +237,15 @@ def _first_fault(text: str) -> CycleFormatError:
             return CycleFormatError(f"line {lineno}: expected {width} fields, "
                                     f"got {fields}")
         try:
-            _read_rows([line])
+            row = _read_rows([line])
         except ValueError:
             return CycleFormatError(f"line {lineno}: non-numeric value in {line!r}")
+        for entry, ok in zip(line.split(","), _in_number_range(row)[0]):
+            if not ok:
+                try:
+                    parse_number(entry.strip())
+                except ValueError as exc:
+                    return CycleFormatError(f"line {lineno}: {entry.strip()!r} {exc}")
         n_rows += 1
     if width is None:
         return CycleFormatError("missing header row 't_s,v_mps[,grade_deg]'")

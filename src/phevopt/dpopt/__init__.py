@@ -11,7 +11,6 @@ from .problem import (
     build_demand,
     decision_table,
     delta_to_electrical_kw,
-    max_delta_bound,
 )
 from .solver import (
     RolloutResult,
@@ -34,7 +33,6 @@ __all__ = [
     "decision_table",
     "delta_to_electrical_kw",
     "evaluate_rule_on_demand",
-    "max_delta_bound",
     "obd_study",
     "rollout",
     "solve",

@@ -128,12 +128,6 @@ class TerminalRule:
         return cfg.initial_soc
 
 
-def max_delta_bound(p_genset_max_kw: float, dt_s: float, c_batt_kwh: float) -> float:
-    """Largest admissible charge increment, % SOC per interval, for a
-    gen-set electrical peak: P*dt converted to a fraction of capacity."""
-    return p_genset_max_kw * dt_s / (3600.0 * c_batt_kwh) * 100.0
-
-
 def delta_to_electrical_kw(delta_soc: float, dt_s: float, c_batt_kwh: float) -> float:
     """Electrical power that sustains a charge increment over one interval."""
     return delta_soc / 100.0 * c_batt_kwh * 3600.0 / dt_s
@@ -153,7 +147,6 @@ class DpConfig:
     obd_enabled: bool = False
     obd_energy_per_event_kwh: float = 0.00497
     c_batt_kwh: float = BatteryParams.c_batt_kwh
-    p_genset_max_kw: float = 40.0
     initial_soc: float | None = None
 
     def __post_init__(self) -> None:
@@ -173,16 +166,8 @@ class DpConfig:
         require(0.0 <= self.obd_energy_per_event_kwh < math.inf, self,
                 "obd_energy_per_event_kwh", "must be finite and nonnegative")
         require(self.c_batt_kwh > 0, self, "c_batt_kwh", "must be positive")
-        # a NaN peak would make a NaN bound, which no decision exceeds
-        require(self.p_genset_max_kw > 0, self, "p_genset_max_kw", "must be positive")
         if not any(dec.delta_soc == 0.0 for dec in self.decisions):
             raise ValueError("decisions must include the null decision")
-        bound = max_delta_bound(self.p_genset_max_kw, self.dt_s, self.c_batt_kwh)
-        top = max(self.decisions, key=lambda dec: dec.delta_soc)
-        require(top.delta_soc <= bound + SOC_EPS, self, "p_genset_max_kw",
-                f"bounds a charge increment at dt_s = {exact(self.dt_s)} and c_batt_kwh = "
-                f"{exact(self.c_batt_kwh)} to {bound:.4f} %, so decision {top.label!r} "
-                "lies beyond the gen-set peak")
         if self.initial_soc is not None:
             require(self.soc_min <= self.initial_soc <= self.soc_max, self,
                     "initial_soc", f"lies outside {window}")

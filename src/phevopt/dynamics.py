@@ -46,8 +46,8 @@ class VehicleParams:
 
 
 def tractive_force(p: VehicleParams, v, accel, grade_deg):
-    """Tractive force in N at one operating point (or elementwise on arrays),
-    at the test mass ``p.m_t``.
+    """Tractive force in N, elementwise on arrays (a NumPy ``float64`` at
+    one operating point), at the test mass ``p.m_t``.
 
     Parameters
     ----------
@@ -64,11 +64,10 @@ def tractive_force(p: VehicleParams, v, accel, grade_deg):
         raise ValueError("speed must be nonnegative")
     accel = np.asarray(accel, dtype=float)
     grade = np.deg2rad(np.asarray(grade_deg, dtype=float))
-    f = (p.m_t * p.i * accel
-         + p.m_t * G * np.sin(grade)
-         + 0.5 * p.rho * p.cdaf * v * v
-         + p.m_t * G * p.crr * (v > V_IDLE_MPS))
-    return float(f) if f.ndim == 0 else f
+    return (p.m_t * p.i * accel
+            + p.m_t * G * np.sin(grade)
+            + 0.5 * p.rho * p.cdaf * v * v
+            + p.m_t * G * p.crr * (v > V_IDLE_MPS))
 
 
 def accel_series(cycle: DriveCycle) -> np.ndarray:

@@ -54,7 +54,7 @@ class RuleConfig:
 
     genset_point: GenSetPoint
     soc_high: float = 17.0        # %, CS window top / gen-set off level
-    soc_low: float = 12.0         # %, default [dp] soc_min; no simulation reads it
+    soc_low: float = 12.0         # %, CS window floor: the DP's soc_min
     cs_trigger: float = 14.0      # %, CD->CS switch and gen-set on level
     min_dwell_s: float = 10.0     # s between gen-set state changes
     warmup_s: float = 20.0        # s of cranking after each gen-set start

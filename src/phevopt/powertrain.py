@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnvelopeError, MapDomainError, MapFormatError, require
+from .errors import EnvelopeError, MapDomainError, MapFormatError, exact, require
 
 RAD_S_PER_RPM = 2.0 * math.pi / 60.0
 MOTOR_V_MIN_MPS = 0.05  # below this speed the traction motor is off
@@ -111,15 +111,15 @@ def map_lookup(m: EfficiencyMap, speed_rpm: float, torque_nm: float) -> float:
         infeasible.
     """
     if not (m.speed_axis[0] <= speed_rpm <= m.speed_axis[-1]):
-        raise MapDomainError(
-            f"speed {speed_rpm:g} rpm outside [{m.speed_axis[0]:g}, {m.speed_axis[-1]:g}]")
+        raise MapDomainError(f"speed {exact(speed_rpm)} rpm outside "
+                             f"[{m.speed_axis[0]:g}, {m.speed_axis[-1]:g}]")
     if not (m.torque_axis[0] <= torque_nm <= m.torque_axis[-1]):
-        raise MapDomainError(
-            f"torque {torque_nm:g} Nm outside [{m.torque_axis[0]:g}, {m.torque_axis[-1]:g}]")
+        raise MapDomainError(f"torque {exact(torque_nm)} Nm outside "
+                             f"[{m.torque_axis[0]:g}, {m.torque_axis[-1]:g}]")
     out = float(_bilinear(m, speed_rpm, torque_nm))
     if math.isnan(out):
         raise EnvelopeError(
-            f"({speed_rpm:g} rpm, {torque_nm:g} Nm) touches the infeasible "
+            f"({exact(speed_rpm)} rpm, {exact(torque_nm)} Nm) touches the infeasible "
             f"region of map {m.label!r}")
     return out
 
@@ -404,7 +404,7 @@ def genset_point_at(engine_map: EfficiencyMap, gen_map: EfficiencyMap,
         raise ValueError("electrical power must be nonnegative")
     for emap, speed in ((engine_map, speed_rpm), (gen_map, speed_rpm * belt_ratio)):
         if not emap.speed_axis[0] <= speed <= emap.speed_axis[-1]:
-            raise MapDomainError(f"speed {speed:g} rpm outside map {emap.label!r}")
+            raise MapDomainError(f"speed {exact(speed)} rpm outside map {emap.label!r}")
     t_hi = float(min(max_feasible_torque(engine_map, speed_rpm),
                      max_feasible_torque(gen_map, speed_rpm * belt_ratio) * belt_ratio))
     if t_hi <= 0:

@@ -8,8 +8,9 @@ path or the keyword ``synthetic``.
 Each number in ``[vehicle]``, ``[drivetrain]``, ``[maps]``, ``[battery]``,
 ``[rule]`` and ``[dp]`` is read from the key named after the dataclass
 field it fills and defaults to that field's default, so every default is
-stated once, on its dataclass; only the ``[dp]`` SOC window and initial
-SOC default to ``[rule]`` values instead. Numbers are read with
+stated once, on its dataclass. The DP has no SOC window or initial SOC of
+its own: it reads ``[rule] soc_low``, ``soc_high`` and ``cs_trigger``, and
+the gen-set's limit is the maps'. Numbers are read with
 ``parse_number``: Python's ``float``, but ASCII without ``_``, finite, and
 0 or of a magnitude in ``NUMBER_RANGE``.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .accounting import Calibration, calibration_factor
@@ -98,8 +99,8 @@ SCHEMA: dict[str, set[str]] = {
     "maps": {*_float_defaults(PowertrainAssembly), "motor", "engine", "generator"},
     "battery": {*_float_defaults(BatteryParams)},
     "rule": {*_float_defaults(RuleConfig), "genset_speed_rpm"},
-    "dp": ({*_float_defaults(DpConfig), "initial_soc", "deltas", "efficiencies"}
-           - {"c_batt_kwh"}),
+    "dp": ({*_float_defaults(DpConfig), "deltas", "efficiencies"}
+           - {"c_batt_kwh", "soc_min", "soc_max"}),
     "accounting": {"uf", "charging_efficiency"},
     "calibration": {"mode", *(
         f"{prefix}_{m}" for prefix in ("sim", "test")
@@ -258,18 +259,10 @@ def load_scenario(path) -> Scenario:
     decisions = _build("dp", decision_table, deltas, effs,
                        keys={"efficiency_pct": "efficiencies"})
 
-    # the window's own rules come first, then the initial SOC's
+    # the thermostat's window and CS start are the DP's
     dp = _fill(DpConfig, sec, keys={"c_batt_kwh": "[battery] c_batt_kwh"}, dt_s=dt_s,
-               soc_min=_get_float(sec, "soc_min", rule.soc_low),
-               soc_max=_get_float(sec, "soc_max", rule.soc_high),
+               soc_min=rule.soc_low, soc_max=rule.soc_high, initial_soc=rule.cs_trigger,
                decisions=decisions, c_batt_kwh=bp.c_batt_kwh)
-    if not sec.get("initial_soc", "").strip() and not (
-            dp.soc_min <= rule.cs_trigger <= dp.soc_max):
-        raise ScenarioError(f"[rule] cs_trigger = {exact(rule.cs_trigger)}, the default [dp] "
-                            f"initial_soc, lies outside the SOC window "
-                            f"[{exact(dp.soc_min)}, {exact(dp.soc_max)}]")
-    dp = _build("dp", replace, dp,
-                initial_soc=_get_float(sec, "initial_soc", rule.cs_trigger))
 
     sec = cp["accounting"]
     if not sec.get("uf", "").strip():

@@ -94,7 +94,7 @@ def check_cli(section: str, key: str, value: float) -> dict[str, int]:
 
 
 def test_values_hold_each_edge_and_its_neighbours():
-    assert len(NUMERIC_KEYS) == 40
+    assert len(NUMERIC_KEYS) == 36
     # the neighbours of 0 are the smallest floats
     assert len(VALUES) == 2 + 3 * len(EDGES)
     assert {0.9999999999999999, 1.0, 1.0000000000000002, -5e-324, 0.0, 5e-324,
@@ -108,7 +108,7 @@ LATE_REFUSALS = [
     # and in compare a gen-set sized for ~0 kW that emptied the battery
     (("dp", "dt_s"), 1e9, {"compare": 2, "obd": 2}),
     # the thermostat enters CS below the DP window: a valid input whose
-    # optimization cannot start (obd starts at [dp] initial_soc instead)
+    # optimization cannot start (obd starts at cs_trigger itself instead)
     (("rule", "cs_trigger"), 12.000000000000002, {"compare": 3, "obd": 0}),
 ]
 

@@ -17,6 +17,7 @@ from phevopt.cycle import (
     repeat_cycle,
 )
 from phevopt.errors import CycleFormatError
+from phevopt.powertrain import NUMBER_RANGE
 
 from helpers import synthetic_cycle
 
@@ -181,6 +182,22 @@ OUTSIDE_CHAR = re.compile(r"[^\x00-\x7f]|[\r\x0b\x0c\x1c-\x1f]")
 DIGIT_UNDERSCORE = re.compile(r"\d_\d")
 
 
+def holds_number_out_of_range(text):
+    """Whether a field of ``text`` reads, by Python's float, as NaN, an
+    infinity or a nonzero number of a magnitude outside ``NUMBER_RANGE``:
+    the grammar refuses it, and the reference reads all but NaN and the
+    infinities."""
+    lo, hi = NUMBER_RANGE
+    for entry in re.split(r"[,\n]", text):
+        try:
+            value = float(entry.strip(" \t\r"))
+        except ValueError:
+            continue
+        if value and not lo <= abs(value) <= hi:
+            return True
+    return False
+
+
 def error_line(result):
     """The line number a ``parsed`` error names, or None."""
     m = re.match(r"line (\d+): ", result[1]) if isinstance(result, tuple) else None
@@ -209,7 +226,7 @@ def assert_one_pass(text, calls):
 
 
 #: Texts outside the grammar, each with the error naming its first wrong
-#: line; the reference accepts all but the first and the last.
+#: line; the reference accepts all but the first, the NaN and the last.
 REFUSED = {
     "t_s,v_mps\n0,0 # inline\n1,1\n": "line 2: non-numeric value in '0,0 # inline'",
     "t_s,v_mps\n0,0\n1,1_0\n": "line 3: non-numeric value in '1,1_0'",
@@ -219,6 +236,13 @@ REFUSED = {
        for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
     "t_s,v_mps\n0,0\n1,\xa01\n": "line 3: character '\\xa0' is not allowed",
     "t_s,v_mps\n0,0 \xa0\n1,1\n": "line 2: character '\\xa0' is not allowed",
+    # numbers as parse_number reads them: finite, and 0 or in NUMBER_RANGE
+    "t_s,v_mps\n0,0\n1,1e200\n": "line 3: '1e200' lies outside the magnitudes "
+                                  "[1e-09, 1e+09] of a nonzero number",
+    "t_s,v_mps,grade_deg\n0,0,0\n1,1, 5e-324\n": "line 3: '5e-324' lies outside the "
+                                                 "magnitudes [1e-09, 1e+09] of a "
+                                                 "nonzero number",
+    "t_s,v_mps\n0,nan\n1,1\n": "line 2: 'nan' is not a finite number",
     "t_s,v_mps\n0,0\n1\n": "line 3: expected 2 fields, got 1",
 }
 
@@ -233,7 +257,8 @@ class TestOnePassParser:
     @settings(max_examples=400, deadline=None)
     def test_matches_reference(self, text):
         result, expected = parsed(load_cycle, text), parsed(reference_load_cycle, text)
-        if OUTSIDE_CHAR.search(text.replace("\r\n", "\n")) or DIGIT_UNDERSCORE.search(text):
+        if (OUTSIDE_CHAR.search(text.replace("\r\n", "\n")) or DIGIT_UNDERSCORE.search(text)
+                or holds_number_out_of_range(text)):
             assert error_line(result) is not None
             if error_line(expected) is not None:
                 assert error_line(result) <= error_line(expected)

@@ -19,7 +19,6 @@ from phevopt.dpopt import (
     decision_table,
     delta_to_electrical_kw,
     evaluate_rule_on_demand,
-    max_delta_bound,
     obd_study,
     rollout,
     solve,
@@ -169,11 +168,6 @@ class TestDpConfigValidation:
         with pytest.raises(ValueError):
             DpConfig(decisions=())
 
-    def test_delta_beyond_genset_bound_rejected(self):
-        decs = (Decision(0.0, 100.0), Decision(0.60, 30.0))
-        with pytest.raises(ValueError, match="beyond the gen-set peak"):
-            DpConfig(decisions=decs, p_genset_max_kw=40.0)
-
     def test_initial_soc_must_be_in_window(self, decisions):
         with pytest.raises(ValueError):
             DpConfig(decisions=decisions, initial_soc=11.0)
@@ -189,8 +183,6 @@ class TestDpConfigValidation:
         dict(c_batt_kwh=0.0),
         dict(c_batt_kwh=math.nan),
         dict(dt_s=math.nan),
-        dict(p_genset_max_kw=0.0),
-        dict(p_genset_max_kw=math.nan),  # would turn the gen-set bound off
     ])
     def test_invalid_rejected(self, decisions, kwargs):
         with pytest.raises(ValueError):
@@ -268,20 +260,9 @@ class TestTerminalRule:
 
 
 class TestDeltaConversions:
-    def test_gen_set_peak_bound(self):
-        # 40 kW for 10 s into 18.9 kWh
-        assert max_delta_bound(40.0, 10.0, 18.9) == pytest.approx(
-            0.58788948, abs=1e-7)
-
     def test_largest_decision_power(self):
         assert delta_to_electrical_kw(0.567, 10.0, 18.9) == pytest.approx(
             38.57868, abs=1e-6)
-
-    def test_conversions_invert(self):
-        for p in (5.0, 17.3, 40.0):
-            delta = max_delta_bound(p, 10.0, 18.9)
-            assert delta_to_electrical_kw(delta, 10.0, 18.9) == pytest.approx(
-                p, rel=1e-12)
 
 
 class TestDefaultDecisions:

@@ -632,7 +632,8 @@ class TestLoopMatchesReference:
         (60, InfeasibleVehicleError,
          "battery empty at t = 26 s (CS mode); the vehicle cannot complete this cycle"),
         # the same cruise reaches a sample outside the envelope at 19 s first
-        (20, EnvelopeError, "step 19 (t = 19 s): torque 1885 Nm outside [0, 320]"),
+        (20, EnvelopeError,
+         "step 19 (t = 19 s): torque 1885.003718363171 Nm outside [0, 320]"),
     ])
     def test_error_precedence(self, vp, assembly, genset_point, jump, expect, message):
         t = np.arange(61.0)

@@ -323,9 +323,10 @@ def dimension_branches(text: str) -> list[str]:
             if re.search(r"np\.ndim\(|\.ndim == 0", line)]
 
 
-def test_models_have_one_face():
+@pytest.mark.parametrize("name", ["powertrain.py", "dynamics.py"])
+def test_models_have_one_face(name):
     # a model's NaN is explained by map_lookup or check_capability instead
-    assert dimension_branches((SRC / "powertrain.py").read_text(encoding="utf-8")) == []
+    assert dimension_branches((SRC / name).read_text(encoding="utf-8")) == []
 
 
 def test_dimension_branch_is_found():

@@ -11,6 +11,7 @@ from phevopt.errors import (
     EnvelopeError,
     MapDomainError,
     MapFormatError,
+    exact,
 )
 from phevopt.powertrain import (
     MOTOR_V_MIN_MPS,
@@ -124,6 +125,23 @@ class TestMapLookup:
             map_lookup(m, -0.1, 0.5)
         with pytest.raises(MapDomainError, match="torque"):
             map_lookup(m, 0.5, 1.2)
+
+    # one ulp past an axis end: ``:g`` would print the end itself
+    @pytest.mark.parametrize("query,message", [
+        pytest.param(lambda: map_lookup(synthetic_motor_map(), 10000.000000000002, 0.0),
+                     "speed 10000.000000000002 rpm outside [0, 10000]", id="speed"),
+        pytest.param(lambda: map_lookup(synthetic_motor_map(), 0.0, 320.00000000000006),
+                     "torque 320.00000000000006 Nm outside [0, 320]", id="torque"),
+        pytest.param(lambda: genset_point_at(synthetic_engine_map(),
+                                             synthetic_generator_map(), 2.7,
+                                             3600.0000000000005, 1.0),
+                     "speed 3600.0000000000005 rpm outside map 'synthetic-engine'",
+                     id="genset-speed"),
+    ])
+    def test_domain_error_prints_the_query_exactly(self, query, message):
+        with pytest.raises(MapDomainError) as exc:
+            query()
+        assert str(exc.value) == message
 
     def test_nan_corner_with_weight_is_envelope_error(self):
         m = square_map([[90.0, np.nan], [90.0, np.nan]], label="half")
@@ -430,7 +448,7 @@ def early_stop_genset_point(engine_map, gen_map, belt_ratio, speed_rpm,
         raise ValueError("electrical power must be nonnegative")
     for m, speed in ((engine_map, speed_rpm), (gen_map, speed_rpm * belt_ratio)):
         if not m.speed_axis[0] <= speed <= m.speed_axis[-1]:
-            raise MapDomainError(f"speed {speed:g} rpm outside map {m.label!r}")
+            raise MapDomainError(f"speed {exact(speed)} rpm outside map {m.label!r}")
     t_hi = float(max_feasible_torque(engine_map, speed_rpm))
     t_hi = min(t_hi, float(max_feasible_torque(gen_map, speed_rpm * belt_ratio)) * belt_ratio)
     if t_hi <= 0:

@@ -34,9 +34,10 @@ def float_fields(cls):
 
 
 #: Every key read from the field it fills; [dp] takes the battery capacity
-#: from [battery] instead.
+#: from [battery] and its SOC window from [rule] instead.
 FIELD_KEYS = [(section, f.name) for section, cls in SECTION_FIELDS.items()
-              for f in float_fields(cls) if (section, f.name) != ("dp", "c_batt_kwh")]
+              for f in float_fields(cls)
+              if section != "dp" or f.name not in ("c_batt_kwh", "soc_min", "soc_max")]
 
 
 def write_scenario(tmp_path: Path, scenario_dir: Path, body: str) -> Path:
@@ -62,11 +63,13 @@ class TestLoadScenario:
         assert sc.calibration.energy_scale == pytest.approx(1.1584804, abs=1e-6)
         assert sc.calibration.avg_power_ratio == pytest.approx(1.1659544, abs=1e-6)
 
-    def test_dp_defaults_follow_rule(self, scenario_dir):
-        sc = load_scenario(scenario_dir / "three_lap.ini")
-        assert sc.dp.initial_soc == sc.rule.cs_trigger == 14.0
-        assert sc.dp.soc_min == 12.0 and sc.dp.soc_max == 17.0
-        assert sc.dp.grid_step == 0.01
+    @pytest.mark.parametrize("name", ["single_lap.ini", "three_lap.ini",
+                                      "obd_single_lap.ini"])
+    def test_dp_window_and_start_are_the_rules(self, scenario_dir, name):
+        sc = load_scenario(scenario_dir / name)
+        assert ((sc.dp.soc_min, sc.dp.soc_max, sc.dp.initial_soc)
+                == (sc.rule.soc_low, sc.rule.soc_high, sc.rule.cs_trigger)
+                == (12.0, 17.0, 14.0))
 
     def test_auto_genset_point_sized_for_max_delta(self, scenario_dir):
         sc = load_scenario(scenario_dir / "single_lap.ini")
@@ -193,7 +196,7 @@ class TestLoadScenario:
         ("battery", "r_in_ohm", ""),
         ("rule", "regen_current_limit_a", ""),
         ("rule", "min_dwell_s", ""),
-        ("dp", "initial_soc", ""),
+        ("rule", "cs_trigger", ""),
         pytest.param("calibration", "sim_positive_wh_per_km", "mode = metrics\n",
                      id="calibration-sim_positive_wh_per_km-"),
     ])
@@ -205,7 +208,6 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, scenario_dir, body))
 
     @pytest.mark.parametrize("section,key", [
-        ("dp", "initial_soc"),
         ("calibration", "test_positive_wh_per_km"),
         *FIELD_KEYS,
     ])
@@ -299,9 +301,9 @@ class TestSchema:
 
     def test_readme_names_what_three_lap_leaves_out(self, scenario_dir):
         text = " ".join(README.read_text(encoding="utf-8").split())
-        sentence = re.search(r"`scenarios/three_lap\.ini` writes out every key "
-                             r"except ([^.]*)\.", text)
-        named = set(re.findall(r"`\[(\w+)\] (\w+)`", sentence.group(1)))
+        sentence = re.search(r"`scenarios/three_lap\.ini` writes out every key"
+                             r"( except [^.]*)?\.", text)
+        named = set(re.findall(r"`\[(\w+)\] (\w+)`", sentence.group(1) or ""))
         assert named == keys_left_out(scenario_dir / "three_lap.ini")
 
 
@@ -380,11 +382,12 @@ class TestCliExitCodes:
         pytest.param("charging_efficiency = 1.5\n",
                      "error: [accounting] charging_efficiency = 1.5 must lie in (0, 1]\n",
                      id="charging-efficiency"),
-        pytest.param("[dp]\ninitial_soc = 11\n",
-                     "error: [dp] initial_soc = 11 lies outside the SOC window [12, 17]\n",
-                     id="initial-soc-outside-window"),
-        pytest.param("[dp]\nsoc_min = 15\n", "[rule] cs_trigger = 14, the default",
-                     id="default-initial-soc-outside-window"),
+        pytest.param("[rule]\ncs_trigger = 11\n",
+                     "error: [rule] cs_trigger = 11 must lie above soc_low = 12 and below "
+                     "soc_high = 17\n", id="trigger-below-the-window"),
+        pytest.param("[rule]\nsoc_low = 15\n",
+                     "error: [rule] cs_trigger = 14 must lie above soc_low = 15 and below "
+                     "soc_high = 17\n", id="window-floor-above-the-trigger"),
         pytest.param("[rule]\nsoc_high = 17%\n", "[rule] soc_high = '17%' is not a number",
                      id="percent-sign"),
         pytest.param("[rule]\nsoc_low = 12\nsoc_high = %(soc_low)s\n",
@@ -398,17 +401,20 @@ class TestCliExitCodes:
                      "error: [rule] soc_high = 150 lies outside [0, 100]", id="soc-high-150"),
         pytest.param("[rule]\nsoc_low = -5\n",
                      "error: [rule] soc_low = -5 lies outside [0, 100]", id="soc-low-negative"),
-        pytest.param("[dp]\nsoc_max = 150\n",
-                     "error: [dp] soc_max = 150 lies outside [0, 100]", id="soc-max-150"),
-        pytest.param("[dp]\nsoc_min = -1\n",
-                     "error: [dp] soc_min = -1 lies outside [0, 100]", id="soc-min-negative"),
+        pytest.param("[rule]\ncs_trigger = 150\n",
+                     "error: [rule] cs_trigger = 150 lies outside [0, 100]",
+                     id="trigger-150"),
+        pytest.param("[rule]\ncs_trigger = -1\n",
+                     "error: [rule] cs_trigger = -1 lies outside [0, 100]",
+                     id="trigger-negative"),
         # a value one ulp past a bound prints in full, not as the bound
-        pytest.param("[dp]\nsoc_max = 100.00000000000001\n",
-                     "error: [dp] soc_max = 100.00000000000001 lies outside [0, 100]\n",
-                     id="soc-max-one-ulp-above-100"),
-        pytest.param("[dp]\ninitial_soc = 11.999999999999998\n",
-                     "error: [dp] initial_soc = 11.999999999999998 lies outside the SOC "
-                     "window [12, 17]\n", id="initial-soc-one-ulp-below-the-window"),
+        pytest.param("[rule]\nsoc_high = 100.00000000000001\n",
+                     "error: [rule] soc_high = 100.00000000000001 lies outside [0, 100]\n",
+                     id="soc-high-one-ulp-above-100"),
+        pytest.param("[rule]\ncs_trigger = 11.999999999999998\n",
+                     "error: [rule] cs_trigger = 11.999999999999998 must lie above "
+                     "soc_low = 12 and below soc_high = 17\n",
+                     id="trigger-one-ulp-below-the-window"),
         pytest.param("[dp]\ngrid_step = 1e-9\n",
                      "error: [dp] grid_step = 1e-09 gives 5000000001 SOC states, above the "
                      "limit",
@@ -482,9 +488,9 @@ class TestCliExitCodes:
                      "error: [rule] genset_speed_rpm = 100 through [maps] belt_ratio = 2.7: "
                      "speed 100 rpm outside map 'synthetic-engine'\n",
                      id="genset-speed"),
-        pytest.param("[dp]\nsoc_min = 17\ninitial_soc = 17\n",
-                     "error: [dp] soc_min = 17 must lie below soc_max = 17\n",
-                     id="empty-window"),
+        pytest.param("[rule]\nsoc_low = 17\n",
+                     "error: [rule] cs_trigger = 14 must lie above soc_low = 17 and below "
+                     "soc_high = 17\n", id="empty-window"),
         pytest.param("[dp]\ngrid_step = 0.03\n",
                      "error: [dp] grid_step = 0.03 does not divide the SOC window [12, 17]\n",
                      id="grid-step"),
@@ -492,11 +498,6 @@ class TestCliExitCodes:
                      "error: [dp] obd_energy_per_event_kwh = -1 must be finite and "
                      "nonnegative\n",
                      id="obd-energy"),
-        pytest.param("[dp]\np_genset_max_kw = 10\n",
-                     "error: [dp] p_genset_max_kw = 10 bounds a charge increment at dt_s = "
-                     "10 and [battery] c_batt_kwh = 18.9 to 0.1470 %, so decision 'b0.567' "
-                     "lies beyond the gen-set peak\n",
-                     id="genset-peak"),
         pytest.param("uf = 1.5\n",
                      "error: [accounting] uf = 1.5 must lie in [0, 1]\n",
                      id="uf"),
@@ -576,7 +577,13 @@ class TestCliExitCodes:
                                  ("calibration", "scale = 1.0"),
                                  ("rule", "genset_electrical_kw = auto"),
                                  ("dp", "terminal = initial"),
-                                 ("dp", "obd_enabled = false"))),
+                                 ("dp", "obd_enabled = false"),
+                                 # the DP's window and start are [rule]'s, and
+                                 # its gen-set limit the maps'
+                                 ("dp", "soc_min = 12"),
+                                 ("dp", "soc_max = 17"),
+                                 ("dp", "initial_soc = 14"),
+                                 ("dp", "p_genset_max_kw = 40"))),
         pytest.param("[calibration]\nmode = explicit\n",
                      "[calibration] unknown mode 'explicit'", id="removed-explicit-mode"),
         pytest.param("[dp]\nc_batt_kwh = 20\n", "[dp] c_batt_kwh is never read",
@@ -606,17 +613,35 @@ class TestCliExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o" / "dp_schedule.csv").exists()
 
+    def test_increment_within_the_genset_capability_loads(self, tmp_path, scenario_dir):
+        # 0.6 % of 18.9 kWh in 10 s takes 40.82 kW, within the maps' 42.38 kW
+        # at 2600 rpm: the maps are the one statement of the gen-set's limit
+        body = "[accounting]\nuf = 0.8\n[dp]\ndeltas = 0.051, 0.294, 0.6\n"
+        sc = load_scenario(write_scenario(tmp_path, scenario_dir, body))
+        assert sc.dp.max_positive_delta == 0.6
+        assert sc.rule.genset_point.electrical_power_kw == pytest.approx(40.82, abs=0.01)
+
+    def test_increment_beyond_the_genset_capability_exits_3(self, tmp_path, scenario_dir,
+                                                             capsys):
+        body = "[accounting]\nuf = 0.8\n[dp]\ndeltas = 0.051, 0.294, 0.65\n"
+        p = write_scenario(tmp_path, scenario_dir, body)
+        rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert ("infeasible: 44.23 kW exceeds the gen-set's 42.38 kW capability at 2600 rpm"
+                in capsys.readouterr().err)
+
     def test_misspelt_key_named_before_the_default_it_leaves(self, tmp_path,
                                                              scenario_dir, capsys):
-        # with soc_min = 15 the default initial_soc (cs_trigger = 14) lies
-        # outside the window; the misspelling is what the message names
+        # with soc_low = 15 the default cs_trigger (14) lies below the
+        # window; the misspelling is what the message names
         text = (scenario_dir / "three_lap.ini").read_text(encoding="utf-8")
-        text = text.replace("soc_min = 12.0\n", "soc_min = 15\ninital_soc = 15\n")
+        text = text.replace("soc_low = 12.0\ncs_trigger = 14.0\n",
+                            "soc_low = 15\ncs_triger = 16\n")
         p = tmp_path / "three_lap.ini"
         p.write_text(text.replace(CYCLE, str(scenario_dir / CYCLE)), encoding="utf-8")
         rc = main(["analyze", "--scenario", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "[dp] inital_soc is never read" in capsys.readouterr().err
+        assert "[rule] cs_triger is never read" in capsys.readouterr().err
 
     def test_unread_key_named_before_a_missing_cycle_file(self, tmp_path, capsys):
         p = tmp_path / "case.ini"
